@@ -20,8 +20,6 @@ from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
 TARGET = {1: 0, -1: 6, 5: 4, 3: 2, 2: 1, 0: -1, 6: 5, 4: 3,
           "KU1": "KU0", "KU0": "KU1"}
 
-_EVEN = (0, 2, 4, 6, "KU0")
-
 
 def symmetrize_lift(a: FnElement, i, algebra: Algebra = None) -> FnElement:
     """Project a lift onto the class-i lift relation.
@@ -38,15 +36,14 @@ def symmetrize_lift(a: FnElement, i, algebra: Algebra = None) -> FnElement:
             return FnElement(a.base, (a.values + np.conj(np.swapaxes(a.values, 1, 2))) / 2)
         return a.copy()
     s = class_structure(i, a.dim, algebra)
-    if i in (1, -1, 3, 5):
+    if not spec["sa"]:
         t = apply_full_involution(a, s)
         if spec["star"]:
             t = t.adjoint()
         return FnElement(a.base, (a.values + t.values) / 2.0)
     h = FnElement(a.base, (a.values + np.conj(np.swapaxes(a.values, 1, 2))) / 2.0)
     t = apply_full_involution(h, s)
-    want_sign = 1.0 if i in (0, 4) else -1.0
-    return FnElement(a.base, (h.values + want_sign * t.values) / 2.0)
+    return FnElement(a.base, (h.values + spec["sign"] * t.values) / 2.0)
 
 
 def retract_contraction(y: FnElement, mode: str, tol: float = 1e-9) -> FnElement:
@@ -150,7 +147,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor,
     ext = extend_contraction(u, ses, lift_strategy)
     total_alg = scalar_algebra(ses.total)
     sym = symmetrize_lift(ext, i, total_alg)
-    mode = "even" if i in _EVEN else "odd"
+    mode = "even" if class_spec(i)["sa"] else "odd"
     lift = retract_contraction(sym, mode)
 
     back = restrict(lift, ses)

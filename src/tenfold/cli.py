@@ -4,13 +4,16 @@ Subcommands: classify an element against all ten classes, apply a boundary
 map for a registered short exact sequence, emit or list catalog
 generators, run the acceptance suite (TAP output), or a quick selftest.
 
-Exit codes: 0 success, 2 membership failure, 3 unsupported pair, 4 I/O.
+Exit codes: 0 success, 2 membership failure, 3 unsupported pair, 4 I/O or
+malformed input (including non-finite values and out-of-range pinned
+indices).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import catalog, serialize, toeplitz, verify
@@ -39,7 +42,10 @@ class SystemExit_(Exception):
 
 
 def _write_out(obj, out):
-    text = json.dumps(obj, sort_keys=True, indent=1)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise SystemExit_(EXIT_IO, f"output is not finite: {exc}")
     if out and out != "-":
         try:
             with open(out, "w") as fh:
@@ -51,7 +57,9 @@ def _write_out(obj, out):
 
 
 def _residuals_clean(res):
-    return {k: (v if isinstance(v, str) else float(v)) for k, v in res.items()}
+    """Residuals as JSON values; a non-finite residual is written as null."""
+    return {k: v if isinstance(v, str) else float(v) if math.isfinite(v) else None
+            for k, v in res.items()}
 
 
 def _parse_element(obj):

@@ -50,6 +50,8 @@ def base_from_json(obj: dict) -> BaseSpace:
         res = tuple(res)
     base = sample_space(obj["kind"], res, obj.get("involution", "id"))
     pinned = tuple(obj.get("pinned", ()))
+    if not all(isinstance(p, int) and 0 <= p < base.npoints for p in pinned):
+        raise ValueError(f"pinned indices must lie in [0, {base.npoints})")
     if pinned:
         base = type(base)(base.kind, base.involution, base.shape, base.points,
                           base.inv_perm, base.basepoint, pinned)
@@ -63,6 +65,12 @@ def _cpx_matrix_to_json(m: np.ndarray):
 
 def _cpx_matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
@@ -82,11 +90,11 @@ def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
 
 def element_from_json(obj: dict):
     base = base_from_json(obj["base"])
-    vals = np.stack([_cpx_matrix_from_json(v) for v in obj["values"]])
+    vals = _finite(np.stack([_cpx_matrix_from_json(v) for v in obj["values"]]))
     u = FnElement(base, vals)
     alg = Algebra(base)
     if "alg" in obj:
         alg = Algebra(base, int(obj["alg"]["dim_alg"]),
-                      _cpx_matrix_from_json(obj["alg"]["struct"]),
+                      _finite(_cpx_matrix_from_json(obj["alg"]["struct"])),
                       obj["alg"].get("label", "custom"))
     return u, alg

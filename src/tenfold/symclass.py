@@ -221,7 +221,7 @@ def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
     """u* for odd classes, -u for even ones; classes 2 and 6 need an even
     number of neutral blocks for -u to invert."""
     algebra = _default_algebra(u, algebra)
-    if i in ("KU1", -1, 1, 3, 5):
+    if not class_spec(i)["sa"]:
         return u.adjoint()
     if i in (2, 6):
         blocks = u.dim // (algebra.dim_alg * 2)

@@ -5,15 +5,24 @@ sequence space: a Laurent polynomial symbol with square matrix
 coefficients plus a finite correction supported on the first `window`
 basis slots.  All arithmetic is exact over rational complex numbers, so
 the index computations of the Calkin picture verify with zero residual.
+
+Class facts are not restated here: the class table, structure matrices
+and neutral blocks come from `symclass`, the target map and the boundary
+conjugators from `boundary`, read off exactly as Gaussian-integer
+matrices over a power of sqrt(2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import operator
 import numpy as np
 
 from .basespace import FnElement, sample_space
+from .boundary import TARGET, boundary_conjugator
+from .matcore import CONSTRUCTION_TOL
+from .symclass import class_spec, class_structure, neutral
 
 
 class FC:
@@ -89,14 +98,6 @@ FC_ONE = FC(1)
 FC_I = FC(0, 1)
 
 
-def _omat(rows) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[i, j] = FC.of(v) if not isinstance(v, FC) else v
-    return out
-
-
 def _ozeros(n, m) -> np.ndarray:
     out = np.empty((n, m), dtype=object)
     out[:] = FC_ZERO
@@ -110,16 +111,15 @@ def _oeye(n) -> np.ndarray:
     return out
 
 
+_oconj = np.frompyfunc(FC.conj, 1, 1)
+
+
 def _oconjt(m) -> np.ndarray:
-    out = np.empty((m.shape[1], m.shape[0]), dtype=object)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[j, i] = m[i, j].conj()
-    return out
+    return _oconj(m.T)
 
 
 def _is_zero(m) -> bool:
-    return all(not m[i, j] for i in range(m.shape[0]) for j in range(m.shape[1]))
+    return not any(m.flat)
 
 
 def _oequal(a, b) -> bool:
@@ -199,11 +199,8 @@ class ShiftAlgElement:
 
     def scaled(self, c) -> "ShiftAlgElement":
         c = FC.of(c)
-        sym = {k: np.vectorize(lambda v: v * c, otypes=[object])(m)
-               for k, m in self.symbol.items()}
-        corr = np.vectorize(lambda v: v * c, otypes=[object])(self.corr) \
-            if self.window else self.corr
-        return ShiftAlgElement(self.dim, sym, corr, self.window)
+        sym = {k: m * c for k, m in self.symbol.items()}
+        return ShiftAlgElement(self.dim, sym, self.corr * c, self.window)
 
     def __matmul__(self, other):
         return mul(self, other)
@@ -280,11 +277,11 @@ def _okron_eye(w: int, c: np.ndarray) -> np.ndarray:
 # -- constructors -----------------------------------------------------------
 
 def shift() -> ShiftAlgElement:
-    return ShiftAlgElement(1, {1: _omat([[1]])}, _ozeros(0, 0), 0)
+    return ShiftAlgElement(1, {1: _oeye(1)}, _ozeros(0, 0), 0)
 
 
 def rank_one_e() -> ShiftAlgElement:
-    return ShiftAlgElement(1, {}, _omat([[1]]), 1)
+    return ShiftAlgElement(1, {}, _oeye(1), 1)
 
 
 def one(dim: int = 1) -> ShiftAlgElement:
@@ -300,31 +297,27 @@ def scalar(c) -> ShiftAlgElement:
 
 
 def from_blocks(blocks) -> ShiftAlgElement:
-    """Assemble a matrix over the algebra from scalar elements."""
+    """Assemble a k x k matrix over the algebra from elements that share
+    one coefficient dimension."""
     k = len(blocks)
     if any(len(row) != k for row in blocks):
         raise ValueError("blocks must be square")
-    if any(b.dim != 1 for row in blocks for b in row):
-        raise ValueError("blocks must be scalar elements")
-    w = max((b.window for row in blocks for b in row), default=0)
-    powers = set()
-    for row in blocks:
-        for b in row:
-            powers |= set(b.symbol)
-    sym = {}
-    for p in powers:
-        m = _ozeros(k, k)
-        for a, row in enumerate(blocks):
-            for b, el in enumerate(row):
-                m[a, b] = el.coeff(p)[0, 0]
-        sym[p] = m
-    corr = _ozeros(w * k, w * k)
+    d = blocks[0][0].dim
+    if any(b.dim != d for row in blocks for b in row):
+        raise ValueError("blocks must share one coefficient dimension")
+    n, w = k * d, max(b.window for row in blocks for b in row)
+    sym = {p: _ozeros(n, n) for row in blocks for b in row for p in b.symbol}
+    corr = _ozeros(w * n, w * n)
     for a, row in enumerate(blocks):
-        for b, el in enumerate(row):
+        for c, el in enumerate(row):
+            for p, m in el.symbol.items():
+                sym[p][a * d:(a + 1) * d, c * d:(c + 1) * d] = m
             for i in range(el.window):
                 for j in range(el.window):
-                    corr[i * k + a, j * k + b] = el.corr[i, j]
-    return ShiftAlgElement(k, sym, corr, w)
+                    corr[i * n + a * d:i * n + (a + 1) * d,
+                         j * n + c * d:j * n + (c + 1) * d] = \
+                        el.corr[i * d:(i + 1) * d, j * d:(j + 1) * d]
+    return ShiftAlgElement(n, sym, corr, w)
 
 
 # -- quotient and membership --------------------------------------------------
@@ -342,47 +335,55 @@ def symbol_map(x: ShiftAlgElement, resolution: int = 64) -> FnElement:
     return FnElement(base, vals)
 
 
-_CLASS_RULES = {
-    -1: (False, +1, False, False),
-    0: (True, +1, True, False),
-    1: (False, +1, True, False),
-    2: (True, -1, False, False),
-    3: (False, +1, False, True),
-    4: (True, +1, True, True),
-    5: (False, +1, True, True),
-    6: (True, -1, False, True),
-    "KU0": (True, None, None, False),
-    "KU1": (False, None, None, False),
-}
+def _gaussian(m: np.ndarray, kmax: int = 0):
+    """Exact form (g, 1/2^k) of a float matrix m = g / sqrt(2)^k, where g
+    has Gaussian-integer entries and k <= kmax; raises otherwise.  Every
+    constant matrix of the class table (structures, neutral blocks,
+    boundary conjugators) has this form."""
+    for k in range(kmax + 1):
+        scaled = np.asarray(m) * np.sqrt(2.0) ** k
+        g = np.round(scaled)
+        if np.max(np.abs(scaled - g), initial=0.0) <= CONSTRUCTION_TOL:
+            out = np.empty(g.shape, dtype=object)
+            for idx, v in np.ndenumerate(g):
+                out[idx] = FC(int(v.real), int(v.imag))
+            return out, Fraction(1, 2 ** k)
+    raise ValueError(f"matrix is not Gaussian-integer over sqrt(2)^k, k <= {kmax}")
 
 
-def _class_struct(i, dim: int):
-    sa, sign, star, sharp = _CLASS_RULES[i]
-    if not sharp:
+def _exact_structure(i, dim: int):
+    """Exact class-i structure matrix, or None where it is the identity."""
+    if not class_spec(i)["sharp"]:
         return None
-    if dim % 2:
-        raise ValueError(f"class {i} needs even coefficient dimension")
-    j = _omat([[0, 1], [-1, 0]])
-    out = _ozeros(dim, dim)
-    for b in range(dim // 2):
-        out[2 * b:2 * b + 2, 2 * b:2 * b + 2] = j
-    return out
+    return _gaussian(class_structure(i, dim))[0]
+
+
+def neutral_exact(i, copies: int) -> np.ndarray:
+    return _gaussian(neutral(i, copies))[0]
+
+
+def _check_membership(x: ShiftAlgElement, i, equal) -> bool:
+    """Unitarity and the class-i relations, each tested with `equal`."""
+    spec = class_spec(i)
+    if x.dim % spec["mult"]:
+        raise ValueError(f"dimension {x.dim} is not a multiple of {spec['mult']} "
+                         f"for class {i}")
+    e = one(x.dim)
+    xa = x.adjoint()
+    if not (equal(mul(xa, x), e) and equal(mul(x, xa), e)):
+        return False
+    if spec["sa"] and not equal(xa, x):
+        return False
+    if spec["sign"] is None:
+        return True
+    lhs = x.involute(_exact_structure(i, x.dim))
+    rhs = xa if spec["star"] else x
+    return equal(lhs, rhs.scaled(FC(spec["sign"])))
 
 
 def check_membership_exact(x: ShiftAlgElement, i) -> bool:
     """Exact unitarity and symmetry for the ten classes."""
-    sa, sign, star, sharp = _CLASS_RULES[i]
-    e = one(x.dim)
-    xa = x.adjoint()
-    if not (mul(xa, x) == e and mul(x, xa) == e):
-        return False
-    if sa and not (xa == x):
-        return False
-    if sign is None:
-        return True
-    lhs = x.involute(_class_struct(i, x.dim))
-    rhs = xa if star else x
-    return lhs == rhs.scaled(FC(sign))
+    return _check_membership(x, i, operator.eq)
 
 
 def _symbols_equal(x: ShiftAlgElement, y: ShiftAlgElement) -> bool:
@@ -394,32 +395,20 @@ def _symbols_equal(x: ShiftAlgElement, y: ShiftAlgElement) -> bool:
 def check_membership_quotient(x: ShiftAlgElement, i) -> bool:
     """Class membership of the image in the quotient by the finite-rank
     part: the relations hold at symbol level."""
-    sa, sign, star, sharp = _CLASS_RULES[i]
-    e = one(x.dim)
-    xa = x.adjoint()
-    if not (_symbols_equal(mul(xa, x), e) and _symbols_equal(mul(x, xa), e)):
-        return False
-    if sa and not _symbols_equal(xa, x):
-        return False
-    if sign is None:
-        return True
-    lhs = x.involute(_class_struct(i, x.dim))
-    rhs = xa if star else x
-    return _symbols_equal(lhs, rhs.scaled(FC(sign)))
+    return _check_membership(x, i, _symbols_equal)
 
 
 def symmetrize_exact(x: ShiftAlgElement, i) -> ShiftAlgElement:
-    sa, sign, star, sharp = _CLASS_RULES[i]
-    if sign is None:
-        if sa:
-            return (x + x.adjoint()).scaled(FC(Fraction(1, 2)))
+    spec = class_spec(i)
+    half = FC(Fraction(1, 2))
+    if spec["sa"]:
+        x = (x + x.adjoint()).scaled(half)
+    if spec["sign"] is None:
         return x
-    if sa:
-        x = (x + x.adjoint()).scaled(FC(Fraction(1, 2)))
-    t = x.involute(_class_struct(i, x.dim))
-    if star:
+    t = x.involute(_exact_structure(i, x.dim))
+    if spec["star"]:
         t = t.adjoint()
-    return (x + t.scaled(FC(sign))).scaled(FC(Fraction(1, 2)))
+    return (x + t.scaled(FC(spec["sign"]))).scaled(half)
 
 
 # -- exact index machinery ----------------------------------------------------
@@ -442,38 +431,10 @@ def index_unitary_exact(a: ShiftAlgElement) -> ShiftAlgElement:
     gl = sqrt_exact(e - mul(a.adjoint(), a))
     gr = sqrt_exact(e - mul(a, a.adjoint()))
     two = FC(2)
-    blocks = [
-        mul(a, a.adjoint()).scaled(two) - e,
-        mul(a, gl).scaled(two),
-        mul(a.adjoint(), gr).scaled(two),
-        e - mul(a.adjoint(), a).scaled(two),
-    ]
-    return _block2(blocks, d)
-
-
-def _block2(blocks, d) -> ShiftAlgElement:
-    b11, b12, b21, b22 = blocks
-    w = max(b.window for b in blocks)
-    powers = set()
-    for b in blocks:
-        powers |= set(b.symbol)
-    sym = {}
-    for p in powers:
-        m = _ozeros(2 * d, 2 * d)
-        m[:d, :d] = b11.coeff(p)
-        m[:d, d:] = b12.coeff(p)
-        m[d:, :d] = b21.coeff(p)
-        m[d:, d:] = b22.coeff(p)
-        sym[p] = m
-    corr = _ozeros(w * 2 * d, w * 2 * d)
-    for i in range(w):
-        for j in range(w):
-            for (bi, bj, b) in ((0, 0, b11), (0, 1, b12), (1, 0, b21), (1, 1, b22)):
-                if i < b.window and j < b.window:
-                    corr[i * 2 * d + bi * d: i * 2 * d + (bi + 1) * d,
-                         j * 2 * d + bj * d: j * 2 * d + (bj + 1) * d] = \
-                        b.corr[i * d:(i + 1) * d, j * d:(j + 1) * d]
-    return ShiftAlgElement(2 * d, sym, corr, w)
+    return from_blocks([
+        [mul(a, a.adjoint()).scaled(two) - e, mul(a, gl).scaled(two)],
+        [mul(a.adjoint(), gr).scaled(two), e - mul(a.adjoint(), a).scaled(two)],
+    ])
 
 
 def exp_unitary_exact(a: ShiftAlgElement) -> ShiftAlgElement:
@@ -482,92 +443,6 @@ def exp_unitary_exact(a: ShiftAlgElement) -> ShiftAlgElement:
     if not (mul(a2, a) == a):
         raise ValueError("-exp(i pi a) is exact only when a^3 = a")
     return a2.scaled(FC(2)) - one(a.dim)
-
-
-def _sqrt2_w(dim: int) -> np.ndarray:
-    half = dim // 2
-    out = _ozeros(dim, dim)
-    for i in range(half):
-        out[i, i] = FC_I
-        out[i, half + i] = FC_ONE
-        out[half + i, i] = FC_ONE
-        out[half + i, half + i] = FC_I
-    return out
-
-
-def _sqrt2_q(dim: int) -> np.ndarray:
-    quarter = dim // 4
-    out = _ozeros(dim, dim)
-    i2 = _omat([[FC_ZERO, FC_I], [FC(0, -1), FC_ZERO]])
-    for b in range(2 * quarter):
-        out[b, b] = FC_ONE
-        out[2 * quarter + b, 2 * quarter + b] = FC_ONE
-    for b in range(quarter):
-        r = 2 * b
-        out[r:r + 2, 2 * quarter + r: 2 * quarter + r + 2] = -i2
-        out[2 * quarter + r: 2 * quarter + r + 2, r:r + 2] = i2
-    return out
-
-
-def _perm_v(dim: int) -> np.ndarray:
-    n = dim // 2
-    out = _ozeros(dim, dim)
-    for k in range(n):
-        out[2 * k, k] = FC_ONE
-        out[2 * k + 1, n + k] = FC_ONE
-    return out
-
-
-def _perm_x(dim: int) -> np.ndarray:
-    n = dim // 4
-    out = _ozeros(dim, dim)
-    for k in range(n):
-        out[4 * k, 2 * k] = FC_ONE
-        out[4 * k + 1, 2 * k + 1] = FC_ONE
-        out[4 * k + 2, 2 * n + 2 * k] = FC_ONE
-        out[4 * k + 3, 2 * n + 2 * k + 1] = FC_ONE
-    return out
-
-
-def _conjugator_exact(i, dim: int):
-    """(matrix, rational prefactor) with matrix/sqrt(prefactor) unitary."""
-    if i in (1, "KU1"):
-        return _perm_v(dim), Fraction(1)
-    if i == -1:
-        return np.dot(_perm_v(dim), _sqrt2_w(dim)), Fraction(1, 2)
-    if i == 5:
-        return _perm_x(dim), Fraction(1)
-    if i == 3:
-        m = np.dot(np.dot(_perm_v(dim), _sqrt2_q(dim)), _sqrt2_w(dim))
-        return m, Fraction(1, 4)
-    raise ValueError(i)
-
-
-_TARGET = {1: 0, -1: 6, 5: 4, 3: 2, 2: 1, 0: -1, 6: 5, 4: 3,
-           "KU1": "KU0", "KU0": "KU1"}
-
-_NEUTRAL_EXACT = {
-    -1: [[FC_ONE]],
-    0: [[FC_ONE, FC_ZERO], [FC_ZERO, FC(-1)]],
-    1: [[FC_ONE]],
-    2: [[FC_ZERO, FC_I], [FC(0, -1), FC_ZERO]],
-    3: [[FC_ONE, FC_ZERO], [FC_ZERO, FC_ONE]],
-    4: [[FC_ONE, FC_ZERO, FC_ZERO, FC_ZERO], [FC_ZERO, FC_ONE, FC_ZERO, FC_ZERO],
-        [FC_ZERO, FC_ZERO, FC(-1), FC_ZERO], [FC_ZERO, FC_ZERO, FC_ZERO, FC(-1)]],
-    5: [[FC_ONE, FC_ZERO], [FC_ZERO, FC_ONE]],
-    6: [[FC_ZERO, FC_I], [FC(0, -1), FC_ZERO]],
-    "KU0": [[FC_ONE, FC_ZERO], [FC_ZERO, FC(-1)]],
-    "KU1": [[FC_ONE]],
-}
-
-
-def neutral_exact(i, copies: int) -> np.ndarray:
-    blk = _omat(_NEUTRAL_EXACT[i])
-    d = blk.shape[0]
-    out = _ozeros(copies * d, copies * d)
-    for c in range(copies):
-        out[c * d:(c + 1) * d, c * d:(c + 1) * d] = blk
-    return out
 
 
 @dataclass
@@ -589,19 +464,17 @@ def calkin_boundary(v: ShiftAlgElement, i) -> CalkinBoundaryResult:
     if not check_membership_quotient(v, i):
         raise ValueError(f"symbol of v is not a class-{i} unitary over the circle")
     a = symmetrize_exact(v, i)
-    j = _TARGET[i]
-    if i in (1, -1, 3, 5, "KU1"):
-        b = index_unitary_exact(a)
-        c, pref = _conjugator_exact(i, b.dim)
-        out = conjugate(b, c).scaled(FC(pref))
-    elif i in (0, 2, 4, 6, "KU0"):
+    j = TARGET[i]
+    if class_spec(i)["sa"]:
         out = exp_unitary_exact(a)
     else:
-        raise KeyError(i)
+        b = index_unitary_exact(a)
+        c, pref = _gaussian(boundary_conjugator(i, b.dim), kmax=2)
+        out = conjugate(b, c).scaled(FC(pref))
     if not check_membership_exact(out, j):
         raise AssertionError("boundary image fails exact target membership")
-    blocks = out.dim // _omat(_NEUTRAL_EXACT[j]).shape[0]
-    if set(out.symbol) != {0} or not _oequal(out.symbol[0], neutral_exact(j, blocks)):
+    stack = neutral_exact(j, out.dim // class_spec(j)["mult"])
+    if set(out.symbol) != {0} or not _oequal(out.symbol[0], stack):
         raise AssertionError("boundary image symbol is not the neutral stack")
     name, val = exact_invariant(out, j)
     return CalkinBoundaryResult(out, j, val, name)
@@ -615,10 +488,8 @@ def exact_invariant(x: ShiftAlgElement, j):
     if j in (0, 4, "KU0"):
         # rank defect of the negative band against the scalar reference:
         # -tr(u - lambda)/2 (or /4), so the shift-index image is +1
-        tr = FC_ZERO
-        for b in range(x.window * d):
-            tr = tr + x.corr[b, b]
-        denom = 2 if j in (0, "KU0") else 4
+        tr = sum(x.corr.diagonal(), FC_ZERO)
+        denom = class_spec(j)["mult"]
         if tr.im != 0 or tr.re % denom != 0:
             raise ValueError("window trace is not an integral invariant")
         name = "half_window_trace" if denom == 2 else "quarter_window_trace"
@@ -630,10 +501,7 @@ def exact_invariant(x: ShiftAlgElement, j):
             raise ValueError("window determinant is not a sign")
         return "det_parity", (1 - int(dt.re)) // 2
     if j == 2 or j == 6:
-        ref = _ozeros(w * d, w * d)
-        for b in range(w):
-            ref[b * d:(b + 1) * d, b * d:(b + 1) * d] = neutral_exact(2, d // 2)
-        ratio = _exact_pfaffian(m) / _exact_pfaffian(ref)
+        ratio = _exact_pfaffian(m) / _exact_pfaffian(neutral_exact(2, w * d // 2))
         if ratio.im != 0 or abs(ratio.re) != 1:
             raise ValueError("window pfaffian ratio is not a sign")
         return "pf_parity", (1 - int(ratio.re)) // 2
@@ -656,30 +524,32 @@ def _exact_det(m: np.ndarray) -> FC:
         det = det * a[c, c]
         for r in range(c + 1, n):
             f = a[r, c] / a[c, c]
-            a[r, c:] = a[r, c:] - np.vectorize(lambda v: v * f, otypes=[object])(a[c, c:])
+            a[r, c:] = a[r, c:] - a[c, c:] * f
     return det
 
 
 def _exact_pfaffian(m: np.ndarray) -> FC:
-    n = m.shape[0]
+    """Parlett-Reid elimination, as in matcore.pfaffian, over exact
+    scalars: pivot on the first nonzero entry of row k; O(n^3)."""
+    a = m.copy()
+    n = a.shape[0]
     if n % 2:
         raise ValueError("pfaffian needs even dimension")
-    if n == 0:
-        return FC_ONE
-    idx = list(range(n))
-
-    def rec(rows):
-        if not rows:
-            return FC_ONE
-        i = rows[0]
-        total = FC_ZERO
-        for pos, j in enumerate(rows[1:]):
-            sign = FC_ONE if pos % 2 == 0 else FC(-1)
-            rest = [r for r in rows[1:] if r != j]
-            total = total + sign * m[i, j] * rec(rest)
-        return total
-
-    return rec(idx)
+    pf = FC_ONE
+    for k in range(0, n - 1, 2):
+        p = next((c for c in range(k + 1, n) if a[k, c]), None)
+        if p is None:
+            return FC_ZERO
+        if p != k + 1:
+            a[[k + 1, p], :] = a[[p, k + 1], :]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            pf = -pf
+        pf = pf * a[k, k + 1]
+        if k + 2 < n:
+            tau = a[k + 2:, k + 1] / a[k, k + 1]
+            col = a[k + 2:, k]
+            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
 
 
 # -- serialization -------------------------------------------------------------

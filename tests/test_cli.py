@@ -113,3 +113,48 @@ def test_selftest(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "qc_relation_oracle" in out
+
+
+def _circle_doc():
+    base = sample_space("circle", 16, "zeta")
+    z = base.points[:, 0] + 1j * base.points[:, 1]
+    return serialize.element_to_json(FnElement(base, z[:, None, None] * np.eye(1)))
+
+
+def _nan_value(doc):
+    doc["values"][3][0][0][0] = float("nan")
+
+
+def _pinned_past_end(doc):
+    doc["base"]["pinned"] = [1000000]
+
+
+def _pinned_negative(doc):
+    doc["base"]["pinned"] = [-1]
+
+
+@pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative])
+def test_malformed_element_exits_io(spoil, tmp_path, capsys):
+    doc = _circle_doc()
+    spoil(doc)
+    with pytest.raises(ValueError):
+        serialize.element_from_json(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert run(["classify", str(p)]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_overflowing_residuals_print_strict_json(tmp_path, capsys):
+    doc = _circle_doc()
+    doc["values"][3][0][0][0] = 1e200
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert run(["classify", str(p)]) == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert report["classes"][0]["residuals"]["unitary"] is None

@@ -149,3 +149,87 @@ def test_json_roundtrip():
     import json
     assert json.dumps(obj, sort_keys=True) == json.dumps(
         tp.element_to_json(y), sort_keys=True)
+
+
+def _skew_gaussian(rng, n):
+    """Random skew-symmetric matrix with small Gaussian-integer entries:
+    (exact object matrix, float matrix)."""
+    g = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+    g = np.triu(g, 1)
+    g = g - g.T
+    exact = np.empty((n, n), dtype=object)
+    for (a, b), v in np.ndenumerate(g):
+        exact[a, b] = tp.FC(int(v.real), int(v.imag))
+    return exact, g
+
+
+def test_exact_pfaffian_is_polynomial_time():
+    import time
+    exact, _ = _skew_gaussian(np.random.default_rng(0), 16)
+    t0 = time.perf_counter()
+    tp._exact_pfaffian(exact)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_exact_pfaffian_matches_float_and_det():
+    from tenfold import matcore
+    rng = np.random.default_rng(1)
+    for n in (2, 4, 6, 8):
+        for _ in range(5):
+            exact, g = _skew_gaussian(rng, n)
+            pf = tp._exact_pfaffian(exact)
+            want = matcore.pfaffian(g)
+            assert abs(pf.to_complex() - want) <= 1e-9 * max(1.0, abs(want))
+            assert pf * pf == tp._exact_det(exact)
+
+
+def test_exact_pfaffian_pivots_past_zero_entries():
+    # row 0 is zero against column 1, so the first pivot needs a swap
+    m = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    exact = np.empty((4, 4), dtype=object)
+    for (a, b), v in np.ndenumerate(m):
+        exact[a, b] = tp.FC(int(v))
+    assert tp._exact_pfaffian(exact) == tp.FC(-1)
+    exact[0, 2] = exact[2, 0] = tp.FC_ZERO
+    assert tp._exact_pfaffian(exact) == tp.FC_ZERO
+
+
+def test_quotient_membership_agrees_with_grid_path():
+    from tenfold import catalog
+    from tenfold.symclass import CLASS_IDS, check_membership
+
+    def outcome(check):
+        try:
+            return check()
+        except ValueError:
+            return "raises"
+
+    for name in catalog.names():
+        if not catalog.entry(name).exact:
+            continue
+        x = catalog.generator(name)
+        sym = tp.symbol_map(x)
+        for i in CLASS_IDS:
+            exact = outcome(lambda: tp.check_membership_quotient(x, i))
+            grid = outcome(lambda: check_membership(sym, i).ok)
+            assert exact == grid, (name, i, exact, grid)
+
+
+def test_membership_refuses_dimension_off_class_size():
+    w1 = ONE - E.scaled(TWO)
+    for i in (0, "KU0", 4):
+        with pytest.raises(ValueError):
+            tp.check_membership_exact(w1, i)
+        with pytest.raises(ValueError):
+            tp.check_membership_quotient(w1, i)
+
+
+def test_gaussian_form_of_class_constants():
+    from tenfold.boundary import boundary_conjugator
+    c, pref = tp._gaussian(boundary_conjugator(3, 4), kmax=2)
+    assert pref == tp.Fraction(1, 4)
+    assert all(v.re.denominator == 1 and v.im.denominator == 1 for v in c.flat)
+    with pytest.raises(ValueError):
+        tp._gaussian(boundary_conjugator(-1, 2))  # needs k = 1
+    with pytest.raises(ValueError):
+        tp._gaussian(np.array([[1 / 3]]), kmax=2)
