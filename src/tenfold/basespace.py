@@ -114,11 +114,8 @@ def sample_space(kind: str, resolution=64, involution: str = "id") -> BaseSpace:
         if nt % 2 or nr < 4 or nt < 8:
             raise ValueError("disk needs radial >= 4 and even angular >= 8 resolution")
         theta = 2.0 * np.pi * np.arange(nt) / nt
-        rr = np.linspace(0.0, 1.0, nr)
-        pts = np.zeros((nr * nt, 2))
-        for j in range(nr):
-            pts[j * nt:(j + 1) * nt, 0] = rr[j] * np.cos(theta)
-            pts[j * nt:(j + 1) * nt, 1] = rr[j] * np.sin(theta)
+        rr = np.linspace(0.0, 1.0, nr)[:, None]
+        pts = np.stack([rr * np.cos(theta), rr * np.sin(theta)], -1).reshape(-1, 2)
         idx = np.arange(nr * nt).reshape(nr, nt)
         if involution == "id":
             perm = idx.copy()
@@ -135,12 +132,9 @@ def sample_space(kind: str, resolution=64, involution: str = "id") -> BaseSpace:
             raise ValueError("sphere2 needs even resolutions >= 8")
         lat = np.pi * np.arange(nl + 1) / nl
         lon = 2.0 * np.pi * np.arange(nt) / nt
-        pts = np.zeros(((nl + 1) * nt, 3))
-        for j in range(nl + 1):
-            s, c = np.sin(lat[j]), np.cos(lat[j])
-            pts[j * nt:(j + 1) * nt, 0] = s * np.cos(lon)
-            pts[j * nt:(j + 1) * nt, 1] = s * np.sin(lon)
-            pts[j * nt:(j + 1) * nt, 2] = c
+        s, c = np.sin(lat)[:, None], np.cos(lat)[:, None]
+        pts = np.stack([s * np.cos(lon), s * np.sin(lon),
+                        np.broadcast_to(c, (nl + 1, nt))], -1).reshape(-1, 3)
         idx = np.arange((nl + 1) * nt).reshape(nl + 1, nt)
         if involution == "id":
             perm = idx.copy()
@@ -160,18 +154,12 @@ def sample_space(kind: str, resolution=64, involution: str = "id") -> BaseSpace:
         psi = np.pi * np.arange(n1 + 1) / n1
         phi = np.pi * np.arange(n2 + 1) / n2
         th = 2.0 * np.pi * np.arange(nt) / nt
-        pts = np.zeros(((n1 + 1) * (n2 + 1) * nt, 4))
-        i = 0
-        for a in range(n1 + 1):
-            for b in range(n2 + 1):
-                sp, cp = np.sin(psi[a]), np.cos(psi[a])
-                sf, cf = np.sin(phi[b]), np.cos(phi[b])
-                pts[i:i + nt, 0] = sp * sf * np.cos(th)
-                pts[i:i + nt, 1] = sp * sf * np.sin(th)
-                pts[i:i + nt, 2] = sp * cf
-                pts[i:i + nt, 3] = cp
-                i += nt
         shape = (n1 + 1, n2 + 1, nt)
+        sp, cp = np.sin(psi)[:, None, None], np.cos(psi)[:, None, None]
+        sf, cf = np.sin(phi)[:, None], np.cos(phi)[:, None]
+        pts = np.stack([sp * sf * np.cos(th), sp * sf * np.sin(th),
+                        np.broadcast_to(sp * cf, shape),
+                        np.broadcast_to(cp, shape)], -1).reshape(-1, 4)
         bp = int(np.ravel_multi_index((n1 // 2, n2 // 2, 0), shape))
         return BaseSpace(kind, involution, shape, pts,
                          np.arange(pts.shape[0]), bp)
@@ -184,10 +172,7 @@ def sample_space(kind: str, resolution=64, involution: str = "id") -> BaseSpace:
             raise ValueError("torus2 supports only the identity involution")
         t1 = 2.0 * np.pi * np.arange(n1) / n1
         t2 = 2.0 * np.pi * np.arange(n2) / n2
-        pts = np.zeros((n1 * n2, 2))
-        for j in range(n1):
-            pts[j * n2:(j + 1) * n2, 0] = t1[j]
-            pts[j * n2:(j + 1) * n2, 1] = t2
+        pts = np.stack(np.meshgrid(t1, t2, indexing="ij"), -1).reshape(-1, 2)
         return BaseSpace(kind, involution, (n1, n2), pts, np.arange(n1 * n2), 0)
 
     raise AssertionError
@@ -440,28 +425,24 @@ def extend_contraction(b: FnElement, ses: SESDescriptor,
 
 def _natural_extension(b: FnElement, ses: SESDescriptor) -> FnElement:
     total = ses.total
-    d = b.dim
-    out = np.zeros((total.npoints, d, d), dtype=complex)
     if total.kind == "disk":
         nr, nt = total.shape
         if b.base.kind != "circle" or b.base.shape[0] != nt:
             raise ValueError("disk extension needs a matching circle element")
-        for j in range(nr):
-            r = j / (nr - 1)
-            out[j * nt:(j + 1) * nt] = r * b.values
-        return FnElement(total, out)
+        r = (np.arange(nr) / (nr - 1))[:, None, None, None]
+        return FnElement(total, (r * b.values).reshape(-1, b.dim, b.dim))
     if total.kind == "circle":
         n = total.shape[0]
         closed = sorted(ses.closed_flat)
         if b.base.npoints != len(closed):
             raise ValueError("closed-set values do not match the SES")
+        out = np.zeros((n, b.dim, b.dim), dtype=complex)
         vals = {c: b.values[i] for i, c in enumerate(ses.quotient_map)}
         arcs = list(zip(closed, closed[1:] + [closed[0] + n]))
         for lo, hi in arcs:
-            v0, v1 = vals[lo % n], vals[hi % n]
-            for k in range(lo, hi + 1):
-                s = (k - lo) / (hi - lo)
-                out[k % n] = (1.0 - s) * v0 + s * v1
+            k = np.arange(lo, hi + 1)
+            s = ((k - lo) / (hi - lo))[:, None, None]
+            out[k % n] = (1.0 - s) * vals[lo % n] + s * vals[hi % n]
         return FnElement(total, out)
     raise ValueError(f"no extension strategy for total space {total.kind!r}")
 
@@ -471,10 +452,7 @@ def _closed_set_distance(ses: SESDescriptor) -> np.ndarray:
     total = ses.total
     if total.kind == "disk":
         nr, nt = total.shape
-        d = np.zeros(total.npoints)
-        for j in range(nr):
-            d[j * nt:(j + 1) * nt] = 1.0 - j / (nr - 1)
-        return d
+        return np.repeat(1.0 - np.arange(nr) / (nr - 1), nt)
     if total.kind == "circle":
         n = total.shape[0]
         closed = np.array(sorted(ses.closed_flat))

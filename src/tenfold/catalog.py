@@ -45,13 +45,6 @@ def _zvals(base):
     return base.points[:, 0] + 1j * base.points[:, 1]
 
 
-def _as_element(base, fn, dim):
-    vals = np.zeros((base.npoints, dim, dim), dtype=complex)
-    for p in range(base.npoints):
-        vals[p] = fn(base.points[p])
-    return FnElement(base, vals)
-
-
 # -- interval (cone-algebra) generators ---------------------------------------
 
 def _x0_values(base):
@@ -142,24 +135,18 @@ def _build_const(m, class_id):
 
 # -- sphere generators ----------------------------------------------------------
 
-def _dirac2(pt):
-    x, y, z = pt
-    return np.array([[z, x - 1j * y], [x + 1j * y, -z]])
-
-
 def _build_sphere(class_id, involution, resolution):
     base = with_pinned(sample_space("sphere2", resolution, involution), "basepoint")
-    return _as_element(base, _dirac2, 2), class_id, Algebra(base)
+    x, y, z = base.points.T
+    vals = np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
+    return FnElement(base, vals.transpose(2, 0, 1).copy()), class_id, Algebra(base)
 
 
 def _build_sphere3(resolution):
     base = with_pinned(sample_space("sphere3", resolution), "basepoint")
-
-    def f(pt):
-        x, y, z, w = pt
-        return np.array([[1j * z - w, 1j * x + y], [1j * x - y, -1j * z - w]])
-
-    return _as_element(base, f, 2), 5, Algebra(base)
+    x, y, z, w = base.points.T
+    vals = np.array([[1j * z - w, 1j * x + y], [1j * x - y, -1j * z - w]])
+    return FnElement(base, vals.transpose(2, 0, 1).copy()), 5, Algebra(base)
 
 
 # -- circle generators, antipodal involution ------------------------------------

@@ -186,56 +186,49 @@ def winding_pairs(u: FnElement) -> int:
     return w // 2
 
 
-def _occupied_frames(u: FnElement):
-    frames = []
-    rank = None
-    for p in range(u.base.npoints):
-        w, v = np.linalg.eigh(u.values[p])
-        if np.min(np.abs(w)) < 0.5:
-            raise InvariantError("spectral gap at 0 closes on the grid")
-        occ = v[:, w > 0]
-        if rank is None:
-            rank = occ.shape[1]
-        elif occ.shape[1] != rank:
-            raise InvariantError("occupied rank is not constant over the grid")
-        frames.append(occ)
-    return frames
+def _occupied_frames(u: FnElement) -> np.ndarray:
+    """(npoints, dim, rank) orthonormal frames of the positive eigenspaces:
+    the last rank eigenvector columns, since eigenvalues ascend."""
+    w, v = np.linalg.eigh(u.values)
+    if np.min(np.abs(w)) < 0.5:
+        raise InvariantError("spectral gap at 0 closes on the grid")
+    ranks = np.count_nonzero(w > 0, axis=1)
+    if np.any(ranks != ranks[0]):
+        raise InvariantError("occupied rank is not constant over the grid")
+    return v[:, :, u.dim - ranks[0]:]
+
+
+def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Phases of det(a^H b) over stacks of frames."""
+    z = np.linalg.det(np.conj(np.swapaxes(a, -1, -2)) @ b)
+    if np.min(np.abs(z)) < 0.1:
+        raise InvariantError("frame overlap nearly singular: resolution too coarse")
+    return z / np.abs(z)
 
 
 def chern_of_projection(u: FnElement) -> int:
     """First Chern number of p = (u+1)/2 by plaquette flux summation.
 
     Links are determinants of frame overlaps, so the total is an exact
-    multiple of 2*pi whenever every plaquette flux stays below pi.
+    multiple of 2*pi whenever every plaquette flux stays below pi
+    (Fukui-Hatsugai-Suzuki).  Columns always wrap; rows wrap on the torus
+    only, since the first and last rows of a disk or sphere are not
+    neighbours.
     """
     base = u.base
     if base.kind not in ("disk", "sphere2", "torus2"):
         raise InvariantError(f"no plaquette decomposition for {base.kind!r}")
-    rows, cols = base.shape
-    wrap_rows = base.kind == "torus2"
-    frames = _occupied_frames(u)
-
-    def link(p, q):
-        z = complex(np.linalg.det(frames[p].conj().T @ frames[q]))
-        if abs(z) < 0.1:
-            raise InvariantError("frame overlap nearly singular: resolution too coarse")
-        return z / abs(z)
-
-    total = 0.0
-    row_span = rows if wrap_rows else rows - 1
-    for j in range(row_span):
-        j1 = (j + 1) % rows
-        for k in range(cols):
-            k1 = (k + 1) % cols
-            a = base.flat(j, k)
-            b = base.flat(j, k1)
-            c = base.flat(j1, k1)
-            dd = base.flat(j1, k)
-            f = np.angle(link(a, b) * link(b, c) * link(c, dd) * link(dd, a))
-            if abs(f) > np.pi - 1e-9:
-                raise InvariantError("plaquette flux at pi: resolution too coarse")
-            total += f
-    return _round_int(total / (2.0 * np.pi), 1e-6, "chern number")
+    f = _occupied_frames(u)
+    f = f.reshape(base.shape + f.shape[1:])
+    if base.kind == "torus2":
+        f = np.concatenate([f, f[:1]])
+    across = _unit_links(f, np.roll(f, -1, axis=1))
+    along = _unit_links(f[:-1], f[1:])
+    flux = np.angle(across[:-1] * np.roll(along, -1, axis=1)
+                    * np.conj(across[1:]) * np.conj(along))
+    if np.max(np.abs(flux)) > np.pi - 1e-9:
+        raise InvariantError("plaquette flux at pi: resolution too coarse")
+    return _round_int(float(np.sum(flux)) / (2.0 * np.pi), 1e-6, "chern number")
 
 
 def winding3(u: FnElement) -> int:
@@ -377,20 +370,13 @@ def _entry(*names_groups):
     return tuple(_mk(n, g, _D[n]) for n, g in names_groups)
 
 
-_EMPTY = ()
-
 CATALOG = {
     # point
     ("point", "id", "", "scalar", 0): _entry(("half_trace", "Z")),
     ("point", "id", "", "scalar", 1): _entry(("det_parity", "Z2")),
     ("point", "id", "", "scalar", 2): _entry(("pf_parity", "Z2")),
     ("point", "id", "", "scalar", 4): _entry(("quarter_trace", "Z")),
-    ("point", "id", "", "scalar", -1): _EMPTY,
-    ("point", "id", "", "scalar", 3): _EMPTY,
-    ("point", "id", "", "scalar", 5): _EMPTY,
-    ("point", "id", "", "scalar", 6): _EMPTY,
     ("point", "id", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
-    ("point", "id", "", "scalar", "KU1"): _EMPTY,
     # two points, trivial involution
     ("twopoints", "id", "", "scalar", 0): _entry(("half_trace_0", "Z"),
                                                  ("half_trace_1", "Z")),
@@ -400,25 +386,15 @@ CATALOG = {
                                                  ("pf_parity_1", "Z2")),
     ("twopoints", "id", "", "scalar", 4): _entry(("quarter_trace_0", "Z"),
                                                  ("quarter_trace_1", "Z")),
-    ("twopoints", "id", "", "scalar", -1): _EMPTY,
-    ("twopoints", "id", "", "scalar", 3): _EMPTY,
-    ("twopoints", "id", "", "scalar", 5): _EMPTY,
-    ("twopoints", "id", "", "scalar", 6): _EMPTY,
     ("twopoints", "id", "", "scalar", "KU0"): _entry(("half_trace_0", "Z"),
                                                      ("half_trace_1", "Z")),
-    ("twopoints", "id", "", "scalar", "KU1"): _EMPTY,
     # two points, swap involution
     ("twopoints", "swap", "", "scalar", 0): _entry(("half_trace_0", "Z")),
     ("twopoints", "swap", "", "scalar", 2): _entry(("half_trace_0", "Z")),
     ("twopoints", "swap", "", "scalar", 4): _entry(("half_trace_0", "Z")),
     ("twopoints", "swap", "", "scalar", 6): _entry(("half_trace_0", "Z")),
-    ("twopoints", "swap", "", "scalar", -1): _EMPTY,
-    ("twopoints", "swap", "", "scalar", 1): _EMPTY,
-    ("twopoints", "swap", "", "scalar", 3): _EMPTY,
-    ("twopoints", "swap", "", "scalar", 5): _EMPTY,
     ("twopoints", "swap", "", "scalar", "KU0"): _entry(("half_trace_0", "Z"),
                                                        ("half_trace_1", "Z")),
-    ("twopoints", "swap", "", "scalar", "KU1"): _EMPTY,
     # circle, identity involution
     ("circle", "id", "", "scalar", -1): _entry(("winding", "Z")),
     ("circle", "id", "", "scalar", "KU1"): _entry(("winding", "Z")),
@@ -435,8 +411,6 @@ CATALOG = {
     ("circle", "zeta", "", "scalar", 3): _entry(("sp_half_turn_parity", "Z2")),
     ("circle", "zeta", "", "scalar", 4): _entry(("quarter_trace", "Z")),
     ("circle", "zeta", "", "scalar", 5): _entry(("arc_winding_det1", "Z")),
-    ("circle", "zeta", "", "scalar", -1): _EMPTY,
-    ("circle", "zeta", "", "scalar", 6): _EMPTY,
     ("circle", "zeta", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
     ("circle", "zeta", "", "scalar", "KU1"): _entry(("winding", "Z")),
     ("circle", "zeta", "@1", "scalar", 1): _entry(("winding", "Z")),
@@ -446,13 +420,8 @@ CATALOG = {
     ("circle", "zeta", "@pm1", "scalar", 1): _entry(("winding_half", "Z")),
     ("circle", "zeta", "@pm1", "scalar", 3): _entry(("winding_half", "Z")),
     ("circle", "zeta", "@pm1", "scalar", 5): _entry(("winding_half", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", 0): _EMPTY,
-    ("circle", "zeta", "@pm1", "scalar", 2): _EMPTY,
-    ("circle", "zeta", "@pm1", "scalar", 4): _EMPTY,
-    ("circle", "zeta", "@pm1", "scalar", 6): _EMPTY,
     ("circle", "zeta", "@pm1", "scalar", "KU1"): _entry(
         ("winding_half", "Z"), ("winding_half_bottom", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", "KU0"): _EMPTY,
     # circle, antipodal involution
     ("circle", "sigma", "", "scalar", -1): _entry(("winding_pairs", "Z")),
     ("circle", "sigma", "", "scalar", 0): _entry(("half_trace", "Z")),
@@ -460,21 +429,14 @@ CATALOG = {
     ("circle", "sigma", "", "scalar", 3): _entry(("arc_winding", "Z")),
     ("circle", "sigma", "", "scalar", 4): _entry(("half_trace", "Z")),
     ("circle", "sigma", "", "scalar", 5): _entry(("half_turn_parity", "Z2")),
-    ("circle", "sigma", "", "scalar", 2): _EMPTY,
-    ("circle", "sigma", "", "scalar", 6): _EMPTY,
     ("circle", "sigma", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
     ("circle", "sigma", "", "scalar", "KU1"): _entry(("winding", "Z")),
     ("circle", "sigma", "@pm1", "scalar", -1): _entry(("winding_half", "Z")),
     ("circle", "sigma", "@pm1", "scalar", 1): _entry(("winding_half", "Z")),
     ("circle", "sigma", "@pm1", "scalar", 3): _entry(("winding_half", "Z")),
     ("circle", "sigma", "@pm1", "scalar", 5): _entry(("winding_half", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", 0): _EMPTY,
-    ("circle", "sigma", "@pm1", "scalar", 2): _EMPTY,
-    ("circle", "sigma", "@pm1", "scalar", 4): _EMPTY,
-    ("circle", "sigma", "@pm1", "scalar", 6): _EMPTY,
     ("circle", "sigma", "@pm1", "scalar", "KU1"): _entry(
         ("winding_half", "Z"), ("winding_half_bottom", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", "KU0"): _EMPTY,
     # disk interiors
     ("disk", "id", "@boundary", "scalar", 6): _entry(("chern", "Z")),
     ("disk", "id", "@boundary", "scalar", 2): _entry(("chern", "Z")),
@@ -504,6 +466,18 @@ CATALOG = {
     ("interval", "id", "@0", "m2qc2", 4): _entry(("endpoint_half_trace", "Z")),
     ("interval", "id", "@0", "m2qc2", "KU0"): _entry(("endpoint_half_trace", "Z")),
 }
+
+# Classes whose group is trivial over a space: cataloged, with no coordinates.
+_TRIVIAL = {
+    ("point", "id", "", "scalar"): (-1, 3, 5, 6, "KU1"),
+    ("twopoints", "id", "", "scalar"): (-1, 3, 5, 6, "KU1"),
+    ("twopoints", "swap", "", "scalar"): (-1, 1, 3, 5, "KU1"),
+    ("circle", "zeta", "", "scalar"): (-1, 6),
+    ("circle", "zeta", "@pm1", "scalar"): (0, 2, 4, 6, "KU0"),
+    ("circle", "sigma", "", "scalar"): (2, 6),
+    ("circle", "sigma", "@pm1", "scalar"): (0, 2, 4, 6, "KU0"),
+}
+CATALOG.update({space + (i,): () for space, ids in _TRIVIAL.items() for i in ids})
 
 
 def catalog_has(rep: KOClassRep) -> bool:

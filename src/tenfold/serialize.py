@@ -11,9 +11,11 @@ exact format from tenfold.toeplitz.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .basespace import Algebra, BaseSpace, FnElement, sample_space
+from .basespace import Algebra, BaseSpace, FnElement, _pair, _triple, sample_space
 
 
 def _resolution_of(base: BaseSpace):
@@ -44,13 +46,31 @@ def base_to_json(base: BaseSpace) -> dict:
     }
 
 
-def base_from_json(obj: dict) -> BaseSpace:
+def _resolution(obj: dict):
     res = obj.get("resolution", 64)
-    if isinstance(res, list):
-        res = tuple(res)
-    base = sample_space(obj["kind"], res, obj.get("involution", "id"))
+    return tuple(res) if isinstance(res, list) else res
+
+
+def _point_count(obj) -> int:
+    """Points of the grid a base object describes, counted without sampling
+    it, so that a huge resolution is refused before anything is allocated."""
+    if not isinstance(obj, dict):
+        raise ValueError("base must be a JSON object")
+    kind, res = obj["kind"], _resolution(obj)
+    if kind in ("point", "twopoints"):
+        return 1 if kind == "point" else 2
+    if kind in ("interval", "circle"):
+        return int(res) + (kind == "interval")
+    sizes = _triple(res) if kind == "sphere3" else _pair(res)
+    poles = {"sphere2": (1, 0), "sphere3": (1, 1, 0)}.get(kind, (0, 0))
+    return math.prod(n + e for n, e in zip(sizes, poles))
+
+
+def base_from_json(obj: dict) -> BaseSpace:
+    base = sample_space(obj["kind"], _resolution(obj), obj.get("involution", "id"))
     pinned = tuple(obj.get("pinned", ()))
-    if not all(isinstance(p, int) and 0 <= p < base.npoints for p in pinned):
+    # bool is an int subclass, and a bool array indexes as a mask
+    if not all(type(p) is int and 0 <= p < base.npoints for p in pinned):
         raise ValueError(f"pinned indices must lie in [0, {base.npoints})")
     if pinned:
         base = type(base)(base.kind, base.involution, base.shape, base.points,
@@ -58,9 +78,9 @@ def base_from_json(obj: dict) -> BaseSpace:
     return base
 
 
-def _cpx_matrix_to_json(m: np.ndarray):
-    return [[[float(np.real(m[i, j])), float(np.imag(m[i, j]))]
-             for j in range(m.shape[1])] for i in range(m.shape[0])]
+def _cpx_to_json(m: np.ndarray):
+    """[re, im] pairs in place of the complex entries of an array."""
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _cpx_matrix_from_json(rows) -> np.ndarray:
@@ -77,24 +97,29 @@ def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
     out = {
         "base": base_to_json(u.base),
         "dim": u.dim,
-        "values": [_cpx_matrix_to_json(u.values[p]) for p in range(u.base.npoints)],
+        "values": _cpx_to_json(u.values),
     }
     if algebra is not None and algebra.label != "scalar":
         out["alg"] = {
             "dim_alg": algebra.dim_alg,
-            "struct": _cpx_matrix_to_json(algebra.struct),
+            "struct": _cpx_to_json(algebra.struct),
             "label": algebra.label,
         }
     return out
 
 
 def element_from_json(obj: dict):
-    base = base_from_json(obj["base"])
     vals = _finite(np.stack([_cpx_matrix_from_json(v) for v in obj["values"]]))
+    if _point_count(obj["base"]) != len(vals):
+        raise ValueError(f"base resolution does not match the {len(vals)} values")
+    base = base_from_json(obj["base"])
     u = FnElement(base, vals)
     alg = Algebra(base)
     if "alg" in obj:
-        alg = Algebra(base, int(obj["alg"]["dim_alg"]),
+        dim_alg = int(obj["alg"]["dim_alg"])
+        if dim_alg < 1:
+            raise ValueError("alg.dim_alg must be positive")
+        alg = Algebra(base, dim_alg,
                       _finite(_cpx_matrix_from_json(obj["alg"]["struct"])),
                       obj["alg"].get("label", "custom"))
     return u, alg

@@ -52,7 +52,8 @@ def random_class_element(base, i, dim, rng, fourier: int = 0) -> FnElement:
                 vals += wave[:, None, None] * c
             vals = (vals + np.conj(np.swapaxes(vals, 1, 2))) / 2.0
             return FnElement(base, vals)
-        vals = np.stack([_random_matrix(rng, dim) for _ in range(base.npoints)])
+        g = rng.standard_normal((base.npoints, 2, dim, dim))
+        vals = g[:, 0] + 1j * g[:, 1]
         vals = (vals + np.conj(np.swapaxes(vals, 1, 2))) / 2.0
         return FnElement(base, vals)
 
@@ -62,24 +63,18 @@ def random_class_element(base, i, dim, rng, fourier: int = 0) -> FnElement:
         if spec["sign"] is not None:
             sign = +1.0 if not spec["star"] else -1.0
             y = _project_lie(y, i, algebra, sign)
-        out = np.empty_like(y.values)
-        for p in range(base.npoints):
-            w, v = np.linalg.eigh(-1j * y.values[p])
-            out[p] = (v * np.exp(1j * w)) @ v.conj().T
-        return FnElement(base, out)
+        w, v = np.linalg.eigh(-1j * y.values)
+        vh = np.conj(np.swapaxes(v, 1, 2))
+        return FnElement(base, (v * np.exp(1j * w)[:, None]) @ vh)
 
     for _ in range(20):
         k = herm_field()
         if spec["sign"] is not None:
             k = _project_lie(k, i, algebra, float(spec["sign"]))
-        out = np.empty_like(k.values)
-        gap = np.inf
-        for p in range(base.npoints):
-            w, v = np.linalg.eigh(k.values[p])
-            gap = min(gap, float(np.min(np.abs(w))))
-            out[p] = (v * np.sign(w)) @ v.conj().T
-        if gap > 0.2:
-            return FnElement(base, out)
+        w, v = np.linalg.eigh(k.values)
+        if np.min(np.abs(w)) > 0.2:
+            vh = np.conj(np.swapaxes(v, 1, 2))
+            return FnElement(base, (v * np.sign(w)[:, None]) @ vh)
     raise RuntimeError("could not draw a gapped random even-class element")
 
 

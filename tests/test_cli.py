@@ -133,7 +133,25 @@ def _pinned_negative(doc):
     doc["base"]["pinned"] = [-1]
 
 
-@pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative])
+def _base_not_object(doc):
+    doc["base"] = [1]
+
+
+def _pinned_bool(doc):
+    doc["base"]["pinned"] = [True]
+
+
+def _alg_dim_zero(doc):
+    doc["alg"] = {"dim_alg": 0, "struct": [[[1.0, 0.0]]], "label": "custom"}
+
+
+def _resolution_huge(doc):
+    doc["base"]["resolution"] = 10 ** 12
+
+
+@pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative,
+                                   _base_not_object, _pinned_bool, _alg_dim_zero,
+                                   _resolution_huge])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)

@@ -142,6 +142,30 @@ def test_chern_gap_guard():
         chern_of_projection(FnElement(base, vals))
 
 
+def _disk_diag(signs):
+    """Diagonal disk element whose per-point eigenvalues are signs(angle)."""
+    base = sample_space("disk", (5, 16))
+    angle = np.arange(base.npoints) % 16
+    return FnElement(base, np.stack([np.diag(signs(k)) for k in angle]).astype(complex))
+
+
+def test_chern_rank_guard():
+    u = _disk_diag(lambda k: [1.0, 1.0 if k == 3 else -1.0])
+    with pytest.raises(InvariantError, match="occupied rank is not constant"):
+        chern_of_projection(u)
+
+
+def test_chern_link_guard():
+    u = _disk_diag(lambda k: [1.0, -1.0] if k < 8 else [-1.0, 1.0])
+    with pytest.raises(InvariantError, match="frame overlap nearly singular"):
+        chern_of_projection(u)
+
+
+@pytest.mark.parametrize("res", [16, (24, 16), 32])
+def test_chern_torus_rows_wrap(res):
+    assert chern_of_projection(catalog.torus_bott(res).element) == 1
+
+
 def test_signature_catalog_dispatch():
     w2 = catalog.generator("circle_zeta_k2")
     assert signature(w2).as_dict() == {"pf_parity": 0, "pf_parity_mid": 1}
