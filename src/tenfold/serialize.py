@@ -46,9 +46,19 @@ def base_to_json(base: BaseSpace) -> dict:
     }
 
 
+def _finite_int(v, what: str) -> int:
+    """int(v), refusing the Infinity that JSON parsing admits: int() raises
+    OverflowError on it, which is not a malformed-input error."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{what} must be finite")
+    return int(v)
+
+
 def _resolution(obj: dict):
     res = obj.get("resolution", 64)
-    return tuple(res) if isinstance(res, list) else res
+    if isinstance(res, list):
+        return tuple(_finite_int(r, "resolution") for r in res)
+    return _finite_int(res, "resolution")
 
 
 def _point_count(obj) -> int:
@@ -60,7 +70,7 @@ def _point_count(obj) -> int:
     if kind in ("point", "twopoints"):
         return 1 if kind == "point" else 2
     if kind in ("interval", "circle"):
-        return int(res) + (kind == "interval")
+        return res + (kind == "interval")
     sizes = _triple(res) if kind == "sphere3" else _pair(res)
     poles = {"sphere2": (1, 0), "sphere3": (1, 1, 0)}.get(kind, (0, 0))
     return math.prod(n + e for n, e in zip(sizes, poles))
@@ -116,10 +126,12 @@ def element_from_json(obj: dict):
     u = FnElement(base, vals)
     alg = Algebra(base)
     if "alg" in obj:
-        dim_alg = int(obj["alg"]["dim_alg"])
-        if dim_alg < 1:
-            raise ValueError("alg.dim_alg must be positive")
-        alg = Algebra(base, dim_alg,
-                      _finite(_cpx_matrix_from_json(obj["alg"]["struct"])),
-                      obj["alg"].get("label", "custom"))
+        dim_alg = _finite_int(obj["alg"]["dim_alg"], "alg.dim_alg")
+        struct = _finite(_cpx_matrix_from_json(obj["alg"]["struct"]))
+        label = obj["alg"].get("label", "custom")
+        square = struct.ndim == 2 and struct.shape[0] == struct.shape[1] > 0
+        if dim_alg < 1 or not square or not isinstance(label, str):
+            raise ValueError("alg needs a positive dim_alg, a square struct "
+                             "and a string label")
+        alg = Algebra(base, dim_alg, struct, label)
     return u, alg

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 import operator
 import numpy as np
 
@@ -116,6 +117,30 @@ _oconj = np.frompyfunc(FC.conj, 1, 1)
 
 def _oconjt(m) -> np.ndarray:
     return _oconj(m.T)
+
+
+def _numerators(m):
+    """(re, im, den): integer numerator arrays of an FC matrix over the
+    least common denominator of its entries."""
+    parts = [f for v in m.flat for f in (v.re, v.im)]
+    den = math.lcm(1, *(f.denominator for f in parts))
+    nums = np.array([f.numerator * (den // f.denominator) for f in parts],
+                    dtype=object).reshape(m.shape + (2,))
+    return nums[..., 0], nums[..., 1], den
+
+
+def _odot(a, b) -> np.ndarray:
+    """Exact matrix product of FC matrices: four products of Python-int
+    numerator matrices, then one reduced FC per output entry."""
+    ar, ai, da = _numerators(a)
+    br, bi, db = _numerators(b)
+    re = np.dot(ar, br) - np.dot(ai, bi)
+    im = np.dot(ar, bi) + np.dot(ai, br)
+    den = da * db
+    out = np.empty(re.shape, dtype=object)
+    out.flat[:] = [FC(Fraction(r, den), Fraction(i, den)) if r or i else FC_ZERO
+                   for r, i in zip(re.flat, im.flat)]
+    return out
 
 
 def _is_zero(m) -> bool:
@@ -237,17 +262,16 @@ def mul(x: ShiftAlgElement, y: ShiftAlgElement) -> ShiftAlgElement:
     for a, ma in x.symbol.items():
         for b, mb in y.symbol.items():
             k = a + b
-            sym[k] = sym.get(k, _ozeros(d, d)) + np.dot(ma, mb)
+            sym[k] = sym.get(k, _ozeros(d, d)) + _odot(ma, mb)
     guard = max(x.span(), y.span())
     big = x.window + y.window + x.span() + y.span() + 2
     safe = big - guard
-    prod = np.dot(x.truncation(big), y.truncation(big))
-    corr = _ozeros(safe * d, safe * d)
+    prod = _odot(x.truncation(big), y.truncation(big))
+    corr = prod[: safe * d, : safe * d].copy()
     for i in range(safe):
         for j in range(safe):
-            t = sym.get(i - j, _ozeros(d, d))
-            corr[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                prod[i * d:(i + 1) * d, j * d:(j + 1) * d] - t
+            if i - j in sym:
+                corr[i * d:(i + 1) * d, j * d:(j + 1) * d] -= sym[i - j]
     out = ShiftAlgElement(d, sym, corr, safe)
     if out.window >= safe and safe > 0:
         raise AssertionError("correction window did not close; enlarge guard")
@@ -257,10 +281,10 @@ def mul(x: ShiftAlgElement, y: ShiftAlgElement) -> ShiftAlgElement:
 def conjugate(x: ShiftAlgElement, c: np.ndarray) -> ShiftAlgElement:
     """c x c* for an exact unitary c on the coefficient legs."""
     cs = _oconjt(c)
-    sym = {k: np.dot(np.dot(c, m), cs) for k, m in x.symbol.items()}
+    sym = {k: _odot(_odot(c, m), cs) for k, m in x.symbol.items()}
     if x.window:
         bigc = _okron_eye(x.window, c)
-        corr = np.dot(np.dot(bigc, x.corr), _oconjt(bigc))
+        corr = _odot(_odot(bigc, x.corr), _oconjt(bigc))
     else:
         corr = x.corr
     return ShiftAlgElement(x.dim, sym, corr, x.window)
@@ -567,14 +591,28 @@ def element_to_json(x: ShiftAlgElement) -> dict:
 
 
 def element_from_json(obj: dict) -> ShiftAlgElement:
-    def mat(rows):
-        out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    """Parse the exact format; malformed input raises ValueError, KeyError
+    or TypeError, and every matrix must have the size dim and window give."""
+    def num(v):
+        # JSON admits Infinity, on which Fraction and int raise OverflowError
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError("exact element entries must be finite")
+        return v
+
+    def mat(rows, n):
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"exact element matrices must be {n} x {n}")
+        out = np.empty((n, n), dtype=object)
         for i, row in enumerate(rows):
             for j, (re, im) in enumerate(row):
-                out[i, j] = FC(Fraction(re), Fraction(im))
+                out[i, j] = FC(Fraction(num(re)), Fraction(num(im)))
         return out
-    d = int(obj["dim"])
-    sym = {int(k): mat(v) for k, v in obj["symbol"].items()}
-    w = int(obj["window"])
-    corr = mat(obj["correction"]) if w else _ozeros(0, 0)
+
+    if not isinstance(obj, dict) or not isinstance(obj["symbol"], dict):
+        raise ValueError("exact element and its symbol must be JSON objects")
+    d, w = int(num(obj["dim"])), int(num(obj["window"]))
+    if d < 1 or w < 0:
+        raise ValueError("dim must be positive and window non-negative")
+    sym = {int(k): mat(v, d) for k, v in obj["symbol"].items()}
+    corr = mat(obj["correction"], w * d) if w else _ozeros(0, 0)
     return ShiftAlgElement(d, sym, corr, w)

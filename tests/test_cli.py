@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tenfold import cli, serialize
+from tenfold import cli, serialize, toeplitz
 from tenfold.basespace import FnElement, sample_space
 from tenfold.symclass import neutral
 
@@ -145,13 +145,26 @@ def _alg_dim_zero(doc):
     doc["alg"] = {"dim_alg": 0, "struct": [[[1.0, 0.0]]], "label": "custom"}
 
 
+def _alg_struct_empty(doc):
+    doc["alg"] = {"dim_alg": 1, "struct": [], "label": "custom"}
+
+
+def _alg_label_not_string(doc):
+    doc["alg"] = {"dim_alg": 1, "struct": [[[1.0, 0.0]]], "label": [0]}
+
+
 def _resolution_huge(doc):
     doc["base"]["resolution"] = 10 ** 12
 
 
+def _resolution_infinite(doc):
+    doc["base"]["resolution"] = float("inf")
+
+
 @pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative,
                                    _base_not_object, _pinned_bool, _alg_dim_zero,
-                                   _resolution_huge])
+                                   _alg_struct_empty, _alg_label_not_string,
+                                   _resolution_huge, _resolution_infinite])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)
@@ -176,3 +189,82 @@ def test_overflowing_residuals_print_strict_json(tmp_path, capsys):
 
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert report["classes"][0]["residuals"]["unitary"] is None
+
+
+def _exact_doc(tmp_path, name="shift_u_k2"):
+    p = tmp_path / f"{name}.json"
+    assert run(["catalog", "--emit", name, "--out", str(p)]) == 0
+    return json.loads(p.read_text())
+
+
+def test_infinite_exact_entry_exits_io(tmp_path, capsys):
+    doc = _exact_doc(tmp_path)
+    doc["symbol"]["1"][0][1][0] = float("inf")
+    with pytest.raises(ValueError):
+        toeplitz.element_from_json(doc)
+    p = tmp_path / "inf.json"
+    p.write_text(json.dumps(doc))
+    assert run(["boundary", str(p), "--ses", "toeplitz", "--class", "2"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+# Replacement values for the fuzz test: wrong types, out-of-range and
+# non-finite numbers (json.dumps writes these as Infinity/NaN, which the
+# reader accepts), and containers of the wrong shape.
+_FUZZ_VALUES = [None, True, "x", "1/3", -1, 0, 7, 10 ** 12, 2.5, 1e308,
+                float("inf"), float("-inf"), float("nan"), [], [0], [[0, 0]],
+                {}, {"a": 1}]
+
+
+def _json_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _json_paths(child, path + (key,))
+
+
+def _fuzzed(doc, rng, count):
+    """Seeded spoilt copies of a JSON document, as text: truncations, and
+    one field replaced or deleted.  Fields are drawn by their path with
+    list indices merged, so the few base fields weigh as much as the many
+    matrix entries."""
+    text = json.dumps(doc)
+    fields = {}
+    for path in _json_paths(doc):
+        shape = tuple("*" if isinstance(k, int) else k for k in path)
+        fields.setdefault(shape, []).append(path)
+    shapes = sorted(fields, key=repr)
+    for _ in range(count):
+        how = rng.integers(3)
+        if how == 0:
+            yield text[: rng.integers(len(text))]
+            continue
+        group = fields[shapes[rng.integers(len(shapes))]]
+        *head, last = group[rng.integers(len(group))]
+        bad = json.loads(text)
+        node = bad
+        for key in head:
+            node = node[key]
+        if how == 1:
+            node[last] = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+        else:
+            del node[last]
+        yield json.dumps(bad)
+
+
+def test_cli_fuzz_exits_with_documented_codes(tmp_path):
+    rng = np.random.default_rng(5)
+    p = tmp_path / "fuzz.json"
+    grid = tmp_path / "x3.json"
+    assert run(["catalog", "--emit", "x3", "--resolution", "8",
+                "--out", str(grid)]) == 0
+    cases = [(json.loads(grid.read_text()), ["classify", str(p)], 60)]
+    for name, cls in (("shift_u_k2", "2"), ("calkin_k1", "1")):
+        cases.append((_exact_doc(tmp_path, name),
+                      ["boundary", str(p), "--ses", "toeplitz", "--class", cls], 30))
+    for doc, argv, count in cases:
+        for text in _fuzzed(doc, rng, count):
+            p.write_text(text)
+            with np.errstate(all="ignore"):
+                assert run(argv) in (0, 2, 3, 4), text

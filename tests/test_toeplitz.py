@@ -233,3 +233,56 @@ def test_gaussian_form_of_class_constants():
         tp._gaussian(boundary_conjugator(-1, 2))  # needs k = 1
     with pytest.raises(ValueError):
         tp._gaussian(np.array([[1 / 3]]), kmax=2)
+
+
+_RATIONALS = [tp.Fraction(0), tp.Fraction(1), tp.Fraction(-2), tp.Fraction(1, 3),
+              tp.Fraction(5, 7), tp.Fraction(-4, 21)]
+
+
+def _rational_matrix(rng, shape):
+    """Gaussian-rational entries with non-dyadic denominators, about a
+    third of their parts zero."""
+    parts = rng.integers(len(_RATIONALS), size=shape + (2,))
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = tp.FC(*(_RATIONALS[k] for k in parts[idx]))
+    return out
+
+
+def _same_entries(got, want):
+    return got.shape == want.shape and all(
+        type(g) is tp.FC and g == w for g, w in zip(got.flat, want.flat))
+
+
+def test_odot_matches_object_dot():
+    rng = np.random.default_rng(7)
+    for n, k, m in ((1, 1, 1), (2, 3, 4), (1, 5, 1), (4, 1, 4), (3, 3, 3)):
+        a = _rational_matrix(rng, (n, k))
+        b = _rational_matrix(rng, (k, m))
+        assert _same_entries(tp._odot(a, b), np.dot(a, b))
+        zero = tp._ozeros(k, m)
+        assert _same_entries(tp._odot(a, zero), np.dot(a, zero))
+        assert _same_entries(tp._odot(zero.T, a.T), np.dot(zero.T, a.T))
+    empty = tp._ozeros(0, 0)
+    assert tp._odot(empty, empty).shape == (0, 0)
+
+
+def _random_element(rng, dim, window, span):
+    sym = {k: _rational_matrix(rng, (dim, dim)) for k in range(-span, span + 1)}
+    corr = _rational_matrix(rng, (window * dim, window * dim))
+    return tp.ShiftAlgElement(dim, sym, corr, window)
+
+
+@pytest.mark.parametrize("window", [0, 1, 2])
+@pytest.mark.parametrize("span", [0, 1, 2])
+def test_mul_matches_product_of_truncations(window, span):
+    rng = np.random.default_rng(10 * window + span)
+    dim = 1 + (window + span) % 2
+    x = _random_element(rng, dim, window, span)
+    y = _random_element(rng, dim, int(rng.integers(3)), int(rng.integers(3)))
+    n = x.window + y.window + x.span() + y.span() + 2
+    # row i of x reaches column i + span, so this many blocks hold every
+    # term of the first n block rows of the product
+    big = n + x.span()
+    want = np.dot(x.truncation(big), y.truncation(big))[: n * dim, : n * dim]
+    assert tp._oequal(tp.mul(x, y).truncation(n), want)
