@@ -32,8 +32,8 @@ class FC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     @staticmethod
     def of(x):
@@ -148,7 +148,14 @@ def _is_zero(m) -> bool:
 
 
 def _oequal(a, b) -> bool:
-    return a.shape == b.shape and _is_zero(a - b)
+    return a.shape == b.shape and all(map(operator.eq, a.flat, b.flat))
+
+
+def _padded(m, n) -> np.ndarray:
+    """m in the top-left corner of an n x n zero matrix."""
+    out = _ozeros(n, n)
+    out[: m.shape[0], : m.shape[1]] = m
+    return out
 
 
 @dataclass
@@ -181,31 +188,23 @@ class ShiftAlgElement:
     def coeff(self, k: int) -> np.ndarray:
         return self.symbol.get(k, _ozeros(self.dim, self.dim))
 
-    def entry_block(self, i: int, j: int) -> np.ndarray:
-        blk = self.coeff(i - j).copy()
-        if i < self.window and j < self.window:
-            d = self.dim
-            blk = blk + self.corr[i * d:(i + 1) * d, j * d:(j + 1) * d]
-        return blk
-
     def truncation(self, nblocks: int) -> np.ndarray:
         d = self.dim
         out = _ozeros(nblocks * d, nblocks * d)
-        for i in range(nblocks):
-            for j in range(nblocks):
-                if abs(i - j) <= self.span() or (i < self.window and j < self.window):
-                    out[i * d:(i + 1) * d, j * d:(j + 1) * d] = self.entry_block(i, j)
+        for k, m in self.symbol.items():
+            for i in range(max(k, 0), nblocks + min(k, 0)):
+                out[i * d:(i + 1) * d, (i - k) * d:(i - k + 1) * d] = m
+        w = min(self.window, nblocks) * d
+        out[:w, :w] += self.corr[:w, :w]
         return out
 
     def __eq__(self, other):
         if not isinstance(other, ShiftAlgElement) or self.dim != other.dim:
             return NotImplemented
-        if set(self.symbol) != set(other.symbol):
+        if not _symbols_equal(self, other):
             return False
-        if any(not _oequal(self.symbol[k], other.symbol[k]) for k in self.symbol):
-            return False
-        w = max(self.window, other.window, 1)
-        return _oequal(self.truncation(w), other.truncation(w))
+        n = max(self.window, other.window) * self.dim
+        return _oequal(_padded(self.corr, n), _padded(other.corr, n))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -214,9 +213,7 @@ class ShiftAlgElement:
         sym = {k: self.coeff(k) + other.coeff(k)
                for k in set(self.symbol) | set(other.symbol)}
         w = max(self.window, other.window)
-        c = _ozeros(w * self.dim, w * self.dim)
-        c[: self.window * self.dim, : self.window * self.dim] += self.corr
-        c[: other.window * self.dim, : other.window * self.dim] += other.corr
+        c = _padded(self.corr, w * self.dim) + _padded(other.corr, w * self.dim)
         return ShiftAlgElement(self.dim, sym, c, w)
 
     def __sub__(self, other):
@@ -255,25 +252,30 @@ def _compat(x, y):
 
 
 def mul(x: ShiftAlgElement, y: ShiftAlgElement) -> ShiftAlgElement:
-    """Exact product; the composition defect of banded symbols is finite."""
+    """Exact product; the composition defect of banded symbols is finite.
+
+    With s the larger span, T(a)T(b) = T(ab) - H(a)H(b~) puts the defect,
+    and with it the whole correction, in the first max(wx, wy) + s blocks.
+    One block more keeps the closing check below a live test of that bound.
+    Row i of x reaches block column i + s, so the first `safe` block rows
+    of the product need `safe + s` blocks of each factor.
+    """
     _compat(x, y)
     d = x.dim
     sym = {}
     for a, ma in x.symbol.items():
         for b, mb in y.symbol.items():
-            k = a + b
-            sym[k] = sym.get(k, _ozeros(d, d)) + _odot(ma, mb)
-    guard = max(x.span(), y.span())
-    big = x.window + y.window + x.span() + y.span() + 2
-    safe = big - guard
-    prod = _odot(x.truncation(big), y.truncation(big))
-    corr = prod[: safe * d, : safe * d].copy()
-    for i in range(safe):
-        for j in range(safe):
-            if i - j in sym:
-                corr[i * d:(i + 1) * d, j * d:(j + 1) * d] -= sym[i - j]
+            k, p = a + b, _odot(ma, mb)
+            sym[k] = sym[k] + p if k in sym else p
+    s = max(x.span(), y.span())
+    safe = max(x.window, y.window) + s + 1
+    big, n = safe + s, safe * d
+    corr = _odot(x.truncation(big)[:n], y.truncation(big)[:, :n])
+    for k, m in sym.items():
+        for i in range(max(k, 0), safe + min(k, 0)):
+            corr[i * d:(i + 1) * d, (i - k) * d:(i - k + 1) * d] -= m
     out = ShiftAlgElement(d, sym, corr, safe)
-    if out.window >= safe and safe > 0:
+    if out.window >= safe:
         raise AssertionError("correction window did not close; enlarge guard")
     return out
 
@@ -534,46 +536,72 @@ def exact_invariant(x: ShiftAlgElement, j):
     raise KeyError(j)
 
 
+def _gmul(ar, ai, br, bi):
+    """Product of Gaussian integers given as (real, imaginary) parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _gdiv(ar, ai, br, bi):
+    """Quotient of Gaussian integers that divide exactly."""
+    norm = br * br + bi * bi
+    return (ar * br + ai * bi) // norm, (ai * br - ar * bi) // norm
+
+
+def _over(sign, num, den) -> FC:
+    return FC(Fraction(sign * num[0], den), Fraction(sign * num[1], den))
+
+
 def _exact_det(m: np.ndarray) -> FC:
-    a = m.copy()
-    n = a.shape[0]
-    det = FC_ONE
+    """Bareiss fraction-free elimination on the Gaussian-integer numerators
+    of m: each update divides exactly by the previous pivot, so every
+    intermediate is a minor of the numerator matrix and the last pivot is
+    its determinant.  Pivots on the first nonzero entry of the column."""
+    re, im, den = _numerators(m)
+    n = m.shape[0]
+    sign, piv = 1, (1, 0)
     for c in range(n):
-        p = next((r for r in range(c, n) if a[r, c]), None)
+        p = next((r for r in range(c, n) if re[r, c] or im[r, c]), None)
         if p is None:
             return FC_ZERO
         if p != c:
-            a[[c, p], :] = a[[p, c], :]
-            det = -det
-        det = det * a[c, c]
-        for r in range(c + 1, n):
-            f = a[r, c] / a[c, c]
-            a[r, c:] = a[r, c:] - a[c, c:] * f
-    return det
+            re[[c, p]], im[[c, p]] = re[[p, c]], im[[p, c]]
+            sign = -sign
+        prev, piv = piv, (re[c, c], im[c, c])
+        s = slice(c + 1, n)
+        ar, ai = _gmul(re[s, s], im[s, s], *piv)
+        br, bi = _gmul(re[s, c, None], im[s, c, None], re[None, c, s], im[None, c, s])
+        re[s, s], im[s, s] = _gdiv(ar - br, ai - bi, *prev)
+    return _over(sign, piv, den ** n)
 
 
 def _exact_pfaffian(m: np.ndarray) -> FC:
-    """Parlett-Reid elimination, as in matcore.pfaffian, over exact
-    scalars: pivot on the first nonzero entry of row k; O(n^3)."""
-    a = m.copy()
-    n = a.shape[0]
+    """Parlett-Reid elimination, as in matcore.pfaffian, made fraction-free
+    on the Gaussian-integer numerators of m: each update divides exactly by
+    the previous pivot, so every intermediate is a Pfaffian minor of the
+    numerator matrix and the last pivot is its Pfaffian.  Pivots on the
+    first nonzero entry of row k; O(n^3)."""
+    re, im, den = _numerators(m)
+    n = m.shape[0]
     if n % 2:
         raise ValueError("pfaffian needs even dimension")
-    pf = FC_ONE
+    sign, piv = 1, (1, 0)
     for k in range(0, n - 1, 2):
-        p = next((c for c in range(k + 1, n) if a[k, c]), None)
+        p = next((c for c in range(k + 1, n) if re[k, c] or im[k, c]), None)
         if p is None:
             return FC_ZERO
         if p != k + 1:
-            a[[k + 1, p], :] = a[[p, k + 1], :]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            pf = -pf
-        pf = pf * a[k, k + 1]
-        if k + 2 < n:
-            tau = a[k + 2:, k + 1] / a[k, k + 1]
-            col = a[k + 2:, k]
-            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+            for a in (re, im):
+                a[[k + 1, p], :] = a[[p, k + 1], :]
+                a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            sign = -sign
+        prev, piv = piv, (re[k, k + 1], im[k, k + 1])
+        s = slice(k + 2, n)
+        # a_ij <- (a_ij piv + a_i,k+1 a_jk - a_ik a_j,k+1) / prev
+        ar, ai = _gmul(re[s, s], im[s, s], *piv)
+        br, bi = _gmul(re[s, k + 1, None], im[s, k + 1, None],
+                       re[None, s, k], im[None, s, k])
+        re[s, s], im[s, s] = _gdiv(ar + br - br.T, ai + bi - bi.T, *prev)
+    return _over(sign, piv, den ** (n // 2))
 
 
 # -- serialization -------------------------------------------------------------
@@ -590,13 +618,34 @@ def element_to_json(x: ShiftAlgElement) -> dict:
     }
 
 
+# The first dense product calkin_boundary forms, v* v, has order
+# dim * (window + 2 * span + 1), and an exact product costs about order^3
+# big-integer operations: calkin_boundary of shift^32 (order 65) takes
+# 0.5 s on a 2-vCPU host and of shift^64 (order 129) 2.7 s.  This bound is
+# 8x the largest catalog element (order 8) and refuses a small document
+# that asks for a huge computation.
+MAX_EXACT_ORDER = 64
+# Fraction expands a decimal exponent in full (1e10000000 takes seconds).
+# The reach of a double, 4.9e-324 to 1.8e308, bounds the digits a JSON
+# number entry parses to; a string entry may abbreviate no more.
+# element_to_json writes p or p/q, without an exponent.
+MAX_EXACT_EXPONENT = 324
+
+
 def element_from_json(obj: dict) -> ShiftAlgElement:
     """Parse the exact format; malformed input raises ValueError, KeyError
-    or TypeError, and every matrix must have the size dim and window give."""
+    or TypeError, and every matrix must have the size dim and window give.
+    Elements above MAX_EXACT_ORDER and entries whose decimal exponent
+    exceeds MAX_EXACT_EXPONENT raise ValueError."""
     def num(v):
         # JSON admits Infinity, on which Fraction and int raise OverflowError
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError("exact element entries must be finite")
+        if isinstance(v, str):
+            _, e, exp = v.upper().partition("E")
+            if e and abs(int(exp)) > MAX_EXACT_EXPONENT:
+                raise ValueError("decimal exponent of an exact entry exceeds "
+                                 f"{MAX_EXACT_EXPONENT}")
         return v
 
     def mat(rows, n):
@@ -613,6 +662,10 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
     d, w = int(num(obj["dim"])), int(num(obj["window"]))
     if d < 1 or w < 0:
         raise ValueError("dim must be positive and window non-negative")
-    sym = {int(k): mat(v, d) for k, v in obj["symbol"].items()}
+    sym = {int(k): v for k, v in obj["symbol"].items()}
+    span = max(map(abs, sym), default=0)
+    if d * (w + 2 * span + 1) > MAX_EXACT_ORDER:
+        raise ValueError(f"dim * (window + 2 * span + 1) exceeds {MAX_EXACT_ORDER}")
+    sym = {k: mat(v, d) for k, v in sym.items()}
     corr = mat(obj["correction"], w * d) if w else _ozeros(0, 0)
     return ShiftAlgElement(d, sym, corr, w)

@@ -268,3 +268,38 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path):
             p.write_text(text)
             with np.errstate(all="ignore"):
                 assert run(argv) in (0, 2, 3, 4), text
+
+
+# Tiny documents that ask for huge exact work: a symbol power of 100000 (a
+# 200001-order first product), a dim of 10**6 (through one(dim)), and an
+# exponent that Fraction would expand to ten million digits.
+_OVERSIZED_EXACT = {
+    "power": {"dim": 1, "window": 0, "correction": [],
+              "symbol": {"100000": [[["1", "0"]]]}},
+    "dim": {"dim": 10 ** 6, "window": 0, "correction": [], "symbol": {}},
+    "exponent": {"dim": 1, "window": 0, "correction": [],
+                 "symbol": {"1": [[["1e10000000", "0"]]]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED_EXACT))
+def test_oversized_exact_document_exits_io_quickly(name, tmp_path, capsys):
+    import time
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(_OVERSIZED_EXACT[name]))
+    t0 = time.perf_counter()
+    assert run(["boundary", str(p), "--ses", "toeplitz", "--class", "1"]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == ""
+
+
+def test_exact_entry_exponents_within_bound_parse(tmp_path):
+    doc = _exact_doc(tmp_path)
+    top = toeplitz.MAX_EXACT_EXPONENT
+    for text, want in (("25e-1", toeplitz.Fraction(5, 2)),
+                       ("-3/7", toeplitz.Fraction(-3, 7)), (f"1E{top}", 10 ** top)):
+        doc["symbol"]["1"][0][1][0] = text
+        assert toeplitz.element_from_json(doc).symbol[1][0, 1].re == want
+    doc["symbol"]["1"][0][1][0] = f"1e-{top + 1}"
+    with pytest.raises(ValueError):
+        toeplitz.element_from_json(doc)

@@ -286,3 +286,126 @@ def test_mul_matches_product_of_truncations(window, span):
     big = n + x.span()
     want = np.dot(x.truncation(big), y.truncation(big))[: n * dim, : n * dim]
     assert tp._oequal(tp.mul(x, y).truncation(n), want)
+
+
+# -- fraction-free kernels against entry-by-entry elimination over FC ----------
+
+def _det_reference(m):
+    """Gaussian elimination over FC, one rational pair per update."""
+    a = m.copy()
+    n = a.shape[0]
+    det = tp.FC_ONE
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r, c]), None)
+        if p is None:
+            return tp.FC_ZERO
+        if p != c:
+            a[[c, p], :] = a[[p, c], :]
+            det = -det
+        det = det * a[c, c]
+        for r in range(c + 1, n):
+            f = a[r, c] / a[c, c]
+            a[r, c:] = a[r, c:] - a[c, c:] * f
+    return det
+
+
+def _pfaffian_reference(m):
+    """Parlett-Reid elimination over FC, one rational pair per update."""
+    a = m.copy()
+    n = a.shape[0]
+    pf = tp.FC_ONE
+    for k in range(0, n - 1, 2):
+        p = next((c for c in range(k + 1, n) if a[k, c]), None)
+        if p is None:
+            return tp.FC_ZERO
+        if p != k + 1:
+            a[[k + 1, p], :] = a[[p, k + 1], :]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            pf = -pf
+        pf = pf * a[k, k + 1]
+        if k + 2 < n:
+            tau = a[k + 2:, k + 1] / a[k, k + 1]
+            col = a[k + 2:, k]
+            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
+
+
+def _sparse(rng, m, keep):
+    """m with each entry kept with probability `keep`, else zero."""
+    out = m.copy()
+    out[rng.random(m.shape) > keep] = tp.FC_ZERO
+    return out
+
+
+def _skew(m):
+    n = m.shape[0]
+    out = tp._ozeros(n, n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            out[a, b], out[b, a] = m[a, b], -m[a, b]
+    return out
+
+
+def _det_cases(rng):
+    """(matrix, singular): dense and sparse Gaussian-rational matrices
+    (denominators 3, 7 and 21) for n = 0..12, each also with a zero first
+    pivot and with its last row a combination of two others."""
+    for n in range(13):
+        for keep in (1.0, 0.4):
+            m = _sparse(rng, _rational_matrix(rng, (n, n)), keep)
+            yield m, False
+            if n >= 2:
+                z = m.copy()
+                z[0, 0] = tp.FC_ZERO
+                yield z, False
+                s = m.copy()
+                s[n - 1] = s[0] * tp.FC(1, 3) - s[n - 2] * TWO
+                yield s, True
+
+
+def test_exact_det_matches_fraction_elimination():
+    rng = np.random.default_rng(21)
+    for m, singular in _det_cases(rng):
+        got = tp._exact_det(m)
+        assert type(got) is tp.FC and got == _det_reference(m), m.shape
+        assert not (singular and got)
+
+
+def test_exact_pfaffian_matches_fraction_elimination():
+    rng = np.random.default_rng(22)
+    for m, _ in _det_cases(rng):
+        n = m.shape[0]
+        if n % 2:
+            continue
+        cases = [_skew(m)]
+        if n >= 4:
+            z = _skew(m)
+            z[0, 1] = z[1, 0] = tp.FC_ZERO  # the first pivot needs a swap
+            # rank two: no pivot is left after one step
+            low = np.outer(m[0], m[1]) - np.outer(m[1], m[0])
+            assert tp._exact_pfaffian(low) == tp.FC_ZERO
+            cases += [z, low]
+        for a in cases:
+            got = tp._exact_pfaffian(a)
+            assert type(got) is tp.FC and got == _pfaffian_reference(a), n
+            assert got * got == tp._exact_det(a)
+
+
+# -- the tight correction window of mul -------------------------------------------
+
+@pytest.mark.parametrize("window", [0, 1, 2, 3])
+@pytest.mark.parametrize("span", [0, 1, 2, 3])
+def test_mul_window_bound_and_associativity(window, span):
+    rng = np.random.default_rng(100 + 10 * window + span)
+    for dim in (1, 2):
+        x = _random_element(rng, dim, window, span)
+        y, z = (_random_element(rng, dim, *rng.integers(4, size=2)) for _ in "yz")
+        xy = tp.mul(x, y)
+        bound = max(x.window, y.window) + max(x.span(), y.span())
+        assert xy.window <= bound
+        # two blocks past the bound, and every term of those block rows
+        n = bound + 2
+        big = n + x.span()
+        want = tp._odot(x.truncation(big), y.truncation(big))[: n * dim, : n * dim]
+        assert tp._oequal(xy.truncation(n), want)
+        assert tp.mul(xy, z) == tp.mul(x, tp.mul(y, z))
