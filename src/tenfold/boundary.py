@@ -20,6 +20,22 @@ from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
 TARGET = {1: 0, -1: 6, 5: 4, 3: 2, 2: 1, 0: -1, 6: 5, 4: 3,
           "KU1": "KU0", "KU0": "KU1"}
 
+# symmetrize_lift leaves an even lift Hermitian up to roundoff; a Frobenius
+# residual above this means the lift was not symmetrized
+EVEN_HERM_TOL = 1e-6
+# keeps 1/sqrt(t) finite on a zero eigenvalue of y*y, where f is 1 anyway
+ODD_EIG_FLOOR = 1e-300
+# a retracted lift has norm 1 up to roundoff; above 1 + this it was not
+# retracted and sqrt(1 - a*a) does not exist
+CONTRACTION_TOL = 1e-7
+# the same roundoff, read on the spectrum of 1 - a*a: eigenvalues down to
+# -INDEX_SQRT_TOL are clipped to 0, deeper ones raise
+INDEX_SQRT_TOL = 1e-7
+# eigenvalues of 1 - a*a up to this are exactly 0, so where a is unitary (on
+# the closed set) the off-diagonal blocks vanish instead of carrying
+# sqrt(roundoff), up to 1e-6, into the neutral-value check
+INDEX_ZERO_SNAP = 1e-12
+
 
 def symmetrize_lift(a: FnElement, i, algebra: Algebra = None) -> FnElement:
     """Project a lift onto the class-i lift relation.
@@ -46,7 +62,7 @@ def symmetrize_lift(a: FnElement, i, algebra: Algebra = None) -> FnElement:
     return FnElement(a.base, (h.values + spec["sign"] * t.values) / 2.0)
 
 
-def retract_contraction(y: FnElement, mode: str, tol: float = 1e-9) -> FnElement:
+def retract_contraction(y: FnElement, mode: str) -> FnElement:
     """Pull a symmetric lift into the unit ball.
 
     odd mode: a = y f(y*y) with f(t) = min(1/sqrt(t), 1), preserving every
@@ -54,40 +70,31 @@ def retract_contraction(y: FnElement, mode: str, tol: float = 1e-9) -> FnElement
     lift to [-1, 1].
     """
     if mode == "even":
-        out = np.array([matcore.clamp_spectrum(v, -1.0, 1.0, tol=1e-6)
+        out = np.array([matcore.clamp_spectrum(v, -1.0, 1.0, tol=EVEN_HERM_TOL)
                         for v in y.values])
         return FnElement(y.base, out)
     if mode != "odd":
         raise ValueError("mode must be 'odd' or 'even'")
-    out = np.empty_like(y.values)
-    for p in range(y.base.npoints):
-        v = y.values[p]
-        w, frame = np.linalg.eigh(v.conj().T @ v)
-        f = np.minimum(1.0 / np.sqrt(np.maximum(w, 1e-300)), 1.0)
-        out[p] = v @ ((frame * f) @ frame.conj().T)
-    return FnElement(y.base, out)
+    v = y.values
+    w, frame = np.linalg.eigh(v.conj().swapaxes(1, 2) @ v)
+    f = np.minimum(1.0 / np.sqrt(np.maximum(w, ODD_EIG_FLOOR)), 1.0)
+    return FnElement(y.base, v @ ((frame * f[:, None, :]) @ frame.conj().swapaxes(1, 2)))
 
 
 def _index_values(vals: np.ndarray) -> np.ndarray:
-    n = vals.shape[1]
-    out = np.empty((vals.shape[0], 2 * n, 2 * n), dtype=complex)
-    eye = np.eye(n)
-    for p in range(vals.shape[0]):
-        a = vals[p]
-        left = matcore.psd_sqrt(eye - a.conj().T @ a, tol=1e-7, zero_snap=1e-12)
-        right = matcore.psd_sqrt(eye - a @ a.conj().T, tol=1e-7, zero_snap=1e-12)
-        out[p, :n, :n] = 2.0 * a @ a.conj().T - eye
-        out[p, :n, n:] = 2.0 * a @ left
-        out[p, n:, :n] = 2.0 * a.conj().T @ right
-        out[p, n:, n:] = eye - 2.0 * a.conj().T @ a
-    return out
+    eye = np.eye(vals.shape[-1])
+    ah = vals.conj().swapaxes(1, 2)
+    left = matcore.psd_sqrt(eye - ah @ vals, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
+    right = matcore.psd_sqrt(eye - vals @ ah, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
+    return np.block([[2.0 * vals @ ah - eye, 2.0 * vals @ left],
+                     [2.0 * ah @ right, eye - 2.0 * ah @ vals]])
 
 
 def index_unitary(a: FnElement) -> FnElement:
     """The self-adjoint unitary [[2aa*-1, 2a sqrt(1-a*a)],
     [2a* sqrt(1-aa*), 1-2a*a]] of a pointwise contraction."""
     norms = np.linalg.norm(a.values, ord=2, axis=(1, 2))
-    if np.max(norms) > 1.0 + 1e-7:
+    if np.max(norms) > 1.0 + CONTRACTION_TOL:
         raise ValueError(f"lift is not a contraction (norm {np.max(norms):.6f})")
     return FnElement(a.base, _index_values(a.values))
 

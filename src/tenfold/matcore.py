@@ -127,30 +127,38 @@ def conjugator_x(quarter: int) -> np.ndarray:
 
 
 def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix; raises if not Hermitian."""
+    """Eigendecomposition of a Hermitian matrix or a (..., d, d) stack of them;
+    raises if any is not Hermitian, naming the worst residual."""
     m = np.asarray(m, dtype=complex)
-    res = np.linalg.norm(m - m.conj().T)
-    if res > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {res:.3e} > {tol:.1e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    mh = m.conj().swapaxes(-1, -2)
+    # one matrix, as on the per-point even path, skips the stack reductions
+    res = np.linalg.norm(m - mh, axis=(-2, -1) if m.ndim > 2 else None)
+    worst = res.max() if res.ndim else res
+    if worst > tol:
+        at = f" at stack index {res.argmax()}" if res.ndim else ""
+        raise ValueError(f"matrix is not Hermitian{at} (residual {worst:.3e} > {tol:.1e})")
+    w, v = np.linalg.eigh((m + mh) / 2.0)
     return w, v
 
 
 def psd_sqrt(m: np.ndarray, tol: float = 1e-10, zero_snap: float = 0.0) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-tol, 0) are clipped to 0.
+    """Hermitian PSD square root of a matrix or a (..., d, d) stack;
+    eigenvalues in [-tol, 0) are clipped to 0.
 
     zero_snap also sends eigenvalues in [0, zero_snap] to exactly 0, so the
     square root of a numerically vanishing matrix vanishes rather than
     picking up sqrt(noise).
     """
     w, v = herm_eig(m, tol=max(tol, DEFAULT_TOL))
-    if np.min(w) < -tol:
-        raise ValueError(f"matrix has eigenvalue {np.min(w):.3e} below -{tol:.1e}")
+    low = w[..., 0]  # eigh sorts ascending
+    if low.min() < -tol:
+        at = f" at stack index {low.argmin()}" if low.ndim else ""
+        raise ValueError(f"matrix has eigenvalue {low.min():.3e} below -{tol:.1e}{at}")
     w = np.clip(w, 0.0, None)
     if zero_snap > 0.0:
         w[w <= zero_snap] = 0.0
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    r = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (r + r.conj().swapaxes(-1, -2)) / 2.0
 
 
 def neg_exp_pi_i(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -630,13 +630,25 @@ MAX_EXACT_ORDER = 64
 # number entry parses to; a string entry may abbreviate no more.
 # element_to_json writes p or p/q, without an exponent.
 MAX_EXACT_EXPONENT = 324
+# _numerators scales the entries of every product operand to their common
+# denominator, so the bit length of an element's common denominator (over
+# all its matrices) bounds the numbers an exact product multiplies.  Dense
+# order-64 documents with a 256-bit common denominator take about 0.9 s to
+# fail membership on a 2-vCPU host, and with 1,100 bits 6 s; unbounded,
+# entries 1/p over distinct primes at order 48 took 116 s.  256 bits is far
+# above any catalog element (1 bit) and holds any double of magnitude at
+# least 1e-61 and any decimal with at most 77 digits after the point.
+MAX_EXACT_DENOMINATOR_BITS = 256
 
 
 def element_from_json(obj: dict) -> ShiftAlgElement:
     """Parse the exact format; malformed input raises ValueError, KeyError
     or TypeError, and every matrix must have the size dim and window give.
-    Elements above MAX_EXACT_ORDER and entries whose decimal exponent
+    Elements above MAX_EXACT_ORDER or whose entries' common denominator
+    exceeds MAX_EXACT_DENOMINATOR_BITS, and entries whose decimal exponent
     exceeds MAX_EXACT_EXPONENT raise ValueError."""
+    den = 1
+
     def num(v):
         # JSON admits Infinity, on which Fraction and int raise OverflowError
         if isinstance(v, float) and not math.isfinite(v):
@@ -649,12 +661,17 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
         return v
 
     def mat(rows, n):
+        nonlocal den
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"exact element matrices must be {n} x {n}")
         out = np.empty((n, n), dtype=object)
         for i, row in enumerate(rows):
             for j, (re, im) in enumerate(row):
-                out[i, j] = FC(Fraction(num(re)), Fraction(num(im)))
+                out[i, j] = z = FC(Fraction(num(re)), Fraction(num(im)))
+                den = math.lcm(den, z.re.denominator, z.im.denominator)
+                if den.bit_length() > MAX_EXACT_DENOMINATOR_BITS:
+                    raise ValueError("common denominator of the exact entries exceeds "
+                                     f"{MAX_EXACT_DENOMINATOR_BITS} bits")
         return out
 
     if not isinstance(obj, dict) or not isinstance(obj["symbol"], dict):

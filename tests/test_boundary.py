@@ -63,6 +63,26 @@ def test_index_unitary_examples():
         index_unitary(pt(2.0 * np.eye(2)))
 
 
+def test_stacked_odd_retraction_and_index_unitary_match_pointwise():
+    base = ses_registry("disk-id", (5, 16)).total
+    vals = 1.5 * (RNG.standard_normal((base.npoints, 2, 2))
+                  + 1j * RNG.standard_normal((base.npoints, 2, 2)))
+    vals[3] = 0.0                                  # y*y = 0: the eigenvalue floor
+    vals[7] = matcore.random_unitary(2, RNG)       # 1 - a*a = 0: the zero snap
+    a = retract_contraction(FnElement(base, vals), "odd")
+    b = index_unitary(a)
+    for p in range(base.npoints):
+        one = retract_contraction(pt(vals[p]), "odd").values[0]
+        assert np.max(np.abs(a.values[p] - one)) < 1e-13
+        assert np.max(np.abs(b.values[p] - index_unitary_matrix(a.values[p]))) < 1e-13
+    assert np.all(b.values[7, :2, 2:] == 0) and np.all(b.values[7, 2:, :2] == 0)
+    assert np.array_equal(a.values[3], np.zeros((2, 2)))
+    bad = a.values.copy()
+    bad[9] *= 2.0
+    with pytest.raises(ValueError, match="not a contraction"):
+        index_unitary(FnElement(base, bad))
+
+
 def test_index_unitary_on_disk_lift():
     ses = ses_registry("disk-id", (5, 16))
     z = ses.total.points[:, 0] + 1j * ses.total.points[:, 1]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -270,10 +271,23 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path):
                 assert run(argv) in (0, 2, 3, 4), text
 
 
+def _primes(count, below=25000):
+    sieve = np.ones(below, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(below) + 1):
+        sieve[p * p::p] = False
+    return np.flatnonzero(sieve)[:count].tolist()
+
+
 # Tiny documents that ask for huge exact work: a symbol power of 100000 (a
-# 200001-order first product), a dim of 10**6 (through one(dim)), and an
-# exponent that Fraction would expand to ten million digits.
+# 200001-order first product), a dim of 10**6 (through one(dim)), an
+# exponent that Fraction would expand to ten million digits, and an
+# order-48 matrix of entries 1/p over distinct primes, whose common
+# denominator has 29,174 bits.
 _OVERSIZED_EXACT = {
+    "denominator": {"dim": 48, "window": 0, "correction": [], "symbol": {"0": [
+        [[f"1/{p}", "0"] for p in row]
+        for row in np.reshape(_primes(48 * 48), (48, 48)).tolist()]}},
     "power": {"dim": 1, "window": 0, "correction": [],
               "symbol": {"100000": [[["1", "0"]]]}},
     "dim": {"dim": 10 ** 6, "window": 0, "correction": [], "symbol": {}},
@@ -302,4 +316,24 @@ def test_exact_entry_exponents_within_bound_parse(tmp_path):
         assert toeplitz.element_from_json(doc).symbol[1][0, 1].re == want
     doc["symbol"]["1"][0][1][0] = f"1e-{top + 1}"
     with pytest.raises(ValueError):
+        toeplitz.element_from_json(doc)
+
+
+def test_exact_common_denominator_within_bound_parses(tmp_path):
+    doc = _exact_doc(tmp_path)
+    bits = toeplitz.MAX_EXACT_DENOMINATOR_BITS
+    doc["symbol"]["1"][0][1][0] = edge = f"1/{2 ** (bits - 1)}"
+    assert toeplitz.element_from_json(doc).symbol[1][0, 1].re == toeplitz.Fraction(edge)
+    doc["symbol"]["1"][0][1][0] = f"1/{2 ** bits}"
+    with pytest.raises(ValueError, match="common denominator"):
+        toeplitz.element_from_json(doc)
+    # the bound holds for the whole element: 3**100 (159 bits) and 5**100
+    # (233 bits) each parse, but not in two matrices of one element
+    doc["symbol"]["1"][0][1][0] = f"1/{5 ** 100}"
+    toeplitz.element_from_json(doc)
+    doc["symbol"]["1"][0][1][0] = "0"
+    doc["symbol"]["-1"][1][0][0] = f"1/{3 ** 100}"
+    toeplitz.element_from_json(doc)
+    doc["symbol"]["1"][0][1][0] = f"1/{5 ** 100}"
+    with pytest.raises(ValueError, match="common denominator"):
         toeplitz.element_from_json(doc)

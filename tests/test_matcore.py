@@ -132,6 +132,49 @@ def test_psd_sqrt():
         mc.psd_sqrt(np.diag([-1.0, 1.0]))
 
 
+def _herm_stack(*shape):
+    a = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 3), (2, 3, 2, 2)])
+def test_stack_kernels_match_per_matrix_calls(shape):
+    h = _herm_stack(*shape)
+    p = h @ h
+    w, v = mc.herm_eig(h)
+    r = mc.psd_sqrt(p, tol=1e-7, zero_snap=1e-12)
+    assert w.shape == shape[:-1] and v.shape == r.shape == shape
+    for k in np.ndindex(shape[:-2]):
+        wk, vk = mc.herm_eig(h[k])
+        assert np.max(np.abs(w[k] - wk)) < 1e-13
+        # eigenvalues are distinct, so the frames agree up to column phases
+        assert np.max(np.abs(np.abs(vk.conj().T @ v[k]) - np.eye(shape[-1]))) < 1e-13
+        rk = mc.psd_sqrt(p[k], tol=1e-7, zero_snap=1e-12)
+        assert rk.ndim == 2 and np.max(np.abs(r[k] - rk)) < 1e-13
+    assert [x.ndim for x in mc.herm_eig(h[(0,) * (len(shape) - 2)])] == [1, 2]
+
+
+def test_stack_guards_name_the_worst_matrix():
+    h = _herm_stack(5, 2, 2)
+    h[1, 0, 1] += 1e-3
+    h[3, 0, 1] += 0.5
+    worst = np.linalg.norm(h[3] - h[3].conj().T)
+    with pytest.raises(ValueError, match=f"stack index 3 .residual {worst:.3e}"):
+        mc.herm_eig(h)
+    with pytest.raises(ValueError, match=f"stack index 3 .residual {worst:.3e}"):
+        mc.psd_sqrt(h)
+    p = np.stack([np.eye(2)] * 5).astype(complex)
+    p[2] = np.diag([-0.5, 1.0])
+    p[4] = np.diag([1.0, -2.0])
+    with pytest.raises(ValueError, match="eigenvalue -2.000e.00 below .* at stack index 4"):
+        mc.psd_sqrt(p)
+    # one matrix: the same messages without an index
+    with pytest.raises(ValueError, match=r"Hermitian \(residual"):
+        mc.herm_eig(h[3])
+    with pytest.raises(ValueError, match=r"-5.000e-01 below -1.0e-10$"):
+        mc.psd_sqrt(p[2])
+
+
 def test_neg_exp_pi_i():
     assert np.allclose(mc.neg_exp_pi_i(np.diag([1.0, -1.0])), np.eye(2))
     assert np.allclose(mc.neg_exp_pi_i(np.zeros((3, 3))), -np.eye(3))
