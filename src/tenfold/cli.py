@@ -12,6 +12,7 @@ indices).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,7 +32,9 @@ def _read_json(path):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, text that is not UTF-8, and an
+    # integer literal beyond the interpreter's digit limit
+    except (OSError, ValueError) as exc:
         raise SystemExit_(EXIT_IO, f"cannot read element: {exc}")
 
 
@@ -43,7 +46,7 @@ class SystemExit_(Exception):
 
 def _write_out(obj, out):
     try:
-        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+        text = serialize.dumps(obj)
     except ValueError as exc:
         raise SystemExit_(EXIT_IO, f"output is not finite: {exc}")
     if out and out != "-":
@@ -179,6 +182,7 @@ def cmd_selftest(args):
     return _print_tap(results)
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="tenfold",
@@ -192,7 +196,6 @@ def build_parser():
                    help="restrict to one class (-1..6, KU0, KU1)")
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--out", default=None)
-    c.set_defaults(fn=cmd_classify)
 
     b = sub.add_parser("boundary", help="apply a boundary map")
     b.add_argument("input", help="element JSON path, or - for stdin")
@@ -203,27 +206,24 @@ def build_parser():
     b.add_argument("--resolution", type=int, default=None)
     b.add_argument("--tol", type=float, default=1e-9)
     b.add_argument("--out", default=None)
-    b.set_defaults(fn=cmd_boundary)
 
     g = sub.add_parser("catalog", help="list generators or emit one as JSON")
     g.add_argument("--emit", default=None, metavar="NAME")
     g.add_argument("--resolution", type=int, default=None)
     g.add_argument("--out", default=None)
-    g.set_defaults(fn=cmd_catalog)
 
     v = sub.add_parser("verify", help="run the acceptance suite (TAP output)")
     v.add_argument("--only", default=None, help="substring filter")
-    v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("selftest", help="quick kernel checks")
-    s.set_defaults(fn=cmd_selftest)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at each call, so a rebound cmd_* name is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit_ as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

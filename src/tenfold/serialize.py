@@ -11,7 +11,11 @@ exact format from tenfold.toeplitz.
 
 from __future__ import annotations
 
+from itertools import chain
+import json
+from json.encoder import encode_basestring_ascii
 import math
+import sys
 
 import numpy as np
 
@@ -94,7 +98,12 @@ def _cpx_to_json(m: np.ndarray):
 
 
 def _cpx_matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    """complex() raises OverflowError on a JSON integer beyond the range of
+    a float, which is malformed input like an infinite entry."""
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except OverflowError as exc:
+        raise ValueError(f"matrix entries must be finite: {exc}") from None
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -135,3 +144,90 @@ def element_from_json(obj: dict):
                              "and a string label")
         alg = Algebra(base, dim_alg, struct, label)
     return u, alg
+
+
+# -- JSON text -------------------------------------------------------------------
+
+# Not one-shot, so iterencode runs json's pure-Python encoder, the one
+# json.dumps(indent=...) runs: scalar text and error messages are its own.
+_SCALAR = json.JSONEncoder(allow_nan=False)
+# The text json writes for a leaf of each exact type (a float once finite)
+_LEAF = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
+         bool: {False: "false", True: "true"}.get, type(None): {None: "null"}.get}
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1, allow_nan=False), byte for
+    byte and with the same errors, written without json's generator per
+    node: a regular nested list whose leaves share one type (the element
+    arrays) becomes one join.  A container that holds itself raises
+    RecursionError, where json raises ValueError."""
+    return _dump(obj, 0)
+
+
+def _dump(obj, level: int) -> str:
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None and (leaf is not float.__repr__ or math.isfinite(obj)):
+        return leaf(obj)
+    pad = "\n" + " " * level
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # json sorts the items by their keys, then writes each key as text
+        return "{" + pad + " " + ("," + pad + " ").join(
+            f"{encode_basestring_ascii(k if type(k) is str else _key(k))}: "
+            f"{_dump(v, level + 1)}" for k, v in sorted(obj.items())) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return (type(obj) is list and _block(obj, level)) or (
+            "[" + pad + " " + ("," + pad + " ").join(
+                _dump(v, level + 1) for v in obj) + pad + "]")
+    return "".join(_SCALAR.iterencode(obj))
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return "".join(_SCALAR.iterencode(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _block(obj: list, level: int):
+    """Text of a regular nested list whose leaves share one _LEAF type (and
+    are finite floats); None for any other list.  The separator after a
+    leaf is set by how many trailing axes roll over there."""
+    shape, flat = [], [obj]
+    # bounded, for a list that holds itself never reaches its leaves
+    for _ in range(sys.getrecursionlimit()):
+        sizes = set(map(len, flat))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        flat = list(chain.from_iterable(flat))
+        kinds = set(map(type, flat))
+        if len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+        if kind is not list:
+            break
+    else:
+        return None
+    leaf = _LEAF.get(kind)
+    if leaf is None or kind is float and not all(map(math.isfinite, flat)):
+        return None
+    depth = len(shape)
+    pads = ["\n" + " " * (level + d) for d in range(depth + 1)]
+    # closes[j] ends the j innermost lists, opens[j] starts them again
+    closes = ["".join(pads[depth - 1 - m] + "]" for m in range(j))
+              for j in range(depth + 1)]
+    opens = ["".join("[" + pads[d + 1] for d in range(depth - j, depth))
+             for j in range(depth + 1)]
+    seps = []
+    for j, n in enumerate(reversed(shape)):
+        seps += ([closes[j] + "," + pads[depth - j] + opens[j]] + seps) * (n - 1)
+    parts = [None] * (2 * len(flat) - 1)
+    parts[::2] = map(leaf, flat)
+    parts[1::2] = seps
+    return opens[depth] + "".join(parts) + closes[depth]

@@ -639,6 +639,16 @@ MAX_EXACT_EXPONENT = 324
 # above any catalog element (1 bit) and holds any double of magnitude at
 # least 1e-61 and any decimal with at most 77 digits after the point.
 MAX_EXACT_DENOMINATOR_BITS = 256
+# The numerators an exact product multiplies are those of the entries
+# scaled to the common denominator, so their bit length grows with both
+# bounds.  Unbounded, a dense order-64 document of random 4,000-bit
+# integers (9.9 MB) took 48 s to fail membership on a 2-vCPU host.  At
+# this bound the worst dense order-64 document inside both bounds (1,077-bit
+# numerators, all over 1 but one over a 256-bit denominator) takes 8.4 s.
+# The bound is the length of 10**MAX_EXACT_EXPONENT, the largest power of
+# ten the exponent bound admits; a double's numerator has at most 1,024
+# bits, and catalog entries' at most 2.
+MAX_EXACT_NUMERATOR_BITS = (10 ** MAX_EXACT_EXPONENT).bit_length()
 
 
 def element_from_json(obj: dict) -> ShiftAlgElement:
@@ -646,7 +656,8 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
     or TypeError, and every matrix must have the size dim and window give.
     Elements above MAX_EXACT_ORDER or whose entries' common denominator
     exceeds MAX_EXACT_DENOMINATOR_BITS, and entries whose decimal exponent
-    exceeds MAX_EXACT_EXPONENT raise ValueError."""
+    exceeds MAX_EXACT_EXPONENT or whose numerator exceeds
+    MAX_EXACT_NUMERATOR_BITS raise ValueError."""
     den = 1
 
     def num(v):
@@ -668,6 +679,10 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
         for i, row in enumerate(rows):
             for j, (re, im) in enumerate(row):
                 out[i, j] = z = FC(Fraction(num(re)), Fraction(num(im)))
+                if max(z.re.numerator.bit_length(),
+                       z.im.numerator.bit_length()) > MAX_EXACT_NUMERATOR_BITS:
+                    raise ValueError("numerator of an exact entry exceeds "
+                                     f"{MAX_EXACT_NUMERATOR_BITS} bits")
                 den = math.lcm(den, z.re.denominator, z.im.denominator)
                 if den.bit_length() > MAX_EXACT_DENOMINATOR_BITS:
                     raise ValueError("common denominator of the exact entries exceeds "

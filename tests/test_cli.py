@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +94,26 @@ def test_io_error_exit_codes(tmp_path):
     bad = tmp_path / "junk.json"
     bad.write_text("{\"not\": \"an element\"}")
     assert run(["classify", str(bad)]) == 4
+    # not UTF-8, and an integer literal past the interpreter's digit limit
+    for data in (b"\xff\xfe{}", b"{\"values\": [" + b"1" * 5000 + b"]}"):
+        bad.write_bytes(data)
+        assert run(["classify", str(bad)]) == 4
+        assert run(["boundary", str(bad), "--ses", "circle-zeta", "--class", "0"]) == 4
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    p = tmp_path / "w.json"
+    assert run(["catalog", "--emit", "circle_zeta_k2", "--resolution", "16",
+                "--out", str(p)]) == 0
+    assert run(["classify", str(p)]) == 0
+    every = capsys.readouterr().out
+    assert run(["classify", str(p), "--class", "2", "--tol", "10"]) == 0
+    assert [row["class"] for row in json.loads(capsys.readouterr().out)["classes"]] == [2]
+    assert run(["classify", str(p)]) == 0
+    assert capsys.readouterr().out == every
+    assert run(["catalog"]) == 0  # no --emit or --out left from the first call
+    assert "entries" in json.loads(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_catalog_listing(capsys):
@@ -162,10 +183,19 @@ def _resolution_infinite(doc):
     doc["base"]["resolution"] = float("inf")
 
 
+def _value_beyond_float(doc):
+    doc["values"][3][0][0][1] = 10 ** 400
+
+
+def _alg_struct_beyond_float(doc):
+    doc["alg"] = {"dim_alg": 1, "struct": [[[10 ** 400, 0.0]]], "label": "custom"}
+
+
 @pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative,
                                    _base_not_object, _pinned_bool, _alg_dim_zero,
                                    _alg_struct_empty, _alg_label_not_string,
-                                   _resolution_huge, _resolution_infinite])
+                                   _resolution_huge, _resolution_infinite,
+                                   _value_beyond_float, _alg_struct_beyond_float])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)
@@ -279,11 +309,22 @@ def _primes(count, below=25000):
     return np.flatnonzero(sieve)[:count].tolist()
 
 
+def _big_matrix(n, bits):
+    """n x n exact entries whose parts are random integers of exactly
+    `bits` bits."""
+    rng = random.Random(7)
+
+    def big():
+        return str(rng.getrandbits(bits) | 1 << (bits - 1))
+    return [[[big(), big()] for _ in range(n)] for _ in range(n)]
+
+
 # Tiny documents that ask for huge exact work: a symbol power of 100000 (a
 # 200001-order first product), a dim of 10**6 (through one(dim)), an
 # exponent that Fraction would expand to ten million digits, and an
 # order-48 matrix of entries 1/p over distinct primes, whose common
-# denominator has 29,174 bits.
+# denominator has 29,174 bits.  Not tiny, but as slow without a bound: a
+# dense order-64 matrix of 4,000-bit integers (9.9 MB).
 _OVERSIZED_EXACT = {
     "denominator": {"dim": 48, "window": 0, "correction": [], "symbol": {"0": [
         [[f"1/{p}", "0"] for p in row]
@@ -293,6 +334,8 @@ _OVERSIZED_EXACT = {
     "dim": {"dim": 10 ** 6, "window": 0, "correction": [], "symbol": {}},
     "exponent": {"dim": 1, "window": 0, "correction": [],
                  "symbol": {"1": [[["1e10000000", "0"]]]}},
+    "numerator": {"dim": 64, "window": 0, "correction": [],
+                  "symbol": {"0": _big_matrix(64, 4000)}},
 }
 
 
@@ -336,4 +379,16 @@ def test_exact_common_denominator_within_bound_parses(tmp_path):
     toeplitz.element_from_json(doc)
     doc["symbol"]["1"][0][1][0] = f"1/{5 ** 100}"
     with pytest.raises(ValueError, match="common denominator"):
+        toeplitz.element_from_json(doc)
+
+
+def test_exact_numerator_within_bound_parses(tmp_path):
+    doc = _exact_doc(tmp_path)
+    bits = toeplitz.MAX_EXACT_NUMERATOR_BITS
+    edge = 1 - 2 ** bits
+    doc["symbol"]["1"][0][1] = [str(edge), 1.7976931348623157e308]
+    z = toeplitz.element_from_json(doc).symbol[1][0, 1]
+    assert (z.re, z.im) == (edge, toeplitz.Fraction(1.7976931348623157e308))
+    doc["symbol"]["1"][0][1][1] = f"{2 ** bits}/3"
+    with pytest.raises(ValueError, match="numerator"):
         toeplitz.element_from_json(doc)

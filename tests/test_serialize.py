@@ -1,0 +1,109 @@
+"""serialize.dumps against its contract: the text of
+json.dumps(obj, sort_keys=True, indent=1, allow_nan=False), byte for byte,
+and the same exception where json.dumps raises one."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tenfold import catalog, cli, serialize, toeplitz
+
+
+def reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_catalog_elements_match_json(resolution):
+    for name in catalog.names():
+        obj = catalog.generator(name, resolution)
+        doc = (toeplitz.element_to_json(obj) if catalog.entry(name).exact
+               else serialize.element_to_json(obj.element, obj.algebra))
+        assert serialize.dumps(doc) == reference(doc), name
+
+
+def _cli_text(capsys, argv):
+    assert cli.main(argv) in (0, 2)
+    return capsys.readouterr().out
+
+
+def test_cli_reports_match_json(tmp_path, capsys):
+    grid, point = tmp_path / "x3.json", tmp_path / "const_k0.json"
+    shift = tmp_path / "shift_u_k2.json"
+    for path in (grid, point, shift):
+        assert cli.main(["catalog", "--emit", path.stem, "--out", str(path)]) == 0
+    huge = json.loads(grid.read_text())
+    huge["values"][3][0][0][0] = 1e200  # an overflowing residual, written as null
+    (tmp_path / "huge.json").write_text(json.dumps(huge))
+    with np.errstate(all="ignore"):
+        texts = [_cli_text(capsys, argv) for argv in (
+            ["catalog"], ["classify", str(grid)],
+            ["classify", str(tmp_path / "huge.json")],
+            ["boundary", str(point), "--ses", "circle-id", "--class", "0"],
+            ["boundary", str(shift), "--ses", "toeplitz", "--class", "2"])]
+    assert "null" in texts[2]
+    for text in texts + [p.read_text() for p in (grid, point, shift)]:
+        assert text == reference(json.loads(text)) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], [[]], [[], []], [[1, 2], [3]], [[1, 2.0]], [[True, False]], [None],
+    [[[1.5, -0.0]], [[5e-324, 1e16]]], [["a", "é"], ["\n", "\ud800"]],
+    ([1, 2], (3.0,)), {"b": [1], "a": {"c": ()}}, {2: "x", 10: "y", 1.5: None},
+    {True: 1}, {None: [0]}, np.float64(0.1), [np.float64(0.1), 0.2], 10 ** 40,
+])
+def test_edge_values_match_json(obj):
+    assert serialize.dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    math.nan, [math.inf], [[1.0, -math.inf]], {"a": [0.0, math.nan]}, {math.nan: 1},
+    np.int64(1), [[np.int64(1)]], {(1,): 0}, {"a": 0, 1: 0}, [{1, 2}],
+])
+def test_refusals_match_json(obj):
+    with pytest.raises((TypeError, ValueError)) as want:
+        reference(obj)
+    with pytest.raises(want.type) as got:
+        serialize.dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_container_holding_itself_raises():
+    row, doc = [], {}
+    row.append(row)
+    doc["a"] = [doc]
+    for obj in (row, [[row]], doc):
+        with pytest.raises(RecursionError):
+            serialize.dumps(obj)
+
+
+_KEYS = st.text(max_size=4) | st.sampled_from(['"', "\\", "\n\t", "é中", "\ud83d"])
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 1e16, 1e308, 0.1]))
+_INTS = st.integers() | st.sampled_from([2 ** 64, -(10 ** 30)])
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _KEYS
+
+
+@st.composite
+def _regular(draw):
+    """A regular nested list, of one leaf type or of mixed scalars."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    leaf = draw(st.sampled_from([_INTS, _FLOATS, _KEYS, _INTS | _FLOATS, _SCALARS]))
+    flat = draw(st.lists(leaf, min_size=math.prod(shape), max_size=math.prod(shape)))
+    for n in reversed(shape[1:]):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat
+
+
+_TREES = st.recursive(_SCALARS | _regular(), lambda kids: (
+    st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_json_trees_match_json(obj):
+    assert serialize.dumps(obj) == reference(obj)
