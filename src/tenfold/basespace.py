@@ -16,6 +16,8 @@ from . import matcore
 SPACE_KINDS = ("point", "twopoints", "interval", "circle", "disk",
                "sphere2", "sphere3", "torus2")
 INVOLUTION_NAMES = ("id", "zeta", "sigma", "swap")
+# the largest roundoff by which a contraction's computed norm may exceed 1
+EXTEND_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,12 @@ class FnElement:
     def scaled(self, c) -> "FnElement":
         return FnElement(self.base, c * self.values)
 
+    def __truediv__(self, c) -> "FnElement":
+        return FnElement(self.base, self.values / c)
+
+    def involute(self, struct) -> "FnElement":
+        return apply_full_involution(self, struct)
+
     def conjugated(self, x: np.ndarray) -> "FnElement":
         """x u x* pointwise for a constant matrix x."""
         x = np.asarray(x, dtype=complex)
@@ -411,7 +419,7 @@ def extend_contraction(b: FnElement, ses: SESDescriptor,
     Restriction of the result equals b exactly on grid points.
     """
     norms = np.linalg.norm(b.values, ord=2, axis=(1, 2))
-    if np.max(norms) > 1.0 + 1e-8:
+    if np.max(norms) > 1.0 + EXTEND_NORM_TOL:
         raise ValueError("input values must be contractions")
     if strategy in ("natural", "radial", "arclinear"):
         return _natural_extension(b, ses)

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .basespace import (Algebra, FnElement, SESDescriptor, apply_full_involution,
-                        extend_contraction, ideal_base, restrict, scalar_algebra)
+from .basespace import (Algebra, FnElement, SESDescriptor, extend_contraction,
+                        ideal_base, restrict, scalar_algebra)
 from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
-                       neutral, require_membership)
+                       neutral, require_membership, symmetrize)
 
 TARGET = {1: 0, -1: 6, 5: 4, 3: 2, 2: 1, 0: -1, 6: 5, 4: 3,
           "KU1": "KU0", "KU0": "KU1"}
@@ -35,31 +35,16 @@ INDEX_SQRT_TOL = 1e-7
 # the closed set) the off-diagonal blocks vanish instead of carrying
 # sqrt(roundoff), up to 1e-6, into the neutral-value check
 INDEX_ZERO_SNAP = 1e-12
+# a clamped even lift is Hermitian up to roundoff; exp_unitary refuses more
+EXP_HERM_TOL = 1e-7
+# the lift rules fix a class-i unitary, so the lift restricts to it up to roundoff
+LIFT_RESTRICTION_TOL = 1e-7
 
 
 def symmetrize_lift(a: FnElement, i, algebra: Algebra = None) -> FnElement:
-    """Project a lift onto the class-i lift relation.
-
-    Odd classes: y = (x + x^{tau(*)})/2 so y inherits the unitary's
-    symmetry.  Even classes: hermitize, then take the tau-(anti)symmetric
-    part.  Fixed points of the rule are unchanged.
-    """
-    algebra = algebra or scalar_algebra(a.base)
-    spec = class_spec(i)
-    if spec["sign"] is None:
-        # complex classes: hermitize only (KU0), nothing for KU1
-        if i == "KU0":
-            return FnElement(a.base, (a.values + np.conj(np.swapaxes(a.values, 1, 2))) / 2)
-        return a.copy()
-    s = class_structure(i, a.dim, algebra)
-    if not spec["sa"]:
-        t = apply_full_involution(a, s)
-        if spec["star"]:
-            t = t.adjoint()
-        return FnElement(a.base, (a.values + t.values) / 2.0)
-    h = FnElement(a.base, (a.values + np.conj(np.swapaxes(a.values, 1, 2))) / 2.0)
-    t = apply_full_involution(h, s)
-    return FnElement(a.base, (h.values + spec["sign"] * t.values) / 2.0)
+    """symclass.symmetrize with the algebra's structure; always a new element."""
+    out = symmetrize(a, i, class_structure(i, a.dim, algebra))
+    return a.copy() if out is a else out
 
 
 def retract_contraction(y: FnElement, mode: str) -> FnElement:
@@ -103,9 +88,9 @@ def index_unitary_matrix(a: np.ndarray) -> np.ndarray:
     return _index_values(np.asarray(a, dtype=complex)[None])[0]
 
 
-def exp_unitary(a: FnElement, tol: float = 1e-7) -> FnElement:
+def exp_unitary(a: FnElement) -> FnElement:
     """-exp(i*pi*a) pointwise; respects direct sums exactly."""
-    out = np.array([matcore.neg_exp_pi_i(v, tol=tol) for v in a.values])
+    out = np.array([matcore.neg_exp_pi_i(v, tol=EXP_HERM_TOL) for v in a.values])
     return FnElement(a.base, out)
 
 
@@ -159,7 +144,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor,
 
     back = restrict(lift, ses)
     lift_residual = float(np.max(np.abs(back.values - u.values)))
-    if lift_residual > 1e-7:
+    if lift_residual > LIFT_RESTRICTION_TOL:
         raise MembershipError(
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
 
@@ -176,9 +161,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor,
     out_alg = Algebra(ibase)
     rep = require_membership(result, j, out_alg, tol)
 
-    spec = class_spec(j)
-    target = np.kron(np.eye(result.dim // spec["mult"], dtype=complex),
-                     spec["neutral"])
+    target = neutral(j, result.dim // class_spec(j)["mult"])
     lam_res = max(float(np.linalg.norm(result.values[p] - target))
                   for p in ibase.pinned)
     if lam_res > tol:

@@ -119,7 +119,8 @@ def cmd_boundary(args):
     u, _ = _parse_element(_read_json(args.input))
     try:
         res = boundary_map(u, i, ses, args.lift, tol=args.tol)
-    except MembershipError as exc:
+    # MembershipError, or e.g. a class-2 basepoint value that is not skew
+    except ValueError as exc:
         print(f"error: {exc} {getattr(exc, 'residuals', '')}", file=sys.stderr)
         return EXIT_MEMBERSHIP
     rep = res.rep

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import matcore
 from .basespace import FnElement, Algebra
-from .symclass import KOClassRep, neutral
+from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral
 
 
 class InvariantError(ValueError):
@@ -370,24 +370,18 @@ def _entry(*names_groups):
     return tuple(_mk(n, g, _D[n]) for n, g in names_groups)
 
 
+def _at_points(i, suffixes):
+    """The class table's point invariant of class i, read at each point."""
+    point = class_spec(i)["point"]
+    return () if point is None else _entry(*((point[0] + s, point[1])
+                                             for s in suffixes))
+
+
 CATALOG = {
-    # point
-    ("point", "id", "", "scalar", 0): _entry(("half_trace", "Z")),
-    ("point", "id", "", "scalar", 1): _entry(("det_parity", "Z2")),
-    ("point", "id", "", "scalar", 2): _entry(("pf_parity", "Z2")),
-    ("point", "id", "", "scalar", 4): _entry(("quarter_trace", "Z")),
-    ("point", "id", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
-    # two points, trivial involution
-    ("twopoints", "id", "", "scalar", 0): _entry(("half_trace_0", "Z"),
-                                                 ("half_trace_1", "Z")),
-    ("twopoints", "id", "", "scalar", 1): _entry(("det_parity_0", "Z2"),
-                                                 ("det_parity_1", "Z2")),
-    ("twopoints", "id", "", "scalar", 2): _entry(("pf_parity_0", "Z2"),
-                                                 ("pf_parity_1", "Z2")),
-    ("twopoints", "id", "", "scalar", 4): _entry(("quarter_trace_0", "Z"),
-                                                 ("quarter_trace_1", "Z")),
-    ("twopoints", "id", "", "scalar", "KU0"): _entry(("half_trace_0", "Z"),
-                                                     ("half_trace_1", "Z")),
+    # one point, and two points with the trivial involution
+    **{("point", "id", "", "scalar", i): _at_points(i, ("",)) for i in CLASS_IDS},
+    **{("twopoints", "id", "", "scalar", i): _at_points(i, ("_0", "_1"))
+       for i in CLASS_IDS},
     # two points, swap involution
     ("twopoints", "swap", "", "scalar", 0): _entry(("half_trace_0", "Z")),
     ("twopoints", "swap", "", "scalar", 2): _entry(("half_trace_0", "Z")),
@@ -469,8 +463,6 @@ CATALOG = {
 
 # Classes whose group is trivial over a space: cataloged, with no coordinates.
 _TRIVIAL = {
-    ("point", "id", "", "scalar"): (-1, 3, 5, 6, "KU1"),
-    ("twopoints", "id", "", "scalar"): (-1, 3, 5, 6, "KU1"),
     ("twopoints", "swap", "", "scalar"): (-1, 1, 3, 5, "KU1"),
     ("circle", "zeta", "", "scalar"): (-1, 6),
     ("circle", "zeta", "@pm1", "scalar"): (0, 2, 4, 6, "KU0"),

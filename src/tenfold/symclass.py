@@ -3,19 +3,20 @@ basepoint normalization, conversions to the complex classes.
 
 Class conventions (structure matrices act on the outer legs; an algebra
 with inner block dimension d contributes its own structure on the last
-leg):
+leg).  The point column names the invariant over a point, KO_i(R) or KU_i,
+and -- where that group is zero:
 
-  id   size  relation                     neutral block
-  -1    1    u^t = u                      [1]
-   0    2    u = u*, u^t = u*             diag(1,-1)
-   1    1    u^t = u*                     [1]
-   2    2    u = u*, u^t = -u             [[0,i],[-i,0]]
-   3    2    u^{s(x)t} = u                1_2
-   4    4    u = u*, u^{s(x)t} = u*       diag(1,1,-1,-1)
-   5    2    u^{s(x)t} = u*               1_2
-   6    2    u = u*, u^{s(x)t} = -u       [[0,i],[-i,0]]
-  KU0   2    u = u*                       diag(1,-1)
-  KU1   1    --                           [1]
+  id   size  relation                     neutral block      point
+  -1    1    u^t = u                      [1]                --
+   0    2    u = u*, u^t = u*             diag(1,-1)         half_trace (Z)
+   1    1    u^t = u*                     [1]                det_parity (Z2)
+   2    2    u = u*, u^t = -u             [[0,i],[-i,0]]     pf_parity (Z2)
+   3    2    u^{s(x)t} = u                1_2                --
+   4    4    u = u*, u^{s(x)t} = u*       diag(1,1,-1,-1)    quarter_trace (Z)
+   5    2    u^{s(x)t} = u*               1_2                --
+   6    2    u = u*, u^{s(x)t} = -u       [[0,i],[-i,0]]     --
+  KU0   2    u = u*                       diag(1,-1)         half_trace (Z)
+  KU1   1    --                           [1]                --
 """
 
 from __future__ import annotations
@@ -33,23 +34,24 @@ CLASS_IDS = (-1, 0, 1, 2, 3, 4, 5, 6, "KU0", "KU1")
 _I2 = np.array([[0.0, 1j], [-1j, 0.0]])
 
 _TABLE = {
-    -1: dict(mult=1, sa=False, sharp=False, sign=+1, star=False,
+    -1: dict(mult=1, sa=False, sharp=False, sign=+1, star=False, point=None,
              neutral=np.array([[1.0 + 0j]])),
     0: dict(mult=2, sa=True, sharp=False, sign=+1, star=True,
-            neutral=np.diag([1.0 + 0j, -1.0])),
+            point=("half_trace", "Z"), neutral=np.diag([1.0 + 0j, -1.0])),
     1: dict(mult=1, sa=False, sharp=False, sign=+1, star=True,
-            neutral=np.array([[1.0 + 0j]])),
-    2: dict(mult=2, sa=True, sharp=False, sign=-1, star=False, neutral=_I2),
-    3: dict(mult=2, sa=False, sharp=True, sign=+1, star=False,
+            point=("det_parity", "Z2"), neutral=np.array([[1.0 + 0j]])),
+    2: dict(mult=2, sa=True, sharp=False, sign=-1, star=False,
+            point=("pf_parity", "Z2"), neutral=_I2),
+    3: dict(mult=2, sa=False, sharp=True, sign=+1, star=False, point=None,
             neutral=np.eye(2, dtype=complex)),
     4: dict(mult=4, sa=True, sharp=True, sign=+1, star=True,
-            neutral=np.diag([1.0 + 0j, 1.0, -1.0, -1.0])),
-    5: dict(mult=2, sa=False, sharp=True, sign=+1, star=True,
+            point=("quarter_trace", "Z"), neutral=np.diag([1.0 + 0j, 1.0, -1.0, -1.0])),
+    5: dict(mult=2, sa=False, sharp=True, sign=+1, star=True, point=None,
             neutral=np.eye(2, dtype=complex)),
-    6: dict(mult=2, sa=True, sharp=True, sign=-1, star=False, neutral=_I2),
+    6: dict(mult=2, sa=True, sharp=True, sign=-1, star=False, point=None, neutral=_I2),
     "KU0": dict(mult=2, sa=True, sharp=False, sign=None, star=None,
-                neutral=np.diag([1.0 + 0j, -1.0])),
-    "KU1": dict(mult=1, sa=False, sharp=False, sign=None, star=None,
+                point=("half_trace", "Z"), neutral=np.diag([1.0 + 0j, -1.0])),
+    "KU1": dict(mult=1, sa=False, sharp=False, sign=None, star=None, point=None,
                 neutral=np.array([[1.0 + 0j]])),
 }
 
@@ -175,19 +177,18 @@ def require_membership(u, i, algebra=None, tol=1e-9) -> KOClassRep:
 
 def _lambda_trivial(lam: np.ndarray, i):
     """Weak basepoint condition: the scalar part represents the trivial class."""
-    if i in (0, "KU0"):
-        t = 0.5 * np.real(np.trace(lam))
-        return abs(t) < 0.25, f"half_trace={t:.3f}"
-    if i == 1:
+    spec = class_spec(i)
+    if spec["point"] is None:
+        return True, "free"
+    kind = spec["point"][0]
+    if kind == "det_parity":
         dt = np.linalg.det(lam)
         return np.real(dt) > 0, f"det={dt:.3f}"
-    if i == 2:
-        ratio = matcore.pfaffian(lam) / matcore.pfaffian(neutral(2, lam.shape[0] // 2))
+    if kind == "pf_parity":
+        ratio = matcore.pfaffian(lam) / matcore.pfaffian(neutral(i, lam.shape[0] // 2))
         return np.real(ratio) > 0, f"pf_ratio={ratio:.3f}"
-    if i == 4:
-        t = 0.25 * np.real(np.trace(lam))
-        return abs(t) < 0.25, f"quarter_trace={t:.3f}"
-    return True, "free"
+    t = np.real(np.trace(lam)) / spec["mult"]
+    return abs(t) < 0.25, f"{kind}={t:.3f}"
 
 
 def add(u: FnElement, v: FnElement, i, algebra: Algebra = None) -> FnElement:
@@ -241,12 +242,36 @@ def to_projection(u: FnElement, tol: float = 1e-9) -> FnElement:
     return FnElement(u.base, (u.values + eye) / 2.0)
 
 
+def complex_class(i):
+    """The complex class a class-i element forgets to: KU0 for the
+    self-adjoint classes, KU1 for the others."""
+    return "KU0" if class_spec(i)["sa"] else "KU1"
+
+
 def forget_to_ku(rep: KOClassRep, tol: float = 1e-9) -> KOClassRep:
-    """Forget the real symmetry: same element, complex class KU_{i mod 2}."""
-    if rep.class_id in ("KU0", "KU1"):
+    """Forget the real symmetry: same element, its complex class."""
+    target = complex_class(rep.class_id)
+    if target == rep.class_id:
         return rep
-    target = "KU0" if rep.class_id % 2 == 0 else "KU1"
     return check_membership(rep.element, target, rep.algebra, tol)
+
+
+def symmetrize(x, i, s):
+    """Project an FnElement or ShiftAlgElement x onto the class-i lift
+    relation, s the structure matrix in x's arithmetic; fixed points stay.
+    Odd classes (sign +1) average x with x^{tau(*)}; even ones hermitize and
+    average with sign * x^tau, as x^{tau*} = x^tau for self-adjoint x."""
+    spec = class_spec(i)
+    if spec["sa"]:
+        x = (x + x.adjoint()) / 2
+    if spec["sign"] is None:
+        return x
+    t = x.involute(s)
+    if spec["sa"]:
+        t = t.scaled(spec["sign"])
+    elif spec["star"]:
+        t = t.adjoint()
+    return (x + t) / 2
 
 
 # ---------------------------------------------------------------------------

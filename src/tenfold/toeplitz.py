@@ -23,7 +23,7 @@ import numpy as np
 from .basespace import FnElement, sample_space
 from .boundary import TARGET, boundary_conjugator
 from .matcore import CONSTRUCTION_TOL
-from .symclass import class_spec, class_structure, neutral
+from .symclass import class_spec, class_structure, neutral, symmetrize
 
 
 class FC:
@@ -223,6 +223,9 @@ class ShiftAlgElement:
         c = FC.of(c)
         sym = {k: m * c for k, m in self.symbol.items()}
         return ShiftAlgElement(self.dim, sym, self.corr * c, self.window)
+
+    def __truediv__(self, c) -> "ShiftAlgElement":
+        return self.scaled(FC_ONE / FC.of(c))
 
     def __matmul__(self, other):
         return mul(self, other)
@@ -425,16 +428,8 @@ def check_membership_quotient(x: ShiftAlgElement, i) -> bool:
 
 
 def symmetrize_exact(x: ShiftAlgElement, i) -> ShiftAlgElement:
-    spec = class_spec(i)
-    half = FC(Fraction(1, 2))
-    if spec["sa"]:
-        x = (x + x.adjoint()).scaled(half)
-    if spec["sign"] is None:
-        return x
-    t = x.involute(_exact_structure(i, x.dim))
-    if spec["star"]:
-        t = t.adjoint()
-    return (x + t.scaled(FC(spec["sign"]))).scaled(half)
+    """symclass.symmetrize with the exact class-i structure."""
+    return symmetrize(x, i, _exact_structure(i, x.dim))
 
 
 # -- exact index machinery ----------------------------------------------------
@@ -452,14 +447,12 @@ def sqrt_exact(g: ShiftAlgElement) -> ShiftAlgElement:
 
 def index_unitary_exact(a: ShiftAlgElement) -> ShiftAlgElement:
     """[[2aa*-1, 2a sqrt(1-a*a)], [2a* sqrt(1-aa*), 1-2a*a]], exactly."""
-    d = a.dim
-    e = one(d)
-    gl = sqrt_exact(e - mul(a.adjoint(), a))
-    gr = sqrt_exact(e - mul(a, a.adjoint()))
-    two = FC(2)
+    e, two = one(a.dim), FC(2)
+    aa = a.adjoint()
+    left, right = mul(aa, a), mul(a, aa)
     return from_blocks([
-        [mul(a, a.adjoint()).scaled(two) - e, mul(a, gl).scaled(two)],
-        [mul(a.adjoint(), gr).scaled(two), e - mul(a.adjoint(), a).scaled(two)],
+        [right.scaled(two) - e, mul(a, sqrt_exact(e - left)).scaled(two)],
+        [mul(aa, sqrt_exact(e - right)).scaled(two), e - left.scaled(two)],
     ])
 
 
@@ -508,32 +501,33 @@ def calkin_boundary(v: ShiftAlgElement, i) -> CalkinBoundaryResult:
 
 def exact_invariant(x: ShiftAlgElement, j):
     """Complete invariant of a class-j element of the compacts' unitization
-    whose symbol is the neutral stack: computed from the finite window."""
-    d = x.dim
-    w = max(x.window, 1)
-    if j in (0, 4, "KU0"):
+    whose symbol is the neutral stack: the class table's invariant over a
+    point, computed from the finite window; ("trivial", 0) where that group
+    is zero."""
+    spec = class_spec(j)
+    if spec["point"] is None:
+        return "trivial", 0
+    kind = spec["point"][0]
+    if kind in ("half_trace", "quarter_trace"):
         # rank defect of the negative band against the scalar reference:
         # -tr(u - lambda)/2 (or /4), so the shift-index image is +1
         tr = sum(x.corr.diagonal(), FC_ZERO)
-        denom = class_spec(j)["mult"]
+        denom = spec["mult"]
         if tr.im != 0 or tr.re % denom != 0:
             raise ValueError("window trace is not an integral invariant")
         name = "half_window_trace" if denom == 2 else "quarter_window_trace"
         return name, -int(tr.re / denom)
+    w = max(x.window, 1)
     m = x.truncation(w)
-    if j in (1, "KU1"):
+    if kind == "det_parity":
         dt = _exact_det(m)
         if dt.im != 0 or abs(dt.re) != 1:
             raise ValueError("window determinant is not a sign")
-        return "det_parity", (1 - int(dt.re)) // 2
-    if j == 2 or j == 6:
-        ratio = _exact_pfaffian(m) / _exact_pfaffian(neutral_exact(2, w * d // 2))
-        if ratio.im != 0 or abs(ratio.re) != 1:
-            raise ValueError("window pfaffian ratio is not a sign")
-        return "pf_parity", (1 - int(ratio.re)) // 2
-    if j in (-1, 3, 5):
-        return "trivial", 0
-    raise KeyError(j)
+        return kind, (1 - int(dt.re)) // 2
+    ratio = _exact_pfaffian(m) / _exact_pfaffian(neutral_exact(j, w * x.dim // 2))
+    if ratio.im != 0 or abs(ratio.re) != 1:
+        raise ValueError("window pfaffian ratio is not a sign")
+    return kind, (1 - int(ratio.re)) // 2
 
 
 def _gmul(ar, ai, br, bi):

@@ -89,6 +89,17 @@ def test_boundary_toeplitz(tmp_path, capsys):
     assert res["class"] == 1 and res["signature"] == {"det_parity": 1}
 
 
+@pytest.mark.parametrize("name", ["x0", "x3", "x5", "x6", "sphere_ko0",
+                                  "sphere_ko6", "sphere3_ko5"])
+def test_boundary_basepoint_not_skew_exits_membership(name, tmp_path, capsys):
+    # class 2 reads the Pfaffian of the pinned basepoint value, which these
+    # elements of even dimension do not make skew
+    p = tmp_path / "u.json"
+    assert run(["catalog", "--emit", name, "--resolution", "16", "--out", str(p)]) == 0
+    assert run(["boundary", str(p), "--ses", "circle-id", "--class", "2"]) == 2
+    assert "skew" in capsys.readouterr().err
+
+
 def test_io_error_exit_codes(tmp_path):
     assert run(["classify", str(tmp_path / "missing.json")]) == 4
     bad = tmp_path / "junk.json"

@@ -7,7 +7,8 @@ from tenfold.basespace import (FnElement, constant_element, lambda_eval,
 from tenfold.invariants import signature
 from tenfold.symclass import (CLASS_IDS, add, build_u,
                               check_membership, check_qc_relations,
-                              class_structure, forget_to_ku, gamma_double,
+                              class_spec, class_structure, complex_class,
+                              forget_to_ku, gamma_double,
                               inverse, iota_interleaved, neutral,
                               normalize_lambda, stabilize, to_projection)
 
@@ -133,6 +134,30 @@ def test_forget_to_ku(name, ku):
     rep = catalog.generator(name, 32)
     out = forget_to_ku(rep)
     assert out.ok and out.class_id == ku
+
+
+def test_complex_class_by_self_adjointness():
+    assert [complex_class(i) for i in CLASS_IDS] == [
+        "KU1", "KU0", "KU1", "KU0", "KU1", "KU0", "KU1", "KU0", "KU0", "KU1"]
+
+
+# one pinned basepoint value per kind of point invariant, and one class
+# whose group over a point is zero
+@pytest.mark.parametrize("i,value,ok,detail", [
+    (0, np.eye(2), False, "half_trace=1.000"),
+    ("KU0", neutral(0, 1), True, "half_trace=0.000"),
+    (4, -np.eye(4), False, "quarter_trace=-1.000"),
+    (1, -np.eye(1), False, "det=-1.000+0.000j"),
+    (2, neutral(2, 1), True, "pf_ratio=1.000+0.000j"),
+    (6, neutral(6, 1), True, "free"),
+])
+def test_lambda_detail_per_point_invariant(i, value, ok, detail):
+    base = with_pinned(POINT, "basepoint")
+    rep = check_membership(constant_element(base, np.asarray(value, complex)), i)
+    assert rep.ok == ok
+    assert rep.residuals["lambda_detail"] == detail
+    assert rep.residuals["lambda_class"] == (0.0 if ok else 1.0)
+    assert (class_spec(i)["point"] is None) == (detail == "free")
 
 
 def test_forget_half_trace_matches():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tenfold import toeplitz as tp
+from tenfold import catalog, toeplitz as tp
+from tenfold.boundary import TARGET, symmetrize_lift
+from tenfold.symclass import CLASS_IDS, class_spec
 
 
 S = tp.shift()
@@ -409,3 +411,29 @@ def test_mul_window_bound_and_associativity(window, span):
         want = tp._odot(x.truncation(big), y.truncation(big))[: n * dim, : n * dim]
         assert tp._oequal(xy.truncation(n), want)
         assert tp.mul(xy, z) == tp.mul(x, tp.mul(y, z))
+
+
+# -- class rules shared with the grid path ----------------------------------------
+
+def test_trivial_exact_targets():
+    # KO_j of the compacts is KO_j(R): zero for j = -1, 3, 5, 6 and K_1 = 0,
+    # so the invariants of these targets carry no coordinate
+    cases = [(catalog.generator("shift_u_k2"), "KU0"),
+             (tp.from_blocks([[Z0, S], [S.adjoint(), Z0]]), -1),
+             (tp.from_blocks([[Z0, S], [S.adjoint(), Z0]]), "KU0")]
+    for v, i in cases:
+        res = tp.calkin_boundary(v, i)
+        assert (res.invariant_name, res.invariant) == ("trivial", 0)
+        assert res.class_id == TARGET[i]
+
+
+@pytest.mark.parametrize("i", CLASS_IDS)
+def test_exact_and_grid_symmetrization_agree(i):
+    rng = np.random.default_rng(300 + CLASS_IDS.index(i))
+    mult = class_spec(i)["mult"]
+    for dim in (mult, 2 * mult):
+        for _ in range(2):
+            x = _random_element(rng, dim, int(rng.integers(2)), int(rng.integers(3)))
+            got = tp.symbol_map(tp.symmetrize_exact(x, i), 16).values
+            want = symmetrize_lift(tp.symbol_map(x, 16), i).values
+            assert np.max(np.abs(got - want)) <= 1e-12
