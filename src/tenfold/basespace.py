@@ -230,10 +230,6 @@ class FnElement:
     def adjoint(self) -> "FnElement":
         return FnElement(self.base, np.conj(np.swapaxes(self.values, 1, 2)))
 
-    def matmul(self, other: "FnElement") -> "FnElement":
-        _same_base(self, other)
-        return FnElement(self.base, self.values @ other.values)
-
     def __add__(self, other):
         _same_base(self, other)
         return FnElement(self.base, self.values + other.values)
@@ -307,7 +303,7 @@ def scalar_algebra(base: BaseSpace) -> Algebra:
     return Algebra(base)
 
 
-def apply_full_involution(u: FnElement, minv, algebra: Algebra = None) -> FnElement:
+def apply_full_involution(u: FnElement, minv) -> FnElement:
     """(u^tau)(p) = S u(inv(p))^T S^{-1}: point permutation plus structure."""
     if isinstance(minv, str):
         s = matcore.involution_matrix(minv, u.dim)

@@ -121,16 +121,13 @@ class BoundaryResult:
 
 
 def boundary_map(u: FnElement, i, ses: SESDescriptor,
-                 lift_strategy: str = "natural", algebra: Algebra = None,
-                 tol: float = 1e-9) -> BoundaryResult:
+                 lift_strategy: str = "natural", tol: float = 1e-9) -> BoundaryResult:
     """Index map of class i for the given short exact sequence.
 
     The input lives over the quotient space and must pass class-i
     membership there; the output is a checked class-(i-1) representative
     over the ideal, with neutral values on the closed set.
     """
-    if algebra is not None and algebra.dim_alg != 1:
-        raise MembershipError("grid boundary maps support scalar algebras only")
     quot_alg = scalar_algebra(ses.quotient)
     require_membership(u, i, quot_alg, tol)
     if u.base != ses.quotient:

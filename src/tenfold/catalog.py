@@ -2,21 +2,36 @@
 the library ships, each returned as a checked class representative with a
 frozen expected signature.
 
-Grid entries are validated through membership plus signature; the four
-Calkin-picture entries and the four shift-class entries are exact.
+One registry, `ENTRIES`: each row names its class, its space and its
+builder.  A grid row's space `kind[/involution][@1|@0]` is the base its
+builder evaluates on (`_base`); the four Calkin-picture rows
+(`shift-algebra`) and the four shift-class rows (`calkin-quotient`) are
+exact and build without a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 import numpy as np
 
 from . import matcore, toeplitz
-from .basespace import Algebra, FnElement, sample_space, with_pinned
+from .basespace import Algebra, BaseSpace, FnElement, sample_space, with_pinned
 from .invariants import signature
 from .symclass import KOClassRep, check_membership
 
 DEFAULT_RES = 64
+# an integer resolution on the 3-sphere means this many steps per angle: the
+# winding integral costs the cube of it, and 20 already reads the degree
+SPHERE3_RES = 20
+# residuals of the generators are roundoff; anything above this is a defect
+MEMBERSHIP_TOL = 1e-10
+# exact space -> (membership check, what the check is called)
+_EXACT_CHECKS = {
+    "shift-algebra": (toeplitz.check_membership_exact, "exact membership"),
+    "calkin-quotient": (toeplitz.check_membership_quotient,
+                        "exact quotient membership"),
+}
 
 
 @dataclass
@@ -24,25 +39,35 @@ class CatalogEntry:
     name: str
     class_id: object
     space: str
+    build: Callable  # grid rows: base -> (values, Algebra); exact: () -> element
     description: str
     expected: tuple
     torsion: bool = False
-    exact: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.space in _EXACT_CHECKS
 
 
-def _circle(involution, resolution, pinned=None):
-    base = sample_space("circle", resolution, involution)
-    if pinned:
-        base = with_pinned(base, pinned)
-    return base
-
-
-def _interval(resolution):
-    return with_pinned(sample_space("interval", resolution), "basepoint")
+def _base(space: str, resolution) -> BaseSpace:
+    """The grid a row's space names; an @ suffix pins the basepoint (t = 0
+    on the interval, hence @0 there)."""
+    kind, _, pin = space.partition("@")
+    kind, _, involution = kind.partition("/")
+    if kind == "sphere3" and not isinstance(resolution, tuple):
+        resolution = SPHERE3_RES
+    base = sample_space(kind, resolution, involution or "id")
+    return with_pinned(base, "basepoint") if pin else base
 
 
 def _zvals(base):
     return base.points[:, 0] + 1j * base.points[:, 1]
+
+
+def _constant(m):
+    m = np.asarray(m, dtype=complex)
+    return lambda base: (np.broadcast_to(m, (base.npoints,) + m.shape).copy(),
+                         Algebra(base))
 
 
 # -- interval (cone-algebra) generators ---------------------------------------
@@ -62,7 +87,7 @@ def _x0_values(base):
 
 def qc_generators(resolution: int = DEFAULT_RES):
     """The canonical (h, x, k) triple satisfying the cone-algebra relations."""
-    base = _interval(resolution)
+    base = _base("interval@0", resolution)
     t = base.points[:, 0]
     h = np.zeros((base.npoints, 2, 2), dtype=complex)
     k = np.zeros((base.npoints, 2, 2), dtype=complex)
@@ -73,28 +98,21 @@ def qc_generators(resolution: int = DEFAULT_RES):
     return FnElement(base, h), FnElement(base, x), FnElement(base, k)
 
 
-def _build_x0(resolution):
-    base = _interval(resolution)
-    alg = Algebra(base, 2, np.eye(2, dtype=complex), "qc2-tr")
-    return FnElement(base, _x0_values(base)), 0, alg
+def _x0(base):
+    return _x0_values(base), Algebra(base, 2, np.eye(2, dtype=complex), "qc2-tr")
 
 
-def _build_x2(resolution):
-    base = _interval(resolution)
+def _x2(base):
     w = matcore.conjugator_w(2)
-    vals = w @ _x0_values(base) @ w.conj().T
-    alg = Algebra(base, 2, matcore.J2, "qc2-sharp")
-    return FnElement(base, vals), 2, alg
+    return (w @ _x0_values(base) @ w.conj().T,
+            Algebra(base, 2, matcore.J2, "qc2-sharp"))
 
 
-def _build_x6(resolution):
-    base = _interval(resolution)
-    alg = Algebra(base, 2, matcore.SWAP2, "qc2-trt")
-    return FnElement(base, _x0_values(base)), 6, alg
+def _x6(base):
+    return _x0_values(base), Algebra(base, 2, matcore.SWAP2, "qc2-trt")
 
 
-def _build_x4(resolution):
-    base = _interval(resolution)
+def _x4(base):
     x0 = _x0_values(base)
     pad = np.diag([1.0 + 0j, 1.0, -1.0, -1.0])
     vals = np.zeros((base.npoints, 8, 8), dtype=complex)
@@ -102,143 +120,94 @@ def _build_x4(resolution):
     vals[:, 4:, 4:] = pad
     qhat = np.kron(matcore.conjugator_q(1), np.eye(2, dtype=complex))
     vals = qhat @ vals @ qhat.conj().T
-    alg = Algebra(base, 2, np.kron(matcore.J2, np.eye(2, dtype=complex)), "m2qc2")
-    return FnElement(base, vals), 4, alg
+    return vals, Algebra(base, 2, np.kron(matcore.J2, np.eye(2, dtype=complex)),
+                         "m2qc2")
 
 
-def _build_x_odd_scalar(resolution, involution, class_id):
-    base = _circle(involution, resolution, "basepoint")
-    z = _zvals(base)
-    return (FnElement(base, z[:, None, None] * np.eye(1)[None]), class_id,
-            Algebra(base))
+# -- circle generators ------------------------------------------------------------
+
+def _identity_loop(base):
+    return _zvals(base)[:, None, None] * np.eye(1)[None], Algebra(base)
 
 
-def _build_x_odd_quaternionic(resolution, involution, class_id):
-    base = _circle(involution, resolution, "basepoint")
-    z = _zvals(base)
+def _quaternionic_loop(base):
     q = matcore.conjugator_q(1)
     vals = np.zeros((base.npoints, 4, 4), dtype=complex)
     vals[:] = np.eye(4)
-    vals[:, 0, 0] = z
-    vals = q @ vals @ q.conj().T
-    alg = Algebra(base, 2, matcore.J2, "m2")
-    return FnElement(base, vals), class_id, alg
+    vals[:, 0, 0] = _zvals(base)
+    return q @ vals @ q.conj().T, Algebra(base, 2, matcore.J2, "m2")
 
 
-# -- constant generators over a point ------------------------------------------
-
-def _build_const(m, class_id):
-    base = sample_space("point")
-    return (FnElement(base, np.asarray(m, dtype=complex)[None]), class_id,
-            Algebra(base))
+def _double_loop(base):
+    return (_zvals(base) ** 2)[:, None, None] * np.eye(1)[None], Algebra(base)
 
 
-# -- sphere generators ----------------------------------------------------------
-
-def _build_sphere(class_id, involution, resolution):
-    base = with_pinned(sample_space("sphere2", resolution, involution), "basepoint")
-    x, y, z = base.points.T
-    vals = np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
-    return FnElement(base, vals.transpose(2, 0, 1).copy()), class_id, Algebra(base)
-
-
-def _build_sphere3(resolution):
-    base = with_pinned(sample_space("sphere3", resolution), "basepoint")
-    x, y, z, w = base.points.T
-    vals = np.array([[1j * z - w, 1j * x + y], [1j * x - y, -1j * z - w]])
-    return FnElement(base, vals.transpose(2, 0, 1).copy()), 5, Algebra(base)
-
-
-# -- circle generators, antipodal involution ------------------------------------
-
-def _build_sigma(resolution, which):
-    base = _circle("sigma", resolution)
-    z = _zvals(base)
-    n = base.npoints
-    if which == -1:
-        vals = (z ** 2)[:, None, None] * np.eye(1)[None]
-        cls = -1
-    elif which == 0:
-        vals = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-        cls = 0
-    elif which == 1:
-        vals = np.full((n, 1, 1), -1.0 + 0j)
-        cls = 1
-    elif which == 3:
-        vals = np.zeros((n, 2, 2), dtype=complex)
+def _diag_z(low):
+    def build(base):
+        z = _zvals(base)
+        vals = np.zeros((base.npoints, 2, 2), dtype=complex)
         vals[:, 0, 0] = z
-        vals[:, 1, 1] = -z
-        cls = 3
-    elif which == 4:
+        vals[:, 1, 1] = low(z)
+        return vals, Algebra(base)
+    return build
+
+
+def _reflection_block(base):
+    x, y = base.points[:, 0], base.points[:, 1]
+    vals = np.zeros((base.npoints, 4, 4), dtype=complex)
+    vals[:, 0, 0] = 1.0
+    vals[:, 1, 1] = 1.0
+    vals[:, 2, 2] = x
+    vals[:, 2, 3] = y
+    vals[:, 3, 2] = y
+    vals[:, 3, 3] = -x
+    return vals, Algebra(base)
+
+
+def _imaginary_reflection(s):
+    # paper prints both corner entries as +y, which is not unitary off the
+    # fixed points; the trace-free version is
+    def build(base):
         x, y = base.points[:, 0], base.points[:, 1]
-        vals = np.zeros((n, 4, 4), dtype=complex)
-        vals[:, 0, 0] = 1.0
-        vals[:, 1, 1] = 1.0
-        vals[:, 2, 2] = x
-        vals[:, 2, 3] = y
-        vals[:, 3, 2] = y
-        vals[:, 3, 3] = -x
-        cls = 4
-    elif which == 5:
-        # paper prints diag(z, conj(z)), which misses the symmetry by a
-        # sign; diag(z, -conj(z)) satisfies it exactly
-        vals = np.zeros((n, 2, 2), dtype=complex)
-        vals[:, 0, 0] = z
-        vals[:, 1, 1] = -np.conj(z)
-        cls = 5
-    else:
-        raise KeyError(which)
-    return FnElement(base, vals), cls, Algebra(base)
-
-
-# -- circle generators, conjugation involution -----------------------------------
-
-def _build_zeta(resolution, which):
-    base = _circle("zeta", resolution)
-    z = _zvals(base)
-    n = base.npoints
-    top = np.arange(n) <= n // 2
-    if which == "k0":
-        return (FnElement(base, np.broadcast_to(np.eye(2, dtype=complex),
-                                                (n, 2, 2)).copy()), 0,
-                Algebra(base))
-    if which == "k1":
-        return FnElement(base, z[:, None, None] * np.eye(1)[None]), 1, Algebra(base)
-    if which == "k1t":
-        return FnElement(base, np.full((n, 1, 1), -1.0 + 0j)), 1, Algebra(base)
-    if which in ("k2", "k2b"):
-        # paper prints both corner entries as +y, which is not unitary off
-        # the fixed points; the trace-free version is
-        s = 1.0 if which == "k2" else -1.0
-        x, y = base.points[:, 0], base.points[:, 1]
-        vals = np.zeros((n, 2, 2), dtype=complex)
+        vals = np.zeros((base.npoints, 2, 2), dtype=complex)
         vals[:, 0, 0] = y
         vals[:, 0, 1] = s * 1j * x
         vals[:, 1, 0] = -s * 1j * x
         vals[:, 1, 1] = -y
-        return FnElement(base, vals), 2, Algebra(base)
-    if which in ("k3", "k5"):
+        return vals, Algebra(base)
+    return build
+
+
+def _half_arc(low):
+    def build(base):
+        n = base.npoints
+        top = np.arange(n) <= n // 2
+        zz = _zvals(base) ** 2
         vals = np.zeros((n, 2, 2), dtype=complex)
-        zz = z ** 2
-        low = np.conj(zz) if which == "k3" else zz
         vals[:, 0, 0] = np.where(top, zz, 1.0)
-        vals[:, 1, 1] = np.where(top, 1.0, low)
-        return (FnElement(base, vals), 3 if which == "k3" else 5, Algebra(base))
-    if which == "k4":
-        return (FnElement(base, np.broadcast_to(np.eye(4, dtype=complex),
-                                                (n, 4, 4)).copy()), 4,
-                Algebra(base))
-    raise KeyError(which)
+        vals[:, 1, 1] = np.where(top, 1.0, low(zz))
+        return vals, Algebra(base)
+    return build
 
 
-# -- torus generator --------------------------------------------------------------
+# -- sphere and torus generators ---------------------------------------------------
 
-def torus_bott(resolution=DEFAULT_RES) -> KOClassRep:
-    """Two-torus Bott-type generator: a traceless self-adjoint unitary whose
-    off-diagonal profile is carried by a bump on one half of the first
-    circle and by a conj(w)-twisted bump on the other, so its projection
-    has unit Chern number."""
-    base = sample_space("torus2", resolution)
+def _band_flattening(base):
+    x, y, z = base.points.T
+    vals = np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
+    return vals.transpose(2, 0, 1).copy(), Algebra(base)
+
+
+def _sphere3_loop(base):
+    x, y, z, w = base.points.T
+    vals = np.array([[1j * z - w, 1j * x + y], [1j * x - y, -1j * z - w]])
+    return vals.transpose(2, 0, 1).copy(), Algebra(base)
+
+
+def _torus_bott(base):
+    """A traceless self-adjoint unitary whose off-diagonal profile is carried
+    by a bump on one half of the first circle and by a conj(w)-twisted bump
+    on the other, so its projection has unit Chern number."""
     t1 = base.points[:, 0]
     w = np.exp(1j * base.points[:, 1])
     alpha = np.cos(t1)
@@ -250,165 +219,137 @@ def torus_bott(resolution=DEFAULT_RES) -> KOClassRep:
     vals[:, 0, 1] = gamma
     vals[:, 1, 0] = np.conj(gamma)
     vals[:, 1, 1] = -alpha
-    rep = check_membership(FnElement(base, vals), 6, Algebra(base))
-    if not rep.ok:
-        raise AssertionError("torus generator failed its membership check")
-    return rep
+    return vals, Algebra(base)
 
 
-# -- exact Calkin-picture generators ----------------------------------------------
-
-def _calkin_w(which):
-    tp = toeplitz
-    one, e, z0 = tp.one(1), tp.rank_one_e(), tp.zero(1)
-    two = tp.FC(2)
-    i = tp.FC_I
-    if which == 0:
-        return tp.from_blocks([[one, z0], [z0, e.scaled(two) - one]])
-    if which == 1:
-        return one - e.scaled(two)
-    if which == 2:
-        return tp.from_blocks([[z0, (one - e.scaled(two)).scaled(i)],
-                               [(e.scaled(two) - one).scaled(i), z0]])
-    if which == 4:
-        return tp.from_blocks(
-            [[one, z0, z0, z0], [z0, one, z0, z0],
-             [z0, z0, e.scaled(two) - one, z0],
-             [z0, z0, z0, e.scaled(two) - one]])
-    raise KeyError(which)
+def torus_bott(resolution=DEFAULT_RES) -> KOClassRep:
+    """Two-torus Bott-type generator (class 6)."""
+    return generator("torus_bott", resolution)
 
 
-def _shift_v(which):
-    tp = toeplitz
-    s, z0 = tp.shift(), tp.zero(1)
-    i = tp.FC_I
-    if which == 1:
-        return s
-    if which == 2:
-        return tp.from_blocks([[z0, s.scaled(i)],
-                               [s.adjoint().scaled(tp.FC(0, -1)), z0]])
-    if which == 3:
-        return tp.from_blocks([[s, z0], [z0, s.adjoint()]])
-    if which == 5:
-        return tp.from_blocks([[s, z0], [z0, s]])
-    raise KeyError(which)
+# -- exact Calkin-picture and shift-class generators --------------------------------
+
+def _calkin_parts():
+    """1, 2e and 0 of the shift algebra, e the rank-one projection."""
+    return (toeplitz.one(1), toeplitz.rank_one_e().scaled(toeplitz.FC(2)),
+            toeplitz.zero(1))
+
+
+def _calkin_k0():
+    one, e2, z0 = _calkin_parts()
+    return toeplitz.from_blocks([[one, z0], [z0, e2 - one]])
+
+
+def _calkin_k1():
+    one, e2, _ = _calkin_parts()
+    return one - e2
+
+
+def _calkin_k2():
+    one, e2, z0 = _calkin_parts()
+    i = toeplitz.FC_I
+    return toeplitz.from_blocks([[z0, (one - e2).scaled(i)],
+                                 [(e2 - one).scaled(i), z0]])
+
+
+def _calkin_k4():
+    one, e2, z0 = _calkin_parts()
+    return toeplitz.from_blocks([[one, z0, z0, z0], [z0, one, z0, z0],
+                                 [z0, z0, e2 - one, z0], [z0, z0, z0, e2 - one]])
+
+
+def _shift_k2():
+    s, z0 = toeplitz.shift(), toeplitz.zero(1)
+    return toeplitz.from_blocks([[z0, s.scaled(toeplitz.FC_I)],
+                                 [s.adjoint().scaled(toeplitz.FC(0, -1)), z0]])
+
+
+def _shift_k3():
+    s, z0 = toeplitz.shift(), toeplitz.zero(1)
+    return toeplitz.from_blocks([[s, z0], [z0, s.adjoint()]])
+
+
+def _shift_k5():
+    s, z0 = toeplitz.shift(), toeplitz.zero(1)
+    return toeplitz.from_blocks([[s, z0], [z0, s]])
 
 
 # -- registry ----------------------------------------------------------------------
 
-_GRID_BUILDERS = {
-    "x-1": lambda r: _build_x_odd_scalar(r, "id", -1),
-    "x0": _build_x0,
-    "x1": lambda r: _build_x_odd_scalar(r, "zeta", 1),
-    "x2": _build_x2,
-    "x3": lambda r: _build_x_odd_quaternionic(r, "id", 3),
-    "x4": _build_x4,
-    "x5": lambda r: _build_x_odd_quaternionic(r, "zeta", 5),
-    "x6": _build_x6,
-    "const_k0": lambda r: _build_const(np.eye(2), 0),
-    "const_k1": lambda r: _build_const([[-1.0]], 1),
-    "const_k2": lambda r: _build_const([[0, -1j], [1j, 0]], 2),
-    "const_k4": lambda r: _build_const(np.eye(4), 4),
-    "sphere_ko0": lambda r: _build_sphere(0, "zeta", r),
-    "sphere_ko6": lambda r: _build_sphere(6, "id", r),
-    "sphere3_ko5": lambda r: _build_sphere3(r if isinstance(r, tuple) else 20),
-    "circle_sigma_km1": lambda r: _build_sigma(r, -1),
-    "circle_sigma_k0": lambda r: _build_sigma(r, 0),
-    "circle_sigma_k1": lambda r: _build_sigma(r, 1),
-    "circle_sigma_k3": lambda r: _build_sigma(r, 3),
-    "circle_sigma_k4": lambda r: _build_sigma(r, 4),
-    "circle_sigma_k5": lambda r: _build_sigma(r, 5),
-    "circle_zeta_k0": lambda r: _build_zeta(r, "k0"),
-    "circle_zeta_k1": lambda r: _build_zeta(r, "k1"),
-    "circle_zeta_k1_torsion": lambda r: _build_zeta(r, "k1t"),
-    "circle_zeta_k2": lambda r: _build_zeta(r, "k2"),
-    "circle_zeta_k2b": lambda r: _build_zeta(r, "k2b"),
-    "circle_zeta_k3": lambda r: _build_zeta(r, "k3"),
-    "circle_zeta_k4": lambda r: _build_zeta(r, "k4"),
-    "circle_zeta_k5": lambda r: _build_zeta(r, "k5"),
-}
-
-ENTRIES = {
-    "x-1": CatalogEntry("x-1", -1, "circle/id@1", "identity loop", (1,)),
-    "x0": CatalogEntry("x0", 0, "interval@0", "cone-relation unitary", (-1,)),
-    "x1": CatalogEntry("x1", 1, "circle/zeta@1", "identity loop", (1,)),
-    "x2": CatalogEntry("x2", 2, "interval@0",
-                       "frame-rotated cone unitary", (-1,)),
-    "x3": CatalogEntry("x3", 3, "circle/id@1",
-                       "quaternionic-frame loop", (1,)),
-    "x4": CatalogEntry("x4", 4, "interval@0",
-                       "quaternionic cone unitary", (-1,)),
-    "x5": CatalogEntry("x5", 5, "circle/zeta@1",
-                       "quaternionic-frame loop", (1,)),
-    "x6": CatalogEntry("x6", 6, "interval@0",
-                       "cone unitary, swapped-transpose form", (-1,)),
-    "const_k0": CatalogEntry("const_k0", 0, "point", "constant 1_2", (1,)),
-    "const_k1": CatalogEntry("const_k1", 1, "point", "constant -1", (1,),
-                             torsion=True),
-    "const_k2": CatalogEntry("const_k2", 2, "point", "constant -I2", (1,),
-                             torsion=True),
-    "const_k4": CatalogEntry("const_k4", 4, "point", "constant 1_4", (1,)),
-    "sphere_ko0": CatalogEntry("sphere_ko0", 0, "sphere2/zeta@1",
-                               "degree-one band flattening", (-1, 0)),
-    "sphere_ko6": CatalogEntry("sphere_ko6", 6, "sphere2/id@1",
-                               "degree-one band flattening", (-1,)),
-    "sphere3_ko5": CatalogEntry("sphere3_ko5", 5, "sphere3/id@1",
-                                "degree-one 3-sphere loop (derived invariant)",
-                                (-1,)),
-    "circle_sigma_km1": CatalogEntry("circle_sigma_km1", -1, "circle/sigma",
-                                     "antipodally even double loop", (1,)),
-    "circle_sigma_k0": CatalogEntry("circle_sigma_k0", 0, "circle/sigma",
-                                    "constant 1_2", (1,)),
-    "circle_sigma_k1": CatalogEntry("circle_sigma_k1", 1, "circle/sigma",
-                                    "constant -1", (1,), torsion=True),
-    "circle_sigma_k3": CatalogEntry("circle_sigma_k3", 3, "circle/sigma",
-                                    "diag(z, -z)", (1,)),
-    "circle_sigma_k4": CatalogEntry("circle_sigma_k4", 4, "circle/sigma",
-                                    "reflection-block unitary", (1,)),
-    "circle_sigma_k5": CatalogEntry("circle_sigma_k5", 5, "circle/sigma",
-                                    "diag(z, -conj(z)) (sign-corrected)", (1,),
-                                    torsion=True),
-    "circle_zeta_k0": CatalogEntry("circle_zeta_k0", 0, "circle/zeta",
-                                   "constant 1_2", (1,)),
-    "circle_zeta_k1": CatalogEntry("circle_zeta_k1", 1, "circle/zeta",
-                                   "identity loop", (1, 0)),
-    "circle_zeta_k1_torsion": CatalogEntry("circle_zeta_k1_torsion", 1,
-                                           "circle/zeta", "constant -1",
-                                           (0, 1), torsion=True),
-    "circle_zeta_k2": CatalogEntry("circle_zeta_k2", 2, "circle/zeta",
-                                   "imaginary reflection loop", (0, 1),
-                                   torsion=True),
-    "circle_zeta_k2b": CatalogEntry("circle_zeta_k2b", 2, "circle/zeta",
-                                    "imaginary reflection loop, reversed",
-                                    (1, 0), torsion=True),
-    "circle_zeta_k3": CatalogEntry("circle_zeta_k3", 3, "circle/zeta",
-                                   "half-arc double loop", (1,), torsion=True),
-    "circle_zeta_k4": CatalogEntry("circle_zeta_k4", 4, "circle/zeta",
-                                   "constant 1_4", (1,)),
-    "circle_zeta_k5": CatalogEntry("circle_zeta_k5", 5, "circle/zeta",
-                                   "half-arc double loop", (1,)),
-    "torus_bott": CatalogEntry("torus_bott", 6, "torus2",
-                               "torus Bott-type generator", (1,)),
-    "calkin_k0": CatalogEntry("calkin_k0", 0, "shift-algebra",
-                              "diag(1, 2e-1)", (-1,), exact=True),
-    "calkin_k1": CatalogEntry("calkin_k1", 1, "shift-algebra",
-                              "1-2e", (1,), torsion=True, exact=True),
-    "calkin_k2": CatalogEntry("calkin_k2", 2, "shift-algebra",
-                              "off-diagonal i(1-2e)", (1,), torsion=True,
-                              exact=True),
-    "calkin_k4": CatalogEntry("calkin_k4", 4, "shift-algebra",
-                              "diag(1,1,2e-1,2e-1)", (-1,), exact=True),
-    "shift_u_k1": CatalogEntry("shift_u_k1", 1, "calkin-quotient",
-                               "shift symbol", (1, 0), exact=True),
-    "shift_u_k2": CatalogEntry("shift_u_k2", 2, "calkin-quotient",
-                               "off-diagonal i*shift", (0, 1), torsion=True,
-                               exact=True),
-    "shift_u_k3": CatalogEntry("shift_u_k3", 3, "calkin-quotient",
-                               "diag(shift, shift*)", (1,), torsion=True,
-                               exact=True),
-    "shift_u_k5": CatalogEntry("shift_u_k5", 5, "calkin-quotient",
-                               "diag(shift, shift)", (1,), exact=True),
-}
+_E = CatalogEntry
+ENTRIES = {e.name: e for e in (
+    _E("x-1", -1, "circle/id@1", _identity_loop, "identity loop", (1,)),
+    _E("x0", 0, "interval@0", _x0, "cone-relation unitary", (-1,)),
+    _E("x1", 1, "circle/zeta@1", _identity_loop, "identity loop", (1,)),
+    _E("x2", 2, "interval@0", _x2, "frame-rotated cone unitary", (-1,)),
+    _E("x3", 3, "circle/id@1", _quaternionic_loop, "quaternionic-frame loop",
+       (1,)),
+    _E("x4", 4, "interval@0", _x4, "quaternionic cone unitary", (-1,)),
+    _E("x5", 5, "circle/zeta@1", _quaternionic_loop, "quaternionic-frame loop",
+       (1,)),
+    _E("x6", 6, "interval@0", _x6, "cone unitary, swapped-transpose form",
+       (-1,)),
+    _E("const_k0", 0, "point", _constant(np.eye(2)), "constant 1_2", (1,)),
+    _E("const_k1", 1, "point", _constant([[-1.0]]), "constant -1", (1,),
+       torsion=True),
+    _E("const_k2", 2, "point", _constant([[0, -1j], [1j, 0]]), "constant -I2",
+       (1,), torsion=True),
+    _E("const_k4", 4, "point", _constant(np.eye(4)), "constant 1_4", (1,)),
+    _E("sphere_ko0", 0, "sphere2/zeta@1", _band_flattening,
+       "degree-one band flattening", (-1, 0)),
+    _E("sphere_ko6", 6, "sphere2/id@1", _band_flattening,
+       "degree-one band flattening", (-1,)),
+    _E("sphere3_ko5", 5, "sphere3/id@1", _sphere3_loop,
+       "degree-one 3-sphere loop (derived invariant)", (-1,)),
+    # antipodal involution
+    _E("circle_sigma_km1", -1, "circle/sigma", _double_loop,
+       "antipodally even double loop", (1,)),
+    _E("circle_sigma_k0", 0, "circle/sigma", _constant(np.eye(2)),
+       "constant 1_2", (1,)),
+    _E("circle_sigma_k1", 1, "circle/sigma", _constant([[-1.0]]),
+       "constant -1", (1,), torsion=True),
+    _E("circle_sigma_k3", 3, "circle/sigma", _diag_z(np.negative),
+       "diag(z, -z)", (1,)),
+    _E("circle_sigma_k4", 4, "circle/sigma", _reflection_block,
+       "reflection-block unitary", (1,)),
+    # paper prints diag(z, conj(z)), which misses the symmetry by a sign;
+    # diag(z, -conj(z)) satisfies it exactly
+    _E("circle_sigma_k5", 5, "circle/sigma", _diag_z(lambda z: -np.conj(z)),
+       "diag(z, -conj(z)) (sign-corrected)", (1,), torsion=True),
+    # conjugation involution
+    _E("circle_zeta_k0", 0, "circle/zeta", _constant(np.eye(2)),
+       "constant 1_2", (1,)),
+    _E("circle_zeta_k1", 1, "circle/zeta", _identity_loop, "identity loop",
+       (1, 0)),
+    _E("circle_zeta_k1_torsion", 1, "circle/zeta", _constant([[-1.0]]),
+       "constant -1", (0, 1), torsion=True),
+    _E("circle_zeta_k2", 2, "circle/zeta", _imaginary_reflection(1.0),
+       "imaginary reflection loop", (0, 1), torsion=True),
+    _E("circle_zeta_k2b", 2, "circle/zeta", _imaginary_reflection(-1.0),
+       "imaginary reflection loop, reversed", (1, 0), torsion=True),
+    _E("circle_zeta_k3", 3, "circle/zeta", _half_arc(np.conj),
+       "half-arc double loop", (1,), torsion=True),
+    _E("circle_zeta_k4", 4, "circle/zeta", _constant(np.eye(4)),
+       "constant 1_4", (1,)),
+    _E("circle_zeta_k5", 5, "circle/zeta", _half_arc(lambda zz: zz),
+       "half-arc double loop", (1,)),
+    _E("torus_bott", 6, "torus2", _torus_bott, "torus Bott-type generator",
+       (1,)),
+    _E("calkin_k0", 0, "shift-algebra", _calkin_k0, "diag(1, 2e-1)", (-1,)),
+    _E("calkin_k1", 1, "shift-algebra", _calkin_k1, "1-2e", (1,), torsion=True),
+    _E("calkin_k2", 2, "shift-algebra", _calkin_k2, "off-diagonal i(1-2e)",
+       (1,), torsion=True),
+    _E("calkin_k4", 4, "shift-algebra", _calkin_k4, "diag(1,1,2e-1,2e-1)",
+       (-1,)),
+    _E("shift_u_k1", 1, "calkin-quotient", toeplitz.shift, "shift symbol",
+       (1, 0)),
+    _E("shift_u_k2", 2, "calkin-quotient", _shift_k2, "off-diagonal i*shift",
+       (0, 1), torsion=True),
+    _E("shift_u_k3", 3, "calkin-quotient", _shift_k3, "diag(shift, shift*)",
+       (1,), torsion=True),
+    _E("shift_u_k5", 5, "calkin-quotient", _shift_k5, "diag(shift, shift)",
+       (1,)),
+)}
 
 
 def names():
@@ -421,24 +362,20 @@ def entry(name: str) -> CatalogEntry:
     return ENTRIES[name]
 
 
-def generator(name: str, resolution: int = DEFAULT_RES, tol: float = 1e-10):
+def generator(name: str, resolution: int = DEFAULT_RES):
     """Build a catalog element: a checked KOClassRep for grid entries, an
-    exact shift-algebra element for the Calkin-picture ones."""
+    exact shift-algebra element for the exact ones."""
     ent = entry(name)
-    if name.startswith("calkin_"):
-        el = _calkin_w(ent.class_id)
-        if not toeplitz.check_membership_exact(el, ent.class_id):
-            raise AssertionError(f"{name} failed exact membership")
+    if ent.exact:
+        check, what = _EXACT_CHECKS[ent.space]
+        el = ent.build()
+        if not check(el, ent.class_id):
+            raise AssertionError(f"{name} failed {what}")
         return el
-    if name.startswith("shift_u_"):
-        el = _shift_v(ent.class_id)
-        if not toeplitz.check_membership_quotient(el, ent.class_id):
-            raise AssertionError(f"{name} failed exact quotient membership")
-        return el
-    if name == "torus_bott":
-        return torus_bott(resolution)
-    u, cls, alg = _GRID_BUILDERS[name](resolution)
-    rep = check_membership(u, cls, alg, tol)
+    base = _base(ent.space, resolution)
+    vals, alg = ent.build(base)
+    rep = check_membership(FnElement(base, vals), ent.class_id, alg,
+                           MEMBERSHIP_TOL)
     if not rep.ok:
         raise AssertionError(f"{name} failed membership: {rep.residuals}")
     return rep
@@ -448,10 +385,10 @@ def generator_signature(name: str, resolution: int = DEFAULT_RES):
     """Computed signature values of a catalog element."""
     ent = entry(name)
     obj = generator(name, resolution)
-    if name.startswith("calkin_"):
+    if ent.space == "shift-algebra":
         _, val = toeplitz.exact_invariant(obj, ent.class_id)
         return (val,)
-    if name.startswith("shift_u_"):
+    if ent.space == "calkin-quotient":
         sym = toeplitz.symbol_map(obj, resolution)
         rep = check_membership(sym, ent.class_id)
         if not rep.ok:

@@ -20,8 +20,9 @@ import sys
 from . import catalog, serialize, toeplitz, verify
 from .basespace import SES_NAMES, ses_registry
 from .boundary import boundary_map
-from .invariants import catalog_has, signature
-from .symclass import CLASS_IDS, MembershipError, check_membership, parse_class
+from .invariants import InvariantError, catalog_has, signature
+from .symclass import (CLASS_IDS, MembershipError, check_membership, class_to_json,
+                       parse_class)
 
 EXIT_OK, EXIT_MEMBERSHIP, EXIT_UNSUPPORTED, EXIT_IO = 0, 2, 3, 4
 
@@ -72,10 +73,26 @@ def _parse_element(obj):
         raise SystemExit_(EXIT_IO, f"malformed element JSON: {exc}")
 
 
+def _parse_class(token):
+    try:
+        return parse_class(token)
+    except ValueError as exc:
+        raise SystemExit_(EXIT_IO, str(exc))
+
+
+def _signature(rep):
+    """The signature as JSON; an invariant that cannot be read at the
+    element's resolution is an unsupported pair."""
+    try:
+        return signature(rep).as_dict()
+    except InvariantError as exc:
+        raise SystemExit_(EXIT_UNSUPPORTED, f"cannot read the invariants: {exc}")
+
+
 def cmd_classify(args):
-    obj = _read_json(args.input)
-    u, alg = _parse_element(obj)
-    hints = [parse_class(args.class_id)] if args.class_id else list(CLASS_IDS)
+    hints = (list(CLASS_IDS) if args.class_id is None
+             else [_parse_class(args.class_id)])
+    u, alg = _parse_element(_read_json(args.input))
     report = {"base": serialize.base_to_json(u.base), "dim": u.dim, "classes": []}
     any_ok = False
     for i in hints:
@@ -83,10 +100,10 @@ def cmd_classify(args):
             rep = check_membership(u, i, alg, args.tol)
         except (MembershipError, ValueError):
             continue
-        row = {"class": i if isinstance(i, str) else int(i), "ok": bool(rep.ok),
+        row = {"class": class_to_json(i), "ok": bool(rep.ok),
                "residuals": _residuals_clean(rep.residuals)}
         if rep.ok and catalog_has(rep):
-            row["signature"] = signature(rep).as_dict()
+            row["signature"] = _signature(rep)
         report["classes"].append(row)
         any_ok = any_ok or rep.ok
     _write_out(report, args.out)
@@ -94,7 +111,7 @@ def cmd_classify(args):
 
 
 def cmd_boundary(args):
-    i = parse_class(args.class_id)
+    i = _parse_class(args.class_id)
     if args.ses == "toeplitz":
         try:
             el = toeplitz.element_from_json(_read_json(args.input))
@@ -105,8 +122,7 @@ def cmd_boundary(args):
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MEMBERSHIP
-        out = {"class": res.class_id if isinstance(res.class_id, str)
-               else int(res.class_id),
+        out = {"class": class_to_json(res.class_id),
                "element": toeplitz.element_to_json(res.element),
                "signature": {res.invariant_name: res.invariant}}
         _write_out(out, args.out)
@@ -124,12 +140,11 @@ def cmd_boundary(args):
         print(f"error: {exc} {getattr(exc, 'residuals', '')}", file=sys.stderr)
         return EXIT_MEMBERSHIP
     rep = res.rep
-    out = {"class": rep.class_id if isinstance(rep.class_id, str)
-           else int(rep.class_id),
+    out = {"class": class_to_json(rep.class_id),
            "residuals": _residuals_clean(res.residuals),
            "element": serialize.element_to_json(rep.element, rep.algebra)}
     if catalog_has(rep):
-        out["signature"] = signature(rep).as_dict()
+        out["signature"] = _signature(rep)
     _write_out(out, args.out)
     ok = all(v <= args.tol for v in res.residuals.values()
              if isinstance(v, float))
@@ -154,8 +169,7 @@ def cmd_catalog(args):
     for name in catalog.names():
         ent = catalog.entry(name)
         rows.append({"name": name,
-                     "class": ent.class_id if isinstance(ent.class_id, str)
-                     else int(ent.class_id),
+                     "class": class_to_json(ent.class_id),
                      "space": ent.space, "signature": list(ent.expected),
                      "torsion": ent.torsion, "exact": ent.exact,
                      "description": ent.description})

@@ -310,10 +310,6 @@ def _z2(sign: int) -> int:
     return (1 - sign) // 2
 
 
-def _mk(name, group, fn):
-    return (name, group, fn)
-
-
 def _bp(rep):
     return rep.base.basepoint
 
@@ -322,34 +318,36 @@ def _mid(rep):
     return rep.base.shape[0] // 2
 
 
+# invariant name -> (group, reader)
 _D = {
-    "half_trace": lambda rep: half_trace(rep.element, _bp(rep), rep.algebra),
-    "half_trace_0": lambda rep: half_trace(rep.element, 0, rep.algebra),
-    "half_trace_1": lambda rep: half_trace(rep.element, 1, rep.algebra),
-    "half_trace_mid": lambda rep: half_trace(rep.element, _mid(rep), rep.algebra),
-    "quarter_trace": lambda rep: quarter_trace(rep.element, _bp(rep), rep.algebra),
-    "quarter_trace_0": lambda rep: quarter_trace(rep.element, 0, rep.algebra),
-    "quarter_trace_1": lambda rep: quarter_trace(rep.element, 1, rep.algebra),
-    "det_parity": lambda rep: _z2(det_sign(rep.element, _bp(rep), rep.algebra)),
-    "det_parity_0": lambda rep: _z2(det_sign(rep.element, 0, rep.algebra)),
-    "det_parity_1": lambda rep: _z2(det_sign(rep.element, 1, rep.algebra)),
-    "pf_parity": lambda rep: _z2(pf_sign(rep.element, _bp(rep), rep.algebra)),
-    "pf_parity_0": lambda rep: _z2(pf_sign(rep.element, 0, rep.algebra)),
-    "pf_parity_1": lambda rep: _z2(pf_sign(rep.element, 1, rep.algebra)),
-    "pf_parity_mid": lambda rep: _z2(pf_sign(rep.element, _mid(rep), rep.algebra)),
-    "winding": lambda rep: winding_det(rep.element),
-    "winding_half": lambda rep: winding_half(rep.element, "top"),
-    "winding_half_bottom": lambda rep: winding_half(rep.element, "bottom"),
-    "winding_half_parity": lambda rep: winding_half(rep.element, "top") % 2,
-    "arc_winding": lambda rep: arc_winding_even(rep.element),
-    "arc_winding_det1": lambda rep: arc_winding_det1(rep.element),
-    "half_turn_parity": lambda rep: half_turn_parity(rep.element),
-    "sp_half_turn_parity": lambda rep: sp_half_turn_parity(rep.element),
-    "winding_pairs": lambda rep: winding_pairs(rep.element),
-    "chern": lambda rep: chern_of_projection(rep.element),
-    "winding3": lambda rep: winding3(rep.element),
-    "endpoint_half_trace": lambda rep: qc_half_trace(
-        rep.element, rep.algebra, _deconjugator(rep)),
+    "half_trace": ("Z", lambda rep: half_trace(rep.element, _bp(rep), rep.algebra)),
+    "half_trace_0": ("Z", lambda rep: half_trace(rep.element, 0, rep.algebra)),
+    "half_trace_1": ("Z", lambda rep: half_trace(rep.element, 1, rep.algebra)),
+    "quarter_trace": ("Z", lambda rep: quarter_trace(rep.element, _bp(rep),
+                                                     rep.algebra)),
+    "quarter_trace_0": ("Z", lambda rep: quarter_trace(rep.element, 0, rep.algebra)),
+    "quarter_trace_1": ("Z", lambda rep: quarter_trace(rep.element, 1, rep.algebra)),
+    "det_parity": ("Z2", lambda rep: _z2(det_sign(rep.element, _bp(rep),
+                                                  rep.algebra))),
+    "det_parity_0": ("Z2", lambda rep: _z2(det_sign(rep.element, 0, rep.algebra))),
+    "det_parity_1": ("Z2", lambda rep: _z2(det_sign(rep.element, 1, rep.algebra))),
+    "pf_parity": ("Z2", lambda rep: _z2(pf_sign(rep.element, _bp(rep), rep.algebra))),
+    "pf_parity_0": ("Z2", lambda rep: _z2(pf_sign(rep.element, 0, rep.algebra))),
+    "pf_parity_1": ("Z2", lambda rep: _z2(pf_sign(rep.element, 1, rep.algebra))),
+    "pf_parity_mid": ("Z2", lambda rep: _z2(pf_sign(rep.element, _mid(rep),
+                                                    rep.algebra))),
+    "winding": ("Z", lambda rep: winding_det(rep.element)),
+    "winding_half": ("Z", lambda rep: winding_half(rep.element, "top")),
+    "winding_half_bottom": ("Z", lambda rep: winding_half(rep.element, "bottom")),
+    "arc_winding": ("Z", lambda rep: arc_winding_even(rep.element)),
+    "arc_winding_det1": ("Z", lambda rep: arc_winding_det1(rep.element)),
+    "half_turn_parity": ("Z2", lambda rep: half_turn_parity(rep.element)),
+    "sp_half_turn_parity": ("Z2", lambda rep: sp_half_turn_parity(rep.element)),
+    "winding_pairs": ("Z", lambda rep: winding_pairs(rep.element)),
+    "chern": ("Z", lambda rep: chern_of_projection(rep.element)),
+    "winding3": ("Z", lambda rep: winding3(rep.element)),
+    "endpoint_half_trace": ("Z", lambda rep: qc_half_trace(
+        rep.element, rep.algebra, _deconjugator(rep))),
 }
 
 
@@ -366,15 +364,15 @@ def _deconjugator(rep):
     return None
 
 
-def _entry(*names_groups):
-    return tuple(_mk(n, g, _D[n]) for n, g in names_groups)
+def _entry(*names):
+    """(name, group, reader) triples of a row's invariants."""
+    return tuple((n,) + _D[n] for n in names)
 
 
 def _at_points(i, suffixes):
     """The class table's point invariant of class i, read at each point."""
     point = class_spec(i)["point"]
-    return () if point is None else _entry(*((point[0] + s, point[1])
-                                             for s in suffixes))
+    return () if point is None else _entry(*(point[0] + s for s in suffixes))
 
 
 CATALOG = {
@@ -383,82 +381,78 @@ CATALOG = {
     **{("twopoints", "id", "", "scalar", i): _at_points(i, ("_0", "_1"))
        for i in CLASS_IDS},
     # two points, swap involution
-    ("twopoints", "swap", "", "scalar", 0): _entry(("half_trace_0", "Z")),
-    ("twopoints", "swap", "", "scalar", 2): _entry(("half_trace_0", "Z")),
-    ("twopoints", "swap", "", "scalar", 4): _entry(("half_trace_0", "Z")),
-    ("twopoints", "swap", "", "scalar", 6): _entry(("half_trace_0", "Z")),
-    ("twopoints", "swap", "", "scalar", "KU0"): _entry(("half_trace_0", "Z"),
-                                                       ("half_trace_1", "Z")),
+    ("twopoints", "swap", "", "scalar", 0): _entry("half_trace_0"),
+    ("twopoints", "swap", "", "scalar", 2): _entry("half_trace_0"),
+    ("twopoints", "swap", "", "scalar", 4): _entry("half_trace_0"),
+    ("twopoints", "swap", "", "scalar", 6): _entry("half_trace_0"),
+    ("twopoints", "swap", "", "scalar", "KU0"): _entry("half_trace_0",
+                                                       "half_trace_1"),
     # circle, identity involution
-    ("circle", "id", "", "scalar", -1): _entry(("winding", "Z")),
-    ("circle", "id", "", "scalar", "KU1"): _entry(("winding", "Z")),
-    ("circle", "id", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
-    ("circle", "id", "@1", "scalar", -1): _entry(("winding", "Z")),
-    ("circle", "id", "@1", "scalar", "KU1"): _entry(("winding", "Z")),
-    ("circle", "id", "@1", "m2", 3): _entry(("winding", "Z")),
+    ("circle", "id", "", "scalar", -1): _entry("winding"),
+    ("circle", "id", "", "scalar", "KU1"): _entry("winding"),
+    ("circle", "id", "", "scalar", "KU0"): _entry("half_trace"),
+    ("circle", "id", "@1", "scalar", -1): _entry("winding"),
+    ("circle", "id", "@1", "scalar", "KU1"): _entry("winding"),
+    ("circle", "id", "@1", "m2", 3): _entry("winding"),
     # circle, conjugation involution
-    ("circle", "zeta", "", "scalar", 0): _entry(("half_trace", "Z")),
-    ("circle", "zeta", "", "scalar", 1): _entry(("winding", "Z"),
-                                                ("det_parity", "Z2")),
-    ("circle", "zeta", "", "scalar", 2): _entry(("pf_parity", "Z2"),
-                                                ("pf_parity_mid", "Z2")),
-    ("circle", "zeta", "", "scalar", 3): _entry(("sp_half_turn_parity", "Z2")),
-    ("circle", "zeta", "", "scalar", 4): _entry(("quarter_trace", "Z")),
-    ("circle", "zeta", "", "scalar", 5): _entry(("arc_winding_det1", "Z")),
-    ("circle", "zeta", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
-    ("circle", "zeta", "", "scalar", "KU1"): _entry(("winding", "Z")),
-    ("circle", "zeta", "@1", "scalar", 1): _entry(("winding", "Z")),
-    ("circle", "zeta", "@1", "scalar", "KU1"): _entry(("winding", "Z")),
-    ("circle", "zeta", "@1", "m2", 5): _entry(("winding", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", -1): _entry(("winding_half", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", 1): _entry(("winding_half", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", 3): _entry(("winding_half", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", 5): _entry(("winding_half", "Z")),
-    ("circle", "zeta", "@pm1", "scalar", "KU1"): _entry(
-        ("winding_half", "Z"), ("winding_half_bottom", "Z")),
+    ("circle", "zeta", "", "scalar", 0): _entry("half_trace"),
+    ("circle", "zeta", "", "scalar", 1): _entry("winding", "det_parity"),
+    ("circle", "zeta", "", "scalar", 2): _entry("pf_parity", "pf_parity_mid"),
+    ("circle", "zeta", "", "scalar", 3): _entry("sp_half_turn_parity"),
+    ("circle", "zeta", "", "scalar", 4): _entry("quarter_trace"),
+    ("circle", "zeta", "", "scalar", 5): _entry("arc_winding_det1"),
+    ("circle", "zeta", "", "scalar", "KU0"): _entry("half_trace"),
+    ("circle", "zeta", "", "scalar", "KU1"): _entry("winding"),
+    ("circle", "zeta", "@1", "scalar", 1): _entry("winding"),
+    ("circle", "zeta", "@1", "scalar", "KU1"): _entry("winding"),
+    ("circle", "zeta", "@1", "m2", 5): _entry("winding"),
+    ("circle", "zeta", "@pm1", "scalar", -1): _entry("winding_half"),
+    ("circle", "zeta", "@pm1", "scalar", 1): _entry("winding_half"),
+    ("circle", "zeta", "@pm1", "scalar", 3): _entry("winding_half"),
+    ("circle", "zeta", "@pm1", "scalar", 5): _entry("winding_half"),
+    ("circle", "zeta", "@pm1", "scalar", "KU1"): _entry("winding_half",
+                                                        "winding_half_bottom"),
     # circle, antipodal involution
-    ("circle", "sigma", "", "scalar", -1): _entry(("winding_pairs", "Z")),
-    ("circle", "sigma", "", "scalar", 0): _entry(("half_trace", "Z")),
-    ("circle", "sigma", "", "scalar", 1): _entry(("half_turn_parity", "Z2")),
-    ("circle", "sigma", "", "scalar", 3): _entry(("arc_winding", "Z")),
-    ("circle", "sigma", "", "scalar", 4): _entry(("half_trace", "Z")),
-    ("circle", "sigma", "", "scalar", 5): _entry(("half_turn_parity", "Z2")),
-    ("circle", "sigma", "", "scalar", "KU0"): _entry(("half_trace", "Z")),
-    ("circle", "sigma", "", "scalar", "KU1"): _entry(("winding", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", -1): _entry(("winding_half", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", 1): _entry(("winding_half", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", 3): _entry(("winding_half", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", 5): _entry(("winding_half", "Z")),
-    ("circle", "sigma", "@pm1", "scalar", "KU1"): _entry(
-        ("winding_half", "Z"), ("winding_half_bottom", "Z")),
+    ("circle", "sigma", "", "scalar", -1): _entry("winding_pairs"),
+    ("circle", "sigma", "", "scalar", 0): _entry("half_trace"),
+    ("circle", "sigma", "", "scalar", 1): _entry("half_turn_parity"),
+    ("circle", "sigma", "", "scalar", 3): _entry("arc_winding"),
+    ("circle", "sigma", "", "scalar", 4): _entry("half_trace"),
+    ("circle", "sigma", "", "scalar", 5): _entry("half_turn_parity"),
+    ("circle", "sigma", "", "scalar", "KU0"): _entry("half_trace"),
+    ("circle", "sigma", "", "scalar", "KU1"): _entry("winding"),
+    ("circle", "sigma", "@pm1", "scalar", -1): _entry("winding_half"),
+    ("circle", "sigma", "@pm1", "scalar", 1): _entry("winding_half"),
+    ("circle", "sigma", "@pm1", "scalar", 3): _entry("winding_half"),
+    ("circle", "sigma", "@pm1", "scalar", 5): _entry("winding_half"),
+    ("circle", "sigma", "@pm1", "scalar", "KU1"): _entry("winding_half",
+                                                         "winding_half_bottom"),
     # disk interiors
-    ("disk", "id", "@boundary", "scalar", 6): _entry(("chern", "Z")),
-    ("disk", "id", "@boundary", "scalar", 2): _entry(("chern", "Z")),
-    ("disk", "id", "@boundary", "scalar", "KU0"): _entry(("chern", "Z")),
-    ("disk", "zeta", "@boundary", "scalar", 0): _entry(("chern", "Z")),
-    ("disk", "zeta", "@boundary", "scalar", 6): _entry(("chern", "Z")),
-    ("disk", "zeta", "@boundary", "scalar", "KU0"): _entry(("chern", "Z")),
+    ("disk", "id", "@boundary", "scalar", 6): _entry("chern"),
+    ("disk", "id", "@boundary", "scalar", 2): _entry("chern"),
+    ("disk", "id", "@boundary", "scalar", "KU0"): _entry("chern"),
+    ("disk", "zeta", "@boundary", "scalar", 0): _entry("chern"),
+    ("disk", "zeta", "@boundary", "scalar", 6): _entry("chern"),
+    ("disk", "zeta", "@boundary", "scalar", "KU0"): _entry("chern"),
     # spheres
-    ("sphere2", "zeta", "@1", "scalar", 0): _entry(("chern", "Z"),
-                                                   ("half_trace", "Z")),
-    ("sphere2", "zeta", "@1", "scalar", "KU0"): _entry(("chern", "Z")),
-    ("sphere2", "id", "@1", "scalar", 6): _entry(("chern", "Z")),
-    ("sphere2", "id", "@1", "scalar", "KU0"): _entry(("chern", "Z")),
-    ("sphere3", "id", "@1", "scalar", 5): _entry(("winding3", "Z")),
-    ("sphere3", "id", "@1", "scalar", "KU1"): _entry(("winding3", "Z")),
+    ("sphere2", "zeta", "@1", "scalar", 0): _entry("chern", "half_trace"),
+    ("sphere2", "zeta", "@1", "scalar", "KU0"): _entry("chern"),
+    ("sphere2", "id", "@1", "scalar", 6): _entry("chern"),
+    ("sphere2", "id", "@1", "scalar", "KU0"): _entry("chern"),
+    ("sphere3", "id", "@1", "scalar", 5): _entry("winding3"),
+    ("sphere3", "id", "@1", "scalar", "KU1"): _entry("winding3"),
     # torus
-    ("torus2", "id", "", "scalar", 6): _entry(("chern", "Z")),
-    ("torus2", "id", "", "scalar", "KU0"): _entry(("chern", "Z"),
-                                                  ("half_trace", "Z")),
+    ("torus2", "id", "", "scalar", 6): _entry("chern"),
+    ("torus2", "id", "", "scalar", "KU0"): _entry("chern", "half_trace"),
     # interval algebras with 2x2 inner blocks
-    ("interval", "id", "@0", "qc2-tr", 0): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "qc2-tr", "KU0"): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "qc2-sharp", 2): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "qc2-sharp", "KU0"): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "qc2-trt", 6): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "qc2-trt", "KU0"): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "m2qc2", 4): _entry(("endpoint_half_trace", "Z")),
-    ("interval", "id", "@0", "m2qc2", "KU0"): _entry(("endpoint_half_trace", "Z")),
+    ("interval", "id", "@0", "qc2-tr", 0): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "qc2-tr", "KU0"): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "qc2-sharp", 2): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "qc2-sharp", "KU0"): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "qc2-trt", 6): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "qc2-trt", "KU0"): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "m2qc2", 4): _entry("endpoint_half_trace"),
+    ("interval", "id", "@0", "m2qc2", "KU0"): _entry("endpoint_half_trace"),
 }
 
 # Classes whose group is trivial over a space: cataloged, with no coordinates.

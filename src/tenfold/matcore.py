@@ -26,15 +26,6 @@ CONSTRUCTION_TOL = 1e-12
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-INVOLUTION_KINDS = (
-    "transpose",
-    "transpose_tilde",
-    "sharp2",
-    "sharp_tilde",
-    "sharp_transpose",
-)
-
-
 def involution_matrix(kind: str, dim: int) -> np.ndarray:
     """Structure matrix S of a named involution on dim x dim matrices."""
     if kind == "transpose":

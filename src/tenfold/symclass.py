@@ -66,7 +66,19 @@ def parse_class(token):
     """Class id from its serialized form: integers -1..6 or 'KU0'/'KU1'."""
     if isinstance(token, str) and token.upper() in ("KU0", "KU1"):
         return token.upper()
-    return int(token)
+    try:
+        i = int(token)
+    except (TypeError, ValueError):
+        i = None
+    if i not in _TABLE:
+        raise ValueError(f"unknown symmetry class {token!r}; the classes are "
+                         + ", ".join(map(str, CLASS_IDS)))
+    return i
+
+
+def class_to_json(i):
+    """The serialized form of a class id, read back by parse_class."""
+    return i if isinstance(i, str) else int(i)
 
 
 def neutral(i, copies: int) -> np.ndarray:
@@ -185,7 +197,11 @@ def _lambda_trivial(lam: np.ndarray, i):
         dt = np.linalg.det(lam)
         return np.real(dt) > 0, f"det={dt:.3f}"
     if kind == "pf_parity":
-        ratio = matcore.pfaffian(lam) / matcore.pfaffian(neutral(i, lam.shape[0] // 2))
+        try:
+            pf = matcore.pfaffian(lam)
+        except ValueError as exc:  # a value that is not skew has no Pfaffian
+            return False, f"pf_ratio undefined: {exc}"
+        ratio = pf / matcore.pfaffian(neutral(i, lam.shape[0] // 2))
         return np.real(ratio) > 0, f"pf_ratio={ratio:.3f}"
     t = np.real(np.trace(lam)) / spec["mult"]
     return abs(t) < 0.25, f"{kind}={t:.3f}"

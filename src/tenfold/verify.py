@@ -278,9 +278,10 @@ def _torsion_doubling():
             el = catalog.generator(name)
             z = toeplitz.zero(el.dim)
             dbl = toeplitz.from_blocks([[el, z], [z, el]])
-            if name.startswith("calkin_"):
+            if ent.space == "shift-algebra":
                 _, val = toeplitz.exact_invariant(dbl, ent.class_id)
-                if val % 2 != 0 if ent.class_id in (0, 4) else val != 0:
+                group = class_spec(ent.class_id)["point"][1]
+                if val % 2 != 0 if group == "Z" else val != 0:
                     bad.append(f"{name}: doubled invariant {val}")
             else:
                 sym = toeplitz.symbol_map(dbl, RES)

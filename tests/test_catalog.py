@@ -86,3 +86,104 @@ def test_sphere3_entry_flagged_derived():
 def test_unknown_name():
     with pytest.raises(KeyError):
         catalog.entry("nope")
+
+
+# The `tenfold catalog` listing: name -> (class, space, signature, torsion,
+# exact, description).
+LISTING = {
+    "calkin_k0": (0, "shift-algebra", [-1], False, True, "diag(1, 2e-1)"),
+    "calkin_k1": (1, "shift-algebra", [1], True, True, "1-2e"),
+    "calkin_k2": (2, "shift-algebra", [1], True, True, "off-diagonal i(1-2e)"),
+    "calkin_k4": (4, "shift-algebra", [-1], False, True, "diag(1,1,2e-1,2e-1)"),
+    "circle_sigma_k0": (0, "circle/sigma", [1], False, False, "constant 1_2"),
+    "circle_sigma_k1": (1, "circle/sigma", [1], True, False, "constant -1"),
+    "circle_sigma_k3": (3, "circle/sigma", [1], False, False, "diag(z, -z)"),
+    "circle_sigma_k4": (4, "circle/sigma", [1], False, False,
+                        "reflection-block unitary"),
+    "circle_sigma_k5": (5, "circle/sigma", [1], True, False,
+                        "diag(z, -conj(z)) (sign-corrected)"),
+    "circle_sigma_km1": (-1, "circle/sigma", [1], False, False,
+                         "antipodally even double loop"),
+    "circle_zeta_k0": (0, "circle/zeta", [1], False, False, "constant 1_2"),
+    "circle_zeta_k1": (1, "circle/zeta", [1, 0], False, False, "identity loop"),
+    "circle_zeta_k1_torsion": (1, "circle/zeta", [0, 1], True, False,
+                               "constant -1"),
+    "circle_zeta_k2": (2, "circle/zeta", [0, 1], True, False,
+                       "imaginary reflection loop"),
+    "circle_zeta_k2b": (2, "circle/zeta", [1, 0], True, False,
+                        "imaginary reflection loop, reversed"),
+    "circle_zeta_k3": (3, "circle/zeta", [1], True, False, "half-arc double loop"),
+    "circle_zeta_k4": (4, "circle/zeta", [1], False, False, "constant 1_4"),
+    "circle_zeta_k5": (5, "circle/zeta", [1], False, False, "half-arc double loop"),
+    "const_k0": (0, "point", [1], False, False, "constant 1_2"),
+    "const_k1": (1, "point", [1], True, False, "constant -1"),
+    "const_k2": (2, "point", [1], True, False, "constant -I2"),
+    "const_k4": (4, "point", [1], False, False, "constant 1_4"),
+    "shift_u_k1": (1, "calkin-quotient", [1, 0], False, True, "shift symbol"),
+    "shift_u_k2": (2, "calkin-quotient", [0, 1], True, True,
+                   "off-diagonal i*shift"),
+    "shift_u_k3": (3, "calkin-quotient", [1], True, True, "diag(shift, shift*)"),
+    "shift_u_k5": (5, "calkin-quotient", [1], False, True, "diag(shift, shift)"),
+    "sphere3_ko5": (5, "sphere3/id@1", [-1], False, False,
+                    "degree-one 3-sphere loop (derived invariant)"),
+    "sphere_ko0": (0, "sphere2/zeta@1", [-1, 0], False, False,
+                   "degree-one band flattening"),
+    "sphere_ko6": (6, "sphere2/id@1", [-1], False, False,
+                   "degree-one band flattening"),
+    "torus_bott": (6, "torus2", [1], False, False, "torus Bott-type generator"),
+    "x-1": (-1, "circle/id@1", [1], False, False, "identity loop"),
+    "x0": (0, "interval@0", [-1], False, False, "cone-relation unitary"),
+    "x1": (1, "circle/zeta@1", [1], False, False, "identity loop"),
+    "x2": (2, "interval@0", [-1], False, False, "frame-rotated cone unitary"),
+    "x3": (3, "circle/id@1", [1], False, False, "quaternionic-frame loop"),
+    "x4": (4, "interval@0", [-1], False, False, "quaternionic cone unitary"),
+    "x5": (5, "circle/zeta@1", [1], False, False, "quaternionic-frame loop"),
+    "x6": (6, "interval@0", [-1], False, False,
+           "cone unitary, swapped-transpose form"),
+}
+
+
+def test_catalog_listing_is_pinned(capsys):
+    import json
+    from tenfold import cli
+    assert cli.main(["catalog"]) == 0
+    rows = json.loads(capsys.readouterr().out)["entries"]
+    assert [r["name"] for r in rows] == sorted(LISTING)
+    for r in rows:
+        assert (r["class"], r["space"], r["signature"], r["torsion"], r["exact"],
+                r["description"]) == LISTING[r["name"]], r["name"]
+
+
+# grid entry -> (algebra label, grid shape at resolution 16, at DEFAULT_RES)
+GRIDS = {
+    **{n: ("scalar", (16,), (64,)) for n in LISTING
+       if n.startswith("circle_") or n in ("x-1", "x1")},
+    **{n: ("scalar", (1,), (1,)) for n in LISTING if n.startswith("const_")},
+    "sphere3_ko5": ("scalar", (21, 21, 20), (21, 21, 20)),
+    "sphere_ko0": ("scalar", (17, 16), (65, 64)),
+    "sphere_ko6": ("scalar", (17, 16), (65, 64)),
+    "torus_bott": ("scalar", (16, 16), (64, 64)),
+    "x0": ("qc2-tr", (17,), (65,)),
+    "x2": ("qc2-sharp", (17,), (65,)),
+    "x3": ("m2", (16,), (64,)),
+    "x4": ("m2qc2", (17,), (65,)),
+    "x5": ("m2", (16,), (64,)),
+    "x6": ("qc2-trt", (17,), (65,)),
+}
+
+
+def test_grid_entries_are_the_pinned_ones():
+    assert sorted(GRIDS) == [n for n in ALL if not catalog.entry(n).exact]
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grid_generator_lives_on_its_rows_space(name):
+    space, _, pin = catalog.entry(name).space.partition("@")
+    kind, _, involution = space.partition("/")
+    label, *shapes = GRIDS[name]
+    for res, shape in zip((16, catalog.DEFAULT_RES), shapes):
+        rep = catalog.generator(name, res)
+        base = rep.base
+        assert (base.kind, base.involution, base.pinned_label, base.shape) == (
+            kind, involution or "id", "@" + pin if pin else "", shape)
+        assert rep.algebra.label == label

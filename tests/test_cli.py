@@ -100,6 +100,57 @@ def test_boundary_basepoint_not_skew_exits_membership(name, tmp_path, capsys):
     assert "skew" in capsys.readouterr().err
 
 
+def test_classify_reports_basepoint_not_skew(tmp_path, capsys):
+    # the class-2 row is reported as a failed membership, not dropped
+    for name in ("x0", "x3", "x5", "x6", "sphere_ko0", "sphere_ko6",
+                 "sphere3_ko5"):
+        p = tmp_path / f"{name}.json"
+        assert run(["catalog", "--emit", name, "--resolution", "16",
+                    "--out", str(p)]) == 0
+        assert run(["classify", str(p)]) == 0
+        rows = [r for r in json.loads(capsys.readouterr().out)["classes"]
+                if r["class"] == 2]
+        assert len(rows) == 1 and not rows[0]["ok"], name
+        assert rows[0]["residuals"]["lambda_class"] == 1.0
+        assert "not skew" in rows[0]["residuals"]["lambda_detail"]
+        assert "signature" not in rows[0]
+        assert run(["classify", str(p), "--class", "2"]) == 2
+        capsys.readouterr()
+
+
+def test_unknown_class_id_exits_io(tmp_path, capsys):
+    p = tmp_path / "x0.json"
+    assert run(["catalog", "--emit", "x0", "--resolution", "16", "--out", str(p)]) == 0
+    v = tmp_path / "v.json"
+    assert run(["catalog", "--emit", "shift_u_k1", "--out", str(v)]) == 0
+    capsys.readouterr()
+    for token in ("7", "abc", "-2", "KU2", ""):
+        for argv in (["classify", str(p)], ["boundary", str(p), "--ses", "circle-id"],
+                     ["boundary", str(v), "--ses", "toeplitz"]):
+            assert run(argv + ["--class", token]) == 4, (argv, token)
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "unknown symmetry class" in out.err and "KU1" in out.err
+
+
+def test_unreadable_invariant_exits_unsupported(tmp_path, capsys):
+    # z^3 on 8 points passes membership, but its det phase steps by 3pi/4
+    base = sample_space("circle", 8, "id")
+    z = base.points[:, 0] + 1j * base.points[:, 1]
+    p = tmp_path / "z3.json"
+    write_element(p, base, (z ** 3)[:, None, None] * np.eye(1))
+    assert run(["classify", str(p)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "phase step exceeds pi/2" in out.err
+    # the disk image of z^4 is a valid class-6 element whose Chern links
+    # cannot be read on an 8 x 8 grid
+    write_element(p, base, (z ** 4)[:, None, None] * np.eye(1))
+    assert run(["boundary", str(p), "--ses", "disk-id", "--class", "-1",
+                "--resolution", "8"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "resolution too coarse" in out.err
+
+
 def test_io_error_exit_codes(tmp_path):
     assert run(["classify", str(tmp_path / "missing.json")]) == 4
     bad = tmp_path / "junk.json"

@@ -230,3 +230,16 @@ def test_signature_neutral_zero_across_scalar_catalog():
         assert signature(rep).is_zero, key
         done += 1
     assert done > 30
+
+
+def test_point_invariant_groups_agree_with_the_class_table():
+    from tenfold.invariants import CATALOG, _D
+    from tenfold.symclass import CLASS_IDS, class_spec
+    for i in CLASS_IDS:
+        point = class_spec(i)["point"]
+        if point is not None:
+            assert _D[point[0]][0] == point[1]
+    used = {name for row in CATALOG.values() for name, _, _ in row}
+    assert used == set(_D)
+    assert all(group == _D[name][0] for row in CATALOG.values()
+               for name, group, _ in row)

@@ -311,3 +311,20 @@ def test_doubled_so_conjugation_invariance_sharp_classes():
         rep2 = check_membership(rep.element.conjugated(doubled), i, rep.algebra)
         assert rep2.ok
         assert signature(rep2).values() == signature(rep).values()
+
+
+def test_parse_class_round_trips_and_names_the_classes():
+    from tenfold.symclass import class_to_json, parse_class
+    for i in CLASS_IDS:
+        assert parse_class(str(class_to_json(i))) == i
+    assert parse_class("ku0") == "KU0"
+    for token in ("7", "-2", "abc", "", "KU2", None):
+        with pytest.raises(ValueError, match="unknown symmetry class.*KU0, KU1"):
+            parse_class(token)
+
+
+def test_basepoint_that_is_not_skew_fails_class_2():
+    base = with_pinned(sample_space("circle", 16, "zeta"), "basepoint")
+    rep = check_membership(constant_element(base, np.eye(2)), 2)
+    assert not rep.ok and rep.residuals["lambda_class"] == 1.0
+    assert "not skew" in rep.residuals["lambda_detail"]
