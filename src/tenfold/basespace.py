@@ -9,15 +9,74 @@ equal a common scalar block; lambda is evaluation there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import matcore
 
-SPACE_KINDS = ("point", "twopoints", "interval", "circle", "disk",
-               "sphere2", "sphere3", "torus2")
-INVOLUTION_NAMES = ("id", "zeta", "sigma", "swap")
 # the largest roundoff by which a contraction's computed norm may exceed 1
 EXTEND_NORM_TOL = 1e-8
+
+
+class _Axis(NamedTuple):
+    """One resolution axis: at resolution n it has n + pole grid points."""
+    pole: int  # the far pole or endpoint, a point beyond the n steps
+    minimum: int
+    even: bool
+    at: int  # the basepoint's place: 0 first, 1 middle, 2 last point (halves)
+    coords: Callable  # number of grid points -> their coordinates
+
+
+# a full turn in n steps; even, so that zeta and sigma pair grid points
+_TURN = _Axis(0, 8, True, 0, lambda m: 2.0 * np.pi * np.arange(m) / m)
+# pole to pole in n steps, basepoint on the equator
+_POLAR = _Axis(1, 8, True, 1, lambda m: np.pi * np.arange(m) / (m - 1))
+_UNIT = _Axis(1, 8, False, 0, lambda m: np.linspace(0.0, 1.0, m))
+# n radii from the center to the rim, basepoint on the rim
+_RADIUS = _Axis(0, 4, False, 2, _UNIT.coords)
+
+
+class _Kind(NamedTuple):
+    involutions: tuple
+    axes: tuple  # an _Axis per resolution axis
+    points: Callable  # axis coordinates, as an open mesh -> point coordinates
+    fixed: tuple = ()  # the grid shape of a kind without resolution axes
+    pins: dict = {"basepoint": "@1"}  # with_pinned names it has -> labels
+
+
+SPACES = {
+    "point": _Kind(("id",), (), lambda: (np.zeros(1),), fixed=(1,)),
+    "twopoints": _Kind(("id", "swap"), (), lambda: (np.array([1.0, -1.0]),),
+                       fixed=(2,)),
+    "interval": _Kind(("id",), (_UNIT,), lambda t: (t,), pins={"basepoint": "@0"}),
+    "circle": _Kind(("id", "zeta", "sigma"), (_TURN,),
+                    lambda t: (np.cos(t), np.sin(t)),
+                    pins={"pm1": "@pm1", "basepoint": "@1"}),
+    "disk": _Kind(("id", "zeta"), (_RADIUS, _TURN),
+                  lambda r, t: (r * np.cos(t), r * np.sin(t)),
+                  pins={"boundary": "@boundary", "basepoint": "@1"}),
+    "sphere2": _Kind(("id", "zeta"), (_POLAR, _TURN),
+                     lambda a, t: (np.sin(a) * np.cos(t), np.sin(a) * np.sin(t),
+                                   np.cos(a))),
+    "sphere3": _Kind(("id",), (_POLAR, _POLAR, _TURN),
+                     lambda a, b, t: (np.sin(a) * np.sin(b) * np.cos(t),
+                                      np.sin(a) * np.sin(b) * np.sin(t),
+                                      np.sin(a) * np.cos(b), np.cos(a))),
+    # no involution acts on the torus angles, so they may be odd
+    "torus2": _Kind(("id",), (_TURN._replace(even=False),) * 2, lambda s, t: (s, t)),
+}
+SPACE_KINDS = tuple(SPACES)
+
+
+def _half_turn(m):
+    return (np.arange(m) + m // 2) % m
+
+
+# each involution permutes the last grid axis, of m points
+_LAST_AXIS = {"id": np.arange, "zeta": lambda m: (-np.arange(m)) % m,
+              "sigma": _half_turn, "swap": _half_turn}
 
 
 @dataclass(frozen=True)
@@ -38,174 +97,66 @@ class BaseSpace:
     def pinned_label(self) -> str:
         return _pinned_label(self)
 
-    def flat(self, *idx) -> int:
-        return int(np.ravel_multi_index(idx, self.shape))
-
 
 def _pinned_label(base: BaseSpace) -> str:
+    """The label of the named closed set the pinned set is, else @custom."""
     if not base.pinned:
         return ""
-    if base.kind == "circle":
-        n = base.shape[0]
-        if set(base.pinned) == {0, n // 2}:
-            return "@pm1"
-        if set(base.pinned) == {0}:
-            return "@1"
-    if base.kind == "disk":
-        nr, nt = base.shape
-        if set(base.pinned) == {base.flat(nr - 1, k) for k in range(nt)}:
-            return "@boundary"
-    if base.kind == "interval" and set(base.pinned) == {0}:
-        return "@0"
-    if set(base.pinned) == {base.basepoint}:
-        return "@1"
+    for where, label in SPACES[base.kind].pins.items():
+        if set(_PINNED[where](base)) == set(base.pinned):
+            return label
     return "@custom"
+
+
+def grid_shape(kind: str, resolution) -> tuple:
+    """The shape of a kind's grid.  The resolution is an integer for every
+    axis or a list or tuple of one per axis; each axis holds its
+    resolution's steps plus its pole."""
+    if kind not in SPACE_KINDS:
+        raise ValueError(f"unknown space kind {kind!r}")
+    row = SPACES[kind]
+    if not isinstance(resolution, (tuple, list)):
+        resolution = (resolution,) * len(row.axes)
+    sizes = tuple(int(n) for n in resolution)
+    if len(sizes) != len(row.axes):
+        raise ValueError(f"{kind} resolution needs {len(row.axes)} axes, not {len(sizes)}")
+    for n, ax in zip(sizes, row.axes):
+        if n < ax.minimum or ax.even and n % 2:
+            raise ValueError(f"{kind} resolution {n} must be "
+                             f"{'even and ' * ax.even}>= {ax.minimum}")
+    return row.fixed + tuple(n + ax.pole for n, ax in zip(sizes, row.axes))
 
 
 def sample_space(kind: str, resolution=64, involution: str = "id") -> BaseSpace:
     """Build a symmetric grid on which the involution is an exact permutation."""
-    if kind not in SPACE_KINDS:
-        raise ValueError(f"unknown space kind {kind!r}")
-    if involution not in INVOLUTION_NAMES:
-        raise ValueError(f"unknown involution {involution!r}")
-
-    if kind == "point":
-        if involution != "id":
-            raise ValueError("point supports only the identity involution")
-        pts = np.zeros((1, 1))
-        return BaseSpace(kind, involution, (1,), pts, np.array([0]), 0)
-
-    if kind == "twopoints":
-        pts = np.array([[1.0], [-1.0]])
-        if involution == "id":
-            perm = np.array([0, 1])
-        elif involution == "swap":
-            perm = np.array([1, 0])
-        else:
-            raise ValueError("twopoints supports id or swap")
-        return BaseSpace(kind, involution, (2,), pts, perm, 0)
-
-    if kind == "interval":
-        n = int(resolution)
-        if n < 8:
-            raise ValueError("resolution must be >= 8")
-        if involution != "id":
-            raise ValueError("interval supports only the identity involution")
-        ts = np.linspace(0.0, 1.0, n + 1)
-        pts = ts.reshape(-1, 1)
-        return BaseSpace(kind, involution, (n + 1,), pts, np.arange(n + 1), 0)
-
-    if kind == "circle":
-        n = int(resolution)
-        if n < 8 or n % 2:
-            raise ValueError("circle resolution must be even and >= 8")
-        theta = 2.0 * np.pi * np.arange(n) / n
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        if involution == "id":
-            perm = np.arange(n)
-        elif involution == "zeta":
-            perm = (-np.arange(n)) % n
-        elif involution == "sigma":
-            perm = (np.arange(n) + n // 2) % n
-        else:
-            raise ValueError("circle supports id, zeta, sigma")
-        return BaseSpace(kind, involution, (n,), pts, perm, 0)
-
-    if kind == "disk":
-        nr, nt = _pair(resolution)
-        if nt % 2 or nr < 4 or nt < 8:
-            raise ValueError("disk needs radial >= 4 and even angular >= 8 resolution")
-        theta = 2.0 * np.pi * np.arange(nt) / nt
-        rr = np.linspace(0.0, 1.0, nr)[:, None]
-        pts = np.stack([rr * np.cos(theta), rr * np.sin(theta)], -1).reshape(-1, 2)
-        idx = np.arange(nr * nt).reshape(nr, nt)
-        if involution == "id":
-            perm = idx.copy()
-        elif involution == "zeta":
-            perm = idx[:, (-np.arange(nt)) % nt]
-        else:
-            raise ValueError("disk supports id, zeta")
-        bp = int(idx[nr - 1, 0])
-        return BaseSpace(kind, involution, (nr, nt), pts, perm.ravel(), bp)
-
-    if kind == "sphere2":
-        nl, nt = _pair(resolution)
-        if nl % 2 or nt % 2 or nl < 8 or nt < 8:
-            raise ValueError("sphere2 needs even resolutions >= 8")
-        lat = np.pi * np.arange(nl + 1) / nl
-        lon = 2.0 * np.pi * np.arange(nt) / nt
-        s, c = np.sin(lat)[:, None], np.cos(lat)[:, None]
-        pts = np.stack([s * np.cos(lon), s * np.sin(lon),
-                        np.broadcast_to(c, (nl + 1, nt))], -1).reshape(-1, 3)
-        idx = np.arange((nl + 1) * nt).reshape(nl + 1, nt)
-        if involution == "id":
-            perm = idx.copy()
-        elif involution == "zeta":
-            perm = idx[:, (-np.arange(nt)) % nt]
-        else:
-            raise ValueError("sphere2 supports id, zeta")
-        bp = int(idx[nl // 2, 0])
-        return BaseSpace(kind, involution, (nl + 1, nt), pts, perm.ravel(), bp)
-
-    if kind == "sphere3":
-        n1, n2, nt = _triple(resolution)
-        if involution != "id":
-            raise ValueError("sphere3 supports only the identity involution")
-        if n1 % 2 or n2 % 2 or nt % 2 or min(n1, n2, nt) < 8:
-            raise ValueError("sphere3 needs even resolutions >= 8")
-        psi = np.pi * np.arange(n1 + 1) / n1
-        phi = np.pi * np.arange(n2 + 1) / n2
-        th = 2.0 * np.pi * np.arange(nt) / nt
-        shape = (n1 + 1, n2 + 1, nt)
-        sp, cp = np.sin(psi)[:, None, None], np.cos(psi)[:, None, None]
-        sf, cf = np.sin(phi)[:, None], np.cos(phi)[:, None]
-        pts = np.stack([sp * sf * np.cos(th), sp * sf * np.sin(th),
-                        np.broadcast_to(sp * cf, shape),
-                        np.broadcast_to(cp, shape)], -1).reshape(-1, 4)
-        bp = int(np.ravel_multi_index((n1 // 2, n2 // 2, 0), shape))
-        return BaseSpace(kind, involution, shape, pts,
-                         np.arange(pts.shape[0]), bp)
-
-    if kind == "torus2":
-        n1, n2 = _pair(resolution)
-        if n1 < 8 or n2 < 8:
-            raise ValueError("torus2 needs resolutions >= 8")
-        if involution != "id":
-            raise ValueError("torus2 supports only the identity involution")
-        t1 = 2.0 * np.pi * np.arange(n1) / n1
-        t2 = 2.0 * np.pi * np.arange(n2) / n2
-        pts = np.stack(np.meshgrid(t1, t2, indexing="ij"), -1).reshape(-1, 2)
-        return BaseSpace(kind, involution, (n1, n2), pts, np.arange(n1 * n2), 0)
-
-    raise AssertionError
+    shape = grid_shape(kind, resolution)
+    row = SPACES[kind]
+    if involution not in row.involutions:
+        raise ValueError(f"{kind} supports the involutions "
+                         f"{', '.join(row.involutions)}, not {involution!r}")
+    xs = row.points(*np.ix_(*(ax.coords(m) for m, ax in zip(shape, row.axes))))
+    pts = np.stack([np.broadcast_to(x, shape) for x in xs], -1).reshape(-1, len(xs))
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    perm = grid[..., _LAST_AXIS[involution](shape[-1])].ravel()
+    # a kind without axes has its basepoint at 0 too
+    at = tuple((m - 1) * ax.at // 2 for m, ax in zip(shape, row.axes)) or 0
+    return BaseSpace(kind, involution, shape, pts, perm, int(grid[at]))
 
 
-def _pair(resolution):
-    if isinstance(resolution, (tuple, list)):
-        return int(resolution[0]), int(resolution[1])
-    return int(resolution), int(resolution)
-
-
-def _triple(resolution):
-    if isinstance(resolution, (tuple, list)):
-        return tuple(int(r) for r in resolution)
-    return int(resolution), int(resolution), int(resolution)
+# the closed sets with_pinned names, as flat indices of a base's grid
+_PINNED = {
+    "basepoint": lambda b: (b.basepoint,),
+    "pm1": lambda b: (0, b.shape[0] // 2),  # z = 1 and z = -1 on the circle
+    # the disk's boundary circle r = 1, its last ring of grid points
+    "boundary": lambda b: tuple(range(b.npoints - b.shape[1], b.npoints)),
+}
 
 
 def with_pinned(base: BaseSpace, where: str) -> BaseSpace:
     """Return a copy marking the closed set where unitized values are scalar."""
-    if where == "basepoint":
-        return replace(base, pinned=(base.basepoint,))
-    if where == "pm1":
-        if base.kind != "circle":
-            raise ValueError("pm1 pinning is a circle notion")
-        return replace(base, pinned=(0, base.shape[0] // 2))
-    if where == "boundary":
-        if base.kind != "disk":
-            raise ValueError("boundary pinning is a disk notion")
-        nr, nt = base.shape
-        return replace(base, pinned=tuple(base.flat(nr - 1, k) for k in range(nt)))
-    raise ValueError(f"unknown pinning {where!r}")
+    if where not in SPACES[base.kind].pins:
+        raise ValueError(f"{base.kind} has no pinning {where!r}")
+    return replace(base, pinned=_PINNED[where](base))
 
 
 @dataclass
@@ -315,23 +266,24 @@ def apply_full_involution(u: FnElement, minv) -> FnElement:
     return FnElement(u.base, s @ np.swapaxes(pulled, 1, 2) @ s.conj().T)
 
 
+def block_compress(v: np.ndarray, d: int) -> np.ndarray:
+    """The outer matrix m of v = m kron identity_d: each d x d block's
+    trace over d."""
+    k = v.shape[0] // d
+    return np.einsum("aibi->ab", v.reshape(k, d, k, d)) / d
+
+
 def lambda_eval(u: FnElement, algebra: Algebra = None):
     """Value at the basepoint, compressed over the algebra's inner block
     structure when dim_alg > 1: returns the outer matrix of scalars."""
     v = u.values[u.base.basepoint]
     d = 1 if algebra is None else algebra.dim_alg
-    if d == 1:
-        return v.copy()
-    k = u.dim // d
-    blocks = v.reshape(k, d, k, d)
-    return np.einsum("aibi->ab", blocks) / d
+    return v.copy() if d == 1 else block_compress(v, d)
 
 
 def scalar_block_residual(v: np.ndarray, d: int) -> float:
     """How far a matrix is from (outer matrix) kron identity_d."""
-    k = v.shape[0] // d
-    m = np.einsum("aibi->ab", v.reshape(k, d, k, d)) / d
-    return float(np.linalg.norm(v - np.kron(m, np.eye(d))))
+    return float(np.linalg.norm(v - np.kron(block_compress(v, d), np.eye(d))))
 
 
 def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
@@ -361,35 +313,27 @@ class SESDescriptor:
     quotient_map: tuple  # quotient flat index -> total flat index
 
 
+# name -> the total space's kind and involution, the closed set (a
+# with_pinned name), the quotient's kind and involution, default resolution
+_SES = {
+    "circle-sigma": ("circle", "sigma", "pm1", "twopoints", "swap", 64),
+    "circle-zeta": ("circle", "zeta", "pm1", "twopoints", "id", 64),
+    "circle-id": ("circle", "id", "basepoint", "point", "id", 64),
+    "disk-id": ("disk", "id", "boundary", "circle", "id", (33, 64)),
+    "disk-zeta": ("disk", "zeta", "boundary", "circle", "zeta", (33, 64)),
+}
+SES_NAMES = (*_SES, "toeplitz")
+
+
 def ses_registry(name: str, resolution=None) -> SESDescriptor:
     """Fixed registry of supported short exact sequences."""
-    if name == "circle-sigma":
-        n = int(resolution or 64)
-        total = sample_space("circle", n, "sigma")
-        quot = sample_space("twopoints", involution="swap")
-        return SESDescriptor(name, total, (0, n // 2), quot, (0, n // 2))
-    if name == "circle-zeta":
-        n = int(resolution or 64)
-        total = sample_space("circle", n, "zeta")
-        quot = sample_space("twopoints", involution="id")
-        return SESDescriptor(name, total, (0, n // 2), quot, (0, n // 2))
-    if name == "circle-id":
-        n = int(resolution or 64)
-        total = sample_space("circle", n, "id")
-        quot = sample_space("point")
-        return SESDescriptor(name, total, (0,), quot, (0,))
-    if name in ("disk-id", "disk-zeta"):
-        inv = "id" if name == "disk-id" else "zeta"
-        nr, nt = _pair(resolution or (33, 64))
-        total = sample_space("disk", (nr, nt), inv)
-        quot = sample_space("circle", nt, inv)
-        ring = tuple(total.flat(nr - 1, k) for k in range(nt))
-        return SESDescriptor(name, total, ring, quot, ring)
-    raise KeyError(f"unsupported SES {name!r}")
-
-
-SES_NAMES = ("circle-sigma", "circle-zeta", "circle-id", "disk-id",
-             "disk-zeta", "toeplitz")
+    if name not in _SES:
+        raise KeyError(f"unsupported SES {name!r}")
+    kind, involution, pin, qkind, qinvolution, default = _SES[name]
+    total = sample_space(kind, resolution or default, involution)
+    closed = with_pinned(total, pin).pinned
+    quotient = sample_space(qkind, len(closed), qinvolution)
+    return SESDescriptor(name, total, closed, quotient, closed)
 
 
 def ideal_base(ses: SESDescriptor) -> BaseSpace:

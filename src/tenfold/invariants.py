@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .basespace import FnElement, Algebra
+from .basespace import Algebra, FnElement, block_compress
 from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral
 
 
@@ -30,10 +30,7 @@ def _round_int(x: float, guard: float, what: str) -> int:
 def _outer_value(u: FnElement, algebra: Algebra, p: int) -> np.ndarray:
     v = u.values[p]
     d = 1 if algebra is None else algebra.dim_alg
-    if d == 1:
-        return v
-    k = v.shape[0] // d
-    return np.einsum("aibi->ab", v.reshape(k, d, k, d)) / d
+    return v if d == 1 else block_compress(v, d)
 
 
 def half_trace(u: FnElement, p: int, algebra: Algebra = None) -> int:

@@ -11,6 +11,7 @@ exact format from tenfold.toeplitz.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import chain
 import json
 from json.encoder import encode_basestring_ascii
@@ -19,25 +20,15 @@ import sys
 
 import numpy as np
 
-from .basespace import Algebra, BaseSpace, FnElement, _pair, _triple, sample_space
+from .basespace import (SPACES, Algebra, BaseSpace, FnElement, grid_shape,
+                        sample_space)
 
 
 def _resolution_of(base: BaseSpace):
-    if base.kind in ("point", "twopoints"):
-        return 0
-    if base.kind == "interval":
-        return base.shape[0] - 1
-    if base.kind == "circle":
-        return base.shape[0]
-    if base.kind == "disk":
-        return [base.shape[0], base.shape[1]]
-    if base.kind == "sphere2":
-        return [base.shape[0] - 1, base.shape[1]]
-    if base.kind == "sphere3":
-        return [base.shape[0] - 1, base.shape[1] - 1, base.shape[2]]
-    if base.kind == "torus2":
-        return [base.shape[0], base.shape[1]]
-    raise KeyError(base.kind)
+    """The grid's shape less its poles: 0 for a kind without resolution
+    axes, an integer for one axis, a list for more."""
+    sizes = [m - ax.pole for m, ax in zip(base.shape, SPACES[base.kind].axes)]
+    return sizes[0] if len(sizes) == 1 else sizes or 0
 
 
 def base_to_json(base: BaseSpace) -> dict:
@@ -70,14 +61,7 @@ def _point_count(obj) -> int:
     it, so that a huge resolution is refused before anything is allocated."""
     if not isinstance(obj, dict):
         raise ValueError("base must be a JSON object")
-    kind, res = obj["kind"], _resolution(obj)
-    if kind in ("point", "twopoints"):
-        return 1 if kind == "point" else 2
-    if kind in ("interval", "circle"):
-        return res + (kind == "interval")
-    sizes = _triple(res) if kind == "sphere3" else _pair(res)
-    poles = {"sphere2": (1, 0), "sphere3": (1, 1, 0)}.get(kind, (0, 0))
-    return math.prod(n + e for n, e in zip(sizes, poles))
+    return math.prod(grid_shape(obj["kind"], _resolution(obj)))
 
 
 def base_from_json(obj: dict) -> BaseSpace:
@@ -86,10 +70,7 @@ def base_from_json(obj: dict) -> BaseSpace:
     # bool is an int subclass, and a bool array indexes as a mask
     if not all(type(p) is int and 0 <= p < base.npoints for p in pinned):
         raise ValueError(f"pinned indices must lie in [0, {base.npoints})")
-    if pinned:
-        base = type(base)(base.kind, base.involution, base.shape, base.points,
-                          base.inv_perm, base.basepoint, pinned)
-    return base
+    return replace(base, pinned=pinned)
 
 
 def _cpx_to_json(m: np.ndarray):

@@ -108,14 +108,6 @@ def class_structure(i, dim: int, algebra: Algebra = None) -> np.ndarray:
     return s
 
 
-def outer_structure(i, outer_dim: int) -> np.ndarray:
-    """Structure matrix acting on basepoint (scalar-part) matrices."""
-    spec = class_spec(i)
-    if spec["sign"] is None or not spec["sharp"]:
-        return np.eye(outer_dim, dtype=complex)
-    return np.kron(np.eye(outer_dim // 2, dtype=complex), matcore.J2)
-
-
 class MembershipError(ValueError):
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -325,7 +317,7 @@ def normalize_lambda(u: FnElement, i, algebra: Algebra = None,
         x = _frame_quaternionic(lam, i, tol)
         return u.conjugated(np.kron(x, np.eye(d)))
     if i in (-1, 3):
-        s = outer_structure(i, k)
+        s = class_structure(i, k)
         y = _sqrt_unitary(lam)
         a = np.kron(s @ y.conj() @ s.conj().T, np.eye(d))  # sigma(y*)
         b = np.kron(y.conj().T, np.eye(d))
@@ -400,7 +392,7 @@ def _kramers_pairs(space, s):
 
 def _frame_quaternionic(lam, i, tol):
     k = lam.shape[0]
-    s = np.real(outer_structure(i, k))
+    s = np.real(class_structure(i, k))
     if np.linalg.norm(lam - lam.conj().T) > tol:
         raise ValueError("basepoint value is not self-adjoint")
     if i == 4 and abs(np.real(np.trace(lam))) > 0.5:

@@ -321,10 +321,6 @@ def zero(dim: int = 1) -> ShiftAlgElement:
     return ShiftAlgElement(dim, {}, _ozeros(0, 0), 0)
 
 
-def scalar(c) -> ShiftAlgElement:
-    return one(1).scaled(c)
-
-
 def from_blocks(blocks) -> ShiftAlgElement:
     """Assemble a k x k matrix over the algebra from elements that share
     one coefficient dimension."""

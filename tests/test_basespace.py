@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tenfold import serialize
-from tenfold.basespace import (Algebra, FnElement, SESDescriptor,
+from tenfold.basespace import (SES_NAMES, Algebra, FnElement, SESDescriptor,
                                apply_full_involution, block_diag_elements,
                                constant_element, extend_contraction,
                                lambda_eval, restrict, sample_space,
@@ -166,3 +166,52 @@ def test_bad_space_arguments():
         sample_space("torus2", 16, "zeta")
     with pytest.raises(ValueError):
         sample_space("nowhere")
+
+
+# kind -> supported involutions, and resolutions: the minimum, the
+# default and a non-square one (any valid one for a single axis)
+KINDS = {
+    "point": (("id",), (0, 64)),
+    "twopoints": (("id", "swap"), (0, 64)),
+    "interval": (("id",), (8, 64, 9)),
+    "circle": (("id", "zeta", "sigma"), (8, 64, 10)),
+    "disk": (("id", "zeta"), ((4, 8), 64, (5, 16))),
+    "sphere2": (("id", "zeta"), ((8, 8), 64, (8, 16))),
+    "sphere3": (("id",), ((8, 8, 8), 64, (8, 10, 12))),
+    "torus2": (("id",), ((8, 8), 64, (8, 12))),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_base_json_roundtrip_every_space(kind):
+    involutions, resolutions = KINDS[kind]
+    for inv in involutions:
+        for res in resolutions:
+            base = sample_space(kind, res, inv)
+            for b in (base, with_pinned(base, "basepoint")):
+                obj = serialize.base_to_json(b)
+                assert serialize._point_count(obj) == b.npoints
+                back = serialize.base_from_json(obj)
+                assert back.shape == b.shape and back.basepoint == b.basepoint
+                assert back.points.tobytes() == b.points.tobytes()
+                assert np.array_equal(back.inv_perm, b.inv_perm)
+                assert back.pinned == b.pinned
+                assert back.pinned_label == b.pinned_label
+
+
+# the closed set of each registered sequence, by its with_pinned name
+SES_PINS = {"circle-sigma": "pm1", "circle-zeta": "pm1", "circle-id": "basepoint",
+            "disk-id": "boundary", "disk-zeta": "boundary"}
+
+
+@pytest.mark.parametrize("name", SES_PINS)
+def test_ses_closed_set_is_its_pinning(name):
+    assert set(SES_NAMES) == {*SES_PINS, "toeplitz"}
+    for res in (None, 16 if name.startswith("circle") else (9, 16)):
+        ses = ses_registry(name, res)
+        closed = ses.closed_flat
+        assert closed == ses.quotient_map == with_pinned(ses.total, SES_PINS[name]).pinned
+        assert ses.quotient.npoints == len(closed)
+        # the quotient's involution is the total's, restricted to the closed set
+        assert ses.total.inv_perm[list(closed)].tolist() == \
+            [closed[j] for j in ses.quotient.inv_perm]

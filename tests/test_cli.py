@@ -253,11 +253,36 @@ def _alg_struct_beyond_float(doc):
     doc["alg"] = {"dim_alg": 1, "struct": [[[10 ** 400, 0.0]]], "label": "custom"}
 
 
+def _disk_one_axis(doc):
+    doc["base"].update(kind="disk", resolution=[33])
+
+
+def _disk_no_axes(doc):
+    doc["base"].update(kind="disk", resolution=[])
+
+
+def _sphere2_one_axis(doc):
+    doc["base"].update(kind="sphere2", resolution=[8])
+
+
+def _torus2_one_axis(doc):
+    doc["base"].update(kind="torus2", resolution=[8], involution="id")
+
+
+def _disk_three_axes(doc):
+    # [4, 8] names a disk of 32 points, as many as the values: the 9 must
+    # not be dropped
+    doc["base"].update(kind="disk", resolution=[4, 8, 9])
+    doc["values"] = doc["values"] * 2
+
+
 @pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative,
                                    _base_not_object, _pinned_bool, _alg_dim_zero,
                                    _alg_struct_empty, _alg_label_not_string,
                                    _resolution_huge, _resolution_infinite,
-                                   _value_beyond_float, _alg_struct_beyond_float])
+                                   _value_beyond_float, _alg_struct_beyond_float,
+                                   _disk_one_axis, _disk_no_axes, _sphere2_one_axis,
+                                   _torus2_one_axis, _disk_three_axes])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)
