@@ -262,8 +262,30 @@ def apply_full_involution(u: FnElement, minv) -> FnElement:
         s = np.asarray(minv, dtype=complex)
     if s.shape[0] != u.dim:
         raise ValueError("structure matrix does not match element dimension")
-    pulled = u.values[u.base.inv_perm]
-    return FnElement(u.base, s @ np.swapaxes(pulled, 1, 2) @ s.conj().T)
+    signed = _signed_permutation(s)
+    if signed is None:
+        pulled = u.values[u.base.inv_perm]
+        return FnElement(u.base, s @ np.swapaxes(pulled, 1, 2) @ s.conj().T)
+    # S = diag(sign) P: entry (a, b) is sign_a sign_b u[perm_b, perm_a]
+    perm, sign = signed
+    out = np.ascontiguousarray(u.values[u.base.inv_perm][:, perm, perm[:, None]])
+    out *= np.outer(sign, sign)
+    out += 0.0  # -0.0 to +0.0, which the product gives where u vanishes
+    return FnElement(u.base, out)
+
+
+def _signed_permutation(s: np.ndarray):
+    """(perm, sign) with s[a, perm[a]] = sign[a] in {1, -1} its only nonzero
+    entries, if s is a real signed permutation matrix; else None."""
+    n = len(s)
+    if s.shape != (n, n) or s.imag.any():
+        return None
+    perm = np.abs(s.real).argmax(axis=1)
+    sign = s.real[np.arange(n), perm]
+    if (np.count_nonzero(s) != n or np.any(np.abs(sign) != 1.0)
+            or np.bincount(perm, minlength=n).max() > 1):
+        return None
+    return perm, sign
 
 
 def block_compress(v: np.ndarray, d: int) -> np.ndarray:
@@ -288,16 +310,16 @@ def scalar_block_residual(v: np.ndarray, d: int) -> float:
 
 def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
     """Residual of the unitization condition: all pinned values equal one
-    common scalar block."""
-    base = u.base
-    if not base.pinned:
+    common scalar block; NaN if any pinned value is not finite."""
+    if not u.base.pinned:
         return 0.0
+    vals = u.values[list(u.base.pinned)]
+    if not np.isfinite(vals).all():
+        return math.nan
+    res = max([0.0] + [float(np.linalg.norm(v - vals[0])) for v in vals[1:]])
     d = 1 if algebra is None else algebra.dim_alg
-    ref = u.values[base.pinned[0]]
-    res = scalar_block_residual(ref, d)
-    for p in base.pinned[1:]:
-        res = max(res, float(np.linalg.norm(u.values[p] - ref)))
-        res = max(res, scalar_block_residual(u.values[p], d))
+    if d > 1:  # every matrix is a scalar block of size 1
+        res = max([res] + [scalar_block_residual(v, d) for v in vals])
     return res
 
 
@@ -330,7 +352,8 @@ def ses_registry(name: str, resolution=None) -> SESDescriptor:
     if name not in _SES:
         raise KeyError(f"unsupported SES {name!r}")
     kind, involution, pin, qkind, qinvolution, default = _SES[name]
-    total = sample_space(kind, resolution or default, involution)
+    total = sample_space(kind, default if resolution is None else resolution,
+                         involution)
     closed = with_pinned(total, pin).pinned
     quotient = sample_space(qkind, len(closed), qinvolution)
     return SESDescriptor(name, total, closed, quotient, closed)

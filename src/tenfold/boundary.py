@@ -67,20 +67,30 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
 
 
 def _index_values(vals: np.ndarray) -> np.ndarray:
-    eye = np.eye(vals.shape[-1])
+    d = vals.shape[-1]
+    eye = np.eye(d)
     ah = vals.conj().swapaxes(1, 2)
-    left = matcore.psd_sqrt(eye - ah @ vals, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
-    right = matcore.psd_sqrt(eye - vals @ ah, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
-    return np.block([[2.0 * vals @ ah - eye, 2.0 * vals @ left],
-                     [2.0 * ah @ right, eye - 2.0 * ah @ vals]])
+    aha = ah @ vals
+    aah = vals @ ah
+    w, v = matcore.herm_eig(eye - aha, tol=INDEX_SQRT_TOL)
+    # the largest singular value of a is sqrt(1 - the lowest eigenvalue of
+    # 1 - a*a); roundoff may put that eigenvalue just above 1
+    norm = np.sqrt(max(1.0 - w[:, 0].min(), 0.0))
+    if not norm <= 1.0 + CONTRACTION_TOL:
+        raise ValueError(f"lift is not a contraction (norm {norm:.6f})")
+    left = matcore.psd_root(w, v, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
+    right = matcore.psd_sqrt(eye - aah, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
+    out = np.empty((len(vals), 2 * d, 2 * d), dtype=complex)
+    out[:, :d, :d] = 2.0 * aah - eye
+    out[:, :d, d:] = 2.0 * vals @ left
+    out[:, d:, :d] = 2.0 * ah @ right
+    out[:, d:, d:] = eye - 2.0 * aha
+    return out
 
 
 def index_unitary(a: FnElement) -> FnElement:
     """The self-adjoint unitary [[2aa*-1, 2a sqrt(1-a*a)],
     [2a* sqrt(1-aa*), 1-2a*a]] of a pointwise contraction."""
-    norms = np.linalg.norm(a.values, ord=2, axis=(1, 2))
-    if np.max(norms) > 1.0 + CONTRACTION_TOL:
-        raise ValueError(f"lift is not a contraction (norm {np.max(norms):.6f})")
     return FnElement(a.base, _index_values(a.values))
 
 

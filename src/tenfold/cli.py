@@ -132,6 +132,8 @@ def cmd_boundary(args):
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ValueError as exc:  # a resolution the space's grid cannot take
+        raise SystemExit_(EXIT_IO, str(exc))
     u, _ = _parse_element(_read_json(args.input))
     try:
         res = boundary_map(u, i, ses, args.lift, tol=args.tol)
@@ -158,7 +160,11 @@ def cmd_catalog(args):
         except KeyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED
-        obj = catalog.generator(args.emit, args.resolution or catalog.DEFAULT_RES)
+        res = catalog.DEFAULT_RES if args.resolution is None else args.resolution
+        try:
+            obj = catalog.generator(args.emit, res)
+        except ValueError as exc:  # a resolution the entry's grid cannot take
+            raise SystemExit_(EXIT_IO, str(exc))
         if ent.exact:
             _write_out(toeplitz.element_to_json(obj), args.out)
         else:

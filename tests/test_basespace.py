@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from tenfold import serialize
+from tenfold import matcore, serialize
 from tenfold.basespace import (SES_NAMES, Algebra, FnElement, SESDescriptor,
-                               apply_full_involution, block_diag_elements,
+                               _signed_permutation, apply_full_involution,
+                               block_compress, block_diag_elements,
                                constant_element, extend_contraction,
-                               lambda_eval, restrict, sample_space,
-                               ses_registry, with_pinned)
+                               lambda_eval, pinned_residual, restrict,
+                               sample_space, ses_registry, with_pinned)
+from tenfold.symclass import CLASS_IDS, class_structure
 
 RNG = np.random.default_rng(17)
 
@@ -61,6 +63,104 @@ def test_full_involution_order_two_exact():
     for kind in ("transpose", "transpose_tilde", "sharp_tilde", "sharp_transpose"):
         twice = apply_full_involution(apply_full_involution(u, kind), kind)
         assert np.max(np.abs(twice.values - u.values)) == 0.0
+
+
+def _involution_reference(u, s):
+    """The general path: S u(inv(p))^T S^{-1} as a matrix product."""
+    return s @ np.swapaxes(u.values[u.base.inv_perm], 1, 2) @ s.conj().T
+
+
+def _values_with_zeros(base, dim):
+    vals = RNG.standard_normal((base.npoints, dim, dim)) \
+        + 1j * RNG.standard_normal((base.npoints, dim, dim))
+    vals[2] = 0.0
+    vals[5] = -0.0 * vals[6]  # signed zeros, as a radial lift has at r = 0
+    return vals
+
+
+def _structures():
+    quaternionic = Algebra(sample_space("point"), 1, matcore.J2, "quaternionic")
+    for dim in (2, 4):
+        for i in CLASS_IDS:
+            for alg in (None, quaternionic):
+                try:
+                    s = class_structure(i, dim, alg)
+                except ValueError:
+                    continue
+                if s is not None:
+                    yield f"class {i} dim {dim}", s
+        for kind in ("transpose", "transpose_tilde", "sharp2", "sharp_tilde",
+                     "sharp_transpose"):
+            if kind != "sharp2" or dim == 2:
+                yield kind, matcore.involution_matrix(kind, dim)
+    # a signed permutation that is not its own inverse
+    cycle = np.eye(4, dtype=complex)[[2, 0, 3, 1]] * np.array([1, -1, -1, 1])
+    yield "signed 4-cycle", cycle
+
+
+def test_signed_permutation_structures_match_the_product_bit_for_bit():
+    base = sample_space("disk", (5, 8), "zeta")
+    for name, s in _structures():
+        assert _signed_permutation(s) is not None, name
+        u = FnElement(base, _values_with_zeros(base, len(s)))
+        want = _involution_reference(u, s)
+        assert apply_full_involution(u, s).values.tobytes() == want.tobytes(), name
+
+
+def test_other_structures_take_the_general_path():
+    base = sample_space("circle", 16, "zeta")
+    c, t = np.cos(0.3), np.sin(0.3)
+    for s in (np.array([[c, t], [-t, c]], dtype=complex),   # a real rotation
+              np.diag([1j, 1.0]),                             # a complex phase
+              np.diag([2.0, 1.0]).astype(complex),            # not a sign
+              np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)):
+        assert _signed_permutation(s) is None
+        u = FnElement(base, _values_with_zeros(base, 2))
+        want = _involution_reference(u, s)
+        assert apply_full_involution(u, s).values.tobytes() == want.tobytes()
+
+
+def _pinned_residual_reference(u, algebra=None):
+    """The unitization residual as a fold over every pinned point."""
+    d = 1 if algebra is None else algebra.dim_alg
+
+    def block(v):
+        return float(np.linalg.norm(v - np.kron(block_compress(v, d), np.eye(d))))
+
+    ref = u.values[u.base.pinned[0]]
+    res = block(ref)
+    for p in u.base.pinned[1:]:
+        res = max(res, float(np.linalg.norm(u.values[p] - ref)))
+        res = max(res, block(u.values[p]))
+    return res
+
+
+@pytest.mark.parametrize("dim_alg", [1, 2])
+def test_pinned_residual_matches_reference(dim_alg):
+    base = with_pinned(sample_space("disk", (5, 16), "id"), "boundary")
+    alg = Algebra(base, dim_alg, np.eye(dim_alg, dtype=complex), "test")
+    scalar = np.kron(RNG.standard_normal((2, 2)), np.eye(dim_alg)).astype(complex)
+    vals = np.broadcast_to(scalar, (base.npoints,) + scalar.shape).copy()
+    for noise in (0.0, 1e-12, 1e-3):
+        # noise per point, and one noise matrix at every point: equal
+        # values that are not scalar blocks
+        for shape in (vals.shape, vals.shape[1:]):
+            u = FnElement(base, vals + noise * RNG.standard_normal(shape))
+            assert pinned_residual(u, alg) == _pinned_residual_reference(u, alg)
+    u = FnElement(base, -0.0 * vals)
+    assert pinned_residual(u, alg) == _pinned_residual_reference(u, alg) == 0.0
+
+
+def test_pinned_residual_reports_non_finite_values():
+    base = with_pinned(sample_space("disk", (5, 16), "id"), "boundary")
+    for at in (0, 3):
+        for bad in (np.nan, np.inf):
+            vals = np.ones((base.npoints, 1, 1), dtype=complex)
+            vals[base.pinned[at]] = bad
+            assert np.isnan(pinned_residual(FnElement(base, vals)))
+    vals = np.ones((base.npoints, 1, 1), dtype=complex)
+    vals[0] = np.nan  # off the pinned set
+    assert pinned_residual(FnElement(base, vals)) == 0.0
 
 
 def test_lambda_eval():

@@ -4,7 +4,8 @@ import pytest
 from tenfold import matcore
 from tenfold.basespace import (FnElement, apply_full_involution,
                                constant_element, sample_space, ses_registry)
-from tenfold.boundary import (boundary_conjugator, boundary_map, exp_unitary,
+from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, _index_values,
+                              boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, index_unitary_matrix,
                               retract_contraction, symmetrize_lift)
 from tenfold.invariants import signature
@@ -81,6 +82,53 @@ def test_stacked_odd_retraction_and_index_unitary_match_pointwise():
     bad[9] *= 2.0
     with pytest.raises(ValueError, match="not a contraction"):
         index_unitary(FnElement(base, bad))
+
+
+def _index_values_reference(vals):
+    """The index unitary as two full psd_sqrt calls and np.block."""
+    eye = np.eye(vals.shape[-1])
+    ah = vals.conj().swapaxes(1, 2)
+    left = matcore.psd_sqrt(eye - ah @ vals, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
+    right = matcore.psd_sqrt(eye - vals @ ah, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
+    return np.block([[2.0 * vals @ ah - eye, 2.0 * vals @ left],
+                     [2.0 * ah @ right, eye - 2.0 * ah @ vals]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_index_values_match_reference_bit_for_bit(dim):
+    base = ses_registry("disk-id", (5, 16)).total
+    vals = 1.5 * (RNG.standard_normal((base.npoints, dim, dim))
+                  + 1j * RNG.standard_normal((base.npoints, dim, dim)))
+    vals[3] = 0.0                                  # the zero point
+    vals[5] = -0.0 * vals[6]                       # signed zeros
+    vals[7] = matcore.random_unitary(dim, RNG)     # the unitary point
+    a = retract_contraction(FnElement(base, vals), "odd").values
+    a[9] = matcore.random_unitary(dim, RNG)        # unitary without the retraction
+    want = _index_values_reference(a)
+    assert _index_values(a).tobytes() == want.tobytes()
+    assert index_unitary(FnElement(base, a)).values.tobytes() == want.tobytes()
+    assert index_unitary_matrix(a[9]).tobytes() == want[9].tobytes()
+
+
+def test_index_unitary_refusal_order():
+    """Above 1 + CONTRACTION_TOL the norm refuses first; just below it the
+    spectrum of 1 - a*a dips under -INDEX_SQRT_TOL and its guard refuses."""
+    base = ses_registry("disk-id", (5, 16)).total
+    q = np.stack([matcore.random_unitary(2, RNG) for _ in range(base.npoints)])
+    vals = q * np.array([0.5, 0.25])
+    for sigma, message in ((1 + 2e-7, "not a contraction"),
+                           (1 + 1.5e-7, "not a contraction"),
+                           (1 + 7e-8, "eigenvalue .* below")):
+        bad = vals.copy()
+        bad[11] = sigma * q[11]
+        with pytest.raises(ValueError, match=message):
+            index_unitary(FnElement(base, bad))
+    bad = vals.copy()
+    bad[4, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="not a contraction"):
+        index_unitary(FnElement(base, bad))
+    with pytest.raises(ValueError, match="not a contraction"):
+        index_unitary_matrix(1.5 * q[0])
 
 
 def test_index_unitary_on_disk_lift():

@@ -133,6 +133,23 @@ def test_unknown_class_id_exits_io(tmp_path, capsys):
             assert "unknown symmetry class" in out.err and "KU1" in out.err
 
 
+def test_bad_resolution_exits_io(tmp_path, capsys):
+    p = tmp_path / "k1.json"
+    assert run(["catalog", "--emit", "circle_zeta_k1", "--resolution", "16",
+                "--out", str(p)]) == 0
+    capsys.readouterr()
+    for token in ("7", "-5", "0"):
+        for argv in (["catalog", "--emit", "circle_zeta_k1"],
+                     ["catalog", "--emit", "x0"],
+                     ["boundary", str(p), "--ses", "disk-zeta", "--class", "1"],
+                     ["boundary", str(p), "--ses", "circle-zeta", "--class", "1"]):
+            assert run(argv + ["--resolution", token]) == 4, (argv, token)
+            out = capsys.readouterr()
+            assert out.out == "" and "resolution" in out.err, (argv, token)
+    # the default is still taken when no resolution is given
+    assert run(["catalog", "--emit", "circle_zeta_k1", "--out", str(p)]) == 0
+
+
 def test_unreadable_invariant_exits_unsupported(tmp_path, capsys):
     # z^3 on 8 points passes membership, but its det phase steps by 3pi/4
     base = sample_space("circle", 8, "id")
