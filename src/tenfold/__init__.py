@@ -35,6 +35,7 @@ from .symclass import (
     class_spec,
     neutral,
     check_membership,
+    classify,
     add,
     inverse,
     stabilize,

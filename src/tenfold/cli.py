@@ -21,8 +21,7 @@ from . import catalog, serialize, toeplitz, verify
 from .basespace import SES_NAMES, ses_registry
 from .boundary import boundary_map
 from .invariants import InvariantError, catalog_has, signature
-from .symclass import (CLASS_IDS, MembershipError, check_membership, class_to_json,
-                       parse_class)
+from .symclass import CLASS_IDS, class_to_json, classify, parse_class
 
 EXIT_OK, EXIT_MEMBERSHIP, EXIT_UNSUPPORTED, EXIT_IO = 0, 2, 3, 4
 
@@ -95,10 +94,8 @@ def cmd_classify(args):
     u, alg = _parse_element(_read_json(args.input))
     report = {"base": serialize.base_to_json(u.base), "dim": u.dim, "classes": []}
     any_ok = False
-    for i in hints:
-        try:
-            rep = check_membership(u, i, alg, args.tol)
-        except (MembershipError, ValueError):
+    for i, rep in classify(u, alg, args.tol, hints).items():
+        if isinstance(rep, ValueError):  # a class the element's shape refuses
             continue
         row = {"class": class_to_json(i), "ok": bool(rep.ok),
                "residuals": _residuals_clean(rep.residuals)}

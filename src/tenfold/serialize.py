@@ -87,6 +87,26 @@ def _cpx_matrix_from_json(rows) -> np.ndarray:
         raise ValueError(f"matrix entries must be finite: {exc}") from None
 
 
+def _values_per_entry(values) -> np.ndarray:
+    return np.stack([_cpx_matrix_from_json(v) for v in values])
+
+
+def _cpx_array(obj, axes: int, per_entry) -> np.ndarray:
+    """The complex array, `axes` deep, of the nested [re, im] pairs in obj.
+    A regular array of JSON numbers is read by one np.array call, its float
+    pairs viewed as complex (bit for bit, -0.0 kept); any other input goes
+    to per_entry(obj), whose errors and messages are the contract."""
+    try:
+        a = np.array(obj)
+    except (TypeError, ValueError, OverflowError):
+        return per_entry(obj)
+    # an integer past int64 gives uint64 or object; a string or None, object
+    if a.dtype.type not in (np.float64, np.int64, np.bool_) \
+            or a.ndim != axes + 1 or a.shape[-1] != 2:
+        return per_entry(obj)
+    return a.astype(float, copy=False).view(complex).reshape(a.shape[:-1])
+
+
 def _finite(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -109,15 +129,18 @@ def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
 
 
 def element_from_json(obj: dict):
-    vals = _finite(np.stack([_cpx_matrix_from_json(v) for v in obj["values"]]))
+    vals = _finite(_cpx_array(obj["values"], 3, _values_per_entry))
     if _point_count(obj["base"]) != len(vals):
         raise ValueError(f"base resolution does not match the {len(vals)} values")
     base = base_from_json(obj["base"])
     u = FnElement(base, vals)
+    # bool is an int subclass
+    if "dim" in obj and (type(obj["dim"]) is not int or obj["dim"] != u.dim):
+        raise ValueError(f"dim must be {u.dim}, the size of the value matrices")
     alg = Algebra(base)
     if "alg" in obj:
         dim_alg = _finite_int(obj["alg"]["dim_alg"], "alg.dim_alg")
-        struct = _finite(_cpx_matrix_from_json(obj["alg"]["struct"]))
+        struct = _finite(_cpx_array(obj["alg"]["struct"], 2, _cpx_matrix_from_json))
         label = obj["alg"].get("label", "custom")
         square = struct.ndim == 2 and struct.shape[0] == struct.shape[1] > 0
         if dim_alg < 1 or not square or not isinstance(label, str):

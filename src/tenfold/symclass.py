@@ -22,6 +22,7 @@ and -- where that group is zero:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import numpy as np
 
 from . import matcore
@@ -89,22 +90,33 @@ def neutral(i, copies: int) -> np.ndarray:
     return np.kron(np.eye(copies, dtype=complex), blk)
 
 
+_SCALAR_STRUCT = np.eye(1, dtype=complex)
+
+
 def class_structure(i, dim: int, algebra: Algebra = None) -> np.ndarray:
-    """Structure matrix of the class-i symmetry on dim x dim values."""
+    """Structure matrix of the class-i symmetry on dim x dim values; built
+    once per structure and returned read-only."""
     spec = class_spec(i)
     if spec["sign"] is None:
         return None
-    s_alg = np.eye(1, dtype=complex) if algebra is None else algebra.struct
-    ds = s_alg.shape[0]
-    k, rem = divmod(dim, ds)
+    s_alg = _SCALAR_STRUCT if algebra is None else np.asarray(algebra.struct)
+    k, rem = divmod(dim, s_alg.shape[0])
     if rem:
         raise ValueError("element dimension is not a multiple of the structure size")
-    if spec["sharp"]:
-        if k % 2:
-            raise ValueError(f"class {i} needs an even number of structure columns")
+    if spec["sharp"] and k % 2:
+        raise ValueError(f"class {i} needs an even number of structure columns")
+    # keyed on the contents of struct: Algebra's eq and hash ignore it
+    return _structure(spec["sharp"], k, s_alg.dtype.str, s_alg.shape, s_alg.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _structure(sharp: bool, k: int, dtype: str, shape: tuple, data: bytes) -> np.ndarray:
+    s_alg = np.frombuffer(data, dtype).reshape(shape)
+    if sharp:
         s = np.kron(np.kron(np.eye(k // 2, dtype=complex), matcore.J2), s_alg)
     else:
         s = np.kron(np.eye(k, dtype=complex), s_alg)
+    s.flags.writeable = False
     return s
 
 
@@ -137,7 +149,38 @@ def _default_algebra(u: FnElement, algebra):
 def check_membership(u: FnElement, i, algebra: Algebra = None,
                      tol: float = 1e-9) -> KOClassRep:
     """Test the class-i symmetry relations; residuals are always reported."""
+    return _membership(u, i, _default_algebra(u, algebra), tol, {})
+
+
+def classify(u: FnElement, algebra: Algebra = None, tol: float = 1e-9,
+             classes=CLASS_IDS) -> dict:
+    """check_membership of u in each of `classes` from one pass: class id ->
+    its KOClassRep, or the ValueError (a MembershipError among them) that
+    refuses the class.  What the classes share is computed once."""
     algebra = _default_algebra(u, algebra)
+    shared, out = {}, {}
+    for i in classes:
+        try:
+            out[i] = _membership(u, i, algebra, tol, shared)
+        except ValueError as exc:
+            out[i] = exc
+    return out
+
+
+def _membership(u: FnElement, i, algebra: Algebra, tol: float,
+                shared: dict) -> KOClassRep:
+    """Membership of u in class i.  `shared` keeps the pieces every class
+    of u may reuse: the adjoint, the unitary and self-adjoint residuals, the
+    involuted element per structure, the symmetry residual per (structure,
+    star, sign), the pinned residual and the basepoint value."""
+    def get(key, make):
+        if key not in shared:
+            shared[key] = make()
+        return shared[key]
+
+    def worst(m):
+        return float(np.max(np.linalg.norm(m, axis=(1, 2))))
+
     spec = class_spec(i)
     res = {}
     d = algebra.dim_alg
@@ -148,23 +191,22 @@ def check_membership(u: FnElement, i, algebra: Algebra = None,
     if u.dim % algebra.struct.shape[0]:
         raise MembershipError("dimension incompatible with the algebra structure")
 
-    ua = u.adjoint()
-    res["unitary"] = float(np.max(np.linalg.norm(
-        ua.values @ u.values - np.eye(u.dim), axis=(1, 2))))
+    ua = get("adjoint", u.adjoint)
+    res["unitary"] = get("unitary", lambda: worst(ua.values @ u.values - np.eye(u.dim)))
     if spec["sa"]:
-        res["self_adjoint"] = float(np.max(np.linalg.norm(
-            u.values - ua.values, axis=(1, 2))))
+        res["self_adjoint"] = get("self_adjoint", lambda: worst(u.values - ua.values))
     s = class_structure(i, u.dim, algebra)
     if s is not None:
-        lhs = apply_full_involution(u, s)
-        rhs = ua if spec["star"] else u
-        res["symmetry"] = float(np.max(np.linalg.norm(
-            lhs.values - spec["sign"] * rhs.values, axis=(1, 2))))
+        sharp, star, sign = spec["sharp"], spec["star"], spec["sign"]
+        lhs = get(("involute", sharp), lambda: apply_full_involution(u, s))
+        rhs = ua if star else u
+        res["symmetry"] = get(("symmetry", sharp, star, sign),
+                              lambda: worst(lhs.values - sign * rhs.values))
 
     ok = all(v <= tol for v in res.values())
     if u.base.pinned:
-        res["scalar_pinning"] = pinned_residual(u, algebra)
-        lam = lambda_eval(u, algebra)
+        res["scalar_pinning"] = get("pinned", lambda: pinned_residual(u, algebra))
+        lam = get("lambda", lambda: lambda_eval(u, algebra))
         triv, detail = _lambda_trivial(lam, i)
         res["lambda_class"] = 0.0 if triv else 1.0
         res["lambda_detail"] = detail

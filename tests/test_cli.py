@@ -293,13 +293,30 @@ def _disk_three_axes(doc):
     doc["values"] = doc["values"] * 2
 
 
+def _dim_too_large(doc):
+    doc["dim"] = 5
+
+
+def _dim_not_int(doc):
+    doc["dim"] = "two"
+
+
+def _dim_bool(doc):
+    doc["dim"] = True  # equal to 1, the size of the values, but not an int
+
+
+def _dim_float(doc):
+    doc["dim"] = 1.0
+
+
 @pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative,
                                    _base_not_object, _pinned_bool, _alg_dim_zero,
                                    _alg_struct_empty, _alg_label_not_string,
                                    _resolution_huge, _resolution_infinite,
                                    _value_beyond_float, _alg_struct_beyond_float,
                                    _disk_one_axis, _disk_no_axes, _sphere2_one_axis,
-                                   _torus2_one_axis, _disk_three_axes])
+                                   _torus2_one_axis, _disk_three_axes, _dim_too_large,
+                                   _dim_not_int, _dim_bool, _dim_float])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)
@@ -309,6 +326,18 @@ def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert run(["classify", str(p)]) == 4
     assert capsys.readouterr().out == ""
+
+
+def test_dim_field_is_optional(tmp_path, capsys):
+    doc = _circle_doc()
+    nodim = {k: v for k, v in doc.items() if k != "dim"}
+    texts = []
+    for name, d in (("dim.json", doc), ("nodim.json", nodim)):
+        p = tmp_path / name
+        p.write_text(json.dumps(d))
+        assert run(["classify", str(p)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
 
 
 def test_overflowing_residuals_print_strict_json(tmp_path, capsys):

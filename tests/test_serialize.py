@@ -107,3 +107,93 @@ _TREES = st.recursive(_SCALARS | _regular(), lambda kids: (
 @given(_TREES)
 def test_json_trees_match_json(obj):
     assert serialize.dumps(obj) == reference(obj)
+
+
+# -- element values: one np.array call against the per-entry path -------------------
+
+def _parse(values):
+    """The values as element_from_json reads them, and as the per-entry
+    path alone reads them: (array, None) or (None, (type, message))."""
+    out = []
+    for read in (lambda v: serialize._cpx_array(v, 3, serialize._values_per_entry),
+                 serialize._values_per_entry):
+        try:
+            out.append((serialize._finite(read(values)), None))
+        except Exception as exc:  # the per-entry path's errors are the contract
+            out.append((None, (type(exc), str(exc))))
+    return out
+
+
+def _assert_same_parse(values):
+    (fast, fast_err), (slow, slow_err) = _parse(values)
+    assert fast_err == slow_err
+    if slow_err is None:
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("entry", [
+    [-0.0, -0.0], [0.0, -0.0], [-0.0, 1], [2 ** 53 + 1, -(2 ** 53 + 3)],
+    [2 ** 63 - 1, -(2 ** 63)], [True, False], [True, 0.5], [False, 2 ** 60],
+    [2 ** 63, 1], [2 ** 63 + 1025, 2 ** 64 - 1], [2 ** 64, 0.5], [10 ** 300, -(10 ** 307)],
+    [2 ** 1023, 1.5], [5e-324, -1e308],
+])
+def test_values_parse_bit_for_bit(entry):
+    doc = json.loads(json.dumps([[[entry, [1.0, 0.0]], [[0.25, -0.0], entry]]] * 3))
+    _assert_same_parse(doc)
+    (fast, _), _ = _parse(doc)
+    assert fast.dtype == complex
+    assert math.copysign(1.0, fast[0, 0, 0].real) == math.copysign(1.0, float(entry[0]))
+
+
+@pytest.mark.parametrize("values", [
+    [[[["1", 0.0]]]], [[[[None, 0.0]]]], [[[[0.0, None]]]], [[[None]]], [[["ab"]]],
+    [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]],             # ragged rows
+    [[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]],           # ragged points
+    [[[1.0, 0.0]]], [[[[[1.0, 0.0]]]]], [[1.0, 0.0]], [1.0], 1.0,  # nesting depth
+    [[[[1.0]]]], [[[[1.0, 0.0, 0.0]]]], [[[[]]]],            # pair lengths
+    [[[[10 ** 400, 0.0]]]], [[[[0.0, -(10 ** 400)]]]],
+    [[[[math.nan, 0.0]]]], [[[[0.0, math.inf]]]], [[[[-math.inf, 1]]]],
+    [], {}, "values", None,
+])
+def test_values_refusals_match_per_entry(values):
+    (_, fast_err), (_, slow_err) = _parse(values)
+    assert slow_err is not None and fast_err == slow_err
+
+
+@pytest.mark.parametrize("values", [[[]], [[[]]], [[[], []]]])
+def test_empty_matrices_parse_like_per_entry(values):
+    _assert_same_parse(values)  # empty arrays, which FnElement then refuses
+
+
+_NUMBERS = (st.integers(-(2 ** 70), 2 ** 70) | st.booleans()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 2 ** 53 + 1, 2 ** 63, 2 ** 64 + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_regular_values_parse_bit_for_bit(npoints, dim, data):
+    n = npoints * dim * dim * 2
+    flat = data.draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+    values = np.array(flat, dtype=object).reshape(npoints, dim, dim, 2).tolist()
+    _assert_same_parse(values)
+
+
+def test_alg_struct_parses_like_per_entry():
+    doc = serialize.element_to_json(catalog.generator("x4", 16).element,
+                                    catalog.generator("x4", 16).algebra)
+    struct = json.loads(json.dumps(doc["alg"]["struct"]))
+    want = serialize._cpx_matrix_from_json(struct)
+    got = serialize._cpx_array(struct, 2, serialize._cpx_matrix_from_json)
+    assert got.tobytes() == want.tobytes()
+    _, alg = serialize.element_from_json(doc)
+    assert alg.struct.tobytes() == want.tobytes()
+
+
+def test_regular_values_skip_the_per_entry_path(monkeypatch):
+    rep = catalog.generator("circle_zeta_k1", 16)
+    doc = json.loads(json.dumps(serialize.element_to_json(rep.element)))
+    monkeypatch.setattr(serialize, "_values_per_entry", None)
+    u, _ = serialize.element_from_json(doc)
+    assert u.values.tobytes() == rep.element.values.tobytes()

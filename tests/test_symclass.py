@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from tenfold import catalog, matcore
-from tenfold.basespace import (FnElement, constant_element, lambda_eval,
+from tenfold.basespace import (Algebra, FnElement, apply_full_involution,
+                               constant_element, lambda_eval, pinned_residual,
                                sample_space, with_pinned)
-from tenfold.invariants import signature
-from tenfold.symclass import (CLASS_IDS, add, build_u,
+from tenfold.invariants import InvariantError, catalog_has, signature
+from tenfold.symclass import (CLASS_IDS, KOClassRep, MembershipError,
+                              _lambda_trivial, add, build_u,
                               check_membership, check_qc_relations,
-                              class_spec, class_structure, complex_class,
+                              class_spec, class_structure, classify, complex_class,
                               forget_to_ku, gamma_double,
                               inverse, iota_interleaved, neutral,
                               normalize_lambda, stabilize, to_projection)
@@ -328,3 +330,169 @@ def test_basepoint_that_is_not_skew_fails_class_2():
     rep = check_membership(constant_element(base, np.eye(2)), 2)
     assert not rep.ok and rep.residuals["lambda_class"] == 1.0
     assert "not skew" in rep.residuals["lambda_detail"]
+
+
+# -- structures built once, membership shared across classes ---------------------
+
+def _class_structure_reference(i, dim, algebra=None):
+    """class_structure as two np.kron calls per call, without a cache."""
+    spec = class_spec(i)
+    if spec["sign"] is None:
+        return None
+    s_alg = np.eye(1, dtype=complex) if algebra is None else algebra.struct
+    k, rem = divmod(dim, s_alg.shape[0])
+    if rem:
+        raise ValueError("element dimension is not a multiple of the structure size")
+    if spec["sharp"]:
+        if k % 2:
+            raise ValueError(f"class {i} needs an even number of structure columns")
+        return np.kron(np.kron(np.eye(k // 2, dtype=complex), matcore.J2), s_alg)
+    return np.kron(np.eye(k, dtype=complex), s_alg)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+_STRUCTS = {"scalar": np.eye(1, dtype=complex), "J2": matcore.J2,
+            "SWAP2": matcore.SWAP2,
+            "m2qc2": np.kron(matcore.J2, np.eye(2, dtype=complex))}
+
+
+@pytest.mark.parametrize("label", list(_STRUCTS))
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("i", CLASS_IDS)
+def test_class_structure_built_once_matches_kron(i, dim, label):
+    alg = Algebra(POINT, 2 if len(_STRUCTS[label]) > 1 else 1, _STRUCTS[label], label)
+    for algebra in (alg, None) if label == "scalar" else (alg,):
+        want, want_err = _outcome(_class_structure_reference, i, dim, algebra)
+        got, got_err = _outcome(class_structure, i, dim, algebra)
+        assert got_err == want_err
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert class_structure(i, dim, algebra) is got
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 7.0
+
+
+def test_class_structure_cache_reads_the_struct():
+    # Algebra's eq and hash ignore struct: these two compare equal
+    a, b = (Algebra(POINT, 2, s, "same") for s in (matcore.J2, matcore.SWAP2))
+    assert a == b
+    assert np.array_equal(class_structure(1, 4, a), np.kron(np.eye(2), matcore.J2))
+    assert np.array_equal(class_structure(1, 4, b), np.kron(np.eye(2), matcore.SWAP2))
+
+
+def _check_membership_reference(u, i, algebra=None, tol=1e-9):
+    """check_membership as it was before classes shared their work: every
+    piece recomputed for the one class."""
+    algebra = Algebra(u.base) if algebra is None else algebra
+    spec = class_spec(i)
+    res = {}
+    d = algebra.dim_alg
+    k, rem = divmod(u.dim, d)
+    if rem or k % spec["mult"]:
+        raise MembershipError(
+            f"dimension {u.dim} is not a multiple of {spec['mult']}*{d} for class {i}")
+    if u.dim % algebra.struct.shape[0]:
+        raise MembershipError("dimension incompatible with the algebra structure")
+    ua = u.adjoint()
+    res["unitary"] = float(np.max(np.linalg.norm(
+        ua.values @ u.values - np.eye(u.dim), axis=(1, 2))))
+    if spec["sa"]:
+        res["self_adjoint"] = float(np.max(np.linalg.norm(
+            u.values - ua.values, axis=(1, 2))))
+    s = _class_structure_reference(i, u.dim, algebra)
+    if s is not None:
+        lhs = apply_full_involution(u, s)
+        rhs = ua if spec["star"] else u
+        res["symmetry"] = float(np.max(np.linalg.norm(
+            lhs.values - spec["sign"] * rhs.values, axis=(1, 2))))
+    ok = all(v <= tol for v in res.values())
+    if u.base.pinned:
+        res["scalar_pinning"] = pinned_residual(u, algebra)
+        lam = lambda_eval(u, algebra)
+        triv, detail = _lambda_trivial(lam, i)
+        res["lambda_class"] = 0.0 if triv else 1.0
+        res["lambda_detail"] = detail
+        ok = ok and res["scalar_pinning"] <= tol and triv
+    return KOClassRep(u, i, algebra, ok=ok, residuals=res)
+
+
+def _bits(res):
+    return {k: v if isinstance(v, str) else np.float64(v).tobytes()
+            for k, v in res.items()}
+
+
+def _signature_outcome(rep):
+    try:
+        return signature(rep).as_dict()
+    except InvariantError as exc:  # not readable at this resolution
+        return type(exc), str(exc)
+
+
+def _assert_classify_matches_reference(u, algebra=None, tol=1e-9):
+    """classify and check_membership of u against the reference, class by
+    class: the same refusal, or the same ok, residual bits and signature."""
+    every = classify(u, algebra, tol)
+    assert list(every) == list(CLASS_IDS)
+    for i in CLASS_IDS:
+        want, want_err = _outcome(_check_membership_reference, u, i, algebra, tol)
+        one, one_err = _outcome(check_membership, u, i, algebra, tol)
+        got = every[i]
+        assert one_err == want_err
+        if want_err is not None:
+            assert (type(got), str(got)) == want_err
+            continue
+        for rep in (got, one):
+            assert isinstance(rep, KOClassRep) and rep.class_id == i
+            assert rep.element is u and rep.ok == want.ok
+            assert _bits(rep.residuals) == _bits(want.residuals)
+        if want.ok and catalog_has(want):
+            assert _signature_outcome(got) == _signature_outcome(want)
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+def test_classify_matches_reference_on_catalog(resolution):
+    for name in catalog.names():
+        if not catalog.entry(name).exact:
+            rep = catalog.generator(name, resolution)
+            _assert_classify_matches_reference(rep.element, rep.algebra)
+
+
+@pytest.mark.parametrize("name", ["x2", "x4", "x6"])
+def test_classify_matches_reference_on_nonscalar_algebras(name):
+    rep = catalog.generator(name, 16)
+    assert rep.algebra.label != "scalar"
+    _assert_classify_matches_reference(rep.element, rep.algebra)
+    # and on the same element over the scalar algebra
+    _assert_classify_matches_reference(rep.element)
+
+
+def test_classify_matches_reference_on_random_draws():
+    from tenfold.verify import random_class_element
+    rng = np.random.default_rng(1201)
+    drawn = set()
+    for kind, involution, pin in (
+            ("circle", "id", None), ("circle", "zeta", "basepoint"),
+            ("circle", "sigma", "pm1"), ("circle", "zeta", "pm1"),
+            ("disk", "id", "boundary"), ("disk", "zeta", "basepoint")):
+        base = sample_space(kind, 16 if kind == "circle" else [4, 8], involution)
+        base = with_pinned(base, pin) if pin else base
+        for i in CLASS_IDS:
+            for copies in (1, 2):
+                try:
+                    u = random_class_element(base, i, class_spec(i)["mult"] * copies,
+                                             rng, fourier=2 if kind == "circle" else 0)
+                except RuntimeError:  # no gapped even-class draw on this grid
+                    continue
+                drawn.add(i)
+                _assert_classify_matches_reference(u)
+        # a constant neutral passes on a pinned base, so lambda details are compared
+        _assert_classify_matches_reference(constant_element(base, neutral(0, 2)))
+    assert drawn == set(CLASS_IDS)
