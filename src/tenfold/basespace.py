@@ -9,6 +9,7 @@ equal a common scalar block; lambda is evaluation there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -38,12 +39,41 @@ _UNIT = _Axis(1, 8, False, 0, lambda m: np.linspace(0.0, 1.0, m))
 _RADIUS = _Axis(0, 4, False, 2, _UNIT.coords)
 
 
+# A collar rule gives each SES total point closed-set (quotient) indices and
+# weights, a column per term, and its normalized distance from the closed set
+
+def _radial_collar(total, closed):
+    """Radial on the disk, whose closed set is its rim in angle order: point
+    (i, j) takes radius i / (nr - 1) times the rim value at angle j."""
+    nr, nt = total.shape
+    r = np.arange(nr) / (nr - 1)
+    return np.tile(np.arange(nt), nr)[:, None], np.repeat(r, nt)[:, None], \
+        np.repeat(1.0 - r, nt)
+
+
+def _arc_collar(total, closed):
+    """Linear along each arc between consecutive closed points.  A closed
+    point takes the arc that starts there, but the first takes the arc that
+    wraps around onto it; both terms are kept there, one of weight 0."""
+    n = total.shape[0]
+    order = np.argsort(closed, kind="stable")
+    lo = np.asarray(closed)[order]
+    hi = np.append(lo[1:], lo[0] + n)
+    k = np.arange(n) + n * (np.arange(n) <= lo[0])  # unwrapped onto (lo[0], lo[0] + n]
+    arc = np.searchsorted(lo, k, side="right") - 1
+    s = (k - lo[arc]) / (hi[arc] - lo[arc])
+    index = np.stack([order[arc], order[(arc + 1) % len(lo)]], 1)
+    return index, np.stack([1.0 - s, s], 1), \
+        np.minimum(k - lo[arc], hi[arc] - k) / (np.max(hi - lo) / 2.0)
+
+
 class _Kind(NamedTuple):
     involutions: tuple
     axes: tuple  # an _Axis per resolution axis
     points: Callable  # axis coordinates, as an open mesh -> point coordinates
     fixed: tuple = ()  # the grid shape of a kind without resolution axes
     pins: dict = {"basepoint": "@1"}  # with_pinned names it has -> labels
+    collar: Callable = None  # on an SES's total space: the rule of its collar
 
 
 SPACES = {
@@ -53,10 +83,11 @@ SPACES = {
     "interval": _Kind(("id",), (_UNIT,), lambda t: (t,), pins={"basepoint": "@0"}),
     "circle": _Kind(("id", "zeta", "sigma"), (_TURN,),
                     lambda t: (np.cos(t), np.sin(t)),
-                    pins={"pm1": "@pm1", "basepoint": "@1"}),
+                    pins={"pm1": "@pm1", "basepoint": "@1"}, collar=_arc_collar),
     "disk": _Kind(("id", "zeta"), (_RADIUS, _TURN),
                   lambda r, t: (r * np.cos(t), r * np.sin(t)),
-                  pins={"boundary": "@boundary", "basepoint": "@1"}),
+                  pins={"boundary": "@boundary", "basepoint": "@1"},
+                  collar=_radial_collar),
     "sphere2": _Kind(("id", "zeta"), (_POLAR, _TURN),
                      lambda a, t: (np.sin(a) * np.cos(t), np.sin(a) * np.sin(t),
                                    np.cos(a))),
@@ -218,7 +249,6 @@ def constant_element(base: BaseSpace, m: np.ndarray) -> FnElement:
 
 
 def block_diag_elements(u: FnElement, v: FnElement) -> FnElement:
-    _same_base(u, FnElement(u.base, u.values))
     if u.base != v.base:
         raise ValueError("elements live over different base spaces")
     n = u.base.npoints
@@ -330,9 +360,18 @@ def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
 class SESDescriptor:
     name: str
     total: BaseSpace
-    closed_flat: tuple
+    closed_flat: tuple  # quotient flat index -> total flat index
     quotient: BaseSpace
-    quotient_map: tuple  # quotient flat index -> total flat index
+    # the collar rule's indices and weights, and the taper0 profile
+    collar: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rule = SPACES[self.total.kind].collar
+        if rule is None:
+            raise ValueError(f"no contraction extends over a {self.total.kind}")
+        index, weight, dist = rule(self.total, self.closed_flat)
+        object.__setattr__(self, "collar", (index, weight,
+                                            np.clip(1.0 - 2.0 * dist, 0.0, 1.0)))
 
 
 # name -> the total space's kind and involution, the closed set (a
@@ -345,6 +384,7 @@ _SES = {
     "disk-zeta": ("disk", "zeta", "boundary", "circle", "zeta", (33, 64)),
 }
 SES_NAMES = (*_SES, "toeplitz")
+LIFT_STRATEGIES = ("natural", "taper0")
 
 
 def ses_registry(name: str, resolution=None) -> SESDescriptor:
@@ -356,7 +396,7 @@ def ses_registry(name: str, resolution=None) -> SESDescriptor:
                          involution)
     closed = with_pinned(total, pin).pinned
     quotient = sample_space(qkind, len(closed), qinvolution)
-    return SESDescriptor(name, total, closed, quotient, closed)
+    return SESDescriptor(name, total, closed, quotient)
 
 
 def ideal_base(ses: SESDescriptor) -> BaseSpace:
@@ -368,7 +408,7 @@ def restrict(u: FnElement, ses: SESDescriptor) -> FnElement:
     """Restriction to the closed set, as an element over the quotient space."""
     if u.base.kind != ses.total.kind or u.base.shape != ses.total.shape:
         raise ValueError("element does not live over the SES total space")
-    vals = u.values[np.array(ses.quotient_map)]
+    vals = u.values[np.array(ses.closed_flat)]
     return FnElement(ses.quotient, vals)
 
 
@@ -376,60 +416,20 @@ def extend_contraction(b: FnElement, ses: SESDescriptor,
                        strategy: str = "natural") -> FnElement:
     """Extend a contraction on the closed set to one on the total space.
 
-    Strategies: 'natural' (radial on disks, arc-linear on circles),
-    'radial', 'arclinear' (aliases of natural where they apply), and
-    'taper0' (natural extension scaled to 0 away from the closed set).
-    Restriction of the result equals b exactly on grid points.
+    Strategies: 'natural' (the SES collar's weighted sum: radial on disks,
+    arc-linear on circles) and 'taper0' (natural scaled to 0 away from the
+    closed set).  Restriction of the result equals b exactly on grid points.
     """
-    norms = np.linalg.norm(b.values, ord=2, axis=(1, 2))
-    if np.max(norms) > 1.0 + EXTEND_NORM_TOL:
+    if np.max(np.linalg.norm(b.values, ord=2, axis=(1, 2))) > 1.0 + EXTEND_NORM_TOL:
         raise ValueError("input values must be contractions")
-    if strategy in ("natural", "radial", "arclinear"):
-        return _natural_extension(b, ses)
+    if strategy not in LIFT_STRATEGIES:
+        raise ValueError(f"unknown extension strategy {strategy!r}")
+    if b.base != ses.quotient:
+        raise ValueError("values are not over the SES quotient")
+    index, weight, taper = ses.collar
+    terms = weight[:, :, None, None] * b.values[index]
+    # summed from the first term, not from 0, which would turn -0.0 to +0.0
+    out = functools.reduce(np.add, terms.swapaxes(0, 1))
     if strategy == "taper0":
-        ext = _natural_extension(b, ses)
-        g = 1.0 - 2.0 * _closed_set_distance(ses)
-        g = np.clip(g, 0.0, 1.0)
-        return FnElement(ext.base, ext.values * g[:, None, None])
-    raise ValueError(f"unknown extension strategy {strategy!r}")
-
-
-def _natural_extension(b: FnElement, ses: SESDescriptor) -> FnElement:
-    total = ses.total
-    if total.kind == "disk":
-        nr, nt = total.shape
-        if b.base.kind != "circle" or b.base.shape[0] != nt:
-            raise ValueError("disk extension needs a matching circle element")
-        r = (np.arange(nr) / (nr - 1))[:, None, None, None]
-        return FnElement(total, (r * b.values).reshape(-1, b.dim, b.dim))
-    if total.kind == "circle":
-        n = total.shape[0]
-        closed = sorted(ses.closed_flat)
-        if b.base.npoints != len(closed):
-            raise ValueError("closed-set values do not match the SES")
-        out = np.zeros((n, b.dim, b.dim), dtype=complex)
-        vals = {c: b.values[i] for i, c in enumerate(ses.quotient_map)}
-        arcs = list(zip(closed, closed[1:] + [closed[0] + n]))
-        for lo, hi in arcs:
-            k = np.arange(lo, hi + 1)
-            s = ((k - lo) / (hi - lo))[:, None, None]
-            out[k % n] = (1.0 - s) * vals[lo % n] + s * vals[hi % n]
-        return FnElement(total, out)
-    raise ValueError(f"no extension strategy for total space {total.kind!r}")
-
-
-def _closed_set_distance(ses: SESDescriptor) -> np.ndarray:
-    """Normalized distance from the closed set: 1 at the farthest points."""
-    total = ses.total
-    if total.kind == "disk":
-        nr, nt = total.shape
-        return np.repeat(1.0 - np.arange(nr) / (nr - 1), nt)
-    if total.kind == "circle":
-        n = total.shape[0]
-        closed = np.array(sorted(ses.closed_flat))
-        idx = np.arange(n)
-        dist = np.min(np.minimum((idx[:, None] - closed) % n,
-                                 (closed - idx[:, None]) % n), axis=1)
-        gaps = np.diff(np.concatenate([closed, [closed[0] + n]]))
-        return dist / (np.max(gaps) / 2.0)
-    raise ValueError(f"no distance profile for {total.kind!r}")
+        out = out * taper[:, None, None]
+    return FnElement(ses.total, out)

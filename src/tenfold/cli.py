@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import catalog, serialize, toeplitz, verify
-from .basespace import SES_NAMES, ses_registry
+from .basespace import LIFT_STRATEGIES, SES_NAMES, ses_registry
 from .boundary import boundary_map
 from .invariants import InvariantError, catalog_has, signature
 from .symclass import CLASS_IDS, class_to_json, classify, parse_class
@@ -219,8 +219,7 @@ def build_parser():
     b.add_argument("input", help="element JSON path, or - for stdin")
     b.add_argument("--ses", required=True, choices=SES_NAMES)
     b.add_argument("--class", dest="class_id", required=True)
-    b.add_argument("--lift", default="natural",
-                   choices=("natural", "radial", "arclinear", "taper0"))
+    b.add_argument("--lift", default="natural", choices=LIFT_STRATEGIES)
     b.add_argument("--resolution", type=int, default=None)
     b.add_argument("--tol", type=float, default=1e-9)
     b.add_argument("--out", default=None)

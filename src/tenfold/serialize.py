@@ -42,11 +42,11 @@ def base_to_json(base: BaseSpace) -> dict:
 
 
 def _finite_int(v, what: str) -> int:
-    """int(v), refusing the Infinity that JSON parsing admits: int() raises
-    OverflowError on it, which is not a malformed-input error."""
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ValueError(f"{what} must be finite")
-    return int(v)
+    """A JSON integer, or a float of integral value, as an int; int() would
+    truncate a fraction, parse a string, take a bool and overflow on Infinity."""
+    if type(v) is int or type(v) is float and v.is_integer():
+        return int(v)
+    raise ValueError(f"{what} must be an integer, not {v!r}")
 
 
 def _resolution(obj: dict):

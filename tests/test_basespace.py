@@ -195,7 +195,7 @@ def test_restrict_disk_boundary_is_circle():
 def test_restrict_interpolant_to_pm1():
     ses = ses_registry("circle-sigma", 16)
     b = FnElement(ses.quotient, np.stack([np.eye(1), -np.eye(1)]).astype(complex))
-    a = extend_contraction(b, ses, "arclinear")
+    a = extend_contraction(b, ses, "natural")
     # the arc profile hits (1, -1) at the split points and is linear between
     assert np.allclose(restrict(a, ses).values, b.values)
     t = np.arange(16) / 16
@@ -207,7 +207,7 @@ def test_radial_extension_of_identity_loop():
     ses = ses_registry("disk-id", (5, 16))
     zq = circle_z(ses.quotient)
     b = FnElement(ses.quotient, zq[:, None, None] * np.eye(1))
-    a = extend_contraction(b, ses, "radial")
+    a = extend_contraction(b, ses, "natural")
     zt = ses.total.points[:, 0] + 1j * ses.total.points[:, 1]
     assert np.allclose(a.values[:, 0, 0], zt)
     assert np.allclose(restrict(a, ses).values, b.values)
@@ -215,7 +215,7 @@ def test_radial_extension_of_identity_loop():
 
 def test_identity_extension_when_closed_set_is_total():
     base = sample_space("circle", 16, "id")
-    ses = SESDescriptor("all", base, tuple(range(16)), base, tuple(range(16)))
+    ses = SESDescriptor("all", base, tuple(range(16)), base)
     vals = RNG.standard_normal((16, 2, 2))
     vals = vals / np.linalg.norm(vals, ord=2, axis=(1, 2))[:, None, None]
     b = FnElement(base, vals + 0j)
@@ -237,6 +237,86 @@ def test_contraction_precondition():
     b = FnElement(ses.quotient, 2.0 * np.stack([np.eye(1), np.eye(1)]).astype(complex))
     with pytest.raises(ValueError):
         extend_contraction(b, ses)
+
+
+def test_extension_refuses_other_bases_and_strategies():
+    ses = ses_registry("disk-zeta", (5, 16))
+    b = constant_element(ses.quotient, np.eye(2))
+    for other in (sample_space("circle", 16, "id"), sample_space("circle", 32, "zeta"),
+                  with_pinned(ses.quotient, "basepoint")):
+        with pytest.raises(ValueError, match="not over the SES quotient"):
+            extend_contraction(constant_element(other, np.eye(2)), ses)
+    for strategy in ("radial", "arclinear", "none"):
+        with pytest.raises(ValueError, match="unknown extension strategy"):
+            extend_contraction(b, ses, strategy)
+    sphere = sample_space("sphere2", (8, 8), "id")
+    with pytest.raises(ValueError, match="no contraction extends"):
+        SESDescriptor("sphere", sphere, (0,), sample_space("point"))
+
+
+def _extension_reference(b, ses, strategy):
+    """The per-kind extension the collars replaced: radial on the disk,
+    linear along the arcs of the circle (the last arc written wins at a
+    shared endpoint), and for taper0 a profile read from the distance to
+    the closed set."""
+    total = ses.total
+    if total.kind == "disk":
+        nr, nt = total.shape
+        r = (np.arange(nr) / (nr - 1))[:, None, None, None]
+        out = (r * b.values).reshape(-1, b.dim, b.dim)
+        dist = np.repeat(1.0 - np.arange(nr) / (nr - 1), nt)
+    else:
+        n = total.shape[0]
+        closed = sorted(ses.closed_flat)
+        out = np.zeros((n, b.dim, b.dim), dtype=complex)
+        vals = {c: b.values[i] for i, c in enumerate(ses.closed_flat)}
+        for lo, hi in zip(closed, closed[1:] + [closed[0] + n]):
+            k = np.arange(lo, hi + 1)
+            s = ((k - lo) / (hi - lo))[:, None, None]
+            out[k % n] = (1.0 - s) * vals[lo % n] + s * vals[hi % n]
+        closed = np.array(closed)
+        idx = np.arange(n)
+        dist = np.min(np.minimum((idx[:, None] - closed) % n,
+                                 (closed - idx[:, None]) % n), axis=1)
+        gaps = np.diff(np.concatenate([closed, [closed[0] + n]]))
+        dist = dist / (np.max(gaps) / 2.0)
+    if strategy == "taper0":
+        out = out * np.clip(1.0 - 2.0 * dist, 0.0, 1.0)[:, None, None]
+    return out
+
+
+def _uneven_circle_ses():
+    """Eight closed points, listed out of order, on uneven arcs: at a shared
+    endpoint the arc written last wins, which decides a signed zero."""
+    total = sample_space("circle", 32, "zeta")
+    closed = (9, 0, 2, 3, 30, 16, 17, 23)
+    return SESDescriptor("uneven", total, closed, sample_space("circle", 8, "id"))
+
+
+@pytest.mark.parametrize("name", [n for n in SES_NAMES if n != "toeplitz"] + ["uneven"])
+def test_extension_matches_reference_bytes(name):
+    rng = np.random.default_rng(23)
+    if name == "uneven":
+        sequences = [_uneven_circle_ses()]
+    else:
+        sequences = [ses_registry(name, res) for res in
+                     (None, 16 if name.startswith("circle") else (5, 16))]
+    for ses in sequences:
+        for dim in (1, 2, 4):
+            for _ in range(5):
+                n = ses.quotient.npoints
+                vals = rng.standard_normal((n, dim, dim)) \
+                    + 1j * rng.standard_normal((n, dim, dim))
+                vals /= np.linalg.norm(vals, ord=2, axis=(1, 2)).max()
+                vals[1::3].real[:, 0] = -0.0
+                vals[0] = 0.0
+                vals[n // 2] = -0.0 * np.abs(vals[n // 2])  # -0.0 in both parts
+                b = FnElement(ses.quotient, vals)
+                for strategy in ("natural", "taper0"):
+                    got = extend_contraction(b, ses, strategy)
+                    assert got.base == ses.total
+                    assert got.values.tobytes() == \
+                        _extension_reference(b, ses, strategy).tobytes()
 
 
 def test_pinned_labels():
@@ -310,7 +390,7 @@ def test_ses_closed_set_is_its_pinning(name):
     for res in (None, 16 if name.startswith("circle") else (9, 16)):
         ses = ses_registry(name, res)
         closed = ses.closed_flat
-        assert closed == ses.quotient_map == with_pinned(ses.total, SES_PINS[name]).pinned
+        assert closed == with_pinned(ses.total, SES_PINS[name]).pinned
         assert ses.quotient.npoints == len(closed)
         # the quotient's involution is the total's, restricted to the closed set
         assert ses.total.inv_perm[list(closed)].tolist() == \

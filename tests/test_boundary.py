@@ -151,7 +151,7 @@ def test_exp_unitary_reproduces_arc_profile():
     ses = ses_registry("circle-sigma", 64)
     from tenfold.basespace import extend_contraction
     b = FnElement(ses.quotient, np.stack([np.eye(1), -np.eye(1)]).astype(complex))
-    a = extend_contraction(b, ses, "arclinear")
+    a = extend_contraction(b, ses, "natural")
     v = exp_unitary(a).values[:, 0, 0]
     z = ses.total.points[:, 0] + 1j * ses.total.points[:, 1]
     want = np.where(np.imag(z) >= 0, np.conj(z) ** 2, z ** 2)
@@ -270,6 +270,6 @@ def test_lift_strategies_share_signatures():
     ses = ses_registry("disk-id", (9, 32))
     zq = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
     u = FnElement(ses.quotient, zq[:, None, None] * np.eye(1))
-    s1 = signature(boundary_map(u, -1, ses, "radial").rep).values()
+    s1 = signature(boundary_map(u, -1, ses, "natural").rep).values()
     s2 = signature(boundary_map(u, -1, ses, "taper0").rep).values()
     assert s1 == s2 and abs(s1[0]) == 1

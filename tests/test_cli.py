@@ -63,12 +63,19 @@ def test_classify_membership_failure_exit(tmp_path, capsys):
 
 def test_boundary_command(zeta_pair, tmp_path, capsys):
     out = tmp_path / "res.json"
-    code = run(["boundary", str(zeta_pair), "--ses", "circle-zeta",
-                "--class", "0", "--out", str(out)])
-    assert code == 0
-    res = json.loads(out.read_text())
-    assert res["class"] == -1
-    assert res["signature"] == {"winding_half": 1}
+    for lift in ("natural", "taper0"):
+        code = run(["boundary", str(zeta_pair), "--ses", "circle-zeta",
+                    "--class", "0", "--lift", lift, "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())
+        assert res["class"] == -1
+        assert res["signature"] == {"winding_half": 1}
+    # the former aliases of natural are usage errors
+    for lift in ("radial", "arclinear"):
+        with pytest.raises(SystemExit) as exc:
+            run(["boundary", str(zeta_pair), "--ses", "circle-zeta",
+                 "--class", "0", "--lift", lift])
+        assert exc.value.code == 2
 
 
 def test_boundary_membership_failure(tmp_path):
@@ -293,6 +300,31 @@ def _disk_three_axes(doc):
     doc["values"] = doc["values"] * 2
 
 
+# int() truncated or parsed these to 16 and 1, which exited 0
+def _resolution_fraction(doc):
+    doc["base"]["resolution"] = 16.9
+
+
+def _resolution_list_fraction(doc):
+    doc["base"]["resolution"] = [16.2]
+
+
+def _resolution_string(doc):
+    doc["base"]["resolution"] = "16"
+
+
+def _alg_dim_fraction(doc):
+    doc["alg"] = {"dim_alg": 1.5, "struct": [[[1.0, 0.0]]], "label": "custom"}
+
+
+def _alg_dim_bool(doc):
+    doc["alg"] = {"dim_alg": True, "struct": [[[1.0, 0.0]]], "label": "custom"}
+
+
+def _alg_dim_string(doc):
+    doc["alg"] = {"dim_alg": "1", "struct": [[[1.0, 0.0]]], "label": "custom"}
+
+
 def _dim_too_large(doc):
     doc["dim"] = 5
 
@@ -316,7 +348,10 @@ def _dim_float(doc):
                                    _value_beyond_float, _alg_struct_beyond_float,
                                    _disk_one_axis, _disk_no_axes, _sphere2_one_axis,
                                    _torus2_one_axis, _disk_three_axes, _dim_too_large,
-                                   _dim_not_int, _dim_bool, _dim_float])
+                                   _dim_not_int, _dim_bool, _dim_float,
+                                   _resolution_fraction, _resolution_list_fraction,
+                                   _resolution_string, _alg_dim_fraction, _alg_dim_bool,
+                                   _alg_dim_string])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)
@@ -326,6 +361,19 @@ def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert run(["classify", str(p)]) == 4
     assert capsys.readouterr().out == ""
+
+
+def test_integral_float_resolution_reads(tmp_path, capsys):
+    texts = []
+    for name, res in (("int.json", 16), ("float.json", 16.0), ("list.json", [16.0])):
+        doc = _circle_doc()
+        doc["base"]["resolution"] = res
+        doc["alg"] = {"dim_alg": 1.0, "struct": [[[1.0, 0.0]]], "label": "custom"}
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        assert run(["classify", str(p)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_dim_field_is_optional(tmp_path, capsys):
