@@ -122,7 +122,7 @@ class BaseSpace:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def pinned_label(self) -> str:

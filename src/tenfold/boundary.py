@@ -9,6 +9,7 @@ the unitized sense: its values there equal the neutral stack exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import numpy as np
 
 from . import matcore
@@ -104,19 +105,24 @@ def exp_unitary(a: FnElement) -> FnElement:
     return FnElement(a.base, out)
 
 
+@functools.lru_cache(maxsize=64)
 def boundary_conjugator(i, dim: int) -> np.ndarray:
     """Constant frame rotation moving the odd-case result onto the neutral
-    basepoint stack of the target class."""
+    basepoint stack of the target class; built once per (class, dim) and
+    returned read-only."""
     if i == 1 or i == "KU1":
-        return matcore.conjugator_v(dim // 2)
-    if i == -1:
-        return matcore.conjugator_v(dim // 2) @ matcore.conjugator_w(dim // 2)
-    if i == 5:
-        return matcore.conjugator_x(dim // 4)
-    if i == 3:
-        return (matcore.conjugator_v(dim // 2) @ matcore.conjugator_q(dim // 4)
-                @ matcore.conjugator_w(dim // 2))
-    raise ValueError(f"no odd-case conjugator for class {i!r}")
+        y = matcore.conjugator_v(dim // 2)
+    elif i == -1:
+        y = matcore.conjugator_v(dim // 2) @ matcore.conjugator_w(dim // 2)
+    elif i == 5:
+        y = matcore.conjugator_x(dim // 4)
+    elif i == 3:
+        y = (matcore.conjugator_v(dim // 2) @ matcore.conjugator_q(dim // 4)
+             @ matcore.conjugator_w(dim // 2))
+    else:
+        raise ValueError(f"no odd-case conjugator for class {i!r}")
+    y.flags.writeable = False
+    return y
 
 
 @dataclass

@@ -5,8 +5,8 @@ map for a registered short exact sequence, emit or list catalog
 generators, run the acceptance suite (TAP output), or a quick selftest.
 
 Exit codes: 0 success, 2 membership failure, 3 unsupported pair, 4 I/O or
-malformed input (including non-finite values and out-of-range pinned
-indices).
+malformed input (including non-finite values, out-of-range pinned indices
+and usage errors).
 """
 
 from __future__ import annotations
@@ -200,9 +200,18 @@ def cmd_selftest(args):
     return _print_tap(results)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: it exits EXIT_IO, not argparse's 2,
+    which is the membership-failure code.  Subparsers share this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tenfold",
         description="Ten-fold-way symmetry classes, invariants, and index maps "
                     "for involutive function algebras.")

@@ -183,16 +183,55 @@ def winding_pairs(u: FnElement) -> int:
     return w // 2
 
 
+# What pivoted Cholesky leaves of a rank-r projection after k < r steps is a
+# projection of rank r - k, so each pivot is at least 1/dim; below half that
+# p = (u+1)/2 is not a projection
+FRAME_PIVOT_FLOOR = 0.5
+# bound on the projection residual: the diagonal left after r steps and the
+# entries of C*C - 1.  Both vanish up to roundoff on a projection, and p
+# within e of one leaves about e (||p^2 - p|| = ||u^2 - 1||/4), so an element
+# whose unitarity residual is a few 1e-2 still reads; diag(0.6, -0.6),
+# gapped but not unitary, leaves 0.2
+FRAME_PROJECTION_TOL = 0.05
+
+
 def _occupied_frames(u: FnElement) -> np.ndarray:
-    """(npoints, dim, rank) orthonormal frames of the positive eigenspaces:
-    the last rank eigenvector columns, since eigenvalues ascend."""
-    w, v = np.linalg.eigh(u.values)
-    if np.min(np.abs(w)) < 0.5:
-        raise InvariantError("spectral gap at 0 closes on the grid")
-    ranks = np.count_nonzero(w > 0, axis=1)
+    """(npoints, dim, rank) orthonormal frames of the ranges of p = (u+1)/2.
+
+    Pivoted Cholesky on the whole stack, rank = rint(trace p) steps: each
+    takes the column of p at the largest diagonal entry left, less what the
+    earlier columns account for, over the root of that pivot.
+    """
+    n = u.dim
+    p = 0.5 * (u.values + np.eye(n))
+    ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
     if np.any(ranks != ranks[0]):
         raise InvariantError("occupied rank is not constant over the grid")
-    return v[:, :, u.dim - ranks[0]:]
+    rank = max(int(ranks[0]), 0)
+    at = np.arange(len(p))
+    frames = np.zeros((len(p), n, rank), dtype=complex)
+    left = np.diagonal(p, axis1=1, axis2=2).real.copy()
+    residual = 0.0
+    for k in range(rank):
+        piv = np.argmax(left, axis=1)
+        pivot = left[at, piv]
+        if pivot.min() < FRAME_PIVOT_FLOOR / n:
+            raise InvariantError(f"pivot {pivot.min():.3g} below {FRAME_PIVOT_FLOOR}/{n}: "
+                                 "(u+1)/2 is not a projection")
+        done = frames[:, :, :k]
+        col = p[at, :, piv] - (done @ done[at, piv, :, None].conj())[..., 0]
+        col /= np.sqrt(pivot)[:, None]
+        norm2 = col.real ** 2 + col.imag ** 2
+        left -= norm2
+        # row k of C*C - 1
+        residual = max(residual, np.abs(norm2.sum(1) - 1.0).max(), np.abs(
+            np.conj(np.swapaxes(done, 1, 2)) @ col[:, :, None]).max(initial=0.0))
+        frames[:, :, k] = col
+    residual = max(residual, np.abs(left).max())
+    if residual > FRAME_PROJECTION_TOL:
+        raise InvariantError(f"(u+1)/2 is {residual:.3g} from a projection "
+                             f"(bound {FRAME_PROJECTION_TOL})")
+    return frames
 
 
 def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,11 +251,16 @@ def chern_of_projection(u: FnElement) -> int:
     only, since the first and last rows of a disk or sphere are not
     neighbours.
     """
-    base = u.base
-    if base.kind not in ("disk", "sphere2", "torus2"):
-        raise InvariantError(f"no plaquette decomposition for {base.kind!r}")
-    f = _occupied_frames(u)
-    f = f.reshape(base.shape + f.shape[1:])
+    if u.base.kind not in ("disk", "sphere2", "torus2"):
+        raise InvariantError(f"no plaquette decomposition for {u.base.kind!r}")
+    flux = _plaquette_fluxes(u.base, _occupied_frames(u))
+    return _round_int(float(np.sum(flux)) / (2.0 * np.pi), 1e-6, "chern number")
+
+
+def _plaquette_fluxes(base, frames: np.ndarray) -> np.ndarray:
+    """Flux through each plaquette of the grid, from (npoints, dim, rank)
+    frames; the same for every choice of frames with the same ranges."""
+    f = frames.reshape(base.shape + frames.shape[1:])
     if base.kind == "torus2":
         f = np.concatenate([f, f[:1]])
     across = _unit_links(f, np.roll(f, -1, axis=1))
@@ -225,7 +269,7 @@ def chern_of_projection(u: FnElement) -> int:
                     * np.conj(across[1:]) * np.conj(along))
     if np.max(np.abs(flux)) > np.pi - 1e-9:
         raise InvariantError("plaquette flux at pi: resolution too coarse")
-    return _round_int(float(np.sum(flux)) / (2.0 * np.pi), 1e-6, "chern number")
+    return flux
 
 
 def winding3(u: FnElement) -> int:

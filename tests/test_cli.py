@@ -70,12 +70,35 @@ def test_boundary_command(zeta_pair, tmp_path, capsys):
         res = json.loads(out.read_text())
         assert res["class"] == -1
         assert res["signature"] == {"winding_half": 1}
-    # the former aliases of natural are usage errors
+    # the former aliases of natural are usage errors: malformed input, exit 4
     for lift in ("radial", "arclinear"):
         with pytest.raises(SystemExit) as exc:
             run(["boundary", str(zeta_pair), "--ses", "circle-zeta",
                  "--class", "0", "--lift", lift])
-        assert exc.value.code == 2
+        assert exc.value.code == 4
+
+
+# an unknown --lift is covered by test_boundary_command
+@pytest.mark.parametrize("args", [
+    ["boundary", "x.json", "--ses", "annulus", "--class", "0"],
+    ["boundary", "x.json", "--ses", "circle-zeta"],
+    ["classify"],
+    [],
+])
+def test_usage_errors_exit_4(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tenfold") and "error: " in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["boundary", "--help"]])
+def test_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tenfold")
 
 
 def test_boundary_membership_failure(tmp_path):

@@ -5,11 +5,13 @@ from tenfold import catalog, matcore
 from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
 from tenfold.boundary import boundary_map
-from tenfold.invariants import (InvariantError, arc_winding_det1,
+from tenfold.invariants import (InvariantError, _occupied_frames,
+                                _plaquette_fluxes, arc_winding_det1,
                                 chern_of_projection, det_sign, half_trace,
                                 pf_sign, quarter_trace, signature,
                                 sp_half_turn_parity, winding_det, winding_half)
 from tenfold.symclass import add, check_membership, neutral
+from tenfold.verify import random_class_element
 
 RNG = np.random.default_rng(31)
 POINT = sample_space("point")
@@ -164,6 +166,112 @@ def test_chern_link_guard():
 @pytest.mark.parametrize("res", [16, (24, 16), 32])
 def test_chern_torus_rows_wrap(res):
     assert chern_of_projection(catalog.torus_bott(res).element) == 1
+
+
+def _frames_reference(u):
+    """Orthonormal frames of the positive eigenspaces of u by eigh: the
+    frames chern_of_projection read before pivoted Cholesky."""
+    w, v = np.linalg.eigh(u.values)
+    if np.min(np.abs(w)) < 0.5:
+        raise InvariantError("spectral gap at 0 closes on the grid")
+    ranks = np.count_nonzero(w > 0, axis=1)
+    if np.any(ranks != ranks[0]):
+        raise InvariantError("occupied rank is not constant over the grid")
+    return v[:, :, u.dim - ranks[0]:]
+
+
+def _assert_frames_match_reference(u):
+    """The Cholesky frames are an orthonormal frame of the range of p, and
+    give the eigh frames' flux sum and Chern number."""
+    f = _occupied_frames(u)
+    fh = np.conj(np.swapaxes(f, 1, 2))
+    assert np.abs(fh @ f - np.eye(f.shape[2])).max() < 1e-12
+    assert np.abs(f @ fh - 0.5 * (u.values + np.eye(u.dim))).max() < 1e-12
+    flux = float(np.sum(_plaquette_fluxes(u.base, f)))
+    ref = float(np.sum(_plaquette_fluxes(u.base, _frames_reference(u))))
+    assert abs(flux - ref) < 1e-9
+    c = chern_of_projection(u)
+    assert c == int(np.rint(ref / (2.0 * np.pi)))
+    return c
+
+
+_CHERN_GENERATORS = [name for name in catalog.names() if catalog.entry(name)
+                     .space.split("/")[0] in ("disk", "sphere2", "torus2")]
+
+
+@pytest.mark.parametrize("res", [16, 32])
+@pytest.mark.parametrize("name", _CHERN_GENERATORS)
+def test_chern_frames_match_eigh_on_generators(name, res):
+    rep = catalog.generator(name, res)
+    assert _assert_frames_match_reference(rep.element) == \
+        catalog.entry(name).expected[0]
+
+
+def _boundary_images(ses, i, lift, seed):
+    """Images of seeded class-i inputs of dims 2 and 4; where the class
+    allows, the input is twisted by z so its image has a nonzero Chern
+    number."""
+    rng = np.random.default_rng(seed)
+    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
+    out = []
+    for dim in (2, 4):
+        u = random_class_element(ses.quotient, i, dim, rng, fourier=1)
+        twisted = FnElement(ses.quotient, z[:, None, None] * u.values)
+        if check_membership(twisted, i).ok:
+            u = twisted
+        out.append(boundary_map(u, i, ses, lift).rep.element)
+    return out
+
+
+@pytest.mark.parametrize("lift", ["natural", "taper0"])
+@pytest.mark.parametrize("i", [-1, 1, 3, "KU1"])
+@pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
+def test_chern_frames_match_eigh_on_boundary_images(ses_name, i, lift):
+    ses = ses_registry(ses_name, (17, 32))
+    seed = 1400 + 10 * [-1, 1, 3, "KU1"].index(i) + (ses_name == "disk-zeta")
+    small, large = _boundary_images(ses, i, lift, seed)
+    cs = [_assert_frames_match_reference(e) for e in (small, large)]
+    total = _assert_frames_match_reference(add(small, large, -1))  # block sum
+    assert total == sum(cs)
+
+
+def _perturbed(u, size, seed):
+    """u plus a seeded Hermitian field of spectral norm size at each point."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(u.values.shape) + 1j * rng.standard_normal(u.values.shape)
+    h = h + np.conj(np.swapaxes(h, 1, 2))
+    h *= size / np.linalg.norm(h, ord=2, axis=(1, 2))[:, None, None]
+    return FnElement(u.base, u.values + h)
+
+
+@pytest.mark.parametrize("name", ["torus_bott", "sphere_ko0"])
+def test_chern_reads_near_unitary_elements(name):
+    u = catalog.generator(name, 16).element
+    v = _perturbed(u, 5e-5, 7)
+    residual = np.abs(np.conj(np.swapaxes(v.values, 1, 2)) @ v.values
+                      - np.eye(v.dim)).max()
+    assert 5e-5 < residual < 2e-4
+    assert chern_of_projection(v) == chern_of_projection(u) != 0
+
+
+def _unit_non_orthogonal():
+    """2p - 1 for p = c1 c1* + c2 c2*: pivoted Cholesky of p gives back c1
+    and c2, unit columns at angle arccos(0.548), with nothing left over."""
+    c1 = np.sqrt([0.7, 0.15, 0.15])
+    c2 = np.sqrt([0.0, 0.5, 0.5])
+    return 2.0 * (np.outer(c1, c1) + np.outer(c2, c2)) - np.eye(3)
+
+
+# after diag(0.6, -0.6), one case for each part of the projection residual:
+# the diagonal left after r steps (p = diag(1, 0.3)), a column norm
+# (p = diag(1.25, 0)) and the overlap of two columns
+@pytest.mark.parametrize("value", [np.diag([0.6, -0.6]), np.diag([1.0, -0.4]),
+                                   np.diag([1.5, -1.0]), _unit_non_orthogonal()])
+def test_chern_refuses_gapped_non_unitary(value):
+    base = sample_space("torus2", (8, 8))
+    u = constant_element(base, value.astype(complex))
+    with pytest.raises(InvariantError, match="from a projection"):
+        chern_of_projection(u)
 
 
 def test_signature_catalog_dispatch():
