@@ -333,9 +333,14 @@ def lambda_eval(u: FnElement, algebra: Algebra = None):
     return v.copy() if d == 1 else block_compress(v, d)
 
 
-def scalar_block_residual(v: np.ndarray, d: int) -> float:
-    """How far a matrix is from (outer matrix) kron identity_d."""
-    return float(np.linalg.norm(v - np.kron(block_compress(v, d), np.eye(d))))
+def scalar_block_residuals(vals: np.ndarray, d: int) -> np.ndarray:
+    """How far each matrix of a (k, n, n) stack is from (outer matrix) kron
+    identity_d: the bits of block_compress, np.kron and np.linalg.norm per
+    matrix."""
+    k = vals.shape[-1] // d
+    outer = np.einsum("paibi->pab", vals.reshape(len(vals), k, d, k, d)) / d
+    kron = outer[:, :, None, :, None] * np.eye(d)[:, None, :]
+    return matcore.frobenius_norms(vals - kron.reshape(vals.shape))
 
 
 def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
@@ -346,11 +351,12 @@ def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
     vals = u.values[list(u.base.pinned)]
     if not np.isfinite(vals).all():
         return math.nan
-    res = max([0.0] + [float(np.linalg.norm(v - vals[0])) for v in vals[1:]])
+    # one pinned point leaves an empty stack of differences
+    res = matcore.frobenius_norms(vals[1:] - vals[0]).max(initial=0.0)
     d = 1 if algebra is None else algebra.dim_alg
     if d > 1:  # every matrix is a scalar block of size 1
-        res = max([res] + [scalar_block_residual(v, d) for v in vals])
-    return res
+        res = max(res, scalar_block_residuals(vals, d).max())
+    return float(res)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +428,13 @@ def extend_contraction(b: FnElement, ses: SESDescriptor,
     """
     if np.max(np.linalg.norm(b.values, ord=2, axis=(1, 2))) > 1.0 + EXTEND_NORM_TOL:
         raise ValueError("input values must be contractions")
+    return collar_extension(b, ses, strategy)
+
+
+def collar_extension(b: FnElement, ses: SESDescriptor,
+                     strategy: str = "natural") -> FnElement:
+    """extend_contraction without its 2-norm check, for values already known
+    to be contractions within EXTEND_NORM_TOL."""
     if strategy not in LIFT_STRATEGIES:
         raise ValueError(f"unknown extension strategy {strategy!r}")
     if b.base != ses.quotient:

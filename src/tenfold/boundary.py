@@ -13,8 +13,9 @@ import functools
 import numpy as np
 
 from . import matcore
-from .basespace import (Algebra, FnElement, SESDescriptor, extend_contraction,
-                        ideal_base, restrict, scalar_algebra)
+from .basespace import (EXTEND_NORM_TOL, Algebra, FnElement, SESDescriptor,
+                        collar_extension, extend_contraction, ideal_base,
+                        restrict, scalar_algebra)
 from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
                        neutral, require_membership, symmetrize)
 
@@ -145,11 +146,14 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor,
     over the ideal, with neutral values on the closed set.
     """
     quot_alg = scalar_algebra(ses.quotient)
-    require_membership(u, i, quot_alg, tol)
+    unitary = require_membership(u, i, quot_alg, tol).residuals["unitary"]
     if u.base != ses.quotient:
         raise MembershipError("input does not live over the SES quotient")
 
-    ext = extend_contraction(u, ses, lift_strategy)
+    # ||u||^2 = ||u*u|| <= 1 + the unitary residual r, so ||u|| <= 1 + r/2:
+    # within EXTEND_NORM_TOL the input is a contraction without an SVD
+    extend = collar_extension if 0.5 * unitary <= EXTEND_NORM_TOL else extend_contraction
+    ext = extend(u, ses, lift_strategy)
     total_alg = scalar_algebra(ses.total)
     sym = symmetrize_lift(ext, i, total_alg)
     mode = "even" if class_spec(i)["sa"] else "odd"
@@ -175,8 +179,8 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor,
     rep = require_membership(result, j, out_alg, tol)
 
     target = neutral(j, result.dim // class_spec(j)["mult"])
-    lam_res = max(float(np.linalg.norm(result.values[p] - target))
-                  for p in ibase.pinned)
+    lam_res = float(matcore.frobenius_norms(
+        result.values[list(ibase.pinned)] - target).max())
     if lam_res > tol:
         raise MembershipError(f"result basepoint values miss the neutral stack "
                               f"({lam_res:.2e})")

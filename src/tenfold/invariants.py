@@ -200,7 +200,8 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
 
     Pivoted Cholesky on the whole stack, rank = rint(trace p) steps: each
     takes the column of p at the largest diagonal entry left, less what the
-    earlier columns account for, over the root of that pivot.
+    earlier columns account for, over the root of that pivot.  The columns
+    are kept as rows, so the links read each one contiguously.
     """
     n = u.dim
     p = 0.5 * (u.values + np.eye(n))
@@ -209,7 +210,7 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
         raise InvariantError("occupied rank is not constant over the grid")
     rank = max(int(ranks[0]), 0)
     at = np.arange(len(p))
-    frames = np.zeros((len(p), n, rank), dtype=complex)
+    frames = np.zeros((len(p), rank, n), dtype=complex)
     left = np.diagonal(p, axis1=1, axis2=2).real.copy()
     residual = 0.0
     for k in range(rank):
@@ -218,25 +219,39 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
         if pivot.min() < FRAME_PIVOT_FLOOR / n:
             raise InvariantError(f"pivot {pivot.min():.3g} below {FRAME_PIVOT_FLOOR}/{n}: "
                                  "(u+1)/2 is not a projection")
-        done = frames[:, :, :k]
-        col = p[at, :, piv] - (done @ done[at, piv, :, None].conj())[..., 0]
+        # one elementwise update per earlier column: at ranks up to 4 this
+        # is faster than a batched matmul of k-wide rows
+        col = p[at, :, piv]
+        for j in range(k):
+            col -= frames[:, j] * frames[at, j, piv, None].conj()
         col /= np.sqrt(pivot)[:, None]
         norm2 = col.real ** 2 + col.imag ** 2
         left -= norm2
         # row k of C*C - 1
-        residual = max(residual, np.abs(norm2.sum(1) - 1.0).max(), np.abs(
-            np.conj(np.swapaxes(done, 1, 2)) @ col[:, :, None]).max(initial=0.0))
-        frames[:, :, k] = col
+        residual = max([residual, np.abs(norm2.sum(1) - 1.0).max()] + [
+            np.abs(np.einsum("pi,pi->p", frames[:, j].conj(), col)).max()
+            for j in range(k)])
+        frames[:, k] = col
     residual = max(residual, np.abs(left).max())
     if residual > FRAME_PROJECTION_TOL:
         raise InvariantError(f"(u+1)/2 is {residual:.3g} from a projection "
                              f"(bound {FRAME_PROJECTION_TOL})")
-    return frames
+    return frames.swapaxes(1, 2)
 
 
 def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Phases of det(a^H b) over stacks of frames."""
-    z = np.linalg.det(np.conj(np.swapaxes(a, -1, -2)) @ b)
+    """Phases of det(a^H b) over stacks of (..., dim, rank) frames; at rank
+    1 and 2 the determinant is formed from the column overlaps."""
+    def overlap(i, j):
+        return np.einsum("...k,...k->...", a[..., i].conj(), b[..., j])
+
+    rank = a.shape[-1]
+    if rank == 1:
+        z = overlap(0, 0)
+    elif rank == 2:
+        z = overlap(0, 0) * overlap(1, 1) - overlap(0, 1) * overlap(1, 0)
+    else:
+        z = np.linalg.det(np.conj(np.swapaxes(a, -1, -2)) @ b)
     if np.min(np.abs(z)) < 0.1:
         raise InvariantError("frame overlap nearly singular: resolution too coarse")
     return z / np.abs(z)

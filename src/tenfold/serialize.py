@@ -78,11 +78,20 @@ def _cpx_to_json(m: np.ndarray):
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def _number(x):
+    """A JSON number as it is; complex() would read true and false as 1 and 0."""
+    if isinstance(x, (bool, np.bool_)):
+        word = "true" if x else "false"
+        raise ValueError(f"matrix entries must be numbers, not {word}")
+    return x
+
+
 def _cpx_matrix_from_json(rows) -> np.ndarray:
     """complex() raises OverflowError on a JSON integer beyond the range of
     a float, which is malformed input like an infinite entry."""
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
+        return np.array([[complex(_number(re), _number(im)) for re, im in row]
+                         for row in rows])
     except OverflowError as exc:
         raise ValueError(f"matrix entries must be finite: {exc}") from None
 
@@ -91,20 +100,33 @@ def _values_per_entry(values) -> np.ndarray:
     return np.stack([_cpx_matrix_from_json(v) for v in values])
 
 
-def _cpx_array(obj, axes: int, per_entry) -> np.ndarray:
+def _cpx_array(obj, axes: int, per_entry, bools: bool = True) -> np.ndarray:
     """The complex array, `axes` deep, of the nested [re, im] pairs in obj.
     A regular array of JSON numbers is read by one np.array call, its float
     pairs viewed as complex (bit for bit, -0.0 kept); any other input goes
-    to per_entry(obj), whose errors and messages are the contract."""
+    to per_entry(obj), whose errors and messages are the contract.  np.array
+    reads true and false as 1 and 0, so obj is scanned for them first unless
+    `bools` is False: the caller knows it holds none."""
     try:
         a = np.array(obj)
     except (TypeError, ValueError, OverflowError):
         return per_entry(obj)
-    # an integer past int64 gives uint64 or object; a string or None, object
-    if a.dtype.type not in (np.float64, np.int64, np.bool_) \
-            or a.ndim != axes + 1 or a.shape[-1] != 2:
+    # an integer past int64 gives uint64 or object; a string or None, object;
+    # all true and false, bool
+    if a.dtype.type not in (np.float64, np.int64) \
+            or a.ndim != axes + 1 or a.shape[-1] != 2 \
+            or bools and _holds_bool(obj, axes):
         return per_entry(obj)
     return a.astype(float, copy=False).view(complex).reshape(a.shape[:-1])
+
+
+def _holds_bool(obj, axes: int) -> bool:
+    """Whether a regular nested list of numbers, axes + 1 deep, holds a
+    true or false."""
+    leaves = obj
+    for _ in range(axes):
+        leaves = chain.from_iterable(leaves)
+    return not {bool, np.bool_}.isdisjoint(map(type, leaves))
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -128,8 +150,11 @@ def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
     return out
 
 
-def element_from_json(obj: dict):
-    vals = _finite(_cpx_array(obj["values"], 3, _values_per_entry))
+def element_from_json(obj: dict, bools: bool = True):
+    """The element and algebra of a JSON object.  `bools` False skips the
+    scan of its arrays for true and false, for a caller that knows obj holds
+    neither (its JSON text has neither token)."""
+    vals = _finite(_cpx_array(obj["values"], 3, _values_per_entry, bools))
     if _point_count(obj["base"]) != len(vals):
         raise ValueError(f"base resolution does not match the {len(vals)} values")
     base = base_from_json(obj["base"])
@@ -140,7 +165,8 @@ def element_from_json(obj: dict):
     alg = Algebra(base)
     if "alg" in obj:
         dim_alg = _finite_int(obj["alg"]["dim_alg"], "alg.dim_alg")
-        struct = _finite(_cpx_array(obj["alg"]["struct"], 2, _cpx_matrix_from_json))
+        struct = _finite(_cpx_array(obj["alg"]["struct"], 2, _cpx_matrix_from_json,
+                                    bools))
         label = obj["alg"].get("label", "custom")
         square = struct.ndim == 2 and struct.shape[0] == struct.shape[1] > 0
         if dim_alg < 1 or not square or not isinstance(label, str):

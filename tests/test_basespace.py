@@ -5,9 +5,11 @@ from tenfold import matcore, serialize
 from tenfold.basespace import (SES_NAMES, Algebra, FnElement, SESDescriptor,
                                _signed_permutation, apply_full_involution,
                                block_compress, block_diag_elements,
-                               constant_element, extend_contraction,
-                               lambda_eval, pinned_residual, restrict,
-                               sample_space, ses_registry, with_pinned)
+                               collar_extension, constant_element,
+                               extend_contraction, lambda_eval,
+                               pinned_residual, restrict, sample_space,
+                               scalar_block_residuals, ses_registry,
+                               with_pinned)
 from tenfold.symclass import CLASS_IDS, class_structure
 
 RNG = np.random.default_rng(17)
@@ -149,6 +151,37 @@ def test_pinned_residual_matches_reference(dim_alg):
             assert pinned_residual(u, alg) == _pinned_residual_reference(u, alg)
     u = FnElement(base, -0.0 * vals)
     assert pinned_residual(u, alg) == _pinned_residual_reference(u, alg) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_scalar_block_residuals_match_reference_bytes(d):
+    """The stacked residual is, per matrix, the norm of v less
+    np.kron(block_compress(v, d), 1_d), byte for byte."""
+    rng = np.random.default_rng(60 + d)
+    for k in (1, 2, 3):
+        for npts in (1, 7, 64):
+            for scale in (1e-12, 1.0):
+                n = k * d
+                vals = scale * (rng.standard_normal((npts, n, n))
+                                + 1j * rng.standard_normal((npts, n, n)))
+                vals.real[rng.random(vals.shape) < 0.2] = -0.0
+                want = np.array([np.linalg.norm(
+                    v - np.kron(block_compress(v, d), np.eye(d))) for v in vals])
+                assert scalar_block_residuals(vals, d).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim_alg", [1, 2])
+def test_pinned_residual_on_one_pinned_point(dim_alg):
+    """One pinned point leaves no difference to take; the scalar-block
+    residual still counts."""
+    base = with_pinned(sample_space("circle", 16, "id"), "basepoint")
+    assert len(base.pinned) == 1
+    alg = Algebra(base, dim_alg, np.eye(dim_alg, dtype=complex), "test")
+    for vals in (np.ones((16, 2 * dim_alg, 2 * dim_alg), dtype=complex),
+                 RNG.standard_normal((16, 2 * dim_alg, 2 * dim_alg)) + 0j):
+        u = FnElement(base, vals)
+        assert pinned_residual(u, alg) == _pinned_residual_reference(u, alg)
+        assert type(pinned_residual(u, alg)) is float
 
 
 def test_pinned_residual_reports_non_finite_values():
@@ -317,6 +350,23 @@ def test_extension_matches_reference_bytes(name):
                     assert got.base == ses.total
                     assert got.values.tobytes() == \
                         _extension_reference(b, ses, strategy).tobytes()
+
+
+def test_collar_extension_is_extend_contraction_without_the_norm_check():
+    ses = ses_registry("disk-zeta", (5, 16))
+    vals = RNG.standard_normal((16, 2, 2)) + 1j * RNG.standard_normal((16, 2, 2))
+    vals /= np.linalg.norm(vals, ord=2, axis=(1, 2)).max()
+    b = FnElement(ses.quotient, vals)
+    for strategy in ("natural", "taper0"):
+        assert collar_extension(b, ses, strategy).values.tobytes() == \
+            extend_contraction(b, ses, strategy).values.tobytes()
+    big = FnElement(ses.quotient, 2.0 * vals)
+    with pytest.raises(ValueError, match="contractions"):
+        extend_contraction(big, ses)
+    assert np.array_equal(collar_extension(big, ses).values,
+                          2.0 * extend_contraction(b, ses).values)
+    with pytest.raises(ValueError, match="unknown extension strategy"):
+        collar_extension(b, ses, "taper1")
 
 
 def test_pinned_labels():

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from tenfold import matcore
-from tenfold.basespace import (FnElement, apply_full_involution,
-                               constant_element, sample_space, ses_registry)
-from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, _index_values,
-                              boundary_conjugator, boundary_map, exp_unitary,
-                              index_unitary, index_unitary_matrix,
+from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
+                               apply_full_involution, constant_element,
+                               extend_contraction, ideal_base, restrict,
+                               sample_space, scalar_algebra, ses_registry)
+from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
+                              _index_values, boundary_conjugator, boundary_map,
+                              exp_unitary, index_unitary, index_unitary_matrix,
                               retract_contraction, symmetrize_lift)
 from tenfold.invariants import signature
-from tenfold.symclass import MembershipError, class_structure, neutral
+from tenfold.symclass import (CLASS_IDS, MembershipError, class_spec,
+                              class_structure, neutral, require_membership)
+from tenfold.verify import random_class_element
 
 RNG = np.random.default_rng(41)
 POINT = sample_space("point")
@@ -273,3 +277,55 @@ def test_lift_strategies_share_signatures():
     s1 = signature(boundary_map(u, -1, ses, "natural").rep).values()
     s2 = signature(boundary_map(u, -1, ses, "taper0").rep).values()
     assert s1 == s2 and abs(s1[0]) == 1
+
+
+def _boundary_map_reference(u, i, ses, lift_strategy):
+    """boundary_map as written with a 2-norm SVD in extend_contraction and a
+    norm per pinned point for the unitization and neutral-value residuals:
+    (element values, lift values, residuals)."""
+    require_membership(u, i, scalar_algebra(ses.quotient))
+    ext = extend_contraction(u, ses, lift_strategy)
+    sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
+    mode = "even" if class_spec(i)["sa"] else "odd"
+    lift = retract_contraction(sym, mode)
+    lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
+    if mode == "odd":
+        y = boundary_conjugator(i, 2 * u.dim)
+        vals = y @ index_unitary(lift).values @ y.conj().T
+    else:
+        vals = exp_unitary(lift).values
+    j = TARGET[i]
+    result = FnElement(ideal_base(ses), vals)
+    res = dict(require_membership(result, j, Algebra(result.base)).residuals)
+    pinned = [result.values[p] for p in result.base.pinned]
+    res["scalar_pinning"] = max([0.0] + [float(np.linalg.norm(v - pinned[0]))
+                                         for v in pinned[1:]])
+    target = neutral(j, result.dim // class_spec(j)["mult"])
+    res["lift_restriction"] = lift_residual
+    res["lambda_neutral"] = max(float(np.linalg.norm(v - target)) for v in pinned)
+    return vals, lift.values, res
+
+
+@pytest.mark.parametrize("ses_name", [n for n in SES_NAMES if n != "toeplitz"])
+def test_boundary_map_matches_reference_bytes(ses_name):
+    """Element, lift and residual reprs equal those of the per-point
+    reference over every class, dims 2 and 4 and both lift strategies."""
+    ses = ses_registry(ses_name, (9, 16) if ses_name.startswith("disk") else None)
+    rng = np.random.default_rng(sum(map(ord, ses_name)))
+    seen = 0
+    for i in CLASS_IDS:
+        for dim in (2, 4):
+            if dim % class_spec(i)["mult"]:
+                continue
+            try:
+                u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
+            except RuntimeError:  # no gapped even-class draw
+                continue
+            for lift in LIFT_STRATEGIES:
+                vals, lift_vals, want = _boundary_map_reference(u, i, ses, lift)
+                got = boundary_map(u, i, ses, lift)
+                assert got.element.values.tobytes() == vals.tobytes()
+                assert got.lift.values.tobytes() == lift_vals.tobytes()
+                assert repr(got.residuals) == repr(want)
+                seen += 1
+    assert seen >= 20

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from tenfold import catalog, matcore
+from tenfold import catalog, invariants, matcore
 from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
 from tenfold.boundary import boundary_map
 from tenfold.invariants import (InvariantError, _occupied_frames,
-                                _plaquette_fluxes, arc_winding_det1,
+                                _plaquette_fluxes, _unit_links, arc_winding_det1,
                                 chern_of_projection, det_sign, half_trace,
                                 pf_sign, quarter_trace, signature,
                                 sp_half_turn_parity, winding_det, winding_half)
@@ -233,6 +233,60 @@ def test_chern_frames_match_eigh_on_boundary_images(ses_name, i, lift):
     cs = [_assert_frames_match_reference(e) for e in (small, large)]
     total = _assert_frames_match_reference(add(small, large, -1))  # block sum
     assert total == sum(cs)
+
+
+def _unit_links_reference(a, b):
+    """det(a^H b) over its modulus, by matmul and a general determinant."""
+    z = np.linalg.det(np.conj(np.swapaxes(a, -1, -2)) @ b)
+    return z / np.abs(z)
+
+
+def _orthonormal(m):
+    return np.linalg.qr(m)[0]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_unit_links_match_det(rank):
+    """The rank-1 and rank-2 overlap forms and the general path give
+    det(a^H b) to roundoff, on contiguous and on column-strided frames."""
+    rng = np.random.default_rng(70 + rank)
+    for dim in sorted({rank, rank + 1, 2 * rank}):
+        shape = (5, 7, dim, rank)
+        a = _orthonormal(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        b = _orthonormal(a + 0.2 * (rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape)))
+        want = _unit_links_reference(a, b)
+        for layout in (np.ascontiguousarray, lambda f: np.ascontiguousarray(
+                np.swapaxes(f, -1, -2)).swapaxes(-1, -2)):
+            got = _unit_links(layout(a), layout(b))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
+
+
+def test_unit_links_of_rank_zero_frames_are_one():
+    a = np.zeros((4, 6, 2, 0), dtype=complex)
+    assert np.array_equal(_unit_links(a, a), np.ones((4, 6), dtype=complex))
+
+
+@pytest.mark.parametrize("res", [16, 32])
+def test_chern_links_keep_the_integers(res, monkeypatch):
+    """The overlap-form links read the same Chern numbers and, to
+    roundoff, the same flux sums as matmul-and-det links, on the disk
+    boundary images and the sphere and torus generators."""
+    elements = [catalog.generator(name, res).element for name in _CHERN_GENERATORS]
+    for seed, (ses_name, i) in enumerate((("disk-id", -1), ("disk-id", 3),
+                                          ("disk-zeta", 1), ("disk-zeta", "KU1"))):
+        ses = ses_registry(ses_name, (res // 2 + 1, res))
+        elements += _boundary_images(ses, i, "natural", 1500 + seed)
+    def fluxes():
+        return [float(np.sum(_plaquette_fluxes(e.base, _occupied_frames(e))))
+                for e in elements]
+
+    flux, got = fluxes(), [chern_of_projection(e) for e in elements]
+    monkeypatch.setattr(invariants, "_unit_links", _unit_links_reference)
+    assert [chern_of_projection(e) for e in elements] == got
+    assert np.abs(np.subtract(flux, fluxes())).max() < 1e-9
+    assert any(got)
 
 
 def _perturbed(u, size, seed):

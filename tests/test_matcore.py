@@ -215,3 +215,22 @@ def test_pfaffian_preconditions():
         mc.pfaffian(rand(3))
     with pytest.raises(ValueError):
         mc.pfaffian(np.eye(2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_frobenius_norms_match_norm_bit_for_bit(dim):
+    """The stacked norm is np.linalg.norm of each matrix, byte for byte,
+    over magnitudes down to 1e-17, signed zeros and a one-matrix stack."""
+    rng = np.random.default_rng(100 + dim)
+    for scale in (1e-17, 1e-12, 1e-6, 1e-3, 1.0):
+        for k in (1, 2, 33):
+            m = scale * (rng.standard_normal((k, dim, dim))
+                         + 1j * rng.standard_normal((k, dim, dim)))
+            m.real[rng.random(m.shape) < 0.2] = -0.0
+            m.imag[rng.random(m.shape) < 0.2] = -0.0
+            # magnitudes spread over the stack, and a matrix of zeros
+            m *= np.logspace(-3, 0, k)[:, None, None]
+            m[k // 2] = -0.0
+            want = np.array([np.linalg.norm(x) for x in m])
+            assert mc.frobenius_norms(m).tobytes() == want.tobytes()
+    assert mc.frobenius_norms(np.zeros((0, dim, dim), dtype=complex)).shape == (0,)

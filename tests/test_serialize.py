@@ -141,7 +141,11 @@ def _assert_same_parse(values):
 def test_values_parse_bit_for_bit(entry):
     doc = json.loads(json.dumps([[[entry, [1.0, 0.0]], [[0.25, -0.0], entry]]] * 3))
     _assert_same_parse(doc)
-    (fast, _), _ = _parse(doc)
+    (fast, err), _ = _parse(doc)
+    if bool in map(type, entry):  # JSON true and false are not numbers
+        assert err == (ValueError, "matrix entries must be numbers, not "
+                       f"{json.dumps(next(x for x in entry if type(x) is bool))}")
+        return
     assert fast.dtype == complex
     assert math.copysign(1.0, fast[0, 0, 0].real) == math.copysign(1.0, float(entry[0]))
 
