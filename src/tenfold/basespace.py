@@ -320,9 +320,9 @@ def _signed_permutation(s: np.ndarray):
 
 def block_compress(v: np.ndarray, d: int) -> np.ndarray:
     """The outer matrix m of v = m kron identity_d: each d x d block's
-    trace over d."""
-    k = v.shape[0] // d
-    return np.einsum("aibi->ab", v.reshape(k, d, k, d)) / d
+    trace over d.  v may be a stack of matrices."""
+    k = v.shape[-1] // d
+    return np.einsum("...aibi->...ab", v.reshape(v.shape[:-2] + (k, d, k, d))) / d
 
 
 def lambda_eval(u: FnElement, algebra: Algebra = None):
@@ -337,9 +337,7 @@ def scalar_block_residuals(vals: np.ndarray, d: int) -> np.ndarray:
     """How far each matrix of a (k, n, n) stack is from (outer matrix) kron
     identity_d: the bits of block_compress, np.kron and np.linalg.norm per
     matrix."""
-    k = vals.shape[-1] // d
-    outer = np.einsum("paibi->pab", vals.reshape(len(vals), k, d, k, d)) / d
-    kron = outer[:, :, None, :, None] * np.eye(d)[:, None, :]
+    kron = block_compress(vals, d)[:, :, None, :, None] * np.eye(d)[:, None, :]
     return matcore.frobenius_norms(vals - kron.reshape(vals.shape))
 
 

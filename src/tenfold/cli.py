@@ -27,14 +27,11 @@ EXIT_OK, EXIT_MEMBERSHIP, EXIT_UNSUPPORTED, EXIT_IO = 0, 2, 3, 4
 
 
 def _read_json(path):
-    """The JSON document at path ('-' for stdin) and its text."""
     try:
         if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path) as fh:
-                text = fh.read()
-        return json.loads(text), text
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
     # ValueError covers JSONDecodeError, text that is not UTF-8, and an
     # integer literal beyond the interpreter's digit limit
     except (OSError, ValueError) as exc:
@@ -68,23 +65,9 @@ def _residuals_clean(res):
             for k, v in res.items()}
 
 
-def _bool_token(text):
-    """Whether text has a true or false token; without one its JSON holds no
-    bool.  A find per first letter runs at memchr speed on the digits of a
-    regular document, where `"true" in text` costs about 20 times more."""
-    for word in ("true", "false"):
-        at = text.find(word[0])
-        while at >= 0:
-            if text.startswith(word, at):
-                return True
-            at = text.find(word[0], at + 1)
-    return False
-
-
-def _parse_element(path):
-    obj, text = _read_json(path)
+def _parse_element(obj):
     try:
-        return serialize.element_from_json(obj, _bool_token(text))
+        return serialize.element_from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExit_(EXIT_IO, f"malformed element JSON: {exc}")
 
@@ -108,7 +91,7 @@ def _signature(rep):
 def cmd_classify(args):
     hints = (list(CLASS_IDS) if args.class_id is None
              else [_parse_class(args.class_id)])
-    u, alg = _parse_element(args.input)
+    u, alg = _parse_element(_read_json(args.input))
     report = {"base": serialize.base_to_json(u.base), "dim": u.dim, "classes": []}
     any_ok = False
     for i, rep in classify(u, alg, args.tol, hints).items():
@@ -128,7 +111,7 @@ def cmd_boundary(args):
     i = _parse_class(args.class_id)
     if args.ses == "toeplitz":
         try:
-            el = toeplitz.element_from_json(_read_json(args.input)[0])
+            el = toeplitz.element_from_json(_read_json(args.input))
         except (KeyError, ValueError, TypeError) as exc:
             raise SystemExit_(EXIT_IO, f"malformed shift element JSON: {exc}")
         try:
@@ -148,7 +131,7 @@ def cmd_boundary(args):
         return EXIT_UNSUPPORTED
     except ValueError as exc:  # a resolution the space's grid cannot take
         raise SystemExit_(EXIT_IO, str(exc))
-    u, _ = _parse_element(args.input)
+    u, _ = _parse_element(_read_json(args.input))
     try:
         res = boundary_map(u, i, ses, args.lift, tol=args.tol)
     # MembershipError, or e.g. a class-2 basepoint value that is not skew

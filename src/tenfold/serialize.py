@@ -100,13 +100,12 @@ def _values_per_entry(values) -> np.ndarray:
     return np.stack([_cpx_matrix_from_json(v) for v in values])
 
 
-def _cpx_array(obj, axes: int, per_entry, bools: bool = True) -> np.ndarray:
+def _cpx_array(obj, axes: int, per_entry) -> np.ndarray:
     """The complex array, `axes` deep, of the nested [re, im] pairs in obj.
     A regular array of JSON numbers is read by one np.array call, its float
     pairs viewed as complex (bit for bit, -0.0 kept); any other input goes
     to per_entry(obj), whose errors and messages are the contract.  np.array
-    reads true and false as 1 and 0, so obj is scanned for them first unless
-    `bools` is False: the caller knows it holds none."""
+    reads true and false as 1 and 0, so obj is scanned for them too."""
     try:
         a = np.array(obj)
     except (TypeError, ValueError, OverflowError):
@@ -115,7 +114,7 @@ def _cpx_array(obj, axes: int, per_entry, bools: bool = True) -> np.ndarray:
     # all true and false, bool
     if a.dtype.type not in (np.float64, np.int64) \
             or a.ndim != axes + 1 or a.shape[-1] != 2 \
-            or bools and _holds_bool(obj, axes):
+            or _holds_bool(obj, axes):
         return per_entry(obj)
     return a.astype(float, copy=False).view(complex).reshape(a.shape[:-1])
 
@@ -150,11 +149,8 @@ def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
     return out
 
 
-def element_from_json(obj: dict, bools: bool = True):
-    """The element and algebra of a JSON object.  `bools` False skips the
-    scan of its arrays for true and false, for a caller that knows obj holds
-    neither (its JSON text has neither token)."""
-    vals = _finite(_cpx_array(obj["values"], 3, _values_per_entry, bools))
+def element_from_json(obj: dict):
+    vals = _finite(_cpx_array(obj["values"], 3, _values_per_entry))
     if _point_count(obj["base"]) != len(vals):
         raise ValueError(f"base resolution does not match the {len(vals)} values")
     base = base_from_json(obj["base"])
@@ -165,8 +161,7 @@ def element_from_json(obj: dict, bools: bool = True):
     alg = Algebra(base)
     if "alg" in obj:
         dim_alg = _finite_int(obj["alg"]["dim_alg"], "alg.dim_alg")
-        struct = _finite(_cpx_array(obj["alg"]["struct"], 2, _cpx_matrix_from_json,
-                                    bools))
+        struct = _finite(_cpx_array(obj["alg"]["struct"], 2, _cpx_matrix_from_json))
         label = obj["alg"].get("label", "custom")
         square = struct.ndim == 2 and struct.shape[0] == struct.shape[1] > 0
         if dim_alg < 1 or not square or not isinstance(label, str):

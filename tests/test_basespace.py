@@ -155,8 +155,9 @@ def test_pinned_residual_matches_reference(dim_alg):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_scalar_block_residuals_match_reference_bytes(d):
-    """The stacked residual is, per matrix, the norm of v less
-    np.kron(block_compress(v, d), 1_d), byte for byte."""
+    """The stacked residual is, per matrix, the norm of v less the kron
+    of its one-matrix block trace with 1_d, byte for byte; block_compress
+    of the stack is that block trace per matrix."""
     rng = np.random.default_rng(60 + d)
     for k in (1, 2, 3):
         for npts in (1, 7, 64):
@@ -165,9 +166,13 @@ def test_scalar_block_residuals_match_reference_bytes(d):
                 vals = scale * (rng.standard_normal((npts, n, n))
                                 + 1j * rng.standard_normal((npts, n, n)))
                 vals.real[rng.random(vals.shape) < 0.2] = -0.0
-                want = np.array([np.linalg.norm(
-                    v - np.kron(block_compress(v, d), np.eye(d))) for v in vals])
+                outers = [np.einsum("aibi->ab", v.reshape(k, d, k, d)) / d
+                          for v in vals]
+                want = np.array([np.linalg.norm(v - np.kron(m, np.eye(d)))
+                                 for v, m in zip(vals, outers)])
                 assert scalar_block_residuals(vals, d).tobytes() == want.tobytes()
+                assert block_compress(vals, d).tobytes() == np.array(outers).tobytes()
+                assert block_compress(vals[0], d).tobytes() == outers[0].tobytes()
 
 
 @pytest.mark.parametrize("dim_alg", [1, 2])

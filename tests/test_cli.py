@@ -428,35 +428,6 @@ def test_json_booleans_are_not_numbers(spoil, tmp_path, capsys):
     assert ("not true" in err or "not false" in err) and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text, want", [
-    ('[1, true]', True), ('[false]', True), ('{"t": "xtrue"}', True),
-    ('{"ft": "tru fals"}', False), ('[1e-17, -0.0]', False), ('', False),
-    ('t' * 50 + 'f' * 50, False), ('tfalse', True), ('truetrue', True)])
-def test_bool_token(text, want):
-    assert cli._bool_token(text) is want
-    assert cli._bool_token(text) is ("true" in text or "false" in text)
-
-
-def test_boolean_scan_only_where_the_text_has_the_token(tmp_path, capsys, monkeypatch):
-    calls = []
-    holds_bool = serialize._holds_bool
-    monkeypatch.setattr(serialize, "_holds_bool",
-                        lambda *args: calls.append(args) or holds_bool(*args))
-    doc = _circle_doc()
-    p = tmp_path / "doc.json"
-    p.write_text(json.dumps(doc))
-    assert run(["classify", str(p)]) == 0
-    assert calls == []
-    u, _ = serialize.element_from_json(doc)  # nothing said about bools: scanned
-    assert len(calls) == 1
-    # a token in a string costs the scan, and the document still reads
-    doc["alg"] = {"dim_alg": 1, "struct": [[[1.0, 0.0]]], "label": "true"}
-    p.write_text(json.dumps(doc))
-    assert run(["classify", str(p)]) == 0
-    assert len(calls) == 3
-    assert capsys.readouterr().out.count('"ok": true') >= 1
-
-
 def test_integral_float_resolution_reads(tmp_path, capsys):
     texts = []
     for name, res in (("int.json", 16), ("float.json", 16.0), ("list.json", [16.0])):
