@@ -96,10 +96,6 @@ def index_unitary(a: FnElement) -> FnElement:
     return FnElement(a.base, _index_values(a.values))
 
 
-def index_unitary_matrix(a: np.ndarray) -> np.ndarray:
-    return _index_values(np.asarray(a, dtype=complex)[None])[0]
-
-
 def exp_unitary(a: FnElement) -> FnElement:
     """-exp(i*pi*a) pointwise; respects direct sums exactly."""
     out = np.array([matcore.neg_exp_pi_i(v, tol=EXP_HERM_TOL) for v in a.values])
@@ -137,8 +133,8 @@ class BoundaryResult:
         return self.rep.element
 
 
-def boundary_map(u: FnElement, i, ses: SESDescriptor,
-                 lift_strategy: str = "natural", tol: float = 1e-9) -> BoundaryResult:
+def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natural",
+                 tol: float = matcore.DEFAULT_TOL) -> BoundaryResult:
     """Index map of class i for the given short exact sequence.
 
     The input lives over the quotient space and must pass class-i

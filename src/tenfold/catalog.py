@@ -381,17 +381,19 @@ def generator(name: str, resolution: int = DEFAULT_RES):
     return rep
 
 
+def _exact_signature(ent: CatalogEntry, el, resolution: int) -> tuple:
+    """Signature values of an exact element of an entry's space: the exact
+    invariant in the shift algebra, the symbol's signature in the quotient."""
+    if ent.space == "shift-algebra":
+        return (toeplitz.exact_invariant(el, ent.class_id)[1],)
+    rep = check_membership(toeplitz.symbol_map(el, resolution), ent.class_id)
+    if not rep.ok:
+        raise AssertionError(f"{ent.name} symbol failed circle membership")
+    return signature(rep).values()
+
+
 def generator_signature(name: str, resolution: int = DEFAULT_RES):
     """Computed signature values of a catalog element."""
     ent = entry(name)
     obj = generator(name, resolution)
-    if ent.space == "shift-algebra":
-        _, val = toeplitz.exact_invariant(obj, ent.class_id)
-        return (val,)
-    if ent.space == "calkin-quotient":
-        sym = toeplitz.symbol_map(obj, resolution)
-        rep = check_membership(sym, ent.class_id)
-        if not rep.ok:
-            raise AssertionError(f"{name} symbol failed circle membership")
-        return signature(rep).values()
-    return signature(obj).values()
+    return _exact_signature(ent, obj, resolution) if ent.exact else signature(obj).values()

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from . import catalog, serialize, toeplitz, verify
+from . import catalog, matcore, serialize, toeplitz, verify
 from .basespace import LIFT_STRATEGIES, SES_NAMES, ses_registry
 from .boundary import boundary_map
 from .invariants import InvariantError, catalog_has, signature
@@ -221,7 +221,7 @@ def build_parser():
     c.add_argument("input", help="element JSON path, or - for stdin")
     c.add_argument("--class", dest="class_id", default=None,
                    help="restrict to one class (-1..6, KU0, KU1)")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=float, default=matcore.DEFAULT_TOL)
     c.add_argument("--out", default=None)
 
     b = sub.add_parser("boundary", help="apply a boundary map")
@@ -230,7 +230,7 @@ def build_parser():
     b.add_argument("--class", dest="class_id", required=True)
     b.add_argument("--lift", default="natural", choices=LIFT_STRATEGIES)
     b.add_argument("--resolution", type=int, default=None)
-    b.add_argument("--tol", type=float, default=1e-9)
+    b.add_argument("--tol", type=float, default=matcore.DEFAULT_TOL)
     b.add_argument("--out", default=None)
 
     g = sub.add_parser("catalog", help="list generators or emit one as JSON")

@@ -20,11 +20,31 @@ class InvariantError(ValueError):
     pass
 
 
-def _round_int(x: float, guard: float, what: str) -> int:
+# integers, +-1 signs and scalars read off a member miss by roundoff only
+ROUND_GUARD = 1e-6
+# the half-turn parities add eigenvalue phases, which eigvals gives less exactly
+PARITY_GUARD = 1e-4
+# a plaquette flux this close to pi may have wrapped round to -pi
+FLUX_MARGIN = 1e-9
+# the 3-sphere degree is a finite-difference quadrature, not an exact sum
+WINDING3_GUARD = 0.2
+# a link this short joins nearly orthogonal frames: the grid is too coarse
+LINK_FLOOR = 0.1
+# a det phase step above this may have wrapped past pi between grid points
+PHASE_STEP_MAX = np.pi / 2
+
+
+def _round_int(x: float, what: str, guard: float = ROUND_GUARD) -> int:
     r = int(np.rint(x))
     if abs(x - r) > guard:
         raise InvariantError(f"{what} = {x:.6f} is not within {guard} of an integer")
     return r
+
+
+def _sign_of_unit_real(z: complex, what: str) -> int:
+    if abs(abs(z) - 1.0) > ROUND_GUARD or abs(np.imag(z)) > ROUND_GUARD:
+        raise InvariantError(f"{what} {z:.6f} is not near +-1")
+    return 1 if np.real(z) > 0 else -1
 
 
 def _outer_value(u: FnElement, algebra: Algebra, p: int) -> np.ndarray:
@@ -33,34 +53,31 @@ def _outer_value(u: FnElement, algebra: Algebra, p: int) -> np.ndarray:
     return v if d == 1 else block_compress(v, d)
 
 
+def _trace_part(m: np.ndarray, part: float, what: str) -> int:
+    return _round_int(part * float(np.real(np.trace(m))), what)
+
+
 def half_trace(u: FnElement, p: int, algebra: Algebra = None) -> int:
-    m = _outer_value(u, algebra, p)
-    return _round_int(0.5 * float(np.real(np.trace(m))), 1e-6, "half trace")
+    return _trace_part(_outer_value(u, algebra, p), 0.5, "half trace")
 
 
 def quarter_trace(u: FnElement, p: int, algebra: Algebra = None) -> int:
-    m = _outer_value(u, algebra, p)
-    return _round_int(0.25 * float(np.real(np.trace(m))), 1e-6, "quarter trace")
+    return _trace_part(_outer_value(u, algebra, p), 0.25, "quarter trace")
 
 
 def det_sign(u: FnElement, p: int, algebra: Algebra = None) -> int:
     """+1 or -1; the determinant must be within tolerance of a unit real."""
     m = _outer_value(u, algebra, p)
-    d = complex(np.linalg.det(m))
-    if abs(abs(d) - 1.0) > 1e-6 or abs(np.imag(d)) > 1e-6:
-        raise InvariantError(f"determinant {d:.6f} is not near +-1")
-    return 1 if np.real(d) > 0 else -1
+    return _sign_of_unit_real(complex(np.linalg.det(m)), "determinant")
 
 
 def pf_sign(u: FnElement, p: int, algebra: Algebra = None) -> int:
     """Pfaffian sign relative to the same-size neutral block stack."""
     m = _outer_value(u, algebra, p)
-    if np.linalg.norm(m + m.T) > 1e-6 * max(1.0, np.linalg.norm(m)):
+    if np.linalg.norm(m + m.T) > ROUND_GUARD * max(1.0, np.linalg.norm(m)):
         raise InvariantError("value is not skew under transpose")
     ratio = matcore.pfaffian(m) / matcore.pfaffian(neutral(2, m.shape[0] // 2))
-    if abs(abs(ratio) - 1.0) > 1e-6 or abs(np.imag(ratio)) > 1e-6:
-        raise InvariantError(f"pfaffian ratio {ratio:.6f} is not near +-1")
-    return 1 if np.real(ratio) > 0 else -1
+    return _sign_of_unit_real(ratio, "pfaffian ratio")
 
 
 def _dets_on_circle(u: FnElement) -> np.ndarray:
@@ -76,22 +93,21 @@ def _phase_sum(dets: np.ndarray, closed: bool) -> float:
         nxt = dets[1:]
         dets = dets[:-1]
     inc = np.angle(nxt / dets)
-    if np.max(np.abs(inc)) > np.pi / 2:
+    if np.max(np.abs(inc)) > PHASE_STEP_MAX:
         raise InvariantError("determinant phase step exceeds pi/2: resolution too coarse")
     return float(np.sum(inc))
+
+
+def _top_arc(u: FnElement):
+    """det u, and its phase summed over the top arc from 1 to -1 through i."""
+    dets = _dets_on_circle(u)
+    return dets, _phase_sum(dets[: u.base.shape[0] // 2 + 1], closed=False)
 
 
 def winding_det(u: FnElement) -> int:
     """Winding number of det(u) around the circle."""
     total = _phase_sum(_dets_on_circle(u), closed=True)
-    return _round_int(total / (2.0 * np.pi), 1e-6, "winding")
-
-
-def _scalar_value(v: np.ndarray) -> complex:
-    c = np.trace(v) / v.shape[0]
-    if np.linalg.norm(v - c * np.eye(v.shape[0])) > 1e-6:
-        raise InvariantError("arc endpoint value is not scalar")
-    return complex(c)
+    return _round_int(total / (2.0 * np.pi), "winding")
 
 
 def winding_half(u: FnElement, arc: str = "top") -> int:
@@ -106,33 +122,30 @@ def winding_half(u: FnElement, arc: str = "top") -> int:
         idx = np.concatenate([np.arange(n // 2, n), [0]])
     else:
         raise ValueError("arc must be 'top' or 'bottom'")
-    _scalar_value(u.values[0])
-    _scalar_value(u.values[n // 2])
+    for v in (u.values[0], u.values[n // 2]):
+        if np.linalg.norm(v - np.trace(v) / v.shape[0] * np.eye(v.shape[0])) > ROUND_GUARD:
+            raise InvariantError("arc endpoint value is not scalar")
     seg = dets[idx]
     raw = _phase_sum(seg, closed=False)
     defect = float(np.angle(seg[-1] * np.conj(seg[0])))
-    return -_round_int((raw - defect) / (2.0 * np.pi), 1e-6, "half winding")
+    return -_round_int((raw - defect) / (2.0 * np.pi), "half winding")
 
 
 def arc_winding_even(u: FnElement) -> int:
     """Winding of det over the top arc for elements whose det is even under
     the antipodal map (det values at +-1 agree)."""
-    dets = _dets_on_circle(u)
-    n = u.base.shape[0]
-    raw = _phase_sum(dets[: n // 2 + 1], closed=False)
-    return _round_int(raw / (2.0 * np.pi), 1e-6, "even arc winding")
+    _, raw = _top_arc(u)
+    return _round_int(raw / (2.0 * np.pi), "even arc winding")
 
 
 def half_turn_parity(u: FnElement) -> int:
     """Z2 invariant of the antipodally conjugate-paired unitary classes on
     the circle: parity of the det phase carried from 1 to -1 over the top
     arc, closed up through the eigenvalue phases at z = 1."""
-    dets = _dets_on_circle(u)
-    n = u.base.shape[0]
-    raw = _phase_sum(dets[: n // 2 + 1], closed=False)
+    _, raw = _top_arc(u)
     mu = np.linalg.eigvals(u.values[0])
     nu = raw / (2.0 * np.pi) + float(np.sum(np.angle(mu))) / np.pi
-    return _round_int(nu, 1e-4, "half-turn parity") % 2
+    return _round_int(nu, "half-turn parity", PARITY_GUARD) % 2
 
 
 def _kramers_phase_sum(v: np.ndarray) -> float:
@@ -146,7 +159,7 @@ def _kramers_phase_sum(v: np.ndarray) -> float:
         m0 = mu.pop(0)
         j = int(np.argmin([abs(m0 - m) for m in mu]))
         m1 = mu.pop(j)
-        if abs(m0 - m1) > 1e-6:
+        if abs(m0 - m1) > ROUND_GUARD:
             raise InvariantError("fixed-point value is not Kramers degenerate")
         total += 2.0 * float(np.angle((m0 + m1) / 2.0))
     return total / (2.0 * np.pi)
@@ -156,23 +169,20 @@ def sp_half_turn_parity(u: FnElement) -> int:
     """Z2 invariant of the quaternionic-symmetric circle classes with
     conjugation involution: det phase over the top arc, closed through
     the (Kramers-paired) eigenvalue phases at the fixed points."""
-    dets = _dets_on_circle(u)
-    n = u.base.shape[0]
-    raw = _phase_sum(dets[: n // 2 + 1], closed=False) / (2.0 * np.pi)
-    nu = raw + _kramers_phase_sum(u.values[0]) - _kramers_phase_sum(u.values[n // 2])
-    return _round_int(nu, 1e-4, "quaternionic half-turn parity") % 2
+    _, raw = _top_arc(u)
+    mid = u.base.shape[0] // 2
+    nu = (raw / (2.0 * np.pi) + _kramers_phase_sum(u.values[0])
+          - _kramers_phase_sum(u.values[mid]))
+    return _round_int(nu, "quaternionic half-turn parity", PARITY_GUARD) % 2
 
 
 def arc_winding_det1(u: FnElement) -> int:
     """Winding of det over the top arc for classes whose fixed-point values
     are quaternionic unitaries (det 1 there), so the arc phase is integral."""
-    dets = _dets_on_circle(u)
-    n = u.base.shape[0]
-    for p in (0, n // 2):
-        if abs(dets[p] - 1.0) > 1e-6:
-            raise InvariantError("fixed-point determinant is not 1")
-    raw = _phase_sum(dets[: n // 2 + 1], closed=False)
-    return _round_int(raw / (2.0 * np.pi), 1e-6, "arc winding")
+    dets, raw = _top_arc(u)
+    if np.any(np.abs(dets[[0, u.base.shape[0] // 2]] - 1.0) > ROUND_GUARD):
+        raise InvariantError("fixed-point determinant is not 1")
+    return _round_int(raw / (2.0 * np.pi), "arc winding")
 
 
 def winding_pairs(u: FnElement) -> int:
@@ -252,7 +262,7 @@ def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         z = overlap(0, 0) * overlap(1, 1) - overlap(0, 1) * overlap(1, 0)
     else:
         z = np.linalg.det(np.conj(np.swapaxes(a, -1, -2)) @ b)
-    if np.min(np.abs(z)) < 0.1:
+    if np.min(np.abs(z)) < LINK_FLOOR:
         raise InvariantError("frame overlap nearly singular: resolution too coarse")
     return z / np.abs(z)
 
@@ -269,7 +279,7 @@ def chern_of_projection(u: FnElement) -> int:
     if u.base.kind not in ("disk", "sphere2", "torus2"):
         raise InvariantError(f"no plaquette decomposition for {u.base.kind!r}")
     flux = _plaquette_fluxes(u.base, _occupied_frames(u))
-    return _round_int(float(np.sum(flux)) / (2.0 * np.pi), 1e-6, "chern number")
+    return _round_int(float(np.sum(flux)) / (2.0 * np.pi), "chern number")
 
 
 def _plaquette_fluxes(base, frames: np.ndarray) -> np.ndarray:
@@ -282,7 +292,7 @@ def _plaquette_fluxes(base, frames: np.ndarray) -> np.ndarray:
     along = _unit_links(f[:-1], f[1:])
     flux = np.angle(across[:-1] * np.roll(along, -1, axis=1)
                     * np.conj(across[1:]) * np.conj(along))
-    if np.max(np.abs(flux)) > np.pi - 1e-9:
+    if np.max(np.abs(flux)) > np.pi - FLUX_MARGIN:
         raise InvariantError("plaquette flux at pi: resolution too coarse")
     return flux
 
@@ -311,7 +321,7 @@ def winding3(u: FnElement) -> int:
         dens = np.einsum("bcij,bcji->bc", a1, a2 @ a3 - a3 @ a2)
         total += float(np.sum(np.real(dens)))
     deg = 3.0 * total * h1 * h2 * h3 / (24.0 * np.pi ** 2)
-    return _round_int(np.real(deg), 0.2, "three-sphere winding")
+    return _round_int(np.real(deg), "three-sphere winding", WINDING3_GUARD)
 
 
 def qc_half_trace(u: FnElement, algebra: Algebra = None,
@@ -326,10 +336,9 @@ def qc_half_trace(u: FnElement, algebra: Algebra = None,
     blocks = v.reshape(k, 2, k, 2)
     phi = blocks[:, 0, :, 0]
     off = blocks[:, 0, :, 1]
-    if np.linalg.norm(off) > 1e-6:
+    if np.linalg.norm(off) > ROUND_GUARD:
         raise InvariantError("endpoint value is not block diagonal")
-    return _round_int(0.5 * float(np.real(np.trace(phi))), 1e-6,
-                      "endpoint half trace")
+    return _trace_part(phi, 0.5, "endpoint half trace")
 
 
 # ---------------------------------------------------------------------------
@@ -366,32 +375,26 @@ def _z2(sign: int) -> int:
     return (1 - sign) // 2
 
 
-def _bp(rep):
-    return rep.base.basepoint
+def _read_at(read, place):
+    return lambda rep: read(rep.element, place(rep), rep.algebra)
 
 
-def _mid(rep):
-    return rep.base.shape[0] // 2
-
+# the class table's point invariants: name -> (reader of one grid value, the
+# places the catalog reads it at); a place is a name suffix and its grid point
+_PLACES = {"": lambda rep: rep.base.basepoint, "_0": lambda rep: 0,
+           "_1": lambda rep: 1, "_mid": lambda rep: rep.base.shape[0] // 2}
+_POINT_READERS = {
+    "half_trace": (half_trace, ("", "_0", "_1")),
+    "quarter_trace": (quarter_trace, ("", "_0", "_1")),
+    "det_parity": (lambda u, p, alg: _z2(det_sign(u, p, alg)), ("", "_0", "_1")),
+    "pf_parity": (lambda u, p, alg: _z2(pf_sign(u, p, alg)), ("", "_0", "_1", "_mid")),
+}
+_POINT_GROUPS = dict(p for p in (class_spec(i)["point"] for i in CLASS_IDS) if p)
 
 # invariant name -> (group, reader)
 _D = {
-    "half_trace": ("Z", lambda rep: half_trace(rep.element, _bp(rep), rep.algebra)),
-    "half_trace_0": ("Z", lambda rep: half_trace(rep.element, 0, rep.algebra)),
-    "half_trace_1": ("Z", lambda rep: half_trace(rep.element, 1, rep.algebra)),
-    "quarter_trace": ("Z", lambda rep: quarter_trace(rep.element, _bp(rep),
-                                                     rep.algebra)),
-    "quarter_trace_0": ("Z", lambda rep: quarter_trace(rep.element, 0, rep.algebra)),
-    "quarter_trace_1": ("Z", lambda rep: quarter_trace(rep.element, 1, rep.algebra)),
-    "det_parity": ("Z2", lambda rep: _z2(det_sign(rep.element, _bp(rep),
-                                                  rep.algebra))),
-    "det_parity_0": ("Z2", lambda rep: _z2(det_sign(rep.element, 0, rep.algebra))),
-    "det_parity_1": ("Z2", lambda rep: _z2(det_sign(rep.element, 1, rep.algebra))),
-    "pf_parity": ("Z2", lambda rep: _z2(pf_sign(rep.element, _bp(rep), rep.algebra))),
-    "pf_parity_0": ("Z2", lambda rep: _z2(pf_sign(rep.element, 0, rep.algebra))),
-    "pf_parity_1": ("Z2", lambda rep: _z2(pf_sign(rep.element, 1, rep.algebra))),
-    "pf_parity_mid": ("Z2", lambda rep: _z2(pf_sign(rep.element, _mid(rep),
-                                                    rep.algebra))),
+    **{name + at: (_POINT_GROUPS[name], _read_at(read, _PLACES[at]))
+       for name, (read, places) in _POINT_READERS.items() for at in places},
     "winding": ("Z", lambda rep: winding_det(rep.element)),
     "winding_half": ("Z", lambda rep: winding_half(rep.element, "top")),
     "winding_half_bottom": ("Z", lambda rep: winding_half(rep.element, "bottom")),

@@ -24,6 +24,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 CONSTRUCTION_TOL = 1e-12
+# roundoff puts a PSD matrix's zero eigenvalues at most this far below 0
+PSD_CLIP_TOL = 1e-10
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -144,7 +146,7 @@ def frobenius_norms(m: np.ndarray) -> np.ndarray:
                     + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def psd_sqrt(m: np.ndarray, tol: float = 1e-10, zero_snap: float = 0.0) -> np.ndarray:
+def psd_sqrt(m: np.ndarray, tol: float = PSD_CLIP_TOL, zero_snap: float = 0.0) -> np.ndarray:
     """Hermitian PSD square root of a matrix or a (..., d, d) stack;
     eigenvalues in [-tol, 0) are clipped to 0.
 
@@ -156,7 +158,7 @@ def psd_sqrt(m: np.ndarray, tol: float = 1e-10, zero_snap: float = 0.0) -> np.nd
     return psd_root(w, v, tol, zero_snap)
 
 
-def psd_root(w: np.ndarray, v: np.ndarray, tol: float = 1e-10,
+def psd_root(w: np.ndarray, v: np.ndarray, tol: float = PSD_CLIP_TOL,
              zero_snap: float = 0.0) -> np.ndarray:
     """The root step of psd_sqrt, from herm_eig's eigenvalues w (ascending)
     and frames v."""
@@ -219,32 +221,3 @@ def pfaffian(m: np.ndarray, tol: float = DEFAULT_TOL) -> complex:
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return complex(pf)
 
-
-def block_diag(*mats) -> np.ndarray:
-    """Block-diagonal stack of square matrices."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    dim = sum(m.shape[0] for m in mats)
-    out = np.zeros((dim, dim), dtype=complex)
-    k = 0
-    for m in mats:
-        d = m.shape[0]
-        out[k:k + d, k:k + d] = m
-        k += d
-    return out
-
-
-def random_unitary(dim: int, rng) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_special_orthogonal(dim: int, rng) -> np.ndarray:
-    if dim == 1:
-        return np.eye(1, dtype=complex)
-    z = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0:
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return q.astype(complex)

@@ -32,6 +32,11 @@ from .basespace import (Algebra, BaseSpace, FnElement, apply_full_involution,
 
 CLASS_IDS = (-1, 0, 1, 2, 3, 4, 5, 6, "KU0", "KU1")
 
+# a member's basepoint trace per class block is an integer, 0 when trivial
+BASEPOINT_TRACE_GUARD = 0.25
+# eigenvalues of a Hermitian part this close are one degenerate cluster
+EIG_CLUSTER_TOL = 1e-8
+
 _I2 = np.array([[0.0, 1j], [-1j, 0.0]])
 
 _TABLE = {
@@ -147,12 +152,12 @@ def _default_algebra(u: FnElement, algebra):
 
 
 def check_membership(u: FnElement, i, algebra: Algebra = None,
-                     tol: float = 1e-9) -> KOClassRep:
+                     tol: float = matcore.DEFAULT_TOL) -> KOClassRep:
     """Test the class-i symmetry relations; residuals are always reported."""
     return _membership(u, i, _default_algebra(u, algebra), tol, {})
 
 
-def classify(u: FnElement, algebra: Algebra = None, tol: float = 1e-9,
+def classify(u: FnElement, algebra: Algebra = None, tol: float = matcore.DEFAULT_TOL,
              classes=CLASS_IDS) -> dict:
     """check_membership of u in each of `classes` from one pass: class id ->
     its KOClassRep, or the ValueError (a MembershipError among them) that
@@ -214,7 +219,7 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
     return KOClassRep(u, i, algebra, ok=ok, residuals=res)
 
 
-def require_membership(u, i, algebra=None, tol=1e-9) -> KOClassRep:
+def require_membership(u, i, algebra=None, tol=matcore.DEFAULT_TOL) -> KOClassRep:
     rep = check_membership(u, i, algebra, tol)
     if not rep.ok:
         raise MembershipError(f"element fails class-{i} membership", rep.residuals)
@@ -238,7 +243,7 @@ def _lambda_trivial(lam: np.ndarray, i):
         ratio = pf / matcore.pfaffian(neutral(i, lam.shape[0] // 2))
         return np.real(ratio) > 0, f"pf_ratio={ratio:.3f}"
     t = np.real(np.trace(lam)) / spec["mult"]
-    return abs(t) < 0.25, f"{kind}={t:.3f}"
+    return abs(t) < BASEPOINT_TRACE_GUARD, f"{kind}={t:.3f}"
 
 
 def add(u: FnElement, v: FnElement, i, algebra: Algebra = None) -> FnElement:
@@ -251,21 +256,6 @@ def stabilize(u: FnElement, i, algebra: Algebra = None, copies: int = 1) -> FnEl
     algebra = _default_algebra(u, algebra)
     pad = np.kron(neutral(i, copies), np.eye(algebra.dim_alg, dtype=complex))
     return block_diag_elements(u, constant_element(u.base, pad))
-
-
-def iota_interleaved(u: FnElement) -> FnElement:
-    """The tilde-convention stabilization: insert diag(1,-1) so a 2x2 grid
-    of half-size blocks grows to (n+1) x (n+1).  Internal picture only."""
-    n = u.dim // 2
-    d = u.dim + 2
-    out = np.zeros((u.base.npoints, d, d), dtype=complex)
-    out[:, :n, :n] = u.values[:, :n, :n]
-    out[:, :n, n + 1:d - 1] = u.values[:, :n, n:]
-    out[:, n + 1:d - 1, :n] = u.values[:, n:, :n]
-    out[:, n + 1:d - 1, n + 1:d - 1] = u.values[:, n:, n:]
-    out[:, n, n] = 1.0
-    out[:, d - 1, d - 1] = -1.0
-    return FnElement(u.base, out)
 
 
 def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
@@ -282,7 +272,7 @@ def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
     return u.scaled(-1.0)
 
 
-def to_projection(u: FnElement, tol: float = 1e-9) -> FnElement:
+def to_projection(u: FnElement, tol: float = matcore.DEFAULT_TOL) -> FnElement:
     """p = (u + 1)/2 for a self-adjoint unitary u."""
     res = float(np.max(np.linalg.norm(u.values - np.conj(np.swapaxes(u.values, 1, 2)),
                                       axis=(1, 2))))
@@ -298,7 +288,7 @@ def complex_class(i):
     return "KU0" if class_spec(i)["sa"] else "KU1"
 
 
-def forget_to_ku(rep: KOClassRep, tol: float = 1e-9) -> KOClassRep:
+def forget_to_ku(rep: KOClassRep, tol: float = matcore.DEFAULT_TOL) -> KOClassRep:
     """Forget the real symmetry: same element, its complex class."""
     target = complex_class(rep.class_id)
     if target == rep.class_id:
@@ -328,7 +318,7 @@ def symmetrize(x, i, s):
 # lambda normalization
 
 def normalize_lambda(u: FnElement, i, algebra: Algebra = None,
-                     tol: float = 1e-9) -> FnElement:
+                     tol: float = matcore.DEFAULT_TOL) -> FnElement:
     """Move a representative so its basepoint value is the neutral stack.
 
     Uses constant conjugations (or one-sided multiplications for the
@@ -427,7 +417,7 @@ def _kramers_pairs(space, s):
         basis = np.column_stack([v, w])
         proj = rem - basis @ (basis.conj().T @ rem)
         q, r = np.linalg.qr(proj)
-        keep = np.abs(np.diagonal(r)) > 1e-9
+        keep = np.abs(np.diagonal(r)) > matcore.DEFAULT_TOL  # not yet in the span
         rem = q[:, keep]
     return cols
 
@@ -482,7 +472,7 @@ def _normal_eig(m):
     j = 0
     while j < len(w1):
         jj = j
-        while jj < len(w1) and abs(w1[jj] - w1[j]) < 1e-8:
+        while jj < len(w1) and abs(w1[jj] - w1[j]) < EIG_CLUSTER_TOL:
             jj += 1
         block = v[:, j:jj]
         w2, q = np.linalg.eigh(block.conj().T @ h2 @ block)
@@ -504,7 +494,7 @@ def _sqrt_unitary(m):
 # complex-to-real doubling
 
 def gamma_double(u: FnElement, i, algebra: Algebra = None,
-                 tol: float = 1e-9) -> KOClassRep:
+                 tol: float = matcore.DEFAULT_TOL) -> KOClassRep:
     """Send a complex-class element to the class-i element (x, partner(x))
     over the doubled algebra; over a point the result lives on the
     two-point space with the swap involution."""
@@ -556,7 +546,7 @@ def build_u(h: FnElement, x: FnElement, k: FnElement) -> FnElement:
 
 
 def check_qc_relations(h: FnElement, x: FnElement, k: FnElement,
-                       tol: float = 1e-12) -> bool:
+                       tol: float = matcore.CONSTRUCTION_TOL) -> bool:
     """h*h + x*x = h, k*k + xx* = k, kx = xh, hk = 0, at every grid point."""
     ha, xa, ka = h.values, x.values, k.values
     hs = np.conj(np.swapaxes(ha, 1, 2))

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import catalog, matcore, toeplitz
 from .basespace import Algebra, FnElement, sample_space, ses_registry
-from .boundary import boundary_map, index_unitary_matrix, retract_contraction, \
-    symmetrize_lift
+from .boundary import boundary_map, index_unitary, retract_contraction, symmetrize_lift
 from .invariants import pf_sign, signature
 from .symclass import (add, build_u, check_membership, check_qc_relations,
                        class_spec, class_structure, complex_class, forget_to_ku,
@@ -124,7 +123,7 @@ def check_conjugator_identities():
         worst = max(worst, np.linalg.norm(
             v @ matcore.involute(x, "sharp_tilde") @ v.conj().T
             - matcore.involute(v @ x @ v.conj().T, "sharp_transpose")))
-    return worst <= 1e-12, f"max residual {worst:.2e} (tol 1e-12)"
+    return worst <= matcore.CONSTRUCTION_TOL, f"max residual {worst:.2e} (tol 1e-12)"
 
 
 def check_index_unitary_involutive():
@@ -140,10 +139,10 @@ def check_index_unitary_involutive():
             y = symmetrize_lift(a, i)
             mode = "even" if spec["sa"] else "odd"
             lift = retract_contraction(y, mode)
-            b = index_unitary_matrix(lift.values[0])
+            b = index_unitary(lift).values[0]
             worst = max(worst, np.linalg.norm(b @ b - np.eye(b.shape[0])))
             worst = max(worst, np.linalg.norm(b - b.conj().T))
-    return worst <= 1e-9, f"max ||B^2 - 1|| residual {worst:.2e} (tol 1e-9)"
+    return worst <= matcore.DEFAULT_TOL, f"max ||B^2 - 1|| residual {worst:.2e} (tol 1e-9)"
 
 
 def check_pfaffian():
@@ -160,7 +159,7 @@ def check_pfaffian():
     i2 = neutral(2, 1)
     plus = pf_sign(FnElement(point, i2[None]), 0)
     minus = pf_sign(FnElement(point, -i2[None]), 0)
-    ok = worst <= 1e-9 and plus == 1 and minus == -1
+    ok = worst <= matcore.DEFAULT_TOL and plus == 1 and minus == -1
     return ok, f"Pf^2=det residual {worst:.2e}; signs ({plus},{minus})"
 
 
@@ -274,26 +273,17 @@ def _torsion_doubling():
         ent = catalog.entry(name)
         if not ent.torsion:
             continue
+        g = catalog.generator(name)
         if ent.exact:
-            el = catalog.generator(name)
-            z = toeplitz.zero(el.dim)
-            dbl = toeplitz.from_blocks([[el, z], [z, el]])
-            if ent.space == "shift-algebra":
-                _, val = toeplitz.exact_invariant(dbl, ent.class_id)
-                group = class_spec(ent.class_id)["point"][1]
-                if val % 2 != 0 if group == "Z" else val != 0:
-                    bad.append(f"{name}: doubled invariant {val}")
-            else:
-                sym = toeplitz.symbol_map(dbl, RES)
-                rep = check_membership(sym, ent.class_id)
-                if not signature(rep).is_zero:
-                    bad.append(f"{name}: doubled signature nonzero")
-            continue
-        rep = catalog.generator(name)
-        dbl = add(rep.element, rep.element, ent.class_id, rep.algebra)
-        rep2 = check_membership(dbl, ent.class_id, rep.algebra)
-        if not rep2.ok or not signature(rep2).is_zero:
-            bad.append(f"{name}: doubled signature {signature(rep2).values()}")
+            z = toeplitz.zero(g.dim)
+            dbl = toeplitz.from_blocks([[g, z], [z, g]])
+            ok, got = True, catalog._exact_signature(ent, dbl, RES)
+        else:
+            rep = check_membership(add(g.element, g.element, ent.class_id, g.algebra),
+                                   ent.class_id, g.algebra)
+            ok, got = rep.ok, signature(rep).values()
+        if not ok or any(got):
+            bad.append(f"{name}: doubled signature {got}")
     return bad
 
 
@@ -366,7 +356,7 @@ def check_forgetful_compatibility():
 
 def check_qc_oracle():
     h, x, k = catalog.qc_generators(RES)
-    rel = check_qc_relations(h, x, k, 1e-12)
+    rel = check_qc_relations(h, x, k)
     u = build_u(h, x, k)
     alg = Algebra(h.base, 2, np.eye(2, dtype=complex), "qc2-tr")
     rep = check_membership(u, 0, alg)

@@ -1,0 +1,50 @@
+"""Matrix and element builders the tests share; the library does not use them."""
+
+import numpy as np
+
+from tenfold.basespace import FnElement
+
+
+def block_diag(*mats) -> np.ndarray:
+    """Block-diagonal stack of square matrices."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    dim = sum(m.shape[0] for m in mats)
+    out = np.zeros((dim, dim), dtype=complex)
+    k = 0
+    for m in mats:
+        d = m.shape[0]
+        out[k:k + d, k:k + d] = m
+        k += d
+    return out
+
+
+def random_unitary(dim: int, rng) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_special_orthogonal(dim: int, rng) -> np.ndarray:
+    if dim == 1:
+        return np.eye(1, dtype=complex)
+    z = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0:
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q.astype(complex)
+
+
+def iota_interleaved(u: FnElement) -> FnElement:
+    """The tilde-convention stabilization: insert diag(1,-1) so a 2x2 grid
+    of half-size blocks grows to (n+1) x (n+1)."""
+    n = u.dim // 2
+    d = u.dim + 2
+    out = np.zeros((u.base.npoints, d, d), dtype=complex)
+    out[:, :n, :n] = u.values[:, :n, :n]
+    out[:, :n, n + 1:d - 1] = u.values[:, :n, n:]
+    out[:, n + 1:d - 1, :n] = u.values[:, n:, :n]
+    out[:, n + 1:d - 1, n + 1:d - 1] = u.values[:, n:, n:]
+    out[:, n, n] = 1.0
+    out[:, d - 1, d - 1] = -1.0
+    return FnElement(u.base, out)

@@ -8,12 +8,14 @@ from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
                                sample_space, scalar_algebra, ses_registry)
 from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
                               _index_values, boundary_conjugator, boundary_map,
-                              exp_unitary, index_unitary, index_unitary_matrix,
-                              retract_contraction, symmetrize_lift)
+                              exp_unitary, index_unitary, retract_contraction,
+                              symmetrize_lift)
 from tenfold.invariants import signature
 from tenfold.symclass import (CLASS_IDS, MembershipError, class_spec,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
+
+from helpers import block_diag, random_unitary
 
 RNG = np.random.default_rng(41)
 POINT = sample_space("point")
@@ -59,11 +61,11 @@ def test_retract_examples():
 
 
 def test_index_unitary_examples():
-    u = matcore.random_unitary(3, RNG)
-    b = index_unitary_matrix(u)
-    assert np.allclose(b, matcore.block_diag(np.eye(3), -np.eye(3)), atol=1e-9)
-    b0 = index_unitary_matrix(np.zeros((2, 2)))
-    assert np.allclose(b0, matcore.block_diag(-np.eye(2), np.eye(2)))
+    u = random_unitary(3, RNG)
+    b = index_unitary(pt(u)).values[0]
+    assert np.allclose(b, block_diag(np.eye(3), -np.eye(3)), atol=1e-9)
+    b0 = index_unitary(pt(np.zeros((2, 2)))).values[0]
+    assert np.allclose(b0, block_diag(-np.eye(2), np.eye(2)))
     with pytest.raises(ValueError):
         index_unitary(pt(2.0 * np.eye(2)))
 
@@ -73,13 +75,13 @@ def test_stacked_odd_retraction_and_index_unitary_match_pointwise():
     vals = 1.5 * (RNG.standard_normal((base.npoints, 2, 2))
                   + 1j * RNG.standard_normal((base.npoints, 2, 2)))
     vals[3] = 0.0                                  # y*y = 0: the eigenvalue floor
-    vals[7] = matcore.random_unitary(2, RNG)       # 1 - a*a = 0: the zero snap
+    vals[7] = random_unitary(2, RNG)               # 1 - a*a = 0: the zero snap
     a = retract_contraction(FnElement(base, vals), "odd")
     b = index_unitary(a)
     for p in range(base.npoints):
         one = retract_contraction(pt(vals[p]), "odd").values[0]
         assert np.max(np.abs(a.values[p] - one)) < 1e-13
-        assert np.max(np.abs(b.values[p] - index_unitary_matrix(a.values[p]))) < 1e-13
+        assert np.max(np.abs(b.values[p] - index_unitary(pt(a.values[p])).values[0])) < 1e-13
     assert np.all(b.values[7, :2, 2:] == 0) and np.all(b.values[7, 2:, :2] == 0)
     assert np.array_equal(a.values[3], np.zeros((2, 2)))
     bad = a.values.copy()
@@ -105,20 +107,20 @@ def test_index_values_match_reference_bit_for_bit(dim):
                   + 1j * RNG.standard_normal((base.npoints, dim, dim)))
     vals[3] = 0.0                                  # the zero point
     vals[5] = -0.0 * vals[6]                       # signed zeros
-    vals[7] = matcore.random_unitary(dim, RNG)     # the unitary point
+    vals[7] = random_unitary(dim, RNG)             # the unitary point
     a = retract_contraction(FnElement(base, vals), "odd").values
-    a[9] = matcore.random_unitary(dim, RNG)        # unitary without the retraction
+    a[9] = random_unitary(dim, RNG)                # unitary without the retraction
     want = _index_values_reference(a)
     assert _index_values(a).tobytes() == want.tobytes()
     assert index_unitary(FnElement(base, a)).values.tobytes() == want.tobytes()
-    assert index_unitary_matrix(a[9]).tobytes() == want[9].tobytes()
+    assert index_unitary(pt(a[9])).values[0].tobytes() == want[9].tobytes()
 
 
 def test_index_unitary_refusal_order():
     """Above 1 + CONTRACTION_TOL the norm refuses first; just below it the
     spectrum of 1 - a*a dips under -INDEX_SQRT_TOL and its guard refuses."""
     base = ses_registry("disk-id", (5, 16)).total
-    q = np.stack([matcore.random_unitary(2, RNG) for _ in range(base.npoints)])
+    q = np.stack([random_unitary(2, RNG) for _ in range(base.npoints)])
     vals = q * np.array([0.5, 0.25])
     for sigma, message in ((1 + 2e-7, "not a contraction"),
                            (1 + 1.5e-7, "not a contraction"),
@@ -132,7 +134,7 @@ def test_index_unitary_refusal_order():
     with pytest.raises(ValueError, match="not a contraction"):
         index_unitary(FnElement(base, bad))
     with pytest.raises(ValueError, match="not a contraction"):
-        index_unitary_matrix(1.5 * q[0])
+        index_unitary(pt(1.5 * q[0]))
 
 
 def test_index_unitary_on_disk_lift():
@@ -165,10 +167,10 @@ def test_exp_unitary_reproduces_arc_profile():
 def test_exp_unitary_respects_direct_sums_exactly():
     a = np.diag([0.3, -0.9])
     b = np.diag([0.5])
-    ab = exp_unitary(pt(matcore.block_diag(a, b))).values[0]
+    ab = exp_unitary(pt(block_diag(a, b))).values[0]
     ea = exp_unitary(pt(a)).values[0]
     eb = exp_unitary(pt(b)).values[0]
-    assert np.array_equal(ab, matcore.block_diag(ea, eb))
+    assert np.array_equal(ab, block_diag(ea, eb))
 
 
 def test_boundary_conjugators():
@@ -187,7 +189,7 @@ def test_index_unitary_symmetries_per_class(i):
     """B of a class-i lift satisfies the documented relation."""
     dim = 2 if i in (1, -1) else 4
     a = retract_contraction(symmetrize_lift(pt(0.4 * rand(dim)), i), "odd")
-    b = index_unitary_matrix(a.values[0])
+    b = index_unitary(a).values[0]
     if i == 1:
         assert np.linalg.norm(b.T - b) < 1e-9
     if i == -1:

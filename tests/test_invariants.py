@@ -1,17 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
-from tenfold import catalog, invariants, matcore
+from tenfold import catalog, invariants
 from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
 from tenfold.boundary import boundary_map
 from tenfold.invariants import (InvariantError, _occupied_frames,
                                 _plaquette_fluxes, _unit_links, arc_winding_det1,
                                 chern_of_projection, det_sign, half_trace,
-                                pf_sign, quarter_trace, signature,
-                                sp_half_turn_parity, winding_det, winding_half)
+                                half_turn_parity, pf_sign, qc_half_trace,
+                                quarter_trace, signature, sp_half_turn_parity,
+                                winding_det, winding_half, winding_pairs)
 from tenfold.symclass import add, check_membership, neutral
 from tenfold.verify import random_class_element
+
+from helpers import block_diag
 
 RNG = np.random.default_rng(31)
 POINT = sample_space("point")
@@ -55,7 +60,7 @@ def test_det_sign_examples():
 def test_pf_sign_examples():
     assert pf_sign(const(neutral(2, 1)), 0) == 1
     assert pf_sign(const(-neutral(2, 1)), 0) == -1
-    assert pf_sign(const(matcore.block_diag(neutral(2, 1), -neutral(2, 1))), 0) == -1
+    assert pf_sign(const(block_diag(neutral(2, 1), -neutral(2, 1))), 0) == -1
     with pytest.raises(InvariantError):
         pf_sign(const(np.diag([1.0, -1.0])), 0)
 
@@ -116,6 +121,55 @@ def test_quaternionic_circle_invariants():
     vals5[:, 0, 0] = z
     vals5[:, 1, 1] = z
     assert arc_winding_det1(FnElement(base, vals5)) == 1
+
+
+def _constant_on_circle(m, involution="zeta", res=64):
+    return circle_elem(lambda b: np.broadcast_to(np.asarray(m, dtype=complex),
+                                                 (b.npoints,) + np.shape(m)).copy(),
+                       involution, res)
+
+
+def _non_scalar_endpoints():
+    return circle_elem(lambda b: np.stack([np.diag([z, 1.0]) for z in zfun(b)]))
+
+
+# each reader's refusal text, as it reaches stderr on exit 3
+_REFUSALS = {
+    "det": (lambda: det_sign(const(np.diag([0.5, 1.0])), 0),
+            "determinant 0.500000+0.000000j is not near +-1"),
+    "pf": (lambda: pf_sign(const(2 * neutral(2, 1)), 0),
+           "pfaffian ratio 2.000000+0.000000j is not near +-1"),
+    "skew": (lambda: pf_sign(const(np.diag([1.0, -1.0])), 0),
+             "value is not skew under transpose"),
+    "half_trace": (lambda: half_trace(const(np.diag([1.0, 0.5])), 0),
+                   "half trace = 0.750000 is not within 1e-06 of an integer"),
+    "quarter_trace": (lambda: quarter_trace(const(np.diag([1.0, 1.0, 1.0, 0.5])), 0),
+                      "quarter trace = 0.875000 is not within 1e-06 of an integer"),
+    "endpoint": (lambda: winding_half(_non_scalar_endpoints()),
+                 "arc endpoint value is not scalar"),
+    "parity": (lambda: half_turn_parity(_constant_on_circle([[np.exp(0.3j)]], "sigma")),
+               "half-turn parity = 0.095493 is not within 0.0001 of an integer"),
+    "kramers": (lambda: sp_half_turn_parity(_constant_on_circle(np.diag([1.0, 1j]))),
+                "fixed-point value is not Kramers degenerate"),
+    "det1": (lambda: arc_winding_det1(_constant_on_circle(np.diag([1.0, -1.0]))),
+             "fixed-point determinant is not 1"),
+    "pairs": (lambda: winding_pairs(circle_elem(lambda b: zfun(b)[:, None, None], "sigma")),
+              "det winding is odd; element breaks the pairing symmetry"),
+    "step": (lambda: winding_det(circle_elem(lambda b: (zfun(b) ** 5)[:, None, None],
+                                             res=16)),
+             "determinant phase step exceeds pi/2: resolution too coarse"),
+    "circle": (lambda: winding_det(const(np.eye(1))), "winding invariants need a circle base"),
+    "block": (lambda: qc_half_trace(FnElement(sample_space("interval", 8), np.broadcast_to(
+        np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex), (9, 2, 2)).copy())),
+        "endpoint value is not block diagonal"),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_reader_refusal_texts(name):
+    read, text = _REFUSALS[name]
+    with pytest.raises(InvariantError, match="^" + re.escape(text) + "$"):
+        read()
 
 
 def test_chern_examples():

@@ -3,6 +3,8 @@ import pytest
 
 from tenfold import matcore as mc
 
+from helpers import block_diag
+
 RNG = np.random.default_rng(7)
 
 
@@ -60,7 +62,7 @@ def test_w_printed_value():
 def test_w_rotates_sign_matrix():
     for n in (1, 3):
         w = mc.conjugator_w(n)
-        got = w @ mc.block_diag(np.eye(n), -np.eye(n)) @ w.conj().T
+        got = w @ block_diag(np.eye(n), -np.eye(n)) @ w.conj().T
         want = np.block([[np.zeros((n, n)), 1j * np.eye(n)],
                          [-1j * np.eye(n), np.zeros((n, n))]])
         assert np.linalg.norm(got - want) < 1e-14
@@ -195,7 +197,7 @@ def test_pfaffian_small_values():
     assert abs(mc.pfaffian(np.array([[0, m], [-m, 0]])) - m) < 1e-14
     i2 = np.array([[0, 1j], [-1j, 0]])
     assert abs(mc.pfaffian(i2) - 1j) < 1e-14
-    assert abs(mc.pfaffian(mc.block_diag(i2, i2)) - (-1)) < 1e-13
+    assert abs(mc.pfaffian(block_diag(i2, i2)) - (-1)) < 1e-13
 
 
 def test_pfaffian_square_is_det_and_congruence():

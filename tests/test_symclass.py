@@ -11,8 +11,11 @@ from tenfold.symclass import (CLASS_IDS, KOClassRep, MembershipError,
                               check_membership, check_qc_relations,
                               class_spec, class_structure, classify, complex_class,
                               forget_to_ku, gamma_double,
-                              inverse, iota_interleaved, neutral,
-                              normalize_lambda, stabilize, to_projection)
+                              inverse, neutral, normalize_lambda, stabilize,
+                              to_projection)
+
+from helpers import (block_diag, iota_interleaved, random_special_orthogonal,
+                     random_unitary)
 
 RNG = np.random.default_rng(23)
 POINT = sample_space("point")
@@ -45,7 +48,7 @@ def test_membership_examples():
     u = FnElement(base, z[:, None, None] * np.eye(1))
     assert check_membership(u, -1).ok
     assert const_rep(neutral(2, 1), 2).ok
-    assert const_rep(matcore.block_diag(neutral(2, 1), -neutral(2, 1)), 2).ok
+    assert const_rep(block_diag(neutral(2, 1), -neutral(2, 1)), 2).ok
 
 
 def test_membership_reports_failures():
@@ -85,7 +88,7 @@ def test_inverse_rules():
     m = constant_element(POINT, np.diag([1.0 + 0j, -1, -1, 1]))
     assert np.allclose(inverse(m, 0).values, -m.values)
     two = constant_element(
-        POINT, matcore.block_diag(neutral(2, 1), -neutral(2, 1)))
+        POINT, block_diag(neutral(2, 1), -neutral(2, 1)))
     assert np.allclose(inverse(two, 2).values, -two.values)
     with pytest.raises(ValueError):
         inverse(constant_element(POINT, neutral(2, 1)), 2)
@@ -251,7 +254,7 @@ def test_normalize_lambda_all_classes(i, n):
     # start from a membership-passing element: constant neutral
     u0 = constant_element(base, neutral(i, n))
     # move lambda away with a constant class-compatible conjugation
-    g = matcore.random_unitary(dim, RNG)
+    g = random_unitary(dim, RNG)
     if spec["sign"] is not None:
         s = class_structure(i, dim)
         if spec["star"]:
@@ -296,7 +299,7 @@ def test_so_conjugation_invariance_low_classes():
     for name, i in (("circle_zeta_k1", 1), ("circle_zeta_k2", 2),
                     ("circle_sigma_km1", -1), ("circle_zeta_k0", 0)):
         rep = catalog.generator(name, 32)
-        x = matcore.random_special_orthogonal(rep.element.dim, RNG)
+        x = random_special_orthogonal(rep.element.dim, RNG)
         conj = rep.element.conjugated(x)
         rep2 = check_membership(conj, i, rep.algebra)
         assert rep2.ok
@@ -308,7 +311,7 @@ def test_doubled_so_conjugation_invariance_sharp_classes():
                     ("circle_sigma_k4", 4)):
         rep = catalog.generator(name, 32)
         half = rep.element.dim // 2
-        x = matcore.random_special_orthogonal(half, RNG)
+        x = random_special_orthogonal(half, RNG)
         doubled = np.kron(x, np.eye(2))
         rep2 = check_membership(rep.element.conjugated(doubled), i, rep.algebra)
         assert rep2.ok
