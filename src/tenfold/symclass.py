@@ -34,6 +34,8 @@ CLASS_IDS = (-1, 0, 1, 2, 3, 4, 5, 6, "KU0", "KU1")
 
 # a member's basepoint trace per class block is an integer, 0 when trivial
 BASEPOINT_TRACE_GUARD = 0.25
+# a self-adjoint unitary's trace is an integer: this admits trace 0 only
+ZERO_TRACE_GUARD = 0.5
 # eigenvalues of a Hermitian part this close are one degenerate cluster
 EIG_CLUSTER_TOL = 1e-8
 
@@ -367,7 +369,7 @@ def _frame_class0(lam, i, tol):
     if herm_res > tol:
         raise ValueError("basepoint value is not self-adjoint")
     k = lam.shape[0]
-    if abs(np.real(np.trace(lam))) > 0.5:
+    if abs(np.real(np.trace(lam))) > ZERO_TRACE_GUARD:
         raise ValueError("basepoint value has nonzero half trace: nontrivial class")
     if i == 0:
         real_res = np.linalg.norm(np.imag(lam))
@@ -427,7 +429,7 @@ def _frame_quaternionic(lam, i, tol):
     s = np.real(class_structure(i, k))
     if np.linalg.norm(lam - lam.conj().T) > tol:
         raise ValueError("basepoint value is not self-adjoint")
-    if i == 4 and abs(np.real(np.trace(lam))) > 0.5:
+    if i == 4 and abs(np.real(np.trace(lam))) > ZERO_TRACE_GUARD:
         raise ValueError("basepoint value has nonzero quarter trace: nontrivial class")
     w, f = np.linalg.eigh(lam)
     plus, minus = f[:, w > 0], f[:, w < 0]

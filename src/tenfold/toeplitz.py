@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import numbers
 import operator
 import numpy as np
 
@@ -27,71 +28,129 @@ from .symclass import class_spec, class_structure, neutral, symmetrize
 
 
 class FC:
-    """Rational complex scalar."""
+    """Rational complex scalar (re + i im) / den held as three Python ints.
 
-    __slots__ = ("re", "im")
+    The triple is kept in lowest terms, den > 0 and gcd(re, im, den) == 1,
+    so equal scalars have equal triples.  Each arithmetic result takes at
+    most one math.gcd, and `.re`/`.im` are read-only Fraction views.  The
+    exact-shift benchmark runs 343 operations per second on a 2-vCPU host
+    this way, against 123 with a pair of Fractions per scalar.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._re, self._im, self._den = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        self._re = re.numerator * (den // re.denominator)
+        self._im = im.numerator * (den // im.denominator)
+        self._den = den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
 
     @staticmethod
     def of(x):
+        """x as an FC: an FC, or a real number (int, Fraction, float) read
+        exactly; anything else raises TypeError."""
         if isinstance(x, FC):
             return x
         if isinstance(x, complex):
             raise TypeError("floating complex is not exact; build FC explicitly")
+        if not isinstance(x, (numbers.Rational, float)):
+            raise TypeError(f"{type(x).__name__} is not a number")
         return FC(x)
 
     def __add__(self, o):
-        o = FC.of(o)
-        return FC(self.re + o.re, self.im + o.im)
+        if type(o) is not FC:
+            o = FC.of(o)
+        d, e = self._den, o._den
+        if d == e:
+            return _fc(self._re + o._re, self._im + o._im, d)
+        return _fc(self._re * e + o._re * d, self._im * e + o._im * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = FC.of(o)
-        return FC(self.re - o.re, self.im - o.im)
+        if type(o) is not FC:
+            o = FC.of(o)
+        d, e = self._den, o._den
+        if d == e:
+            return _fc(self._re - o._re, self._im - o._im, d)
+        return _fc(self._re * e - o._re * d, self._im * e - o._im * d, d * e)
 
     def __rsub__(self, o):
         return FC.of(o).__sub__(self)
 
     def __mul__(self, o):
-        o = FC.of(o)
-        return FC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        if type(o) is not FC:
+            o = FC.of(o)
+        a, b, c, e = self._re, self._im, o._re, o._im
+        return _fc(a * c - b * e, a * e + b * c, self._den * o._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = FC.of(o)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if type(o) is not FC:
+            o = FC.of(o)
+        a, b, c, e = self._re, self._im, o._re, o._im
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError
-        return FC((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
+        return _fc((a * c + b * e) * o._den, (b * c - a * e) * o._den,
+                   self._den * norm)
 
     def __neg__(self):
-        return FC(-self.re, -self.im)
+        return _fc(-self._re, -self._im, self._den)
 
     def conj(self):
-        return FC(self.re, -self.im)
+        return _fc(self._re, -self._im, self._den)
 
     def __eq__(self, o):
-        o = FC.of(o)
-        return self.re == o.re and self.im == o.im
+        if type(o) is not FC:
+            try:
+                o = FC.of(o)
+            except (TypeError, ValueError, OverflowError):  # not a finite number
+                return NotImplemented
+        return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real scalar hashes as the Fraction (and int, float) it equals
+        if self._im:
+            return hash((self._re, self._im, self._den))
+        return hash(Fraction(self._re, self._den))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._re != 0 or self._im != 0
 
     def __repr__(self):
         return f"FC({self.re}, {self.im})"
 
     def to_complex(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
+        return self._re / self._den + 1j * (self._im / self._den)
+
+
+_new = object.__new__
+
+
+def _fc(re: int, im: int, den: int) -> FC:
+    """The FC (re + i im) / den for den > 0, put in lowest terms."""
+    if den != 1:
+        g = math.gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    z = _new(FC)
+    z._re, z._im, z._den = re, im, den
+    return z
 
 
 FC_ZERO = FC(0)
@@ -122,11 +181,12 @@ def _oconjt(m) -> np.ndarray:
 def _numerators(m):
     """(re, im, den): integer numerator arrays of an FC matrix over the
     least common denominator of its entries."""
-    parts = [f for v in m.flat for f in (v.re, v.im)]
-    den = math.lcm(1, *(f.denominator for f in parts))
-    nums = np.array([f.numerator * (den // f.denominator) for f in parts],
-                    dtype=object).reshape(m.shape + (2,))
-    return nums[..., 0], nums[..., 1], den
+    vals = list(m.flat)
+    den = math.lcm(1, *(v._den for v in vals))
+    re = [v._re * (den // v._den) for v in vals]
+    im = [v._im * (den // v._den) for v in vals]
+    return (np.array(re, dtype=object).reshape(m.shape),
+            np.array(im, dtype=object).reshape(m.shape), den)
 
 
 def _odot(a, b) -> np.ndarray:
@@ -138,7 +198,7 @@ def _odot(a, b) -> np.ndarray:
     im = np.dot(ar, bi) + np.dot(ai, br)
     den = da * db
     out = np.empty(re.shape, dtype=object)
-    out.flat[:] = [FC(Fraction(r, den), Fraction(i, den)) if r or i else FC_ZERO
+    out.flat[:] = [_fc(r, i, den) if r or i else FC_ZERO
                    for r, i in zip(re.flat, im.flat)]
     return out
 
@@ -538,7 +598,7 @@ def _gdiv(ar, ai, br, bi):
 
 
 def _over(sign, num, den) -> FC:
-    return FC(Fraction(sign * num[0], den), Fraction(sign * num[1], den))
+    return _fc(sign * num[0], sign * num[1], den)
 
 
 def _exact_det(m: np.ndarray) -> FC:
@@ -611,7 +671,7 @@ def element_to_json(x: ShiftAlgElement) -> dict:
 # The first dense product calkin_boundary forms, v* v, has order
 # dim * (window + 2 * span + 1), and an exact product costs about order^3
 # big-integer operations: calkin_boundary of shift^32 (order 65) takes
-# 0.5 s on a 2-vCPU host and of shift^64 (order 129) 2.7 s.  This bound is
+# 0.2 s on a 2-vCPU host and of shift^64 (order 129) 1.4 s.  This bound is
 # 8x the largest catalog element (order 8) and refuses a small document
 # that asks for a huge computation.
 MAX_EXACT_ORDER = 64
@@ -623,18 +683,20 @@ MAX_EXACT_EXPONENT = 324
 # _numerators scales the entries of every product operand to their common
 # denominator, so the bit length of an element's common denominator (over
 # all its matrices) bounds the numbers an exact product multiplies.  Dense
-# order-64 documents with a 256-bit common denominator take about 0.9 s to
-# fail membership on a 2-vCPU host, and with 1,100 bits 6 s; unbounded,
-# entries 1/p over distinct primes at order 48 took 116 s.  256 bits is far
-# above any catalog element (1 bit) and holds any double of magnitude at
-# least 1e-61 and any decimal with at most 77 digits after the point.
+# order-64 elements of complex entries with 256-bit numerators over a 256-bit
+# common denominator take about 0.9 s to fail membership on a 2-vCPU host,
+# and with 1,100 bits about 5 s; unbounded, entries 1/p over distinct primes
+# at order 48 take 113 s.  256 bits is far above any catalog element (1 bit)
+# and holds any double of magnitude at least 1e-61 and any decimal with at
+# most 77 digits after the point.
 MAX_EXACT_DENOMINATOR_BITS = 256
 # The numerators an exact product multiplies are those of the entries
 # scaled to the common denominator, so their bit length grows with both
 # bounds.  Unbounded, a dense order-64 document of random 4,000-bit
 # integers (9.9 MB) took 48 s to fail membership on a 2-vCPU host.  At
 # this bound the worst dense order-64 document inside both bounds (1,077-bit
-# numerators, all over 1 but one over a 256-bit denominator) takes 8.4 s.
+# real and imaginary numerators, all over 1 but one over a 256-bit
+# denominator) takes 6.8 to 8.6 s, depending on the class.
 # The bound is the length of 10**MAX_EXACT_EXPONENT, the largest power of
 # ten the exponent bound admits; a double's numerator has at most 1,024
 # bits, and catalog entries' at most 2.
@@ -668,15 +730,16 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
         out = np.empty((n, n), dtype=object)
         for i, row in enumerate(rows):
             for j, (re, im) in enumerate(row):
-                out[i, j] = z = FC(Fraction(num(re)), Fraction(num(im)))
-                if max(z.re.numerator.bit_length(),
-                       z.im.numerator.bit_length()) > MAX_EXACT_NUMERATOR_BITS:
+                re, im = Fraction(num(re)), Fraction(num(im))
+                if max(re.numerator.bit_length(),
+                       im.numerator.bit_length()) > MAX_EXACT_NUMERATOR_BITS:
                     raise ValueError("numerator of an exact entry exceeds "
                                      f"{MAX_EXACT_NUMERATOR_BITS} bits")
-                den = math.lcm(den, z.re.denominator, z.im.denominator)
+                den = math.lcm(den, re.denominator, im.denominator)
                 if den.bit_length() > MAX_EXACT_DENOMINATOR_BITS:
                     raise ValueError("common denominator of the exact entries exceeds "
                                      f"{MAX_EXACT_DENOMINATOR_BITS} bits")
+                out[i, j] = FC(re, im)
         return out
 
     if not isinstance(obj, dict) or not isinstance(obj["symbol"], dict):

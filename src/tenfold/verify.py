@@ -17,6 +17,8 @@ from .symclass import (add, build_u, check_membership, check_qc_relations,
 
 RES = 64
 DISK = (17, 32)
+# a drawn even-class field keeps every eigenvalue this far from 0: a stable sign
+DRAW_GAP = 0.2
 
 
 def _random_matrix(rng, dim):
@@ -69,7 +71,7 @@ def random_class_element(base, i, dim, rng, fourier: int = 0) -> FnElement:
         if spec["sign"] is not None:
             k = _project_lie(k, i, algebra, float(spec["sign"]))
         w, v = np.linalg.eigh(k.values)
-        if np.min(np.abs(w)) > 0.2:
+        if np.min(np.abs(w)) > DRAW_GAP:
             vh = np.conj(np.swapaxes(v, 1, 2))
             return FnElement(base, (v * np.sign(w)[:, None]) @ vh)
     raise RuntimeError("could not draw a gapped random even-class element")

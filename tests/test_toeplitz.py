@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenfold import catalog, toeplitz as tp
 from tenfold.boundary import TARGET, symmetrize_lift
@@ -235,6 +239,84 @@ def test_gaussian_form_of_class_constants():
         tp._gaussian(boundary_conjugator(-1, 2))  # needs k = 1
     with pytest.raises(ValueError):
         tp._gaussian(np.array([[1 / 3]]), kmax=2)
+
+
+# -- FC against a (Fraction, Fraction) reference ------------------------------
+
+_PARTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-2 ** 130, 2 ** 130).map(Fraction),
+    st.builds(Fraction, st.integers(-2 ** 130, 2 ** 130), st.integers(1, 2 ** 70)))
+_PAIRS = st.tuples(_PARTS, _PARTS)
+# a real operand of either type, on either side of the FC
+_SCALARS = st.one_of(st.integers(-2 ** 70, 2 ** 70), _PARTS)
+
+
+def _pmul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _pdiv(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return (p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm
+
+
+def _is(z, pair):
+    """z is the FC with parts `pair`, in lowest terms: its numerators over
+    its own denominator share no factor with it."""
+    re, im, den = tp._numerators(np.array([z], dtype=object))
+    return (type(z) is tp.FC and (z.re, z.im) == pair
+            and den > 0 and math.gcd(re[0], im[0], den) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS, _PAIRS, _SCALARS)
+def test_fc_matches_fraction_pairs(p, q, s):
+    a, b = tp.FC(*p), tp.FC(*q)
+    r = Fraction(s)
+    assert _is(a, p)
+    if p[0].denominator == p[1].denominator == 1:
+        assert _is(tp.FC(int(p[0]), int(p[1])), p)
+    assert _is(a + b, (p[0] + q[0], p[1] + q[1]))
+    assert _is(a - b, (p[0] - q[0], p[1] - q[1]))
+    assert _is(a * b, _pmul(p, q))
+    assert _is(-a, (-p[0], -p[1])) and _is(a.conj(), (p[0], -p[1]))
+    assert _is(a + s, (p[0] + r, p[1])) and _is(s + a, (r + p[0], p[1]))
+    assert _is(a - s, (p[0] - r, p[1])) and _is(s - a, (r - p[0], -p[1]))
+    assert _is(a * s, (p[0] * r, p[1] * r)) and _is(s * a, (r * p[0], r * p[1]))
+    if q == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert _is(a / b, _pdiv(p, q))
+    if r == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / s
+    else:
+        assert _is(a / s, (p[0] / r, p[1] / r))
+    assert (a == b) is (p == q) and (a == s) is (p == (r, 0))
+    assert (a != b) is (p != q)
+    assert bool(a) is (p != (0, 0))
+    assert a == tp.FC(*p) and hash(a) == hash(tp.FC(*p))
+    assert a.to_complex() == float(p[0]) + 1j * float(p[1])
+
+
+def test_fc_hash_agrees_with_equality():
+    for x in (0, 1, -7, 2 ** 80, Fraction(1, 3), Fraction(-5, 2), 0.5):
+        assert tp.FC(x) == x and hash(tp.FC(x)) == hash(x)
+    assert {tp.FC(1), 1} == {1} and len({tp.FC(1), Fraction(1), 1.0}) == 1
+    z = tp.FC(Fraction(1, 2), 3)
+    assert z == tp.FC(1, 6) / 2 and hash(z) == hash(tp.FC(1, 6) / 2)
+
+
+def test_fc_compares_unequal_to_what_it_cannot_read():
+    one = tp.FC(1)
+    for other in (None, "x", "1", 1j, 1 + 0j, float("nan"), float("inf"), [1]):
+        assert not one == other and one != other
+    for op in (lambda: one + 1j, lambda: 1j * one, lambda: one - 0j,
+               lambda: one / 1j):
+        with pytest.raises(TypeError):
+            op()
 
 
 _RATIONALS = [tp.Fraction(0), tp.Fraction(1), tp.Fraction(-2), tp.Fraction(1, 3),
