@@ -57,9 +57,7 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
     lift to [-1, 1].
     """
     if mode == "even":
-        out = np.array([matcore.clamp_spectrum(v, -1.0, 1.0, tol=EVEN_HERM_TOL)
-                        for v in y.values])
-        return FnElement(y.base, out)
+        return FnElement(y.base, matcore.clamp_spectrum(y.values, -1.0, 1.0, tol=EVEN_HERM_TOL))
     if mode != "odd":
         raise ValueError("mode must be 'odd' or 'even'")
     v = y.values

@@ -126,8 +126,10 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     raises if any is not Hermitian, naming the worst residual."""
     m = np.asarray(m, dtype=complex)
     mh = m.conj().swapaxes(-1, -2)
-    # one matrix, as on the per-point even path, skips the stack reductions
-    res = np.linalg.norm(m - mh, axis=(-2, -1) if m.ndim > 2 else None)
+    # a stack's residuals are each matrix's norm(m - mh) bit for bit, so it refuses
+    # where one-matrix calls would; one matrix (the per-point exponential) skips the reshape
+    res = (frobenius_norms((m - mh).reshape(-1, *m.shape[-2:])).reshape(m.shape[:-2])
+           if m.ndim > 2 else np.linalg.norm(m - mh))
     worst = res.max() if res.ndim else res
     if worst > tol:
         at = f" at stack index {res.argmax()}" if res.ndim else ""
@@ -181,11 +183,11 @@ def neg_exp_pi_i(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def clamp_spectrum(m: np.ndarray, lo: float = -1.0, hi: float = 1.0,
                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Project a Hermitian matrix's eigenvalues onto [lo, hi]."""
+    """Clip the spectrum of a Hermitian matrix or (..., d, d) stack to [lo, hi]."""
     w, v = herm_eig(m, tol=tol)
     w = np.clip(w, lo, hi)
-    r = (v * w) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    r = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (r + r.conj().swapaxes(-1, -2)) / 2.0
 
 
 def pfaffian(m: np.ndarray, tol: float = DEFAULT_TOL) -> complex:

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from tenfold import matcore
 from tenfold.basespace import FnElement
+from tenfold.boundary import EVEN_HERM_TOL
 
 
 def block_diag(*mats) -> np.ndarray:
@@ -48,3 +50,10 @@ def iota_interleaved(u: FnElement) -> FnElement:
     out[:, n, n] = 1.0
     out[:, d - 1, d - 1] = -1.0
     return FnElement(u.base, out)
+
+
+def even_retraction_per_point(y: FnElement) -> np.ndarray:
+    """The even retraction one grid point at a time: each value's spectrum
+    clamped to [-1, 1] by its own clamp_spectrum call."""
+    return np.array([matcore.clamp_spectrum(v, -1.0, 1.0, tol=EVEN_HERM_TOL)
+                     for v in y.values])

@@ -10,12 +10,12 @@ from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
                               _index_values, boundary_conjugator, boundary_map,
                               exp_unitary, index_unitary, retract_contraction,
                               symmetrize_lift)
-from tenfold.invariants import signature
+from tenfold.invariants import InvariantError, signature
 from tenfold.symclass import (CLASS_IDS, MembershipError, class_spec,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
-from helpers import block_diag, random_unitary
+from helpers import block_diag, even_retraction_per_point, random_unitary
 
 RNG = np.random.default_rng(41)
 POINT = sample_space("point")
@@ -58,6 +58,79 @@ def test_retract_examples():
                        np.diag([1.0, -0.5]))
     with pytest.raises(ValueError):
         retract_contraction(pt([[0.0, 1.0], [0.0, 0.0]]), "even")
+
+
+EVEN_CLASSES = (0, 2, 4, 6, "KU0")
+
+
+def _even_draws(ses, rng, per_class):
+    """Seeded class-i elements over the quotient of a circle sequence."""
+    for i in EVEN_CLASSES:
+        for _ in range(per_class):
+            try:
+                yield i, random_class_element(ses.quotient, i, 4 if i == 4 else 2,
+                                              rng, fourier=2)
+            except RuntimeError:  # no gapped even-class draw
+                continue
+
+
+@pytest.mark.parametrize("ses_name", ["circle-zeta", "circle-sigma"])
+def test_stacked_even_retraction_matches_per_point_bytes(ses_name):
+    """One clamp_spectrum call on the whole stack equals a call per grid
+    point byte for byte, on symmetrized lifts and on lifts scaled so the
+    clamp acts."""
+    ses = ses_registry(ses_name, 64)
+    rng = np.random.default_rng(sum(map(ord, ses_name)))
+    seen = 0
+    for i, u in _even_draws(ses, rng, 2):
+        for lift in LIFT_STRATEGIES:
+            sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
+                                  scalar_algebra(ses.total))
+            for y in (sym, FnElement(sym.base, 1.5 * sym.values)):
+                got = retract_contraction(y, "even").values
+                assert got.tobytes() == even_retraction_per_point(y).tobytes()
+                seen += 1
+    assert seen >= 32
+
+
+def _circle_anchor(ses, a, b):
+    return FnElement(ses.quotient, np.stack([a, b]).astype(complex))
+
+
+@pytest.mark.parametrize("ses_name", ["circle-zeta", "circle-sigma"])
+def test_even_lift_strategies_share_signatures(ses_name):
+    """Both lift strategies give every even class the same signature, on
+    seeded draws and on the anchors of the circle tables."""
+    ses = ses_registry(ses_name, 64)
+    rng = np.random.default_rng(2018)
+    e2 = np.eye(2)
+    if ses_name == "circle-zeta":
+        anchors = [(0, _circle_anchor(ses, e2, neutral(0, 1))),
+                   (0, _circle_anchor(ses, neutral(0, 1), e2))]
+    else:
+        anchors = [(i, _circle_anchor(ses, e2, -e2)) for i in (2, 6)]
+    nonzero = 0
+    for i, u in [*_even_draws(ses, rng, 4), *anchors]:
+        s1 = signature(boundary_map(u, i, ses, "natural").rep).values()
+        s2 = signature(boundary_map(u, i, ses, "taper0").rep).values()
+        assert s1 == s2, (i, s1, s2)
+        nonzero += any(s1)
+    assert nonzero >= 2
+
+
+def test_class4_anchor_under_taper0_needs_resolution_128():
+    """(1_4, neutral(4, 1)) reads winding_half 2 under taper0 at 128 points;
+    at 64 its determinant phase steps past pi/2 and the reader refuses."""
+    for res in (64, 128):
+        ses = ses_registry("circle-zeta", res)
+        u = _circle_anchor(ses, np.eye(4), neutral(4, 1))
+        rep = boundary_map(u, 4, ses, "taper0").rep
+        if res == 64:
+            with pytest.raises(InvariantError, match="phase step exceeds"):
+                signature(rep)
+        else:
+            assert signature(rep).values() == (2,)
+        assert signature(boundary_map(u, 4, ses, "natural").rep).values() == (2,)
 
 
 def test_index_unitary_examples():

@@ -145,7 +145,10 @@ def test_stack_kernels_match_per_matrix_calls(shape):
     p = h @ h
     w, v = mc.herm_eig(h)
     r = mc.psd_sqrt(p, tol=1e-7, zero_snap=1e-12)
-    assert w.shape == shape[:-1] and v.shape == r.shape == shape
+    wide = 3.0 * h
+    assert np.abs(np.linalg.eigvalsh(wide)).max() > 1.0  # the clip acts
+    c = mc.clamp_spectrum(wide)
+    assert w.shape == shape[:-1] and v.shape == r.shape == c.shape == shape
     for k in np.ndindex(shape[:-2]):
         wk, vk = mc.herm_eig(h[k])
         assert np.max(np.abs(w[k] - wk)) < 1e-13
@@ -153,7 +156,28 @@ def test_stack_kernels_match_per_matrix_calls(shape):
         assert np.max(np.abs(np.abs(vk.conj().T @ v[k]) - np.eye(shape[-1]))) < 1e-13
         rk = mc.psd_sqrt(p[k], tol=1e-7, zero_snap=1e-12)
         assert rk.ndim == 2 and np.max(np.abs(r[k] - rk)) < 1e-13
+        ck = mc.clamp_spectrum(wide[k])
+        assert ck.ndim == 2 and c[k].tobytes() == ck.tobytes()
     assert [x.ndim for x in mc.herm_eig(h[(0,) * (len(shape) - 2)])] == [1, 2]
+    wide.reshape(-1, *shape[-2:])[4, 0, 1] += 0.5
+    with pytest.raises(ValueError, match="not Hermitian at stack index 4 "):
+        mc.clamp_spectrum(wide)
+
+
+def test_stack_hermitian_guard_is_the_per_matrix_guard():
+    """The stack residual is np.linalg.norm of each matrix bit for bit: at a
+    tol equal to the largest one the stack passes, one ulp below it refuses
+    and names that matrix."""
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        h = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
+        h = (h + h.conj().swapaxes(-1, -2)) / 2
+        h += 1e-10 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+        res = np.array([np.linalg.norm(x - x.conj().T) for x in h])
+        tol = res.max()
+        mc.herm_eig(h, tol=tol)
+        with pytest.raises(ValueError, match=f"stack index {res.argmax()} "):
+            mc.herm_eig(h, tol=np.nextafter(tol, 0))
 
 
 def test_stack_guards_name_the_worst_matrix():
