@@ -34,8 +34,6 @@ CLASS_IDS = (-1, 0, 1, 2, 3, 4, 5, 6, "KU0", "KU1")
 
 # a member's basepoint trace per class block is an integer, 0 when trivial
 BASEPOINT_TRACE_GUARD = 0.25
-# a self-adjoint unitary's trace is an integer: this admits trace 0 only
-ZERO_TRACE_GUARD = 0.5
 # eigenvalues of a Hermitian part this close are one degenerate cluster
 EIG_CLUSTER_TOL = 1e-8
 
@@ -261,12 +259,13 @@ def stabilize(u: FnElement, i, algebra: Algebra = None, copies: int = 1) -> FnEl
 
 
 def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
-    """u* for odd classes, -u for even ones; classes 2 and 6 need an even
-    number of neutral blocks for -u to invert."""
+    """u* for odd classes, -u for even ones; the classes of sign -1 (2 and 6)
+    need an even number of neutral blocks for -u to invert."""
     algebra = _default_algebra(u, algebra)
-    if not class_spec(i)["sa"]:
+    spec = class_spec(i)
+    if not spec["sa"]:
         return u.adjoint()
-    if i in (2, 6):
+    if spec["sign"] == -1:
         blocks = u.dim // (algebra.dim_alg * 2)
         if blocks % 2:
             raise ValueError(
@@ -341,70 +340,49 @@ def normalize_lambda(u: FnElement, i, algebra: Algebra = None,
     if np.linalg.norm(lam - target) <= tol:
         return u.copy()
 
-    if i in (0, "KU0"):
-        x = _frame_class0(lam, i, tol)
+    s = class_structure(i, k)
+    if spec["sa"]:
+        # both frames are mapped alike by Theta v = S conj(v), so x commutes with it
+        x = _frame(target, spec, s, tol) @ _frame(lam, spec, s, tol).conj().T
+        if spec["sign"] == -1 and not spec["sharp"] and np.real(np.linalg.det(x)) < 0:
+            raise ValueError("basepoint value has nontrivial Pfaffian sign")
         return u.conjugated(np.kron(x, np.eye(d)))
-    if i == 2:
-        x = _frame_class2(lam, tol)
-        return u.conjugated(np.kron(x, np.eye(d)))
-    if i in (4, 6):
-        x = _frame_quaternionic(lam, i, tol)
-        return u.conjugated(np.kron(x, np.eye(d)))
-    if i in (-1, 3):
-        s = class_structure(i, k)
+    if spec["star"] is False:
         y = _sqrt_unitary(lam)
         a = np.kron(s @ y.conj() @ s.conj().T, np.eye(d))  # sigma(y*)
         b = np.kron(y.conj().T, np.eye(d))
         return FnElement(u.base, a @ u.values @ b)
-    if i in (1, 5, "KU1"):
-        if i == 1 and np.real(np.linalg.det(lam)) < 0:
-            raise ValueError("basepoint value has determinant -1: nontrivial class")
-        c = np.kron(lam.conj().T, np.eye(d))
-        return FnElement(u.base, u.values @ c)
-    raise KeyError(i)
+    if spec["point"] == ("det_parity", "Z2") and np.real(np.linalg.det(lam)) < 0:
+        raise ValueError("basepoint value has determinant -1: nontrivial class")
+    c = np.kron(lam.conj().T, np.eye(d))
+    return FnElement(u.base, u.values @ c)
 
 
-def _frame_class0(lam, i, tol):
-    herm_res = np.linalg.norm(lam - lam.conj().T)
-    if herm_res > tol:
+def _frame(h, spec, s, tol):
+    """Unitary f with f* h f = diag(1, ..., -1, ...) for a self-adjoint class
+    value h, whose columns Theta v = S conj(v) maps the same way for every
+    such h: -1 columns S conj(+1 columns) when Theta anticommutes with h,
+    Kramers pairs per eigenspace when Theta^2 = -1, a real frame of det 1
+    when Theta is complex conjugation, any frame when there is no Theta."""
+    if np.linalg.norm(h - h.conj().T) > tol:
         raise ValueError("basepoint value is not self-adjoint")
-    k = lam.shape[0]
-    if abs(np.real(np.trace(lam))) > ZERO_TRACE_GUARD:
-        raise ValueError("basepoint value has nonzero half trace: nontrivial class")
-    if i == 0:
-        real_res = np.linalg.norm(np.imag(lam))
-        if real_res > tol:
-            raise ValueError("class-0 basepoint value must be real symmetric")
-        w, f = np.linalg.eigh(np.real(lam))
-        f = f.astype(complex)
-    else:
-        w, f = np.linalg.eigh(lam)
-    n = k // 2
-    perm = np.empty(k, dtype=int)
-    perm[0::2] = np.arange(n, k)   # +1 eigenvectors (ascending order)
-    perm[1::2] = np.arange(0, n)
-    x = f[:, perm].conj().T
-    if i == 0 and np.real(np.linalg.det(x)) < 0:
-        x[0, :] = -x[0, :]
-    return x
-
-
-def _frame_class2(lam, tol):
-    k = lam.shape[0]
-    if np.linalg.norm(lam - lam.conj().T) > tol or np.linalg.norm(lam + lam.T) > tol:
-        raise ValueError("class-2 basepoint value must be self-adjoint and skew")
-    w, f = np.linalg.eigh(lam)
-    plus = f[:, w > 0]
-    cols = []
-    for j in range(plus.shape[1]):
-        v = plus[:, j]
-        cols.append(np.sqrt(2.0) * np.imag(v))
-        cols.append(np.sqrt(2.0) * np.real(v))
-    g = np.array(cols, dtype=complex).T
-    x = g.conj().T
-    if np.real(np.linalg.det(x)) < 0:
-        raise ValueError("basepoint value has nontrivial Pfaffian sign")
-    return x
+    sign = spec["sign"]
+    if s is not None and np.linalg.norm(s @ h.conj() @ s.conj().T - sign * h) > tol:
+        raise ValueError(f"basepoint value breaks S conj(v) S* = {sign:+d} v")
+    real = sign == 1 and not spec["sharp"]
+    w, f = np.linalg.eigh(np.real(h) if real else h)
+    plus, minus = f[:, w > 0], f[:, w <= 0]
+    if plus.shape[1] != minus.shape[1]:
+        raise ValueError("basepoint value has unequal +1 and -1 eigenspaces: "
+                         "nontrivial class")
+    if sign == -1:
+        return np.hstack([plus, s @ plus.conj()])
+    if spec["sharp"]:
+        return np.column_stack(_kramers_pairs(plus, s) + _kramers_pairs(minus, s))
+    f = np.hstack([plus, minus]).astype(complex)
+    if real and np.linalg.det(f).real < 0:
+        f[:, 0] = -f[:, 0]
+    return f
 
 
 def _kramers_pairs(space, s):
@@ -417,51 +395,10 @@ def _kramers_pairs(space, s):
         w = s @ v.conj()
         cols.extend([v, w])
         basis = np.column_stack([v, w])
-        proj = rem - basis @ (basis.conj().T @ rem)
-        q, r = np.linalg.qr(proj)
-        keep = np.abs(np.diagonal(r)) > matcore.DEFAULT_TOL  # not yet in the span
-        rem = q[:, keep]
+        q, sv, _ = np.linalg.svd(rem - basis @ (basis.conj().T @ rem),
+                                 full_matrices=False)
+        rem = q[:, sv > matcore.DEFAULT_TOL]  # not yet in the span
     return cols
-
-
-def _frame_quaternionic(lam, i, tol):
-    k = lam.shape[0]
-    s = np.real(class_structure(i, k))
-    if np.linalg.norm(lam - lam.conj().T) > tol:
-        raise ValueError("basepoint value is not self-adjoint")
-    if i == 4 and abs(np.real(np.trace(lam))) > ZERO_TRACE_GUARD:
-        raise ValueError("basepoint value has nonzero quarter trace: nontrivial class")
-    w, f = np.linalg.eigh(lam)
-    plus, minus = f[:, w > 0], f[:, w < 0]
-    if plus.shape[1] != minus.shape[1]:
-        raise ValueError("basepoint value has unbalanced spectrum")
-    sc = s.astype(complex)
-    if i == 4:
-        fcols = _kramers_pairs(plus, sc) + _kramers_pairs(minus, sc)
-        tcols = []
-        n = k // 4
-        for j in range(n):
-            e = np.zeros(k, dtype=complex)
-            e[4 * j] = 1.0
-            tcols.extend([e, sc @ e.conj()])
-        for j in range(n):
-            e = np.zeros(k, dtype=complex)
-            e[4 * j + 2] = 1.0
-            tcols.extend([e, sc @ e.conj()])
-    else:  # class 6: the antiunitary swaps the eigenspaces
-        fcols = []
-        for j in range(plus.shape[1]):
-            v = plus[:, j]
-            fcols.extend([v, sc @ v.conj()])
-        tcols = []
-        for j in range(k // 2):
-            t = np.zeros(k, dtype=complex)
-            t[2 * j] = 1.0 / np.sqrt(2.0)
-            t[2 * j + 1] = -1j / np.sqrt(2.0)
-            tcols.extend([t, sc @ t.conj()])
-    fmat = np.column_stack(fcols)
-    tmat = np.column_stack(tcols)
-    return tmat @ fmat.conj().T
 
 
 def _normal_eig(m):

@@ -24,6 +24,7 @@ import numpy as np
 from .basespace import FnElement, sample_space
 from .boundary import TARGET, boundary_conjugator
 from .matcore import CONSTRUCTION_TOL
+from .serialize import _finite_int, _number
 from .symclass import class_spec, class_structure, neutral, symmetrize
 
 
@@ -721,7 +722,7 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
             if e and abs(int(exp)) > MAX_EXACT_EXPONENT:
                 raise ValueError("decimal exponent of an exact entry exceeds "
                                  f"{MAX_EXACT_EXPONENT}")
-        return v
+        return _number(v)  # Fraction would read true and false as 1 and 0
 
     def mat(rows, n):
         nonlocal den
@@ -744,7 +745,7 @@ def element_from_json(obj: dict) -> ShiftAlgElement:
 
     if not isinstance(obj, dict) or not isinstance(obj["symbol"], dict):
         raise ValueError("exact element and its symbol must be JSON objects")
-    d, w = int(num(obj["dim"])), int(num(obj["window"]))
+    d, w = _finite_int(obj["dim"], "dim"), _finite_int(obj["window"], "window")
     if d < 1 or w < 0:
         raise ValueError("dim must be positive and window non-negative")
     sym = {int(k): v for k, v in obj["symbol"].items()}

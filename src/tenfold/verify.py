@@ -11,14 +11,16 @@ from . import catalog, matcore, toeplitz
 from .basespace import Algebra, FnElement, sample_space, ses_registry
 from .boundary import boundary_map, index_unitary, retract_contraction, symmetrize_lift
 from .invariants import pf_sign, signature
-from .symclass import (add, build_u, check_membership, check_qc_relations,
-                       class_spec, class_structure, complex_class, forget_to_ku,
-                       inverse, neutral, stabilize)
+from .symclass import (CLASS_IDS, add, build_u, check_membership,
+                       check_qc_relations, class_spec, class_structure,
+                       complex_class, forget_to_ku, inverse, neutral, stabilize)
 
 RES = 64
 DISK = (17, 32)
 # a drawn even-class field keeps every eigenvalue this far from 0: a stable sign
 DRAW_GAP = 0.2
+# the eight real classes, in CLASS_IDS order
+REAL_CLASSES = tuple(i for i in CLASS_IDS if class_spec(i)["sign"] is not None)
 
 
 def _random_matrix(rng, dim):
@@ -88,13 +90,11 @@ _SES_FOR_CLASS = {
     6: ("circle-sigma", RES),
 }
 
-_DIM_FOR_CLASS = {-1: 2, 1: 2, 3: 2, 5: 2, 0: 2, 2: 2, 4: 4, 6: 2}
-
 
 def _random_boundary_input(i, rng):
     name, res = _SES_FOR_CLASS[i]
     ses = ses_registry(name, res)
-    dim = _DIM_FOR_CLASS[i]
+    dim = max(2, class_spec(i)["mult"])
     fourier = 2 if ses.quotient.kind == "circle" else 0
     u = random_class_element(ses.quotient, i, dim, rng, fourier)
     return ses, u
@@ -132,7 +132,7 @@ def check_index_unitary_involutive():
     rng = np.random.default_rng(12)
     point = sample_space("point")
     worst = 0.0
-    for i in (-1, 0, 1, 2, 3, 4, 5, 6):
+    for i in REAL_CLASSES:
         spec = class_spec(i)
         for trial in range(100):
             dim = spec["mult"] * (1 + trial % (8 // spec["mult"]))
@@ -292,7 +292,7 @@ def _torsion_doubling():
 def check_lift_independence():
     rng = np.random.default_rng(20)
     bad = []
-    for i in (-1, 0, 1, 2, 3, 4, 5, 6):
+    for i in REAL_CLASSES:
         if class_spec(i)["sa"]:
             continue
         for t in range(20):
@@ -307,7 +307,7 @@ def check_lift_independence():
 def check_boundary_additivity():
     rng = np.random.default_rng(21)
     bad = []
-    for i in (-1, 0, 1, 2, 3, 4, 5, 6):
+    for i in REAL_CLASSES:
         for t in range(20):
             ses, u = _random_boundary_input(i, rng)
             _, v = _random_boundary_input(i, rng)
@@ -322,7 +322,7 @@ def check_boundary_additivity():
 def check_stabilization_and_inverses():
     rng = np.random.default_rng(22)
     bad = []
-    for i in (-1, 0, 1, 2, 3, 4, 5, 6):
+    for i in REAL_CLASSES:
         ses, u = _random_boundary_input(i, rng)
         s1 = signature(boundary_map(u, i, ses).rep)
         s2 = signature(boundary_map(stabilize(u, i), i, ses).rep)
@@ -334,7 +334,7 @@ def check_stabilization_and_inverses():
             continue
         rep = catalog.generator(name)
         u, alg, i = rep.element, rep.algebra, ent.class_id
-        if i in (2, 6) and (u.dim // (2 * alg.dim_alg)) % 2:
+        if class_spec(i)["sign"] == -1 and (u.dim // (2 * alg.dim_alg)) % 2:
             u = stabilize(u, i, alg)
         cancel = add(u, inverse(u, i, alg), i, alg)
         rep2 = check_membership(cancel, i, alg)
@@ -346,7 +346,7 @@ def check_stabilization_and_inverses():
 def check_forgetful_compatibility():
     rng = np.random.default_rng(23)
     bad = []
-    for i in (-1, 0, 1, 2, 3, 4, 5, 6):
+    for i in REAL_CLASSES:
         for t in range(5):
             ses, u = _random_boundary_input(i, rng)
             lhs = signature(forget_to_ku(boundary_map(u, i, ses).rep)).values()

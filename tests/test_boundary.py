@@ -11,7 +11,7 @@ from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
                               exp_unitary, index_unitary, retract_contraction,
                               symmetrize_lift)
 from tenfold.invariants import InvariantError, signature
-from tenfold.symclass import (CLASS_IDS, MembershipError, class_spec,
+from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
@@ -131,6 +131,41 @@ def test_class4_anchor_under_taper0_needs_resolution_128():
         else:
             assert signature(rep).values() == (2,)
         assert signature(boundary_map(u, 4, ses, "natural").rep).values() == (2,)
+
+
+# (class, sequence, values at the two quotient points) of the even-class
+# anchors of the circle tables, each of nonzero boundary signature
+EVEN_ANCHORS = [(0, "circle-zeta", np.eye(2), neutral(0, 1)),
+                ("KU0", "circle-zeta", np.eye(2), neutral("KU0", 1)),
+                (4, "circle-zeta", np.eye(4), neutral(4, 1)),
+                (2, "circle-sigma", np.eye(2), -np.eye(2)),
+                (6, "circle-sigma", np.eye(2), -np.eye(2))]
+
+
+# taper0 packs the exponential's winding into fewer grid points than the
+# natural lift: at 64 points it refuses the class-4 anchor and the doubled
+# class-0, 2, 6 and KU0 anchors, at 128 the doubled class-4 anchor
+# (winding_half 4)
+@pytest.mark.parametrize("lift,res", [("natural", 64), ("taper0", 256)])
+def test_even_boundary_additivity_with_a_nonzero_summand(lift, res):
+    """s(u) + s(v) = s(u + v) with s(u) != 0: each even-class anchor u
+    against itself and against seeded draws v, whose own signatures are
+    mostly 0."""
+    rng = np.random.default_rng(1504)
+    cases = 0
+    for i, name, a, b in EVEN_ANCHORS:
+        ses = ses_registry(name, res)
+        u = _circle_anchor(ses, a, b)
+        su = signature(boundary_map(u, i, ses, lift).rep)
+        assert any(su.values()), (i, name)
+        draws = [random_class_element(ses.quotient, i, len(a), rng, fourier=2)
+                 for _ in range(3)]
+        for v in (u, *draws):
+            sv = signature(boundary_map(v, i, ses, lift).rep)
+            sw = signature(boundary_map(add(u, v, i), i, ses, lift).rep)
+            assert (su + sv).values() == sw.values(), (i, name, su, sv, sw)
+            cases += 1
+    assert cases == 20
 
 
 def test_index_unitary_examples():

@@ -485,6 +485,34 @@ def test_infinite_exact_entry_exits_io(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+# Spoils of the class-1 shift generator's document that were once read as
+# valid: int() truncated a fractional dim or window, parsed a string and took
+# a bool, and Fraction read an entry [true, false] as 1, 0
+_EXACT_SPOILS = {
+    "dim-fraction": lambda doc: doc.update(dim=1.5),
+    "dim-string": lambda doc: doc.update(dim="1"),
+    "dim-true": lambda doc: doc.update(dim=True),
+    "window-fraction": lambda doc: doc.update(window=0.5),
+    "window-false": lambda doc: doc.update(window=False),
+    "entry-bool": lambda doc: doc["symbol"]["1"][0].__setitem__(0, [True, False]),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(_EXACT_SPOILS))
+def test_malformed_exact_integers_and_bools_exit_io(spoil, tmp_path, capsys):
+    doc = _exact_doc(tmp_path, "shift_u_k1")
+    _EXACT_SPOILS[spoil](doc)
+    with pytest.raises(ValueError, match="must be (an integer|numbers)"):
+        toeplitz.element_from_json(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["boundary", str(p), "--ses", "toeplitz", "--class", "1"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "malformed shift element" in out.err
+    assert "Traceback" not in out.err
+
+
 # Replacement values for the fuzz test: wrong types, out-of-range and
 # non-finite numbers (json.dumps writes these as Infinity/NaN, which the
 # reader accepts), and containers of the wrong shape.

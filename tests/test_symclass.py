@@ -14,8 +14,7 @@ from tenfold.symclass import (CLASS_IDS, KOClassRep, MembershipError,
                               inverse, neutral, normalize_lambda, stabilize,
                               to_projection)
 
-from helpers import (block_diag, iota_interleaved, random_special_orthogonal,
-                     random_unitary)
+from helpers import block_diag, iota_interleaved, random_special_orthogonal
 
 RNG = np.random.default_rng(23)
 POINT = sample_space("point")
@@ -233,36 +232,37 @@ def test_normalize_lambda_rejects_nontrivial():
         normalize_lambda(FnElement(base, np.array([[-1.0 + 0j]])[None]), 1)
 
 
+@pytest.mark.parametrize("i,lam,message", [
+    (4, np.eye(4), "nontrivial class"),
+    ("KU0", np.eye(2), "nontrivial class"),
+    (6, np.eye(2), "breaks S conj(v) S* = -1 v"),  # not a class-6 value
+])
+def test_normalize_lambda_refusal_names_the_reason(i, lam, message):
+    """The refusal says why: +1 and -1 eigenspaces of different sizes mean a
+    nontrivial class, and 1_2 breaks the class-6 relation."""
+    u = FnElement(_pinned_point(), np.asarray(lam, dtype=complex)[None])
+    with pytest.raises(ValueError) as exc:
+        normalize_lambda(u, i)
+    assert message in str(exc.value)
+
+
 def _sigma_involute(m, i):
     s = class_structure(i, m.shape[0])
     return matcore.involute(m, s)
 
 
 @pytest.mark.parametrize("i,n", [(-1, 2), (0, 2), (1, 2), (2, 2),
-                                 (3, 2), (4, 1), (5, 2), (6, 2),
+                                 (3, 2), (4, 1), (4, 2), (5, 2), (6, 2),
                                  ("KU0", 2), ("KU1", 3)])
 def test_normalize_lambda_all_classes(i, n):
-    """Conjugate a pinned neutral-lambda element into general position, then
-    normalize back: lambda returns to the neutral stack and the element
-    stays in class."""
-    from tenfold.symclass import class_spec
+    """Normalize a random pinned member: lambda returns to the neutral stack
+    and the element stays in class."""
     spec = class_spec(i)
     dim = spec["mult"] * n
     base = with_pinned(sample_space("circle", 16,
                                     "zeta" if not spec["sharp"] else "id"),
                        "basepoint")
-    # start from a membership-passing element: constant neutral
-    u0 = constant_element(base, neutral(i, n))
-    # move lambda away with a constant class-compatible conjugation
-    g = random_unitary(dim, RNG)
-    if spec["sign"] is not None:
-        s = class_structure(i, dim)
-        if spec["star"]:
-            # u -> c^sigma* u c ... use multiplication for the unitary classes
-            pass
-    # generic move: for sa-classes conjugate by a random unitary that fixes
-    # the symmetry set only when structure-compatible; instead just draw a
-    # random member with the right class and pinned-trivial lambda.
+    # draw a random member with the right class and pinned-trivial lambda
     from tenfold.verify import random_class_element
     u = random_class_element(base, i, dim, RNG, fourier=2)
     rep = check_membership(u, i)
@@ -281,6 +281,27 @@ def test_normalize_lambda_all_classes(i, n):
     assert rep2.residuals["unitary"] < 1e-9
     if "symmetry" in rep2.residuals:
         assert rep2.residuals["symmetry"] < 1e-8
+
+
+@pytest.mark.parametrize("name", ["sphere_ko0", "sphere_ko6"])
+def test_normalize_lambda_undoes_a_symmetry_conjugation(name):
+    """Conjugate a 2-sphere generator by a seeded constant element of the
+    class's connected symmetry group (SO(2) for class 0, SU(2) = Sp(1) for
+    class 6) and normalize: lambda is the neutral stack, the signature stays."""
+    rep = catalog.generator(name)
+    rng = np.random.default_rng(19)
+    if rep.class_id == 0:
+        g = random_special_orthogonal(2, rng)
+    else:
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        g = np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
+    moved = rep.element.conjugated(g)
+    assert check_membership(moved, rep.class_id).ok
+    out = normalize_lambda(moved, rep.class_id)
+    assert np.linalg.norm(lambda_eval(out) - neutral(rep.class_id, 1)) < 1e-9
+    rep2 = check_membership(out, rep.class_id)
+    assert rep2.ok
+    assert signature(rep2).values() == signature(rep).values()
 
 
 def test_normalize_lambda_preserves_signature():

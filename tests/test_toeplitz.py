@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -148,13 +149,33 @@ def test_calkin_sqrt_failure_path():
 
 
 def test_json_roundtrip():
-    x = tp.from_blocks([[S, E.scaled(tp.FC(0, -1))], [Z0, S.adjoint()]])
-    obj = tp.element_to_json(x)
-    y = tp.element_from_json(obj)
-    assert x == y
-    import json
-    assert json.dumps(obj, sort_keys=True) == json.dumps(
-        tp.element_to_json(y), sort_keys=True)
+    """The exact format reads back what it writes, every catalog exact
+    generator included."""
+    exact = [catalog.generator(n) for n in catalog.names() if catalog.entry(n).exact]
+    for x in (tp.from_blocks([[S, E.scaled(tp.FC(0, -1))], [Z0, S.adjoint()]]), *exact):
+        obj = json.loads(json.dumps(tp.element_to_json(x)))
+        y = tp.element_from_json(obj)
+        assert x == y
+        assert json.dumps(obj, sort_keys=True) == json.dumps(
+            tp.element_to_json(y), sort_keys=True)
+
+
+def test_json_reads_dim_and_window_by_the_grid_rule():
+    """dim and window read as the grid reader reads its integers: an
+    integral float is taken, a fraction, a string or a bool is refused; a
+    bool entry is refused as a grid matrix entry is."""
+    obj = tp.element_to_json(tp.from_blocks([[S, E], [Z0, S.adjoint()]]))
+    x = tp.element_from_json(obj)
+    assert tp.element_from_json(dict(obj, dim=2.0, window=float(obj["window"]))) == x
+    for key, bad in (("dim", 2.5), ("dim", "2"), ("dim", True),
+                     ("window", 0.5), ("window", False), ("window", None)):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            tp.element_from_json(dict(obj, **{key: bad}))
+    for entry in ([True, 0], [0, False]):
+        spoiled = json.loads(json.dumps(obj))
+        spoiled["symbol"]["1"][0][0] = entry
+        with pytest.raises(ValueError, match="must be numbers, not (true|false)"):
+            tp.element_from_json(spoiled)
 
 
 def _skew_gaussian(rng, n):
