@@ -96,8 +96,7 @@ def index_unitary(a: FnElement) -> FnElement:
 
 def exp_unitary(a: FnElement) -> FnElement:
     """-exp(i*pi*a) pointwise; respects direct sums exactly."""
-    out = np.array([matcore.neg_exp_pi_i(v, tol=EXP_HERM_TOL) for v in a.values])
-    return FnElement(a.base, out)
+    return FnElement(a.base, matcore.neg_exp_pi_i(a.values, tol=EXP_HERM_TOL))
 
 
 @functools.lru_cache(maxsize=64)
@@ -118,6 +117,18 @@ def boundary_conjugator(i, dim: int) -> np.ndarray:
         raise ValueError(f"no odd-case conjugator for class {i!r}")
     y.flags.writeable = False
     return y
+
+
+@functools.lru_cache(maxsize=64)
+def _conjugator_perm(i, dim: int):
+    """perm with y[a, perm[a]] = 1 where the conjugator y is a permutation
+    matrix, so y b y* is b[perm][:, perm]; None where it is not."""
+    y = boundary_conjugator(i, dim)
+    perm = np.abs(y).argmax(axis=1)
+    if not np.array_equal(y, np.eye(dim)[perm]):
+        return None
+    perm.flags.writeable = False
+    return perm
 
 
 @dataclass
@@ -161,8 +172,13 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
 
     if mode == "odd":
         b = index_unitary(lift)
-        y = boundary_conjugator(i, b.dim)
-        vals = y @ b.values @ y.conj().T
+        perm = _conjugator_perm(i, b.dim)
+        if perm is None:
+            y = boundary_conjugator(i, b.dim)
+            vals = y @ b.values @ y.conj().T
+        else:
+            vals = np.ascontiguousarray(b.values[:, perm[:, None], perm])
+            vals += 0.0  # the product writes +0.0 where b holds -0.0
     else:
         vals = exp_unitary(lift).values
 

@@ -126,13 +126,12 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL):
     raises if any is not Hermitian, naming the worst residual."""
     m = np.asarray(m, dtype=complex)
     mh = m.conj().swapaxes(-1, -2)
-    # a stack's residuals are each matrix's norm(m - mh) bit for bit, so it refuses
-    # where one-matrix calls would; one matrix (the per-point exponential) skips the reshape
-    res = (frobenius_norms((m - mh).reshape(-1, *m.shape[-2:])).reshape(m.shape[:-2])
-           if m.ndim > 2 else np.linalg.norm(m - mh))
-    worst = res.max() if res.ndim else res
+    # each matrix's residual is its norm(m - mh) bit for bit, so a stack
+    # refuses where one-matrix calls would
+    res = frobenius_norms((m - mh).reshape(-1, *m.shape[-2:]))
+    worst = res.max()
     if worst > tol:
-        at = f" at stack index {res.argmax()}" if res.ndim else ""
+        at = f" at stack index {res.argmax()}" if m.ndim > 2 else ""
         raise ValueError(f"matrix is not Hermitian{at} (residual {worst:.3e} > {tol:.1e})")
     w, v = np.linalg.eigh((m + mh) / 2.0)
     return w, v
@@ -176,9 +175,10 @@ def psd_root(w: np.ndarray, v: np.ndarray, tol: float = PSD_CLIP_TOL,
 
 
 def neg_exp_pi_i(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """-exp(i pi m) for Hermitian m, via eigendecomposition."""
+    """-exp(i pi m) for a Hermitian matrix or (..., d, d) stack, via
+    eigendecomposition."""
     w, v = herm_eig(m, tol=tol)
-    return -((v * np.exp(1j * np.pi * w)) @ v.conj().T)
+    return -((v * np.exp(1j * np.pi * w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def clamp_spectrum(m: np.ndarray, lo: float = -1.0, hi: float = 1.0,

@@ -4,7 +4,7 @@ import numpy as np
 
 from tenfold import matcore
 from tenfold.basespace import FnElement
-from tenfold.boundary import EVEN_HERM_TOL
+from tenfold.boundary import EVEN_HERM_TOL, EXP_HERM_TOL
 
 
 def block_diag(*mats) -> np.ndarray:
@@ -57,3 +57,9 @@ def even_retraction_per_point(y: FnElement) -> np.ndarray:
     clamped to [-1, 1] by its own clamp_spectrum call."""
     return np.array([matcore.clamp_spectrum(v, -1.0, 1.0, tol=EVEN_HERM_TOL)
                      for v in y.values])
+
+
+def exp_unitary_per_point(a: FnElement) -> np.ndarray:
+    """The even exponential one grid point at a time: -exp(i*pi*a) of each
+    value by its own neg_exp_pi_i call."""
+    return np.array([matcore.neg_exp_pi_i(v, tol=EXP_HERM_TOL) for v in a.values])

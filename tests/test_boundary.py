@@ -7,15 +7,16 @@ from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
                                extend_contraction, ideal_base, restrict,
                                sample_space, scalar_algebra, ses_registry)
 from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
-                              _index_values, boundary_conjugator, boundary_map,
-                              exp_unitary, index_unitary, retract_contraction,
-                              symmetrize_lift)
+                              _conjugator_perm, _index_values, boundary_conjugator,
+                              boundary_map, exp_unitary, index_unitary,
+                              retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, signature
 from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
-from helpers import block_diag, even_retraction_per_point, random_unitary
+from helpers import (block_diag, even_retraction_per_point, exp_unitary_per_point,
+                     random_unitary)
 
 RNG = np.random.default_rng(41)
 POINT = sample_space("point")
@@ -91,6 +92,26 @@ def test_stacked_even_retraction_matches_per_point_bytes(ses_name):
                 assert got.tobytes() == even_retraction_per_point(y).tobytes()
                 seen += 1
     assert seen >= 32
+
+
+@pytest.mark.parametrize("ses_name", ["circle-zeta", "circle-sigma"])
+def test_stacked_even_exponential_matches_per_point_bytes(ses_name):
+    """One neg_exp_pi_i call on the whole stack equals a call per grid point
+    byte for byte, on the retracted lifts of seeded draws and of the circle
+    anchors, under both lift strategies."""
+    ses = ses_registry(ses_name, 64)
+    rng = np.random.default_rng(sum(map(ord, ses_name)))
+    anchors = [(i, _circle_anchor(ses, a, b))
+               for i, name, a, b in EVEN_ANCHORS if name == ses_name]
+    seen = 0
+    for i, u in [*_even_draws(ses, rng, 2), *anchors]:
+        for lift in LIFT_STRATEGIES:
+            sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
+                                  scalar_algebra(ses.total))
+            a = retract_contraction(sym, "even")
+            assert exp_unitary(a).values.tobytes() == exp_unitary_per_point(a).tobytes()
+            seen += 1
+    assert seen >= 20
 
 
 def _circle_anchor(ses, a, b):
@@ -279,6 +300,32 @@ def test_exp_unitary_respects_direct_sums_exactly():
     ea = exp_unitary(pt(a)).values[0]
     eb = exp_unitary(pt(b)).values[0]
     assert np.array_equal(ab, block_diag(ea, eb))
+
+
+@pytest.mark.parametrize("ses_name,i", [("disk-zeta", 1), ("disk-zeta", "KU1"),
+                                       ("disk-id", 1), ("disk-id", "KU1"),
+                                       ("circle-zeta", 5), ("circle-sigma", 5),
+                                       ("circle-id", 5)])
+def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
+    """Where the frame rotation y is a permutation matrix, boundary_map's
+    gather equals y b y* by matmul byte for byte, signed zeros included."""
+    ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
+    rng = np.random.default_rng(sum(map(ord, ses_name)))
+    dim = 2 * class_spec(i)["mult"]
+    y = boundary_conjugator(i, 2 * dim)
+    assert _conjugator_perm(i, 2 * dim) is not None
+    neg_zeros = 0
+    for _ in range(3):
+        u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
+        for lift in LIFT_STRATEGIES:
+            got = boundary_map(u, i, ses, lift)
+            b = index_unitary(got.lift).values
+            assert got.element.values.tobytes() == (y @ b @ y.conj().T).tobytes()
+            neg_zeros += np.count_nonzero(np.signbit(b.view(float)) & (b.view(float) == 0))
+    if ses_name.startswith("disk"):
+        assert neg_zeros  # the gather meets -0.0, which the product writes as +0.0
+    for j, d in ((-1, 4), (3, 8)):  # entries 1/sqrt(2) and 1/2: no gather
+        assert _conjugator_perm(j, d) is None
 
 
 def test_boundary_conjugators():

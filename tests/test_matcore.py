@@ -148,7 +148,8 @@ def test_stack_kernels_match_per_matrix_calls(shape):
     wide = 3.0 * h
     assert np.abs(np.linalg.eigvalsh(wide)).max() > 1.0  # the clip acts
     c = mc.clamp_spectrum(wide)
-    assert w.shape == shape[:-1] and v.shape == r.shape == c.shape == shape
+    e = mc.neg_exp_pi_i(h)
+    assert w.shape == shape[:-1] and v.shape == r.shape == c.shape == e.shape == shape
     for k in np.ndindex(shape[:-2]):
         wk, vk = mc.herm_eig(h[k])
         assert np.max(np.abs(w[k] - wk)) < 1e-13
@@ -158,10 +159,14 @@ def test_stack_kernels_match_per_matrix_calls(shape):
         assert rk.ndim == 2 and np.max(np.abs(r[k] - rk)) < 1e-13
         ck = mc.clamp_spectrum(wide[k])
         assert ck.ndim == 2 and c[k].tobytes() == ck.tobytes()
+        ek = mc.neg_exp_pi_i(h[k])
+        assert ek.ndim == 2 and e[k].tobytes() == ek.tobytes()
     assert [x.ndim for x in mc.herm_eig(h[(0,) * (len(shape) - 2)])] == [1, 2]
     wide.reshape(-1, *shape[-2:])[4, 0, 1] += 0.5
     with pytest.raises(ValueError, match="not Hermitian at stack index 4 "):
         mc.clamp_spectrum(wide)
+    with pytest.raises(ValueError, match="not Hermitian at stack index 4 "):
+        mc.neg_exp_pi_i(wide)
 
 
 def test_stack_hermitian_guard_is_the_per_matrix_guard():
