@@ -60,38 +60,42 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
         return FnElement(y.base, matcore.clamp_spectrum(y.values, -1.0, 1.0, tol=EVEN_HERM_TOL))
     if mode != "odd":
         raise ValueError("mode must be 'odd' or 'even'")
-    v = y.values
+    return FnElement(y.base, _odd_retraction(y.values)[0])
+
+
+def _odd_retraction(v: np.ndarray):
+    """a = y f(y*y) on a value stack, with the spectrum f(w)^2 w and frames of a*a."""
     w, frame = np.linalg.eigh(v.conj().swapaxes(1, 2) @ v)
     f = np.minimum(1.0 / np.sqrt(np.maximum(w, ODD_EIG_FLOOR)), 1.0)
-    return FnElement(y.base, v @ ((frame * f[:, None, :]) @ frame.conj().swapaxes(1, 2)))
+    return v @ ((frame * f[:, None, :]) @ frame.conj().swapaxes(1, 2)), f * f * w, frame
 
 
-def _index_values(vals: np.ndarray) -> np.ndarray:
+def _index_values(vals: np.ndarray, t: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The index unitary from the spectrum t and frames of a*a: one root, and
+    2a* sqrt(1 - aa*) = (2a sqrt(1 - a*a))* as the upper-right block's adjoint."""
+    # the largest singular value of a is the root of the top of t
+    norm = np.sqrt(max(t.max(), 0.0))
+    if not norm <= 1.0 + CONTRACTION_TOL:
+        raise ValueError(f"lift is not a contraction (norm {norm:.6f})")
+    # 1 - t descends; reversed, psd_root's guard reads its lowest eigenvalue
+    root = matcore.psd_root(1.0 - t[:, ::-1], frame[:, :, ::-1], tol=INDEX_SQRT_TOL,
+                            zero_snap=INDEX_ZERO_SNAP)
     d = vals.shape[-1]
     eye = np.eye(d)
     ah = vals.conj().swapaxes(1, 2)
-    aha = ah @ vals
-    aah = vals @ ah
-    w, v = matcore.herm_eig(eye - aha, tol=INDEX_SQRT_TOL)
-    # the largest singular value of a is sqrt(1 - the lowest eigenvalue of
-    # 1 - a*a); roundoff may put that eigenvalue just above 1
-    norm = np.sqrt(max(1.0 - w[:, 0].min(), 0.0))
-    if not norm <= 1.0 + CONTRACTION_TOL:
-        raise ValueError(f"lift is not a contraction (norm {norm:.6f})")
-    left = matcore.psd_root(w, v, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
-    right = matcore.psd_sqrt(eye - aah, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
     out = np.empty((len(vals), 2 * d, 2 * d), dtype=complex)
-    out[:, :d, :d] = 2.0 * aah - eye
-    out[:, :d, d:] = 2.0 * vals @ left
-    out[:, d:, :d] = 2.0 * ah @ right
-    out[:, d:, d:] = eye - 2.0 * aha
+    out[:, :d, :d] = 2.0 * vals @ ah - eye
+    out[:, :d, d:] = 2.0 * vals @ root
+    out[:, d:, :d] = out[:, :d, d:].conj().swapaxes(1, 2)
+    out[:, d:, d:] = eye - 2.0 * ah @ vals
     return out
 
 
 def index_unitary(a: FnElement) -> FnElement:
     """The self-adjoint unitary [[2aa*-1, 2a sqrt(1-a*a)],
     [2a* sqrt(1-aa*), 1-2a*a]] of a pointwise contraction."""
-    return FnElement(a.base, _index_values(a.values))
+    v = a.values
+    return FnElement(a.base, _index_values(v, *np.linalg.eigh(v.conj().swapaxes(1, 2) @ v)))
 
 
 def exp_unitary(a: FnElement) -> FnElement:
@@ -162,7 +166,11 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     total_alg = scalar_algebra(ses.total)
     sym = symmetrize_lift(ext, i, total_alg)
     mode = "even" if class_spec(i)["sa"] else "odd"
-    lift = retract_contraction(sym, mode)
+    if mode == "odd":
+        a, t, frame = _odd_retraction(sym.values)
+        lift = FnElement(sym.base, a)
+    else:
+        lift = retract_contraction(sym, mode)
 
     back = restrict(lift, ses)
     lift_residual = float(np.max(np.abs(back.values - u.values)))
@@ -171,13 +179,13 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
 
     if mode == "odd":
-        b = index_unitary(lift)
-        perm = _conjugator_perm(i, b.dim)
+        b = _index_values(a, t, frame)
+        perm = _conjugator_perm(i, b.shape[-1])
         if perm is None:
-            y = boundary_conjugator(i, b.dim)
-            vals = y @ b.values @ y.conj().T
+            y = boundary_conjugator(i, b.shape[-1])
+            vals = y @ b @ y.conj().T
         else:
-            vals = np.ascontiguousarray(b.values[:, perm[:, None], perm])
+            vals = np.ascontiguousarray(b[:, perm[:, None], perm])
             vals += 0.0  # the product writes +0.0 where b holds -0.0
     else:
         vals = exp_unitary(lift).values

@@ -86,7 +86,7 @@ def _dets_on_circle(u: FnElement) -> np.ndarray:
     return np.linalg.det(u.values)
 
 
-def _phase_sum(dets: np.ndarray, closed: bool) -> float:
+def _phase_sum(dets: np.ndarray, closed: bool, npoints: int) -> float:
     if closed:
         nxt = np.roll(dets, -1)
     else:
@@ -94,19 +94,20 @@ def _phase_sum(dets: np.ndarray, closed: bool) -> float:
         dets = dets[:-1]
     inc = np.angle(nxt / dets)
     if np.max(np.abs(inc)) > PHASE_STEP_MAX:
-        raise InvariantError("determinant phase step exceeds pi/2: resolution too coarse")
+        raise InvariantError("determinant phase step exceeds pi/2: resolution too coarse "
+                             f"(largest step {np.max(np.abs(inc)):.4f} on {npoints} grid points)")
     return float(np.sum(inc))
 
 
 def _top_arc(u: FnElement):
     """det u, and its phase summed over the top arc from 1 to -1 through i."""
-    dets = _dets_on_circle(u)
-    return dets, _phase_sum(dets[: u.base.shape[0] // 2 + 1], closed=False)
+    dets, n = _dets_on_circle(u), u.base.npoints
+    return dets, _phase_sum(dets[: n // 2 + 1], closed=False, npoints=n)
 
 
 def winding_det(u: FnElement) -> int:
     """Winding number of det(u) around the circle."""
-    total = _phase_sum(_dets_on_circle(u), closed=True)
+    total = _phase_sum(_dets_on_circle(u), closed=True, npoints=u.base.npoints)
     return _round_int(total / (2.0 * np.pi), "winding")
 
 
@@ -126,7 +127,7 @@ def winding_half(u: FnElement, arc: str = "top") -> int:
         if np.linalg.norm(v - np.trace(v) / v.shape[0] * np.eye(v.shape[0])) > ROUND_GUARD:
             raise InvariantError("arc endpoint value is not scalar")
     seg = dets[idx]
-    raw = _phase_sum(seg, closed=False)
+    raw = _phase_sum(seg, closed=False, npoints=n)
     defect = float(np.angle(seg[-1] * np.conj(seg[0])))
     return -_round_int((raw - defect) / (2.0 * np.pi), "half winding")
 

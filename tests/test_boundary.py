@@ -7,9 +7,9 @@ from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
                                extend_contraction, ideal_base, restrict,
                                sample_space, scalar_algebra, ses_registry)
 from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
-                              _conjugator_perm, _index_values, boundary_conjugator,
-                              boundary_map, exp_unitary, index_unitary,
-                              retract_contraction, symmetrize_lift)
+                              _conjugator_perm, _index_values, _odd_retraction,
+                              boundary_conjugator, boundary_map, exp_unitary,
+                              index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, signature
 from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec,
                               class_structure, neutral, require_membership)
@@ -220,7 +220,8 @@ def test_stacked_odd_retraction_and_index_unitary_match_pointwise():
 
 
 def _index_values_reference(vals):
-    """The index unitary as two full psd_sqrt calls and np.block."""
+    """The index unitary by the two-root formula: two full psd_sqrt calls and
+    np.block."""
     eye = np.eye(vals.shape[-1])
     ah = vals.conj().swapaxes(1, 2)
     left = matcore.psd_sqrt(eye - ah @ vals, tol=INDEX_SQRT_TOL, zero_snap=INDEX_ZERO_SNAP)
@@ -229,20 +230,49 @@ def _index_values_reference(vals):
                      [2.0 * ah @ right, eye - 2.0 * ah @ vals]])
 
 
-@pytest.mark.parametrize("dim", [1, 2, 4])
-def test_index_values_match_reference_bit_for_bit(dim):
+def _odd_lift_values(dim):
+    """Random odd-lift values over disk-id with the zero point, signed zeros,
+    a unitary point and points of norm far above 1."""
     base = ses_registry("disk-id", (5, 16)).total
     vals = 1.5 * (RNG.standard_normal((base.npoints, dim, dim))
                   + 1j * RNG.standard_normal((base.npoints, dim, dim)))
     vals[3] = 0.0                                  # the zero point
     vals[5] = -0.0 * vals[6]                       # signed zeros
     vals[7] = random_unitary(dim, RNG)             # the unitary point
+    vals[11] *= 1e6                                # |y| >> 1
+    vals[12] = 1e3 * random_unitary(dim, RNG)
+    return base, vals
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_index_values_match_reference_bit_for_bit(dim):
+    """The stacked index unitary equals one call per grid point byte for
+    byte, from index_unitary's own eigh and from the retraction's spectrum."""
+    base, vals = _odd_lift_values(dim)
     a = retract_contraction(FnElement(base, vals), "odd").values
     a[9] = random_unitary(dim, RNG)                # unitary without the retraction
-    want = _index_values_reference(a)
-    assert _index_values(a).tobytes() == want.tobytes()
+    want = np.stack([index_unitary(pt(v)).values[0] for v in a])
     assert index_unitary(FnElement(base, a)).values.tobytes() == want.tobytes()
-    assert index_unitary(pt(a[9])).values[0].tobytes() == want[9].tobytes()
+    got = _index_values(*_odd_retraction(vals))
+    want = np.concatenate([_index_values(*_odd_retraction(vals[p:p + 1]))
+                           for p in range(len(vals))])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_index_values_agree_with_two_root_formula(dim):
+    """One eigh per stack is within 1e-12 per entry of the two-root formula,
+    from index_unitary's own eigh and from the retraction's spectrum; the
+    lower-left block is the upper-right block's conjugate transpose, bit for
+    bit."""
+    base, vals = _odd_lift_values(dim)
+    a, t, frame = _odd_retraction(vals)
+    want = _index_values_reference(a)
+    assert np.all(want[[7, 11, 12], :dim, dim:] == 0)  # a unitary there: the zero snap
+    for b in (_index_values(a, t, frame), index_unitary(FnElement(base, a)).values):
+        assert np.max(np.abs(b - want)) < 1e-12
+        assert b[:, dim:, :dim].tobytes() == b[:, :dim, dim:].conj().swapaxes(1, 2).tobytes()
+        assert np.all(b[[7, 11, 12], :dim, dim:] == 0)
 
 
 def test_index_unitary_refusal_order():
@@ -264,6 +294,17 @@ def test_index_unitary_refusal_order():
         index_unitary(FnElement(base, bad))
     with pytest.raises(ValueError, match="not a contraction"):
         index_unitary(pt(1.5 * q[0]))
+
+
+def test_index_unitary_guards_read_the_largest_singular_value():
+    """With one singular value just above 1 and one well below, the norm
+    check and the guard on 1 - a*a both read the largest one, whichever end
+    of the spectrum of a*a it sits at."""
+    q, r = random_unitary(2, RNG), random_unitary(2, RNG)
+    for sigma, message in ((1 + 2e-7, "not a contraction"),
+                           (1 + 7e-8, "eigenvalue .* below")):
+        with pytest.raises(ValueError, match=message):
+            index_unitary(pt(q @ np.diag([sigma, 0.5]) @ r))
 
 
 def test_index_unitary_on_disk_lift():
@@ -319,7 +360,11 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
         u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
         for lift in LIFT_STRATEGIES:
             got = boundary_map(u, i, ses, lift)
-            b = index_unitary(got.lift).values
+            sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
+                                  scalar_algebra(ses.total))
+            a, t, frame = _odd_retraction(sym.values)
+            assert a.tobytes() == got.lift.values.tobytes()
+            b = _index_values(a, t, frame)
             assert got.element.values.tobytes() == (y @ b @ y.conj().T).tobytes()
             neg_zeros += np.count_nonzero(np.signbit(b.view(float)) & (b.view(float) == 0))
     if ses_name.startswith("disk"):
@@ -448,7 +493,7 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
     if mode == "odd":
         y = boundary_conjugator(i, 2 * u.dim)
-        vals = y @ index_unitary(lift).values @ y.conj().T
+        vals = y @ _index_values(*_odd_retraction(sym.values)) @ y.conj().T
     else:
         vals = exp_unitary(lift).values
     j = TARGET[i]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ def test_unreadable_invariant_exits_unsupported(tmp_path, capsys):
                 "--resolution", "8"]) == 3
     out = capsys.readouterr()
     assert out.out == "" and "resolution too coarse" in out.err
+
+
+def test_coarse_phase_step_refusal_names_step_and_grid(tmp_path, capsys):
+    # the class-4 circle-zeta anchor under taper0 at 64 points: its image's
+    # det phase steps past pi/2, and the refusal says by how much and where
+    p = tmp_path / "k4.json"
+    write_element(p, sample_space("twopoints", involution="id"),
+                  np.stack([np.eye(4, dtype=complex), neutral(4, 1)]))
+    assert run(["boundary", str(p), "--ses", "circle-zeta", "--class", "4",
+                "--lift", "taper0", "--resolution", "64"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.search(r"determinant phase step exceeds pi/2: resolution too coarse "
+                     r"\(largest step \d\.\d{4} on 64 grid points\)", out.err), out.err
 
 
 def test_io_error_exit_codes(tmp_path):

@@ -157,7 +157,8 @@ _REFUSALS = {
               "det winding is odd; element breaks the pairing symmetry"),
     "step": (lambda: winding_det(circle_elem(lambda b: (zfun(b) ** 5)[:, None, None],
                                              res=16)),
-             "determinant phase step exceeds pi/2: resolution too coarse"),
+             "determinant phase step exceeds pi/2: resolution too coarse "
+             "(largest step 1.9635 on 16 grid points)"),
     "circle": (lambda: winding_det(const(np.eye(1))), "winding invariants need a circle base"),
     "block": (lambda: qc_half_trace(FnElement(sample_space("interval", 8), np.broadcast_to(
         np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex), (9, 2, 2)).copy())),
