@@ -60,42 +60,46 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
         return FnElement(y.base, matcore.clamp_spectrum(y.values, -1.0, 1.0, tol=EVEN_HERM_TOL))
     if mode != "odd":
         raise ValueError("mode must be 'odd' or 'even'")
-    return FnElement(y.base, _odd_retraction(y.values)[0])
+    return FnElement(y.base, _odd_isometry(y.values, retract=True)[0])
 
 
-def _odd_retraction(v: np.ndarray):
-    """a = y f(y*y) on a value stack, with the spectrum f(w)^2 w and frames of a*a."""
-    w, frame = np.linalg.eigh(v.conj().swapaxes(1, 2) @ v)
-    f = np.minimum(1.0 / np.sqrt(np.maximum(w, ODD_EIG_FLOOR)), 1.0)
-    return v @ ((frame * f[:, None, :]) @ frame.conj().swapaxes(1, 2)), f * f * w, frame
-
-
-def _index_values(vals: np.ndarray, t: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The index unitary from the spectrum t and frames of a*a: one root, and
-    2a* sqrt(1 - aa*) = (2a sqrt(1 - a*a))* as the upper-right block's adjoint."""
+def _odd_isometry(y: np.ndarray, retract: bool):
+    """The odd lift a of a value stack y and the 2d x d isometry c with
+    cc* = [[aa*, a sqrt(1-a*a)], [sqrt(1-a*a) a*, 1-a*a]], from one
+    w, V = eigh(y*y).  retract: a = y f(y*y) with f(w) = min(1/sqrt(w), 1);
+    otherwise f = 1 and a = y must be a contraction.  a*a has the spectrum
+    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)]."""
+    t, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
+    top = y @ v
+    if retract:
+        f = np.minimum(1.0 / np.sqrt(np.maximum(t, ODD_EIG_FLOOR)), 1.0)
+        top *= f[:, None, :]
+        t = f * f * t
     # the largest singular value of a is the root of the top of t
     norm = np.sqrt(max(t.max(), 0.0))
     if not norm <= 1.0 + CONTRACTION_TOL:
         raise ValueError(f"lift is not a contraction (norm {norm:.6f})")
-    # 1 - t descends; reversed, psd_root's guard reads its lowest eigenvalue
-    root = matcore.psd_root(1.0 - t[:, ::-1], frame[:, :, ::-1], tol=INDEX_SQRT_TOL,
-                            zero_snap=INDEX_ZERO_SNAP)
-    d = vals.shape[-1]
-    eye = np.eye(d)
-    ah = vals.conj().swapaxes(1, 2)
-    out = np.empty((len(vals), 2 * d, 2 * d), dtype=complex)
-    out[:, :d, :d] = 2.0 * vals @ ah - eye
-    out[:, :d, d:] = 2.0 * vals @ root
-    out[:, d:, :d] = out[:, :d, d:].conj().swapaxes(1, 2)
-    out[:, d:, d:] = eye - 2.0 * ah @ vals
-    return out
+    s = 1.0 - t
+    low = s.min(axis=1)
+    if low.min() < -INDEX_SQRT_TOL:
+        raise ValueError(f"matrix has eigenvalue {low.min():.3e} below -{INDEX_SQRT_TOL:.1e}"
+                         f" at stack index {low.argmin()}")
+    s[s <= INDEX_ZERO_SNAP] = 0.0
+    a = top @ v.conj().swapaxes(1, 2)
+    return a, np.concatenate((top, v * np.sqrt(s)[:, None, :]), axis=1)
+
+
+def _reflection(c: np.ndarray) -> np.ndarray:
+    """2cc* - 1 for a stack of isometries c: the self-adjoint unitary whose
+    +1 eigenspace is the range of c."""
+    return 2.0 * (c @ c.conj().swapaxes(1, 2)) - np.eye(c.shape[1])
 
 
 def index_unitary(a: FnElement) -> FnElement:
     """The self-adjoint unitary [[2aa*-1, 2a sqrt(1-a*a)],
-    [2a* sqrt(1-aa*), 1-2a*a]] of a pointwise contraction."""
-    v = a.values
-    return FnElement(a.base, _index_values(v, *np.linalg.eigh(v.conj().swapaxes(1, 2) @ v)))
+    [2 sqrt(1-a*a) a*, 1-2a*a]] = 2cc* - 1 of a pointwise contraction,
+    with c = [a; sqrt(1-a*a)]."""
+    return FnElement(a.base, _reflection(_odd_isometry(a.values, retract=False)[1]))
 
 
 def exp_unitary(a: FnElement) -> FnElement:
@@ -126,7 +130,7 @@ def boundary_conjugator(i, dim: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _conjugator_perm(i, dim: int):
     """perm with y[a, perm[a]] = 1 where the conjugator y is a permutation
-    matrix, so y b y* is b[perm][:, perm]; None where it is not."""
+    matrix, so y c is c[perm]; None where it is not."""
     y = boundary_conjugator(i, dim)
     perm = np.abs(y).argmax(axis=1)
     if not np.array_equal(y, np.eye(dim)[perm]):
@@ -167,7 +171,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     sym = symmetrize_lift(ext, i, total_alg)
     mode = "even" if class_spec(i)["sa"] else "odd"
     if mode == "odd":
-        a, t, frame = _odd_retraction(sym.values)
+        a, c = _odd_isometry(sym.values, retract=True)
         lift = FnElement(sym.base, a)
     else:
         lift = retract_contraction(sym, mode)
@@ -179,14 +183,10 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
 
     if mode == "odd":
-        b = _index_values(a, t, frame)
-        perm = _conjugator_perm(i, b.shape[-1])
-        if perm is None:
-            y = boundary_conjugator(i, b.shape[-1])
-            vals = y @ b @ y.conj().T
-        else:
-            vals = np.ascontiguousarray(b[:, perm[:, None], perm])
-            vals += 0.0  # the product writes +0.0 where b holds -0.0
+        # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c
+        perm = _conjugator_perm(i, c.shape[1])
+        vals = _reflection(boundary_conjugator(i, c.shape[1]) @ c if perm is None
+                           else c[:, perm])
     else:
         vals = exp_unitary(lift).values
 

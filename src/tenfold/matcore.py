@@ -156,13 +156,6 @@ def psd_sqrt(m: np.ndarray, tol: float = PSD_CLIP_TOL, zero_snap: float = 0.0) -
     picking up sqrt(noise).
     """
     w, v = herm_eig(m, tol=max(tol, DEFAULT_TOL))
-    return psd_root(w, v, tol, zero_snap)
-
-
-def psd_root(w: np.ndarray, v: np.ndarray, tol: float = PSD_CLIP_TOL,
-             zero_snap: float = 0.0) -> np.ndarray:
-    """The root step of psd_sqrt, from herm_eig's eigenvalues w (ascending)
-    and frames v."""
     low = w[..., 0]  # eigh sorts ascending
     if low.min() < -tol:
         at = f" at stack index {low.argmin()}" if low.ndim else ""

@@ -184,7 +184,7 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
         return shared[key]
 
     def worst(m):
-        return float(np.max(np.linalg.norm(m, axis=(1, 2))))
+        return float(matcore.frobenius_norms(m).max())
 
     spec = class_spec(i)
     res = {}

@@ -7,7 +7,7 @@ from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
                                extend_contraction, ideal_base, restrict,
                                sample_space, scalar_algebra, ses_registry)
 from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
-                              _conjugator_perm, _index_values, _odd_retraction,
+                              _conjugator_perm, _odd_isometry, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, signature
@@ -247,32 +247,45 @@ def _odd_lift_values(dim):
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_index_values_match_reference_bit_for_bit(dim):
     """The stacked index unitary equals one call per grid point byte for
-    byte, from index_unitary's own eigh and from the retraction's spectrum."""
+    byte, from index_unitary's own eigh and from the retraction's: lift,
+    isometry and image."""
     base, vals = _odd_lift_values(dim)
     a = retract_contraction(FnElement(base, vals), "odd").values
     a[9] = random_unitary(dim, RNG)                # unitary without the retraction
     want = np.stack([index_unitary(pt(v)).values[0] for v in a])
     assert index_unitary(FnElement(base, a)).values.tobytes() == want.tobytes()
-    got = _index_values(*_odd_retraction(vals))
-    want = np.concatenate([_index_values(*_odd_retraction(vals[p:p + 1]))
-                           for p in range(len(vals))])
-    assert got.tobytes() == want.tobytes()
+    lift, c = _odd_isometry(vals, retract=True)
+    one = [_odd_isometry(vals[p:p + 1], retract=True) for p in range(len(vals))]
+    assert lift.tobytes() == np.concatenate([o[0] for o in one]).tobytes()
+    assert c.tobytes() == np.concatenate([o[1] for o in one]).tobytes()
+    assert _reflection(c).tobytes() == np.concatenate([_reflection(o[1]) for o in one]).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_index_values_agree_with_two_root_formula(dim):
-    """One eigh per stack is within 1e-12 per entry of the two-root formula,
-    from index_unitary's own eigh and from the retraction's spectrum; the
-    lower-left block is the upper-right block's conjugate transpose, bit for
-    bit."""
+    """2cc* - 1 is within 1e-12 per entry of the two-root formula, from
+    index_unitary's own eigh and from the retraction's; the lower-left block
+    equals the upper-right block's conjugate transpose, and where a is
+    unitary both are exact zeros."""
     base, vals = _odd_lift_values(dim)
-    a, t, frame = _odd_retraction(vals)
+    a, c = _odd_isometry(vals, retract=True)
     want = _index_values_reference(a)
     assert np.all(want[[7, 11, 12], :dim, dim:] == 0)  # a unitary there: the zero snap
-    for b in (_index_values(a, t, frame), index_unitary(FnElement(base, a)).values):
+    for b in (_reflection(c), index_unitary(FnElement(base, a)).values):
         assert np.max(np.abs(b - want)) < 1e-12
-        assert b[:, dim:, :dim].tobytes() == b[:, :dim, dim:].conj().swapaxes(1, 2).tobytes()
+        assert np.array_equal(b[:, dim:, :dim], b[:, :dim, dim:].conj().swapaxes(1, 2))
         assert np.all(b[[7, 11, 12], :dim, dim:] == 0)
+        assert np.all(b[[7, 11, 12], dim:, :dim] == 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_odd_isometry_columns_are_orthonormal(dim):
+    """c*c = 1 to within 1e-13, with and without the retraction."""
+    base, vals = _odd_lift_values(dim)
+    a, c = _odd_isometry(vals, retract=True)
+    for iso in (c, _odd_isometry(a, retract=False)[1]):
+        assert iso.shape == (len(vals), 2 * dim, dim)
+        assert np.max(np.abs(iso.conj().swapaxes(1, 2) @ iso - np.eye(dim))) < 1e-13
 
 
 def test_index_unitary_refusal_order():
@@ -348,27 +361,27 @@ def test_exp_unitary_respects_direct_sums_exactly():
                                        ("circle-zeta", 5), ("circle-sigma", 5),
                                        ("circle-id", 5)])
 def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
-    """Where the frame rotation y is a permutation matrix, boundary_map's
-    gather equals y b y* by matmul byte for byte, signed zeros included."""
+    """Where the frame rotation y is a permutation matrix, the row gather
+    c[:, perm] equals the product y c, and boundary_map's image equals
+    2(yc)(yc)* - 1 by matmul byte for byte."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
     y = boundary_conjugator(i, 2 * dim)
-    assert _conjugator_perm(i, 2 * dim) is not None
-    neg_zeros = 0
+    perm = _conjugator_perm(i, 2 * dim)
+    assert perm is not None
     for _ in range(3):
         u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
         for lift in LIFT_STRATEGIES:
             got = boundary_map(u, i, ses, lift)
             sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
                                   scalar_algebra(ses.total))
-            a, t, frame = _odd_retraction(sym.values)
+            a, c = _odd_isometry(sym.values, retract=True)
             assert a.tobytes() == got.lift.values.tobytes()
-            b = _index_values(a, t, frame)
-            assert got.element.values.tobytes() == (y @ b @ y.conj().T).tobytes()
-            neg_zeros += np.count_nonzero(np.signbit(b.view(float)) & (b.view(float) == 0))
-    if ses_name.startswith("disk"):
-        assert neg_zeros  # the gather meets -0.0, which the product writes as +0.0
+            # equal values; the bytes differ in the sign of some zeros, both
+            # ways, and the image keeps none of them
+            assert np.array_equal(c[:, perm], y @ c)
+            assert got.element.values.tobytes() == _reflection(y @ c).tobytes()
     for j, d in ((-1, 4), (3, 8)):  # entries 1/sqrt(2) and 1/2: no gather
         assert _conjugator_perm(j, d) is None
 
@@ -482,20 +495,23 @@ def test_lift_strategies_share_signatures():
 
 
 def _boundary_map_reference(u, i, ses, lift_strategy):
-    """boundary_map as written with a 2-norm SVD in extend_contraction and a
-    norm per pinned point for the unitization and neutral-value residuals:
-    (element values, lift values, residuals)."""
+    """boundary_map as written with a 2-norm SVD in extend_contraction, a
+    norm per pinned point for the unitization and neutral-value residuals,
+    and one odd lift and isometry per grid point with the frame rotation as
+    a product: (element values, lift values, residuals)."""
     require_membership(u, i, scalar_algebra(ses.quotient))
     ext = extend_contraction(u, ses, lift_strategy)
     sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
     mode = "even" if class_spec(i)["sa"] else "odd"
-    lift = retract_contraction(sym, mode)
-    lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
     if mode == "odd":
         y = boundary_conjugator(i, 2 * u.dim)
-        vals = y @ _index_values(*_odd_retraction(sym.values)) @ y.conj().T
+        one = [_odd_isometry(sym.values[p:p + 1], retract=True) for p in range(len(sym.values))]
+        lift = FnElement(sym.base, np.concatenate([a for a, _ in one]))
+        vals = np.concatenate([_reflection(y @ c) for _, c in one])
     else:
+        lift = retract_contraction(sym, mode)
         vals = exp_unitary(lift).values
+    lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
     j = TARGET[i]
     result = FnElement(ideal_base(ses), vals)
     res = dict(require_membership(result, j, Algebra(result.base)).residuals)

@@ -414,7 +414,11 @@ def test_class_structure_cache_reads_the_struct():
 
 def _check_membership_reference(u, i, algebra=None, tol=1e-9):
     """check_membership as it was before classes shared their work: every
-    piece recomputed for the one class."""
+    piece recomputed for the one class, each residual the largest
+    np.linalg.norm of one matrix."""
+    def worst(m):
+        return max(float(np.linalg.norm(x)) for x in m)
+
     algebra = Algebra(u.base) if algebra is None else algebra
     spec = class_spec(i)
     res = {}
@@ -426,17 +430,14 @@ def _check_membership_reference(u, i, algebra=None, tol=1e-9):
     if u.dim % algebra.struct.shape[0]:
         raise MembershipError("dimension incompatible with the algebra structure")
     ua = u.adjoint()
-    res["unitary"] = float(np.max(np.linalg.norm(
-        ua.values @ u.values - np.eye(u.dim), axis=(1, 2))))
+    res["unitary"] = worst(ua.values @ u.values - np.eye(u.dim))
     if spec["sa"]:
-        res["self_adjoint"] = float(np.max(np.linalg.norm(
-            u.values - ua.values, axis=(1, 2))))
+        res["self_adjoint"] = worst(u.values - ua.values)
     s = _class_structure_reference(i, u.dim, algebra)
     if s is not None:
         lhs = apply_full_involution(u, s)
         rhs = ua if spec["star"] else u
-        res["symmetry"] = float(np.max(np.linalg.norm(
-            lhs.values - spec["sign"] * rhs.values, axis=(1, 2))))
+        res["symmetry"] = worst(lhs.values - spec["sign"] * rhs.values)
     ok = all(v <= tol for v in res.values())
     if u.base.pinned:
         res["scalar_pinning"] = pinned_residual(u, algebra)
@@ -520,3 +521,22 @@ def test_classify_matches_reference_on_random_draws():
         # a constant neutral passes on a pinned base, so lambda details are compared
         _assert_classify_matches_reference(constant_element(base, neutral(0, 2)))
     assert drawn == set(CLASS_IDS)
+
+
+def test_membership_residuals_do_not_depend_on_memory_layout():
+    """Equal value bytes held in C order, in Fortran order and as a strided
+    view give equal residual reprs in every class."""
+    from tenfold.verify import random_class_element
+    rng = np.random.default_rng(4801)
+    base = sample_space("circle", 8, "zeta")
+    for i in CLASS_IDS:
+        dim = 2 * class_spec(i)["mult"]
+        vals = random_class_element(base, i, dim, rng, fourier=2).values
+        vals = vals + 1e-3 * (rng.standard_normal(vals.shape)
+                              + 1j * rng.standard_normal(vals.shape))
+        wide = np.zeros((len(vals), 2 * dim, 2 * dim), dtype=complex)
+        wide[:, ::2, ::2] = vals
+        layouts = (np.ascontiguousarray(vals), np.asfortranarray(vals), wide[:, ::2, ::2])
+        assert all(v.tobytes() == vals.tobytes() for v in layouts)
+        reprs = [repr(check_membership(FnElement(base, v), i).residuals) for v in layouts]
+        assert reprs[1:] == reprs[:-1], (i, reprs)
