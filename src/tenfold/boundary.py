@@ -183,11 +183,13 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
 
     if mode == "odd":
-        # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c
+        # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c, and
+        # the columns of yc are orthonormal frames of the image's +1 eigenspace
         perm = _conjugator_perm(i, c.shape[1])
-        vals = _reflection(boundary_conjugator(i, c.shape[1]) @ c if perm is None
-                           else c[:, perm])
+        frames = boundary_conjugator(i, c.shape[1]) @ c if perm is None else c[:, perm]
+        vals = _reflection(frames)
     else:
+        frames = None
         vals = exp_unitary(lift).values
 
     j = TARGET[i]
@@ -195,6 +197,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     result = FnElement(ibase, vals)
     out_alg = Algebra(ibase)
     rep = require_membership(result, j, out_alg, tol)
+    rep.frames = frames
 
     target = neutral(j, result.dim // class_spec(j)["mult"])
     lam_res = float(matcore.frobenius_norms(

@@ -206,6 +206,15 @@ FRAME_PIVOT_FLOOR = 0.5
 FRAME_PROJECTION_TOL = 0.05
 
 
+def _occupied_rank(diag: np.ndarray) -> int:
+    """rint(trace p) from the (npoints, dim) diagonals of p = (u+1)/2; the
+    occupied rank must be the same at every grid point."""
+    ranks = np.rint(diag.sum(axis=1).real).astype(int)
+    if np.any(ranks != ranks[0]):
+        raise InvariantError("occupied rank is not constant over the grid")
+    return max(int(ranks[0]), 0)
+
+
 def _occupied_frames(u: FnElement) -> np.ndarray:
     """(npoints, dim, rank) orthonormal frames of the ranges of p = (u+1)/2.
 
@@ -216,13 +225,11 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
     """
     n = u.dim
     p = 0.5 * (u.values + np.eye(n))
-    ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
-    if np.any(ranks != ranks[0]):
-        raise InvariantError("occupied rank is not constant over the grid")
-    rank = max(int(ranks[0]), 0)
+    diag = np.diagonal(p, axis1=1, axis2=2)
+    rank = _occupied_rank(diag)
     at = np.arange(len(p))
     frames = np.zeros((len(p), rank, n), dtype=complex)
-    left = np.diagonal(p, axis1=1, axis2=2).real.copy()
+    left = diag.real.copy()
     residual = 0.0
     for k in range(rank):
         piv = np.argmax(left, axis=1)
@@ -268,18 +275,27 @@ def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z / np.abs(z)
 
 
-def chern_of_projection(u: FnElement) -> int:
+def chern_of_projection(u: FnElement, frames: np.ndarray = None) -> int:
     """First Chern number of p = (u+1)/2 by plaquette flux summation.
 
     Links are determinants of frame overlaps, so the total is an exact
     multiple of 2*pi whenever every plaquette flux stays below pi
     (Fukui-Hatsugai-Suzuki).  Columns always wrap; rows wrap on the torus
     only, since the first and last rows of a disk or sphere are not
-    neighbours.
+    neighbours.  The flux sum is the same for any orthonormal frames of the
+    range of p: `frames`, (npoints, dim, rank) ones that built u, are read
+    as given, and only without them is p factored (`_occupied_frames`).
     """
     if u.base.kind not in ("disk", "sphere2", "torus2"):
         raise InvariantError(f"no plaquette decomposition for {u.base.kind!r}")
-    flux = _plaquette_fluxes(u.base, _occupied_frames(u))
+    if frames is None:
+        frames = _occupied_frames(u)
+    else:
+        rank = _occupied_rank(0.5 * (np.diagonal(u.values, axis1=1, axis2=2) + 1.0))
+        if frames.shape != (len(u.values), u.dim, rank):
+            raise InvariantError(f"frames of shape {frames.shape} do not span the rank-{rank} "
+                                 f"ranges of a {u.values.shape} stack")
+    flux = _plaquette_fluxes(u.base, frames)
     return _round_int(float(np.sum(flux)) / (2.0 * np.pi), "chern number")
 
 
@@ -404,7 +420,7 @@ _D = {
     "half_turn_parity": ("Z2", lambda rep: half_turn_parity(rep.element)),
     "sp_half_turn_parity": ("Z2", lambda rep: sp_half_turn_parity(rep.element)),
     "winding_pairs": ("Z", lambda rep: winding_pairs(rep.element)),
-    "chern": ("Z", lambda rep: chern_of_projection(rep.element)),
+    "chern": ("Z", lambda rep: chern_of_projection(rep.element, rep.frames)),
     "winding3": ("Z", lambda rep: winding3(rep.element)),
     "endpoint_half_trace": ("Z", lambda rep: qc_half_trace(
         rep.element, rep.algebra, _deconjugator(rep))),

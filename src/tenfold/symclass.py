@@ -138,6 +138,9 @@ class KOClassRep:
     algebra: Algebra
     ok: bool = True
     residuals: dict = field(default_factory=dict)
+    # orthonormal (npoints, dim, rank) frames of the ranges of (element+1)/2,
+    # set only by a producer that built the element from them
+    frames: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def base(self) -> BaseSpace:
@@ -234,16 +237,25 @@ def _lambda_trivial(lam: np.ndarray, i):
     kind = spec["point"][0]
     if kind == "det_parity":
         dt = np.linalg.det(lam)
-        return np.real(dt) > 0, f"det={dt:.3f}"
+        return np.real(dt) > 0, f"det={_rounded(dt):.3f}"
     if kind == "pf_parity":
         try:
             pf = matcore.pfaffian(lam)
         except ValueError as exc:  # a value that is not skew has no Pfaffian
             return False, f"pf_ratio undefined: {exc}"
         ratio = pf / matcore.pfaffian(neutral(i, lam.shape[0] // 2))
-        return np.real(ratio) > 0, f"pf_ratio={ratio:.3f}"
+        return np.real(ratio) > 0, f"pf_ratio={_rounded(ratio):.3f}"
     t = np.real(np.trace(lam)) / spec["mult"]
-    return abs(t) < BASEPOINT_TRACE_GUARD, f"{kind}={t:.3f}"
+    return abs(t) < BASEPOINT_TRACE_GUARD, f"{kind}={_rounded(t):.3f}"
+
+
+def _rounded(x):
+    """x with each real part rounded to 3 decimals, + 0.0 turning a rounded
+    -0.0 into 0.0: a printed zero does not carry the sign of roundoff."""
+    if isinstance(x, complex):
+        z = complex(x)
+        return complex(round(z.real, 3) + 0.0, round(z.imag, 3) + 0.0)
+    return round(float(x), 3) + 0.0
 
 
 def add(u: FnElement, v: FnElement, i, algebra: Algebra = None) -> FnElement:
@@ -275,8 +287,7 @@ def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
 
 def to_projection(u: FnElement, tol: float = matcore.DEFAULT_TOL) -> FnElement:
     """p = (u + 1)/2 for a self-adjoint unitary u."""
-    res = float(np.max(np.linalg.norm(u.values - np.conj(np.swapaxes(u.values, 1, 2)),
-                                      axis=(1, 2))))
+    res = float(matcore.frobenius_norms(u.values - np.conj(np.swapaxes(u.values, 1, 2))).max())
     if res > tol:
         raise ValueError(f"not self-adjoint (residual {res:.3e})")
     eye = np.eye(u.dim)

@@ -1,9 +1,10 @@
+from dataclasses import replace
 import re
 
 import numpy as np
 import pytest
 
-from tenfold import catalog, invariants
+from tenfold import catalog, invariants, serialize
 from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
 from tenfold.boundary import boundary_map
@@ -13,7 +14,7 @@ from tenfold.invariants import (InvariantError, _occupied_frames,
                                 half_turn_parity, pf_sign, qc_half_trace,
                                 quarter_trace, signature, sp_half_turn_parity,
                                 winding_det, winding_half, winding_pairs)
-from tenfold.symclass import add, check_membership, neutral
+from tenfold.symclass import add, check_membership, forget_to_ku, neutral
 from tenfold.verify import random_class_element
 
 from helpers import block_diag
@@ -288,6 +289,80 @@ def test_chern_frames_match_eigh_on_boundary_images(ses_name, i, lift):
     cs = [_assert_frames_match_reference(e) for e in (small, large)]
     total = _assert_frames_match_reference(add(small, large, -1))  # block sum
     assert total == sum(cs)
+
+
+def _boundary_frames_inputs(ses):
+    """(name, class, input, Chern number of the image) over a disk SES's
+    quotient: diag(z, ..., z) at ranks 1, 2 and 4 under class -1 and z under
+    KU1 on disk-id; the class-1 generator and its two-copy sum on disk-zeta."""
+    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
+    if ses.name == "disk-id":
+        return [(f"diag(z) x{k}", i, FnElement(ses.quotient, z[:, None, None] * np.eye(k)), -k)
+                for i, k in ((-1, 1), (-1, 2), (-1, 4), ("KU1", 1))]
+    k1 = catalog.generator("circle_zeta_k1", ses.quotient.shape[0]).element
+    return [("circle_zeta_k1", 1, k1, -1), ("circle_zeta_k1 x2", 1, add(k1, k1, 1), -2)]
+
+
+def _classified_from_json(rep):
+    """The rep's element written as JSON, read back and checked in its class."""
+    u, alg = serialize.element_from_json(serialize.element_to_json(rep.element, rep.algebra))
+    return check_membership(u, rep.class_id, alg)
+
+
+@pytest.mark.parametrize("lift", ["natural", "taper0"])
+@pytest.mark.parametrize("res", [(17, 32), None])
+@pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
+def test_chern_reads_boundary_frames(ses_name, res, lift):
+    """An odd boundary image's rep carries the columns of its isometry as
+    frames; the signature read from them equals the Cholesky reading, with
+    flux sums equal within 1e-12, and so does a rep of the same element
+    without frames (forgotten to KU0, or classified from its JSON)."""
+    ses = ses_registry(ses_name, res)
+    for name, i, u, want in _boundary_frames_inputs(ses):
+        rep = boundary_map(u, i, ses, lift).rep
+        elem = rep.element
+        assert rep.frames.shape == (elem.base.npoints, elem.dim, elem.dim // 2), name
+        assert signature(rep).as_dict() == {"chern": want}, name
+        assert chern_of_projection(elem) == want, name
+        flux = float(np.sum(_plaquette_fluxes(elem.base, rep.frames)))
+        ref = float(np.sum(_plaquette_fluxes(elem.base, _occupied_frames(elem))))
+        assert abs(flux - ref) < 1e-12, name
+        plain = [_classified_from_json(rep)]
+        if rep.class_id != "KU0":
+            plain.append(forget_to_ku(rep))
+        for other in plain:
+            assert other.ok and other.frames is None, name
+            assert signature(other).as_dict() == {"chern": want}, name
+
+
+def test_chern_refuses_mismatched_frames():
+    ses = ses_registry("disk-id", (9, 16))
+    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
+    rep = boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(2)), -1, ses).rep
+    f = rep.frames
+    assert chern_of_projection(rep.element, f) == -2
+    for bad in (f[..., :1], np.concatenate([f, f[..., :1]], axis=2), f[1:], f[:, 1:]):
+        with pytest.raises(InvariantError, match=re.escape(
+                f"frames of shape {bad.shape} do not span the rank-2 ranges of a "
+                f"{rep.element.values.shape} stack")):
+            chern_of_projection(rep.element, bad)
+    # the trace still sets the rank, and must be the same at every point
+    u = _disk_diag(lambda k: [1.0, 1.0 if k == 3 else -1.0])
+    frames = np.zeros((u.base.npoints, 2, 1), dtype=complex)
+    frames[:, 0, 0] = 1.0
+    with pytest.raises(InvariantError, match="occupied rank is not constant"):
+        chern_of_projection(u, frames)
+
+
+def test_reps_with_frames_compare_by_value():
+    ses = ses_registry("disk-id", (9, 16))
+    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
+    rep = boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(1)), -1, ses).rep
+    copy = replace(rep, frames=rep.frames.copy())
+    bare = replace(rep, frames=None)
+    assert rep == copy == bare
+    assert repr(rep) == repr(copy) == repr(bare)
+    assert "frames" not in repr(rep)
 
 
 def _unit_links_reference(a, b):

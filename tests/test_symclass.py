@@ -132,6 +132,25 @@ def test_to_projection():
         to_projection(constant_element(POINT, np.array([[0, 1], [0, 0]], complex)))
 
 
+def test_to_projection_residual_does_not_depend_on_memory_layout():
+    """Equal value bytes in C order, in Fortran order and as a strided view
+    have one self-adjoint residual: each layout passes at that residual as
+    the tolerance and fails one step below it."""
+    rng = np.random.default_rng(0)
+    base = sample_space("circle", 16, "zeta")
+    vals = rng.standard_normal((16, 8, 8)) + 1j * rng.standard_normal((16, 8, 8))
+    wide = np.zeros((16, 16, 16), dtype=complex)
+    wide[:, ::2, ::2] = vals
+    layouts = (np.ascontiguousarray(vals), np.asfortranarray(vals), wide[:, ::2, ::2])
+    assert all(v.tobytes() == vals.tobytes() for v in layouts)
+    res = float(matcore.frobenius_norms(vals - np.conj(np.swapaxes(vals, 1, 2))).max())
+    for v in layouts:
+        u = FnElement(base, v)
+        assert to_projection(u, tol=res).values.tobytes() == ((vals + np.eye(8)) / 2).tobytes()
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            to_projection(u, tol=np.nextafter(res, 0.0))
+
+
 @pytest.mark.parametrize("name,ku", [
     ("const_k2", "KU0"), ("x-1", "KU1"), ("const_k4", "KU0")])
 def test_forget_to_ku(name, ku):
@@ -162,6 +181,23 @@ def test_lambda_detail_per_point_invariant(i, value, ok, detail):
     assert rep.residuals["lambda_detail"] == detail
     assert rep.residuals["lambda_class"] == (0.0 if ok else 1.0)
     assert (class_spec(i)["point"] is None) == (detail == "free")
+
+
+@pytest.mark.parametrize("e", [1e-17, -1e-17])
+def test_lambda_detail_prints_no_signed_zero(e):
+    """A rounded zero prints as 0.000 whichever sign its roundoff has, in
+    the traces and in both parts of the complex det and Pfaffian ratio."""
+    for i, lam, detail in [
+        (0, np.diag([2 * e, 0.0]), "half_trace=0.000"),
+        ("KU0", np.diag([2 * e, 0.0]), "half_trace=0.000"),
+        (4, np.diag([4 * e, 0.0, 0.0, 0.0]), "quarter_trace=0.000"),
+        (1, np.array([[1.0 + 1j * e]]), "det=1.000+0.000j"),
+        (1, np.array([[-1.0 + 1j * e]]), "det=-1.000+0.000j"),
+        (1, np.array([[e + 1j * e]]), "det=0.000+0.000j"),
+        (2, (1.0 + 1j * e) * neutral(2, 1), "pf_ratio=1.000+0.000j"),
+        (2, (-1.0 + 1j * e) * neutral(2, 1), "pf_ratio=-1.000+0.000j"),
+    ]:
+        assert _lambda_trivial(np.asarray(lam, complex), i)[1] == detail, (i, lam)
 
 
 def test_forget_half_trace_matches():
