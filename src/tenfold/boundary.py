@@ -19,9 +19,6 @@ from .basespace import (EXTEND_NORM_TOL, Algebra, FnElement, SESDescriptor,
 from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
                        neutral, require_membership, symmetrize)
 
-TARGET = {1: 0, -1: 6, 5: 4, 3: 2, 2: 1, 0: -1, 6: 5, 4: 3,
-          "KU1": "KU0", "KU0": "KU1"}
-
 # symmetrize_lift leaves an even lift Hermitian up to roundoff; a Frobenius
 # residual above this means the lift was not symmetrized
 EVEN_HERM_TOL = 1e-6
@@ -110,19 +107,15 @@ def exp_unitary(a: FnElement) -> FnElement:
 @functools.lru_cache(maxsize=64)
 def boundary_conjugator(i, dim: int) -> np.ndarray:
     """Constant frame rotation moving the odd-case result onto the neutral
-    basepoint stack of the target class; built once per (class, dim) and
-    returned read-only."""
-    if i == 1 or i == "KU1":
-        y = matcore.conjugator_v(dim // 2)
-    elif i == -1:
-        y = matcore.conjugator_v(dim // 2) @ matcore.conjugator_w(dim // 2)
-    elif i == 5:
-        y = matcore.conjugator_x(dim // 4)
-    elif i == 3:
-        y = (matcore.conjugator_v(dim // 2) @ matcore.conjugator_q(dim // 4)
-             @ matcore.conjugator_w(dim // 2))
-    else:
+    basepoint stack of the target class: the product of the class row's
+    rotation, built once per (class, dim) and returned read-only."""
+    rotation = class_spec(i)["rotation"]
+    if rotation is None:
         raise ValueError(f"no odd-case conjugator for class {i!r}")
+    if dim < 1 or any(dim % k for _, k in rotation):
+        raise ValueError(f"no odd-case conjugator for class {i!r} at dim {dim}: its "
+                         f"rotation acts on dim/{max(k for _, k in rotation)} blocks")
+    y = functools.reduce(np.matmul, [make(dim // k) for make, k in rotation])
     y.flags.writeable = False
     return y
 
@@ -192,7 +185,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
         frames = None
         vals = exp_unitary(lift).values
 
-    j = TARGET[i]
+    j = class_spec(i)["target"]
     ibase = ideal_base(ses)
     result = FnElement(ibase, vals)
     out_alg = Algebra(ibase)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matcore, toeplitz
 from .basespace import Algebra, BaseSpace, FnElement, sample_space, with_pinned
-from .invariants import signature
+from .invariants import ALGEBRA_FRAMES, signature
 from .symclass import KOClassRep, check_membership
 
 DEFAULT_RES = 64
@@ -103,7 +103,7 @@ def _x0(base):
 
 
 def _x2(base):
-    w = matcore.conjugator_w(2)
+    w = ALGEBRA_FRAMES["qc2-sharp"]
     return (w @ _x0_values(base) @ w.conj().T,
             Algebra(base, 2, matcore.J2, "qc2-sharp"))
 
@@ -118,7 +118,7 @@ def _x4(base):
     vals = np.zeros((base.npoints, 8, 8), dtype=complex)
     vals[:, :4, :4] = x0
     vals[:, 4:, 4:] = pad
-    qhat = np.kron(matcore.conjugator_q(1), np.eye(2, dtype=complex))
+    qhat = ALGEBRA_FRAMES["m2qc2"]
     vals = qhat @ vals @ qhat.conj().T
     return vals, Algebra(base, 2, np.kron(matcore.J2, np.eye(2, dtype=complex)),
                          "m2qc2")

@@ -34,6 +34,11 @@ LINK_FLOOR = 0.1
 PHASE_STEP_MAX = np.pi / 2
 
 
+# interval-algebra label -> the constant conjugation of its catalog generator
+ALGEBRA_FRAMES = {"qc2-sharp": matcore.conjugator_w(2),
+                  "m2qc2": np.kron(matcore.conjugator_q(1), np.eye(2, dtype=complex))}
+
+
 def _round_int(x: float, what: str, guard: float = ROUND_GUARD) -> int:
     r = int(np.rint(x))
     if abs(x - r) > guard:
@@ -428,16 +433,12 @@ _D = {
 
 
 def _deconjugator(rep):
-    """Per-block undo of a catalog entry's defining constant conjugation;
+    """Per-block undo of the algebra's defining constant conjugation;
     block-diagonal sums undo blockwise."""
-    if rep.algebra.label == "qc2-sharp":
-        blocks = rep.element.dim // 4
-        return np.kron(np.eye(blocks, dtype=complex), matcore.conjugator_w(2))
-    if rep.algebra.label == "m2qc2":
-        blocks = rep.element.dim // 8
-        qhat = np.kron(matcore.conjugator_q(1), np.eye(2, dtype=complex))
-        return np.kron(np.eye(blocks, dtype=complex), qhat)
-    return None
+    frame = ALGEBRA_FRAMES.get(rep.algebra.label)
+    if frame is None:
+        return None
+    return np.kron(np.eye(rep.element.dim // frame.shape[0], dtype=complex), frame)
 
 
 def _entry(*names):

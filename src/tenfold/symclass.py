@@ -4,19 +4,21 @@ basepoint normalization, conversions to the complex classes.
 Class conventions (structure matrices act on the outer legs; an algebra
 with inner block dimension d contributes its own structure on the last
 leg).  The point column names the invariant over a point, KO_i(R) or KU_i,
-and -- where that group is zero:
+and -- where that group is zero.  The index map sends class i to its target; an
+odd row's rotation, matcore conjugators on d/2 or d/4 blocks multiplied left to
+right, moves a 2d x 2d index unitary onto the target's neutral stack:
 
-  id   size  relation                     neutral block      point
-  -1    1    u^t = u                      [1]                --
-   0    2    u = u*, u^t = u*             diag(1,-1)         half_trace (Z)
-   1    1    u^t = u*                     [1]                det_parity (Z2)
-   2    2    u = u*, u^t = -u             [[0,i],[-i,0]]     pf_parity (Z2)
-   3    2    u^{s(x)t} = u                1_2                --
-   4    4    u = u*, u^{s(x)t} = u*       diag(1,1,-1,-1)    quarter_trace (Z)
-   5    2    u^{s(x)t} = u*               1_2                --
-   6    2    u = u*, u^{s(x)t} = -u       [[0,i],[-i,0]]     --
-  KU0   2    u = u*                       diag(1,-1)         half_trace (Z)
-  KU1   1    --                           [1]                --
+  id   size  relation                  neutral block    point              target  rotation
+  -1    1    u^t = u                   [1]              --                   6     V W
+   0    2    u = u*, u^t = u*          diag(1,-1)       half_trace (Z)      -1
+   1    1    u^t = u*                  [1]              det_parity (Z2)      0     V
+   2    2    u = u*, u^t = -u          [[0,i],[-i,0]]   pf_parity (Z2)       1
+   3    2    u^{s(x)t} = u             1_2              --                   2     V Q W
+   4    4    u = u*, u^{s(x)t} = u*    diag(1,1,-1,-1)  quarter_trace (Z)    3
+   5    2    u^{s(x)t} = u*            1_2              --                   4     X
+   6    2    u = u*, u^{s(x)t} = -u    [[0,i],[-i,0]]   --                   5
+  KU0   2    u = u*                    diag(1,-1)       half_trace (Z)     KU1
+  KU1   1    --                        [1]              --                 KU0     V
 """
 
 from __future__ import annotations
@@ -38,27 +40,30 @@ BASEPOINT_TRACE_GUARD = 0.25
 EIG_CLUSTER_TOL = 1e-8
 
 _I2 = np.array([[0.0, 1j], [-1j, 0.0]])
+_V, _W, _Q, _X = (matcore.conjugator_v, matcore.conjugator_w, matcore.conjugator_q,
+                  matcore.conjugator_x)
 
 _TABLE = {
-    -1: dict(mult=1, sa=False, sharp=False, sign=+1, star=False, point=None,
-             neutral=np.array([[1.0 + 0j]])),
-    0: dict(mult=2, sa=True, sharp=False, sign=+1, star=True,
+    -1: dict(mult=1, sa=False, sharp=False, sign=+1, star=False, target=6, point=None,
+             neutral=np.array([[1.0 + 0j]]), rotation=((_V, 2), (_W, 2))),
+    0: dict(mult=2, sa=True, sharp=False, sign=+1, star=True, target=-1, rotation=None,
             point=("half_trace", "Z"), neutral=np.diag([1.0 + 0j, -1.0])),
-    1: dict(mult=1, sa=False, sharp=False, sign=+1, star=True,
-            point=("det_parity", "Z2"), neutral=np.array([[1.0 + 0j]])),
-    2: dict(mult=2, sa=True, sharp=False, sign=-1, star=False,
+    1: dict(mult=1, sa=False, sharp=False, sign=+1, star=True, target=0,
+            point=("det_parity", "Z2"), neutral=np.array([[1.0 + 0j]]), rotation=((_V, 2),)),
+    2: dict(mult=2, sa=True, sharp=False, sign=-1, star=False, target=1, rotation=None,
             point=("pf_parity", "Z2"), neutral=_I2),
-    3: dict(mult=2, sa=False, sharp=True, sign=+1, star=False, point=None,
-            neutral=np.eye(2, dtype=complex)),
-    4: dict(mult=4, sa=True, sharp=True, sign=+1, star=True,
+    3: dict(mult=2, sa=False, sharp=True, sign=+1, star=False, target=2, point=None,
+            neutral=np.eye(2, dtype=complex), rotation=((_V, 2), (_Q, 4), (_W, 2))),
+    4: dict(mult=4, sa=True, sharp=True, sign=+1, star=True, target=3, rotation=None,
             point=("quarter_trace", "Z"), neutral=np.diag([1.0 + 0j, 1.0, -1.0, -1.0])),
-    5: dict(mult=2, sa=False, sharp=True, sign=+1, star=True, point=None,
-            neutral=np.eye(2, dtype=complex)),
-    6: dict(mult=2, sa=True, sharp=True, sign=-1, star=False, point=None, neutral=_I2),
-    "KU0": dict(mult=2, sa=True, sharp=False, sign=None, star=None,
-                point=("half_trace", "Z"), neutral=np.diag([1.0 + 0j, -1.0])),
-    "KU1": dict(mult=1, sa=False, sharp=False, sign=None, star=None, point=None,
-                neutral=np.array([[1.0 + 0j]])),
+    5: dict(mult=2, sa=False, sharp=True, sign=+1, star=True, target=4, point=None,
+            neutral=np.eye(2, dtype=complex), rotation=((_X, 4),)),
+    6: dict(mult=2, sa=True, sharp=True, sign=-1, star=False, target=5, rotation=None,
+            point=None, neutral=_I2),
+    "KU0": dict(mult=2, sa=True, sharp=False, sign=None, star=None, target="KU1",
+                rotation=None, point=("half_trace", "Z"), neutral=np.diag([1.0 + 0j, -1.0])),
+    "KU1": dict(mult=1, sa=False, sharp=False, sign=None, star=None, target="KU0",
+                point=None, neutral=np.array([[1.0 + 0j]]), rotation=((_V, 2),)),
 }
 
 

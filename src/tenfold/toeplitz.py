@@ -6,9 +6,9 @@ coefficients plus a finite correction supported on the first `window`
 basis slots.  All arithmetic is exact over rational complex numbers, so
 the index computations of the Calkin picture verify with zero residual.
 
-Class facts are not restated here: the class table, structure matrices
-and neutral blocks come from `symclass`, the target map and the boundary
-conjugators from `boundary`, read off exactly as Gaussian-integer
+Class facts are not restated here: the class table (with its target
+column), structure matrices and neutral blocks come from `symclass`, the
+boundary conjugators from `boundary`, read off exactly as Gaussian-integer
 matrices over a power of sqrt(2).
 """
 
@@ -22,7 +22,7 @@ import operator
 import numpy as np
 
 from .basespace import FnElement, sample_space
-from .boundary import TARGET, boundary_conjugator
+from .boundary import boundary_conjugator
 from .matcore import CONSTRUCTION_TOL
 from .serialize import _finite_int, _number
 from .symclass import class_spec, class_structure, neutral, symmetrize
@@ -540,7 +540,7 @@ def calkin_boundary(v: ShiftAlgElement, i) -> CalkinBoundaryResult:
     if not check_membership_quotient(v, i):
         raise ValueError(f"symbol of v is not a class-{i} unitary over the circle")
     a = symmetrize_exact(v, i)
-    j = TARGET[i]
+    j = class_spec(i)["target"]
     if class_spec(i)["sa"]:
         out = exp_unitary_exact(a)
     else:

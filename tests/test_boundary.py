@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
                                apply_full_involution, constant_element,
                                extend_contraction, ideal_base, restrict,
                                sample_space, scalar_algebra, ses_registry)
-from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP, TARGET,
+from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               _conjugator_perm, _odd_isometry, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
@@ -387,39 +389,66 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
 
 
 def test_boundary_conjugators():
-    assert np.array_equal(boundary_conjugator(1, 6), matcore.conjugator_v(3))
-    y = boundary_conjugator(-1, 2)
-    assert np.allclose(y, matcore.conjugator_w(1))  # V_2 is trivial
-    y3 = boundary_conjugator(3, 4)
-    assert np.allclose(y3, matcore.conjugator_v(2) @ matcore.conjugator_q(1)
-                       @ matcore.conjugator_w(2))
+    """Each odd row's rotation is the product its class's frame rule names,
+    byte for byte, at every dim it splits."""
+    v, w, q, x = (matcore.conjugator_v, matcore.conjugator_w, matcore.conjugator_q,
+                  matcore.conjugator_x)
+    products = {1: (2, lambda d: v(d // 2)), "KU1": (2, lambda d: v(d // 2)),
+                -1: (2, lambda d: v(d // 2) @ w(d // 2)),
+                3: (4, lambda d: v(d // 2) @ q(d // 4) @ w(d // 2)),
+                5: (4, lambda d: x(d // 4))}
+    for i, (step, product) in products.items():
+        for dim in range(step, 25, step):
+            assert np.array_equal(boundary_conjugator(i, dim), product(dim))
+    assert np.allclose(boundary_conjugator(-1, 2), matcore.conjugator_w(1))  # V_2 is trivial
     with pytest.raises(ValueError):
         boundary_conjugator(0, 4)
 
 
-@pytest.mark.parametrize("i", [1, -1, 3, 5])
+@pytest.mark.parametrize("i,dim", [(5, 6), (1, 3), ("KU1", 3), (-1, 5), (3, 6), (3, 2)])
+def test_boundary_conjugator_refuses_dims_its_rotation_cannot_split(i, dim):
+    with pytest.raises(ValueError, match=re.escape(f"class {i!r} at dim {dim}:")):
+        boundary_conjugator(i, dim)
+
+
+def test_target_column():
+    """The index map lowers the real degree by one mod 8 (-1 is 7) and
+    swaps self-adjoint and unitary classes; the complex classes swap."""
+    for i in range(-1, 7):
+        assert (class_spec(i)["target"] - (i - 1)) % 8 == 0
+    for i in CLASS_IDS:
+        assert class_spec(class_spec(i)["target"])["sa"] != class_spec(i)["sa"]
+    assert (class_spec("KU0")["target"], class_spec("KU1")["target"]) == ("KU1", "KU0")
+
+
+@pytest.mark.parametrize("i", [1, -1, 3, 5, "KU1"])
 def test_index_unitary_symmetries_per_class(i):
-    """B of a class-i lift satisfies the documented relation."""
-    dim = 2 if i in (1, -1) else 4
-    a = retract_contraction(symmetrize_lift(pt(0.4 * rand(dim)), i), "odd")
-    b = index_unitary(a).values[0]
+    """B of a class-i lift satisfies the documented relation, and the class
+    row's rotation y moves it into the target class: y diag(1_d, -1_d) y* is
+    the target's neutral stack and y B y* a target member over a point."""
+    if i in (1, -1):
+        a = retract_contraction(symmetrize_lift(pt(0.4 * rand(2)), i), "odd")
+        b = index_unitary(a).values[0]
     if i == 1:
         assert np.linalg.norm(b.T - b) < 1e-9
     if i == -1:
-        w = matcore.conjugator_w(dim)
+        w = matcore.conjugator_w(2)
         m = w @ b @ w.conj().T
         lhs = matcore.involute(m, "sharp_tilde")
         assert np.linalg.norm(lhs + m) < 1e-9
-    if i in (3, 5):
-        s = np.kron(np.eye(dim), matcore.J2)
+    j = class_spec(i)["target"]
+    rng = np.random.default_rng(43)
+    for blocks in (1, 2, 3):
+        dim = blocks * class_spec(i)["mult"]
         y = boundary_conjugator(i, 2 * dim)
-        m = y @ b @ y.conj().T
-        lhs = matcore.involute(m, s)
-        rhs = -m if i == 3 else m.conj().T
-        # class 3 results are skew for the plain structure after VQW, class 5
-        # results keep the sharp-transpose relation after X
-        if i == 5:
-            assert np.linalg.norm(lhs - rhs) < 1e-9
+        flat = np.diag([1.0] * dim + [-1.0] * dim)
+        stack = neutral(j, 2 * dim // class_spec(j)["mult"])
+        assert np.linalg.norm(y @ flat @ y.conj().T - stack) < 1e-14
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = retract_contraction(symmetrize_lift(pt(0.4 * x), i), "odd")
+        b = index_unitary(a).values[0]
+        rep = require_membership(pt(y @ b @ y.conj().T), j)
+        assert max(rep.residuals.values()) < 1e-13
 
 
 def test_w_sharp_tilde_is_minus_w_star():
@@ -512,7 +541,7 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
         lift = retract_contraction(sym, mode)
         vals = exp_unitary(lift).values
     lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
-    j = TARGET[i]
+    j = class_spec(i)["target"]
     result = FnElement(ideal_base(ses), vals)
     res = dict(require_membership(result, j, Algebra(result.base)).residuals)
     pinned = [result.values[p] for p in result.base.pinned]

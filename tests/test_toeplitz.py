@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tenfold import catalog, toeplitz as tp
-from tenfold.boundary import TARGET, symmetrize_lift
+from tenfold.boundary import symmetrize_lift
 from tenfold.symclass import CLASS_IDS, class_spec
 
 
@@ -527,7 +527,7 @@ def test_trivial_exact_targets():
     for v, i in cases:
         res = tp.calkin_boundary(v, i)
         assert (res.invariant_name, res.invariant) == ("trivial", 0)
-        assert res.class_id == TARGET[i]
+        assert res.class_id == class_spec(i)["target"]
 
 
 @pytest.mark.parametrize("i", CLASS_IDS)
