@@ -424,17 +424,38 @@ def extend_contraction(b: FnElement, ses: SESDescriptor,
     arc-linear on circles) and 'taper0' (natural scaled to 0 away from the
     closed set).  Restriction of the result equals b exactly on grid points.
     """
+    require_contraction(b)
+    return collar_extension(b, ses, strategy)
+
+
+def require_contraction(b: FnElement):
+    """Refuse values whose 2-norm exceeds 1 by more than EXTEND_NORM_TOL."""
     if np.max(np.linalg.norm(b.values, ord=2, axis=(1, 2))) > 1.0 + EXTEND_NORM_TOL:
         raise ValueError("input values must be contractions")
-    return collar_extension(b, ses, strategy)
+
+
+def _check_strategy(strategy: str):
+    if strategy not in LIFT_STRATEGIES:
+        raise ValueError(f"unknown extension strategy {strategy!r}")
+
+
+def collar_profile(ses: SESDescriptor, strategy: str = "natural"):
+    """(rho, k) with collar_extension(b, ses, strategy) at total point p equal
+    to the real multiple rho[p] b[k[p]], up to roundoff, where the collar has
+    one term per point (the disk's radial collar); None where it has more."""
+    _check_strategy(strategy)
+    index, weight, taper = ses.collar
+    if index.shape[1] != 1:
+        return None
+    rho = weight[:, 0] * taper if strategy == "taper0" else weight[:, 0]
+    return rho, index[:, 0]
 
 
 def collar_extension(b: FnElement, ses: SESDescriptor,
                      strategy: str = "natural") -> FnElement:
     """extend_contraction without its 2-norm check, for values already known
     to be contractions within EXTEND_NORM_TOL."""
-    if strategy not in LIFT_STRATEGIES:
-        raise ValueError(f"unknown extension strategy {strategy!r}")
+    _check_strategy(strategy)
     if b.base != ses.quotient:
         raise ValueError("values are not over the SES quotient")
     index, weight, taper = ses.collar

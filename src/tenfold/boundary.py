@@ -14,8 +14,8 @@ import numpy as np
 
 from . import matcore
 from .basespace import (EXTEND_NORM_TOL, Algebra, FnElement, SESDescriptor,
-                        collar_extension, extend_contraction, ideal_base,
-                        restrict, scalar_algebra)
+                        collar_extension, collar_profile, ideal_base,
+                        require_contraction, restrict, scalar_algebra)
 from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
                        neutral, require_membership, symmetrize)
 
@@ -60,18 +60,31 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
     return FnElement(y.base, _odd_isometry(y.values, retract=True)[0])
 
 
-def _odd_isometry(y: np.ndarray, retract: bool):
+def _odd_isometry(y: np.ndarray, retract: bool, profile=None):
     """The odd lift a of a value stack y and the 2d x d isometry c with
     cc* = [[aa*, a sqrt(1-a*a)], [sqrt(1-a*a) a*, 1-a*a]], from one
     w, V = eigh(y*y).  retract: a = y f(y*y) with f(w) = min(1/sqrt(w), 1);
     otherwise f = 1 and a = y must be a contraction.  a*a has the spectrum
-    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)]."""
+    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)].
+
+    profile (rho, k): y holds the distinct values of the stack with value
+    rho[p] y[k[p]] at point p, for real rho.  Its y*y is rho^2 y[k]*y[k],
+    so the eigh runs on the distinct values alone and t = rho^2 w[k],
+    aV = (yV)[k] rho f; a comes back as the factors (aV, V[k]) of a = aV V*,
+    for the caller to form where it reads it."""
     t, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
     top = y @ v
+    scale = None  # of the columns of top
+    if profile is not None:
+        rho, k = profile
+        top, v, t = top[k], v[k], (rho * rho)[:, None] * t[k]
+        scale = rho[:, None]
     if retract:
         f = np.minimum(1.0 / np.sqrt(np.maximum(t, ODD_EIG_FLOOR)), 1.0)
-        top *= f[:, None, :]
+        scale = f if scale is None else scale * f
         t = f * f * t
+    if scale is not None:
+        top *= scale[:, None, :]
     # the largest singular value of a is the root of the top of t
     norm = np.sqrt(max(t.max(), 0.0))
     if not norm <= 1.0 + CONTRACTION_TOL:
@@ -82,8 +95,10 @@ def _odd_isometry(y: np.ndarray, retract: bool):
         raise ValueError(f"matrix has eigenvalue {low.min():.3e} below -{INDEX_SQRT_TOL:.1e}"
                          f" at stack index {low.argmin()}")
     s[s <= INDEX_ZERO_SNAP] = 0.0
-    a = top @ v.conj().swapaxes(1, 2)
-    return a, np.concatenate((top, v * np.sqrt(s)[:, None, :]), axis=1)
+    c = np.concatenate((top, v * np.sqrt(s)[:, None, :]), axis=1)
+    if profile is not None:
+        return (top, v), c
+    return top @ v.conj().swapaxes(1, 2), c
 
 
 def _reflection(c: np.ndarray) -> np.ndarray:
@@ -135,12 +150,18 @@ def _conjugator_perm(i, dim: int):
 @dataclass
 class BoundaryResult:
     rep: KOClassRep
-    lift: FnElement
+    _lift: object  # the lift, or a function that forms it on first read
     residuals: dict = field(default_factory=dict)
 
     @property
     def element(self) -> FnElement:
         return self.rep.element
+
+    @property
+    def lift(self) -> FnElement:
+        if callable(self._lift):
+            self._lift = self._lift()
+        return self._lift
 
 
 def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natural",
@@ -151,26 +172,35 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     membership there; the output is a checked class-(i-1) representative
     over the ideal, with neutral values on the closed set.
     """
-    quot_alg = scalar_algebra(ses.quotient)
-    unitary = require_membership(u, i, quot_alg, tol).residuals["unitary"]
     if u.base != ses.quotient:
         raise MembershipError("input does not live over the SES quotient")
-
+    quot_alg = scalar_algebra(ses.quotient)
+    unitary = require_membership(u, i, quot_alg, tol).residuals["unitary"]
     # ||u||^2 = ||u*u|| <= 1 + the unitary residual r, so ||u|| <= 1 + r/2:
     # within EXTEND_NORM_TOL the input is a contraction without an SVD
-    extend = collar_extension if 0.5 * unitary <= EXTEND_NORM_TOL else extend_contraction
-    ext = extend(u, ses, lift_strategy)
-    total_alg = scalar_algebra(ses.total)
-    sym = symmetrize_lift(ext, i, total_alg)
-    mode = "even" if class_spec(i)["sa"] else "odd"
-    if mode == "odd":
-        a, c = _odd_isometry(sym.values, retract=True)
-        lift = FnElement(sym.base, a)
-    else:
-        lift = retract_contraction(sym, mode)
+    if 0.5 * unitary > EXTEND_NORM_TOL:
+        require_contraction(u)
 
-    back = restrict(lift, ses)
-    lift_residual = float(np.max(np.abs(back.values - u.values)))
+    mode = "even" if class_spec(i)["sa"] else "odd"
+    profile = collar_profile(ses, lift_strategy) if mode == "odd" else None
+    if profile is not None:
+        # the extension is rho[p] u[k[p]]: the involutions permute the closed
+        # set as they permute k and leave rho fixed, so symmetrizing u on the
+        # quotient symmetrizes the extension, whose spectra are the closed set's
+        (top, v), c = _odd_isometry(symmetrize_lift(u, i, quot_alg).values, True, profile)
+        closed = list(ses.closed_flat)
+        back = top[closed] @ v[closed].conj().swapaxes(1, 2)
+        lift = lambda: FnElement(ses.total, top @ v.conj().swapaxes(1, 2))
+    else:
+        ext = collar_extension(u, ses, lift_strategy)
+        sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
+        if mode == "odd":
+            a, c = _odd_isometry(sym.values, retract=True)
+            lift = FnElement(sym.base, a)
+        else:
+            lift = retract_contraction(sym, mode)
+        back = restrict(lift, ses).values
+    lift_residual = float(np.max(np.abs(back - u.values)))
     if lift_residual > LIFT_RESTRICTION_TOL:
         raise MembershipError(
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")

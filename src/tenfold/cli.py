@@ -134,7 +134,7 @@ def cmd_boundary(args):
     u, _ = _parse_element(_read_json(args.input))
     try:
         res = boundary_map(u, i, ses, args.lift, tol=args.tol)
-    # MembershipError, or e.g. a class-2 basepoint value that is not skew
+    # MembershipError, or e.g. input values that are not contractions
     except ValueError as exc:
         print(f"error: {exc} {getattr(exc, 'residuals', '')}", file=sys.stderr)
         return EXIT_MEMBERSHIP

@@ -5,14 +5,15 @@ import pytest
 
 from tenfold import matcore
 from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
-                               apply_full_involution, constant_element,
+                               apply_full_involution, collar_extension,
+                               collar_profile, constant_element,
                                extend_contraction, ideal_base, restrict,
                                sample_space, scalar_algebra, ses_registry)
 from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               _conjugator_perm, _odd_isometry, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
-from tenfold.invariants import InvariantError, signature
+from tenfold.invariants import InvariantError, catalog_has, signature
 from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
@@ -290,6 +291,20 @@ def test_odd_isometry_columns_are_orthonormal(dim):
         assert np.max(np.abs(iso.conj().swapaxes(1, 2) @ iso - np.eye(dim))) < 1e-13
 
 
+def test_factored_isometry_guards_name_the_total_point():
+    """With a profile the guards read the per-point spectra rho^2 tau[k]:
+    a rim value just above norm 1 is refused where rho is 1, at its
+    total-space stack index, and passes where rho shrinks it."""
+    w = np.stack([0.5 * random_unitary(2, RNG) for _ in range(3)])
+    w[2] = (1 + 0.8e-7) * random_unitary(2, RNG)
+    rho, k = np.repeat([0.5, 1.0], 3), np.tile(np.arange(3), 2)
+    with pytest.raises(ValueError, match=r"below -1\.0e-07 at stack index 5$"):
+        _odd_isometry(w, False, (rho, k))
+    _odd_isometry(w, False, (rho[:3], k[:3]))
+    (top, v), c = _odd_isometry(w, True, (rho, k))
+    assert np.all(c[5, 2:] == 0)  # retracted to a unitary there: the zero snap
+
+
 def test_index_unitary_refusal_order():
     """Above 1 + CONTRACTION_TOL the norm refuses first; just below it the
     spectrum of 1 - a*a dips under -INDEX_SQRT_TOL and its guard refuses."""
@@ -358,6 +373,18 @@ def test_exp_unitary_respects_direct_sums_exactly():
     assert np.array_equal(ab, block_diag(ea, eb))
 
 
+def _factored_per_point(u, i, ses, lift_strategy):
+    """boundary_map's factored odd construction one total point at a time:
+    each point's rim value of the quotient-symmetrized input with its own
+    profile value; (lift values, isometries)."""
+    rho, k = collar_profile(ses, lift_strategy)
+    w = symmetrize_lift(u, i, scalar_algebra(ses.quotient)).values
+    one = [_odd_isometry(w[k[p]:k[p] + 1], True, (rho[p:p + 1], np.zeros(1, int)))
+           for p in range(len(k))]
+    lift = np.concatenate([top @ v.conj().swapaxes(1, 2) for (top, v), _ in one])
+    return lift, np.concatenate([c for _, c in one])
+
+
 @pytest.mark.parametrize("ses_name,i", [("disk-zeta", 1), ("disk-zeta", "KU1"),
                                        ("disk-id", 1), ("disk-id", "KU1"),
                                        ("circle-zeta", 5), ("circle-sigma", 5),
@@ -365,7 +392,8 @@ def test_exp_unitary_respects_direct_sums_exactly():
 def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
     """Where the frame rotation y is a permutation matrix, the row gather
     c[:, perm] equals the product y c, and boundary_map's image equals
-    2(yc)(yc)* - 1 by matmul byte for byte."""
+    2(yc)(yc)* - 1 by matmul byte for byte.  On the disks a and c come from
+    the factored construction run one grid point at a time."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
@@ -376,9 +404,12 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
         u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
         for lift in LIFT_STRATEGIES:
             got = boundary_map(u, i, ses, lift)
-            sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
-                                  scalar_algebra(ses.total))
-            a, c = _odd_isometry(sym.values, retract=True)
+            if collar_profile(ses, lift) is not None:
+                a, c = _factored_per_point(u, i, ses, lift)
+            else:
+                sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
+                                      scalar_algebra(ses.total))
+                a, c = _odd_isometry(sym.values, retract=True)
             assert a.tobytes() == got.lift.values.tobytes()
             # equal values; the bytes differ in the sign of some zeros, both
             # ways, and the image keeps none of them
@@ -458,6 +489,71 @@ def test_w_sharp_tilde_is_minus_w_star():
                               + w.conj().T) < 1e-14
 
 
+def test_boundary_checks_the_base_before_membership():
+    """A loop over another SES's quotient is refused for its base, not for
+    a membership it was never meant to pass."""
+    q = ses_registry("disk-zeta").quotient
+    z = q.points[:, 0] + 1j * q.points[:, 1]
+    with pytest.raises(MembershipError, match="input does not live over the SES quotient"):
+        boundary_map(FnElement(q, z[:, None, None] * np.eye(1)), -1, ses_registry("disk-id"))
+
+
+ODD_CLASSES = (-1, 1, 3, 5, "KU1")
+
+
+@pytest.mark.parametrize("resolution", [(9, 16), (17, 32), None])
+@pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
+def test_factored_disk_path_matches_full_stack(ses_name, resolution):
+    """On the radial collar the lift is rho[p] times the quotient's
+    symmetrized value at k[p], and boundary_map's image, lift and signature
+    agree with the isometry of the whole symmetrized extension."""
+    ses = ses_registry(ses_name, resolution)
+    rng = np.random.default_rng([sum(map(ord, ses_name)), ses.total.npoints])
+    ibase = ideal_base(ses)
+    seen = signed = 0
+    for i in ODD_CLASSES:
+        j = class_spec(i)["target"]
+        for dim in (1, 2, 4):
+            if dim % class_spec(i)["mult"]:
+                continue
+            u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
+            w = symmetrize_lift(u, i, scalar_algebra(ses.quotient)).values
+            for lift in LIFT_STRATEGIES:
+                rho, k = collar_profile(ses, lift)
+                sym = symmetrize_lift(collar_extension(u, ses, lift), i,
+                                      scalar_algebra(ses.total)).values
+                assert np.max(np.abs(sym - rho[:, None, None] * w[k])) < 1e-14
+                a, c = _odd_isometry(sym, True)
+                image = _reflection(boundary_conjugator(i, 2 * dim) @ c)
+                got = boundary_map(u, i, ses, lift)
+                assert np.max(np.abs(got.element.values - image)) < 1e-13
+                assert np.max(np.abs(got.lift.values - a)) < 1e-13
+                want = require_membership(FnElement(ibase, image), j, Algebra(ibase))
+                if catalog_has(want):
+                    assert signature(got.rep).values() == signature(want).values()
+                    signed += 1
+                seen += 1
+    assert (seen, signed) == (26, 16 if ses_name == "disk-id" else 18)
+
+
+def test_factored_lift_is_formed_on_first_read():
+    """The disk's lift is the eager product of _odd_isometry's factors, byte
+    for byte, formed once on first read; a circle's lift is formed at once."""
+    ses = ses_registry("disk-zeta", (17, 32))
+    u = random_class_element(ses.quotient, 1, 2, RNG, fourier=2)
+    res = boundary_map(u, 1, ses, "taper0")
+    assert callable(res._lift)
+    w = symmetrize_lift(u, 1, scalar_algebra(ses.quotient)).values
+    (top, v), _ = _odd_isometry(w, True, collar_profile(ses, "taper0"))
+    lift = res.lift
+    assert lift.base == ses.total
+    assert lift.values.tobytes() == (top @ v.conj().swapaxes(1, 2)).tobytes()
+    assert res.lift is lift
+    circle = ses_registry("circle-zeta", 32)
+    u = random_class_element(circle.quotient, 1, 2, RNG, fourier=2)
+    assert isinstance(boundary_map(u, 1, circle)._lift, FnElement)
+
+
 def test_boundary_requires_quotient_membership():
     ses = ses_registry("circle-zeta", 32)
     bad = FnElement(ses.quotient, np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex))
@@ -527,16 +623,23 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     """boundary_map as written with a 2-norm SVD in extend_contraction, a
     norm per pinned point for the unitization and neutral-value residuals,
     and one odd lift and isometry per grid point with the frame rotation as
-    a product: (element values, lift values, residuals)."""
+    a product (on the disks, of the factored construction): (element
+    values, lift values, residuals)."""
     require_membership(u, i, scalar_algebra(ses.quotient))
     ext = extend_contraction(u, ses, lift_strategy)
     sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
     mode = "even" if class_spec(i)["sa"] else "odd"
     if mode == "odd":
         y = boundary_conjugator(i, 2 * u.dim)
-        one = [_odd_isometry(sym.values[p:p + 1], retract=True) for p in range(len(sym.values))]
-        lift = FnElement(sym.base, np.concatenate([a for a, _ in one]))
-        vals = np.concatenate([_reflection(y @ c) for _, c in one])
+        if collar_profile(ses, lift_strategy) is not None:
+            a, c = _factored_per_point(u, i, ses, lift_strategy)
+            lift = FnElement(sym.base, a)
+            vals = np.concatenate([_reflection(y @ c[p:p + 1]) for p in range(len(c))])
+        else:
+            one = [_odd_isometry(sym.values[p:p + 1], retract=True)
+                   for p in range(len(sym.values))]
+            lift = FnElement(sym.base, np.concatenate([a for a, _ in one]))
+            vals = np.concatenate([_reflection(y @ c) for _, c in one])
     else:
         lift = retract_contraction(sym, mode)
         vals = exp_unitary(lift).values

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tenfold import cli, serialize, toeplitz
+from tenfold import basespace, cli, serialize, toeplitz
 from tenfold.basespace import FnElement, sample_space
 from tenfold.symclass import neutral
 
@@ -124,11 +124,27 @@ def test_boundary_toeplitz(tmp_path, capsys):
                                   "sphere_ko6", "sphere3_ko5"])
 def test_boundary_basepoint_not_skew_exits_membership(name, tmp_path, capsys):
     # class 2 reads the Pfaffian of the pinned basepoint value, which these
-    # elements of even dimension do not make skew
+    # elements of even dimension do not make skew; but they live over their
+    # own grids, not over circle-id's quotient (a point), and boundary checks
+    # the base before membership.  test_classify_reports_basepoint_not_skew
+    # reads the non-skew basepoint
     p = tmp_path / "u.json"
     assert run(["catalog", "--emit", name, "--resolution", "16", "--out", str(p)]) == 0
     assert run(["boundary", str(p), "--ses", "circle-id", "--class", "2"]) == 2
-    assert "skew" in capsys.readouterr().err
+    assert "input does not live over the SES quotient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ses", ["disk-id", "circle-zeta"])
+def test_boundary_refuses_non_contraction(ses, tmp_path, capsys):
+    """A class -1 loop of norm 1 + 1e-6 passes membership at --tol 1e-5 but
+    is no contraction: every SES refuses it with the same message."""
+    q = basespace.ses_registry(ses).quotient
+    z = q.points[:, 0] + 1j * (q.points[:, 1] if q.points.shape[1] > 1 else 0)
+    p = tmp_path / "u.json"
+    write_element(p, q, (1 + 1e-6) * z[:, None, None] * np.eye(1))
+    assert run(["boundary", str(p), "--ses", ses, "--class", "-1", "--tol", "1e-5"]) == 2
+    err = capsys.readouterr().err
+    assert "input values must be contractions" in err and "Traceback" not in err
 
 
 def test_classify_reports_basepoint_not_skew(tmp_path, capsys):
