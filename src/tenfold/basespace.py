@@ -296,10 +296,12 @@ def apply_full_involution(u: FnElement, minv) -> FnElement:
     if signed is None:
         pulled = u.values[u.base.inv_perm]
         return FnElement(u.base, s @ np.swapaxes(pulled, 1, 2) @ s.conj().T)
-    # S = diag(sign) P: entry (a, b) is sign_a sign_b u[perm_b, perm_a]
+    # S = diag(sign) P: entry (a, b) is sign_a sign_b u[perm_b, perm_a], one
+    # take from the flat stack, at (inv(p), perm_b, perm_a) in C order
     perm, sign = signed
-    out = np.ascontiguousarray(u.values[u.base.inv_perm][:, perm, perm[:, None]])
-    out *= np.outer(sign, sign)
+    d = u.dim
+    out = np.take(u.values, (u.base.inv_perm * (d * d))[:, None, None] + (perm * d + perm[:, None]))
+    out *= sign[:, None] * sign
     out += 0.0  # -0.0 to +0.0, which the product gives where u vanishes
     return FnElement(u.base, out)
 
@@ -312,7 +314,7 @@ def _signed_permutation(s: np.ndarray):
         return None
     perm = np.abs(s.real).argmax(axis=1)
     sign = s.real[np.arange(n), perm]
-    if (np.count_nonzero(s) != n or np.any(np.abs(sign) != 1.0)
+    if (np.count_nonzero(s) != n or (np.abs(sign) != 1.0).any()
             or np.bincount(perm, minlength=n).max() > 1):
         return None
     return perm, sign

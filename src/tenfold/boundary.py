@@ -73,18 +73,22 @@ def _odd_isometry(y: np.ndarray, retract: bool, profile=None):
     aV = (yV)[k] rho f; a comes back as the factors (aV, V[k]) of a = aV V*,
     for the caller to form where it reads it."""
     t, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
-    top = y @ v
-    scale = None  # of the columns of top
+    d = y.shape[2]
+    scale = None  # of the columns of aV
     if profile is not None:
         rho, k = profile
-        top, v, t = top[k], v[k], (rho * rho)[:, None] * t[k]
+        yv, v, t = (y @ v)[k], v[k], (rho * rho)[:, None] * t[k]
         scale = rho[:, None]
+    c = np.empty((len(v), 2 * d, d), dtype=complex)
+    top = c[:, :d]  # c is written in place: aV here, V sqrt(1 - t) below
+    if profile is None:
+        yv = np.matmul(y, v, out=top)
     if retract:
         f = np.minimum(1.0 / np.sqrt(np.maximum(t, ODD_EIG_FLOOR)), 1.0)
         scale = f if scale is None else scale * f
         t = f * f * t
     if scale is not None:
-        top *= scale[:, None, :]
+        np.multiply(yv, scale[:, None, :], out=top)
     # the largest singular value of a is the root of the top of t
     norm = np.sqrt(max(t.max(), 0.0))
     if not norm <= 1.0 + CONTRACTION_TOL:
@@ -95,7 +99,7 @@ def _odd_isometry(y: np.ndarray, retract: bool, profile=None):
         raise ValueError(f"matrix has eigenvalue {low.min():.3e} below -{INDEX_SQRT_TOL:.1e}"
                          f" at stack index {low.argmin()}")
     s[s <= INDEX_ZERO_SNAP] = 0.0
-    c = np.concatenate((top, v * np.sqrt(s)[:, None, :]), axis=1)
+    np.multiply(v, np.sqrt(s)[:, None, :], out=c[:, d:])
     if profile is not None:
         return (top, v), c
     return top @ v.conj().swapaxes(1, 2), c
@@ -104,7 +108,9 @@ def _odd_isometry(y: np.ndarray, retract: bool, profile=None):
 def _reflection(c: np.ndarray) -> np.ndarray:
     """2cc* - 1 for a stack of isometries c: the self-adjoint unitary whose
     +1 eigenspace is the range of c."""
-    return 2.0 * (c @ c.conj().swapaxes(1, 2)) - np.eye(c.shape[1])
+    b = c @ c.conj().swapaxes(1, 2)
+    b *= 2.0
+    return matcore.sub_identity(b)
 
 
 def index_unitary(a: FnElement) -> FnElement:

@@ -38,6 +38,14 @@ def _read_json(path):
         raise SystemExit_(EXIT_IO, f"cannot read element: {exc}")
 
 
+def _refuse(exc, code):
+    """Print a refusal to stderr and return its exit code: the message, and
+    the residuals only when the refusal carries any."""
+    residuals = getattr(exc, "residuals", None)
+    print(f"error: {exc} {residuals}" if residuals else f"error: {exc}", file=sys.stderr)
+    return code
+
+
 class SystemExit_(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -117,8 +125,7 @@ def cmd_boundary(args):
         try:
             res = toeplitz.calkin_boundary(el, i)
         except (ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MEMBERSHIP
+            return _refuse(exc, EXIT_MEMBERSHIP)
         out = {"class": class_to_json(res.class_id),
                "element": toeplitz.element_to_json(res.element),
                "signature": {res.invariant_name: res.invariant}}
@@ -127,8 +134,7 @@ def cmd_boundary(args):
     try:
         ses = ses_registry(args.ses, args.resolution)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return _refuse(exc, EXIT_UNSUPPORTED)
     except ValueError as exc:  # a resolution the space's grid cannot take
         raise SystemExit_(EXIT_IO, str(exc))
     u, _ = _parse_element(_read_json(args.input))
@@ -136,8 +142,7 @@ def cmd_boundary(args):
         res = boundary_map(u, i, ses, args.lift, tol=args.tol)
     # MembershipError, or e.g. input values that are not contractions
     except ValueError as exc:
-        print(f"error: {exc} {getattr(exc, 'residuals', '')}", file=sys.stderr)
-        return EXIT_MEMBERSHIP
+        return _refuse(exc, EXIT_MEMBERSHIP)
     rep = res.rep
     out = {"class": class_to_json(rep.class_id),
            "residuals": _residuals_clean(res.residuals),
@@ -155,8 +160,7 @@ def cmd_catalog(args):
         try:
             ent = catalog.entry(args.emit)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+            return _refuse(exc, EXIT_UNSUPPORTED)
         res = catalog.DEFAULT_RES if args.resolution is None else args.resolution
         try:
             obj = catalog.generator(args.emit, res)
@@ -251,8 +255,7 @@ def main(argv=None):
         # looked up at each call, so a rebound cmd_* name is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit_ as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return _refuse(exc, exc.code)
 
 
 if __name__ == "__main__":

@@ -263,21 +263,42 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
 
 
 def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Phases of det(a^H b) over stacks of (..., dim, rank) frames; at rank
-    1 and 2 the determinant is formed from the column overlaps."""
+    """Phases of det(a^H b) over stacks of (..., dim, rank) frames, with a
+    conjugated once; at rank 1 and 2 the determinant is formed from the
+    column overlaps, at rank 4 from the 2x2 minors of the overlap matrix."""
+    ah = np.conj(np.swapaxes(a, -1, -2))
+
     def overlap(i, j):
-        return np.einsum("...k,...k->...", a[..., i].conj(), b[..., j])
+        return np.einsum("...k,...k->...", ah[..., i, :], b[..., j])
 
     rank = a.shape[-1]
     if rank == 1:
         z = overlap(0, 0)
     elif rank == 2:
         z = overlap(0, 0) * overlap(1, 1) - overlap(0, 1) * overlap(1, 0)
+    elif rank == 4:
+        z = _det4(ah @ b)
     else:
-        z = np.linalg.det(np.conj(np.swapaxes(a, -1, -2)) @ b)
+        z = np.linalg.det(ah @ b)
     if np.min(np.abs(z)) < LINK_FLOOR:
         raise InvariantError("frame overlap nearly singular: resolution too coarse")
     return z / np.abs(z)
+
+
+# Laplace expansion of a 4x4 determinant along its first two rows: the 2x2
+# minor of rows 0, 1 on columns (j, k) times the minor of rows 2, 3 on the
+# complementary columns (p, q), each pair ordered to carry the term's sign
+_LAPLACE_COLS = np.array([[[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]],
+                          [[2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]]])
+
+
+def _det4(m: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., 4, 4) stack by Laplace expansion in 2x2 minors."""
+    r = [m[..., i, :] for i in range(4)]
+    (j, k), (p, q) = _LAPLACE_COLS
+    top = r[0][..., j] * r[1][..., k] - r[0][..., k] * r[1][..., j]
+    low = r[2][..., p] * r[3][..., q] - r[2][..., q] * r[3][..., p]
+    return np.einsum("...i,...i->...", top, low)
 
 
 def chern_of_projection(u: FnElement, frames: np.ndarray = None) -> int:

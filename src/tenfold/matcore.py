@@ -147,6 +147,14 @@ def frobenius_norms(m: np.ndarray) -> np.ndarray:
                     + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
+def sub_identity(m: np.ndarray) -> np.ndarray:
+    """m - 1 for a (..., d, d) stack, formed in place on the diagonal and
+    returned: the bits of m - np.eye(d) without a second stack."""
+    diagonal = np.einsum("...ii->...i", m)  # a writable view
+    diagonal -= 1.0
+    return m
+
+
 def psd_sqrt(m: np.ndarray, tol: float = PSD_CLIP_TOL, zero_snap: float = 0.0) -> np.ndarray:
     """Hermitian PSD square root of a matrix or a (..., d, d) stack;
     eigenvalues in [-tol, 0) are clipped to 0.

@@ -205,7 +205,7 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
         raise MembershipError("dimension incompatible with the algebra structure")
 
     ua = get("adjoint", u.adjoint)
-    res["unitary"] = get("unitary", lambda: worst(ua.values @ u.values - np.eye(u.dim)))
+    res["unitary"] = get("unitary", lambda: worst(matcore.sub_identity(ua.values @ u.values)))
     if spec["sa"]:
         res["self_adjoint"] = get("self_adjoint", lambda: worst(u.values - ua.values))
     s = class_structure(i, u.dim, algebra)
@@ -214,7 +214,8 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
         lhs = get(("involute", sharp), lambda: apply_full_involution(u, s))
         rhs = ua if star else u
         res["symmetry"] = get(("symmetry", sharp, star, sign),
-                              lambda: worst(lhs.values - sign * rhs.values))
+                              lambda: worst(lhs.values - rhs.values if sign > 0
+                                            else lhs.values + rhs.values))
 
     ok = all(v <= tol for v in res.values())
     if u.base.pinned:

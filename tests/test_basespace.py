@@ -82,7 +82,7 @@ def _values_with_zeros(base, dim):
 
 def _structures():
     quaternionic = Algebra(sample_space("point"), 1, matcore.J2, "quaternionic")
-    for dim in (2, 4):
+    for dim in (2, 4, 8):
         for i in CLASS_IDS:
             for alg in (None, quaternionic):
                 try:
@@ -101,12 +101,20 @@ def _structures():
 
 
 def test_signed_permutation_structures_match_the_product_bit_for_bit():
+    """The one-take gather equals the matrix product at dims 2, 4 and 8, on
+    C-ordered values and on values held transposed (as an adjoint holds
+    them)."""
     base = sample_space("disk", (5, 8), "zeta")
     for name, s in _structures():
         assert _signed_permutation(s) is not None, name
-        u = FnElement(base, _values_with_zeros(base, len(s)))
-        want = _involution_reference(u, s)
-        assert apply_full_involution(u, s).values.tobytes() == want.tobytes(), name
+        vals = _values_with_zeros(base, len(s))
+        transposed = np.ascontiguousarray(vals.swapaxes(1, 2)).swapaxes(1, 2)
+        assert not transposed.flags.c_contiguous
+        for layout in (vals, transposed):
+            u = FnElement(base, layout)
+            want = _involution_reference(u, s)
+            got = apply_full_involution(u, s).values
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_other_structures_take_the_general_path():

@@ -102,12 +102,15 @@ def test_help_exits_0(args, capsys):
     assert capsys.readouterr().out.startswith("usage: tenfold")
 
 
-def test_boundary_membership_failure(tmp_path):
+def test_boundary_membership_failure(tmp_path, capsys):
     q = sample_space("twopoints", involution="id")
     p = tmp_path / "bad.json"
     write_element(p, q, np.stack([np.eye(2, dtype=complex),
                                   2.0 * np.eye(2, dtype=complex)]))
     assert run(["boundary", str(p), "--ses", "circle-zeta", "--class", "0"]) == 2
+    # a refusal that carries residuals prints them after the message
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: element fails class-0 membership \{'unitary': .*\}\n", err)
 
 
 def test_boundary_toeplitz(tmp_path, capsys):
@@ -131,20 +134,21 @@ def test_boundary_basepoint_not_skew_exits_membership(name, tmp_path, capsys):
     p = tmp_path / "u.json"
     assert run(["catalog", "--emit", name, "--resolution", "16", "--out", str(p)]) == 0
     assert run(["boundary", str(p), "--ses", "circle-id", "--class", "2"]) == 2
-    assert "input does not live over the SES quotient" in capsys.readouterr().err
+    # the refusal carries no residuals, so nothing follows the message
+    assert capsys.readouterr().err == "error: input does not live over the SES quotient\n"
 
 
 @pytest.mark.parametrize("ses", ["disk-id", "circle-zeta"])
 def test_boundary_refuses_non_contraction(ses, tmp_path, capsys):
     """A class -1 loop of norm 1 + 1e-6 passes membership at --tol 1e-5 but
-    is no contraction: every SES refuses it with the same message."""
+    is no contraction: every SES refuses it with the same message, and
+    nothing follows the message."""
     q = basespace.ses_registry(ses).quotient
     z = q.points[:, 0] + 1j * (q.points[:, 1] if q.points.shape[1] > 1 else 0)
     p = tmp_path / "u.json"
     write_element(p, q, (1 + 1e-6) * z[:, None, None] * np.eye(1))
     assert run(["boundary", str(p), "--ses", ses, "--class", "-1", "--tol", "1e-5"]) == 2
-    err = capsys.readouterr().err
-    assert "input values must be contractions" in err and "Traceback" not in err
+    assert capsys.readouterr().err == "error: input values must be contractions\n"
 
 
 def test_classify_reports_basepoint_not_skew(tmp_path, capsys):

@@ -375,10 +375,11 @@ def _orthonormal(m):
     return np.linalg.qr(m)[0]
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_unit_links_match_det(rank):
-    """The rank-1 and rank-2 overlap forms and the general path give
-    det(a^H b) to roundoff, on contiguous and on column-strided frames."""
+    """The rank-1 and rank-2 overlap forms, the rank-4 Laplace expansion and
+    the general path (rank 3) give det(a^H b) to roundoff, on contiguous and
+    on column-strided frames."""
     rng = np.random.default_rng(70 + rank)
     for dim in sorted({rank, rank + 1, 2 * rank}):
         shape = (5, 7, dim, rank)

@@ -265,3 +265,21 @@ def test_frobenius_norms_match_norm_bit_for_bit(dim):
             want = np.array([np.linalg.norm(x) for x in m])
             assert mc.frobenius_norms(m).tobytes() == want.tobytes()
     assert mc.frobenius_norms(np.zeros((0, dim, dim), dtype=complex)).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_sub_identity_is_minus_eye_bit_for_bit(dim):
+    """The in-place diagonal subtraction gives the bytes of m - eye(dim),
+    signed zeros included, in C order, Fortran order and as a strided view,
+    and writes into the stack it is given."""
+    rng = np.random.default_rng(200 + dim)
+    m = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+    m.real[rng.random(m.shape) < 0.2] = -0.0
+    m.imag[rng.random(m.shape) < 0.2] = -0.0
+    want = (m - np.eye(dim)).tobytes()
+    wide = np.zeros((5, 2 * dim, 2 * dim), dtype=complex)
+    wide[:, ::2, ::2] = m
+    for layout in (m.copy(), np.asfortranarray(m), wide[:, ::2, ::2]):
+        assert mc.sub_identity(layout) is layout
+        assert layout.tobytes() == want
+    assert mc.sub_identity(np.zeros((0, dim, dim), dtype=complex)).shape == (0, dim, dim)

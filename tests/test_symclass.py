@@ -559,6 +559,23 @@ def test_classify_matches_reference_on_random_draws():
     assert drawn == set(CLASS_IDS)
 
 
+@pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
+def test_classify_matches_reference_on_disk_rank4_images(ses_name):
+    """The 8 x 8, rank-4 odd boundary images of dim-4 inputs on the disk,
+    as a 544-point stack: the in-place unitary residual and the symmetry
+    residual without sign * rhs read the reference's bits in every class
+    (test_classify_matches_reference_on_catalog covers the generators)."""
+    from tenfold.basespace import ses_registry
+    from tenfold.boundary import boundary_map
+    from tenfold.verify import random_class_element
+    rng = np.random.default_rng(2601)
+    ses = ses_registry(ses_name, (17, 32))
+    for i in (-1, 1, 3, 5, "KU1"):
+        rep = boundary_map(random_class_element(ses.quotient, i, 4, rng, fourier=2), i, ses).rep
+        assert rep.element.values.shape == (544, 8, 8)
+        _assert_classify_matches_reference(rep.element, rep.algebra)
+
+
 def test_membership_residuals_do_not_depend_on_memory_layout():
     """Equal value bytes held in C order, in Fortran order and as a strided
     view give equal residual reprs in every class."""
