@@ -199,15 +199,11 @@ def winding_pairs(u: FnElement) -> int:
     return w // 2
 
 
-# What pivoted Cholesky leaves of a rank-r projection after k < r steps is a
-# projection of rank r - k, so each pivot is at least 1/dim; below half that
-# p = (u+1)/2 is not a projection
-FRAME_PIVOT_FLOOR = 0.5
-# bound on the projection residual: the diagonal left after r steps and the
-# entries of C*C - 1.  Both vanish up to roundoff on a projection, and p
-# within e of one leaves about e (||p^2 - p|| = ||u^2 - 1||/4), so an element
-# whose unitarity residual is a few 1e-2 still reads; diag(0.6, -0.6),
-# gapped but not unitary, leaves 0.2
+# bound on the spectral distance of p = (u+1)/2 from a projection: each
+# eigenvalue from its target, 1 for the rank largest and 0 for the rest.  It
+# vanishes up to roundoff on a projection, and p within e of one is about e
+# away (||p^2 - p|| = ||u^2 - 1||/4), so an element whose unitarity residual
+# is a few 1e-2 still reads; diag(0.6, -0.6), gapped but not unitary, is 0.2
 FRAME_PROJECTION_TOL = 0.05
 
 
@@ -221,45 +217,17 @@ def _occupied_rank(diag: np.ndarray) -> int:
 
 
 def _occupied_frames(u: FnElement) -> np.ndarray:
-    """(npoints, dim, rank) orthonormal frames of the ranges of p = (u+1)/2.
-
-    Pivoted Cholesky on the whole stack, rank = rint(trace p) steps: each
-    takes the column of p at the largest diagonal entry left, less what the
-    earlier columns account for, over the root of that pivot.  The columns
-    are kept as rows, so the links read each one contiguously.
-    """
+    """(npoints, dim, rank) orthonormal frames of the ranges of p = (u+1)/2:
+    the eigenvectors of its rank = rint(trace p) largest eigenvalues."""
     n = u.dim
     p = 0.5 * (u.values + np.eye(n))
-    diag = np.diagonal(p, axis1=1, axis2=2)
-    rank = _occupied_rank(diag)
-    at = np.arange(len(p))
-    frames = np.zeros((len(p), rank, n), dtype=complex)
-    left = diag.real.copy()
-    residual = 0.0
-    for k in range(rank):
-        piv = np.argmax(left, axis=1)
-        pivot = left[at, piv]
-        if pivot.min() < FRAME_PIVOT_FLOOR / n:
-            raise InvariantError(f"pivot {pivot.min():.3g} below {FRAME_PIVOT_FLOOR}/{n}: "
-                                 "(u+1)/2 is not a projection")
-        # one elementwise update per earlier column: at ranks up to 4 this
-        # is faster than a batched matmul of k-wide rows
-        col = p[at, :, piv]
-        for j in range(k):
-            col -= frames[:, j] * frames[at, j, piv, None].conj()
-        col /= np.sqrt(pivot)[:, None]
-        norm2 = col.real ** 2 + col.imag ** 2
-        left -= norm2
-        # row k of C*C - 1
-        residual = max([residual, np.abs(norm2.sum(1) - 1.0).max()] + [
-            np.abs(np.einsum("pi,pi->p", frames[:, j].conj(), col)).max()
-            for j in range(k)])
-        frames[:, k] = col
-    residual = max(residual, np.abs(left).max())
-    if residual > FRAME_PROJECTION_TOL:
-        raise InvariantError(f"(u+1)/2 is {residual:.3g} from a projection "
+    rank = _occupied_rank(np.diagonal(p, axis1=1, axis2=2))
+    w, v = np.linalg.eigh(p)
+    distance = np.abs(w - (np.arange(n) >= n - rank)).max()
+    if distance > FRAME_PROJECTION_TOL:
+        raise InvariantError(f"(u+1)/2 is {distance:.3g} from a projection "
                              f"(bound {FRAME_PROJECTION_TOL})")
-    return frames.swapaxes(1, 2)
+    return v[:, :, n - rank:]
 
 
 def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -367,8 +335,7 @@ def winding3(u: FnElement) -> int:
     return _round_int(np.real(deg), "three-sphere winding", WINDING3_GUARD)
 
 
-def qc_half_trace(u: FnElement, algebra: Algebra = None,
-                  deconjugate: np.ndarray = None) -> int:
+def qc_half_trace(u: FnElement, deconjugate: np.ndarray = None) -> int:
     """Endpoint compression invariant for interval algebras whose values
     carry 2x2 inner blocks diagonal at t=1: half trace of the matrix of
     leading block entries at the endpoint."""
@@ -449,7 +416,7 @@ _D = {
     "chern": ("Z", lambda rep: chern_of_projection(rep.element, rep.frames)),
     "winding3": ("Z", lambda rep: winding3(rep.element)),
     "endpoint_half_trace": ("Z", lambda rep: qc_half_trace(
-        rep.element, rep.algebra, _deconjugator(rep))),
+        rep.element, _deconjugator(rep))),
 }
 
 

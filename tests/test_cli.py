@@ -1,10 +1,15 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenfold import basespace, cli, serialize, toeplitz
 from tenfold.basespace import FnElement, sample_space
@@ -701,3 +706,77 @@ def test_exact_numerator_within_bound_parses(tmp_path):
     doc["symbol"]["1"][0][1][1] = f"{2 ** bits}/3"
     with pytest.raises(ValueError, match="numerator"):
         toeplitz.element_from_json(doc)
+
+
+# -- the CLI contract as a property ----------------------------------------------
+
+# grid emits the contract is checked on: a circle, an interval with its
+# algebra, and the Chern generators, whose signatures come from the
+# reader's own frames
+_CONTRACT_EMITS = ("circle_zeta_k1", "x0", "torus_bott", "sphere_ko6")
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+                | st.floats() | st.text(max_size=4))
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@functools.cache
+def _emitted(name):
+    """`catalog --emit name --resolution 16`, as text."""
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["catalog", "--emit", name, "--resolution", "16",
+                         "--out", f"{d}/e.json"]) == 0
+        with open(f"{d}/e.json") as fh:
+            return fh.read()
+
+
+@st.composite
+def _mutated_emit(draw):
+    """A catalog emit with one mutation: an entry or all values changed, a
+    base field or the dim replaced, the pinned list redrawn, a key dropped,
+    or a top-level field of the wrong type."""
+    doc = json.loads(_emitted(draw(st.sampled_from(_CONTRACT_EMITS))))
+    values, base = doc["values"], doc["base"]
+    # most draws keep the document readable, so that membership and the
+    # invariant readers see them
+    kind = draw(st.sampled_from(["entry", "entry", "noise", "noise", "noise", "base",
+                                 "dim", "pinned", "drop", "type"]))
+    if kind == "entry":
+        p = draw(st.integers(0, len(values) - 1))
+        i, j = draw(st.integers(0, doc["dim"] - 1)), draw(st.integers(0, doc["dim"] - 1))
+        values[p][i][j][draw(st.integers(0, 1))] = draw(st.floats(-2, 2) | _JSON)
+    elif kind == "noise":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        a = np.array(values)
+        doc["values"] = (a + draw(st.sampled_from([1e-12, 1e-6, 1e-3, 3e-2, 0.3]))
+                         * rng.standard_normal(a.shape)).tolist()
+    elif kind == "base":
+        base[draw(st.sampled_from(sorted(base)))] = draw(_JSON)
+    elif kind == "dim":
+        doc["dim"] = draw(_JSON | st.integers(0, 8))
+    elif kind == "pinned":
+        base["pinned"] = draw(st.lists(st.integers(-2, len(values) + 2), max_size=3))
+    elif kind == "drop":
+        owner = draw(st.sampled_from([doc, base] + ([doc["alg"]] if "alg" in doc else [])))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    else:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_mutated_emit(), tol=st.sampled_from([[], ["--tol", "1e-2"], ["--tol", "1"]]))
+def test_classify_keeps_the_cli_contract_on_mutated_emits(doc, tol):
+    """Whatever a mutated emit holds, classify exits 0, 2, 3 or 4, no
+    exception escapes cli.main, and stdout is empty or one JSON document."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/doc.json"
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["classify", path, *tol])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue())

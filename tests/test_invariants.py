@@ -225,8 +225,9 @@ def test_chern_torus_rows_wrap(res):
 
 
 def _frames_reference(u):
-    """Orthonormal frames of the positive eigenspaces of u by eigh: the
-    frames chern_of_projection read before pivoted Cholesky."""
+    """Orthonormal frames of the positive eigenspaces of u by eigh of u
+    itself, with the gap at 0 as the only guard: an independent reading of
+    the frames that _occupied_frames takes from eigh of p = (u+1)/2."""
     w, v = np.linalg.eigh(u.values)
     if np.min(np.abs(w)) < 0.5:
         raise InvariantError("spectral gap at 0 closes on the grid")
@@ -237,8 +238,8 @@ def _frames_reference(u):
 
 
 def _assert_frames_match_reference(u):
-    """The Cholesky frames are an orthonormal frame of the range of p, and
-    give the eigh frames' flux sum and Chern number."""
+    """The reader's own frames are an orthonormal frame of the range of p,
+    and give the reference frames' flux sum and Chern number."""
     f = _occupied_frames(u)
     fh = np.conj(np.swapaxes(f, 1, 2))
     assert np.abs(fh @ f - np.eye(f.shape[2])).max() < 1e-12
@@ -314,7 +315,7 @@ def _classified_from_json(rep):
 @pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
 def test_chern_reads_boundary_frames(ses_name, res, lift):
     """An odd boundary image's rep carries the columns of its isometry as
-    frames; the signature read from them equals the Cholesky reading, with
+    frames; the signature read from them equals the reader's own, with
     flux sums equal within 1e-12, and so does a rep of the same element
     without frames (forgotten to KU0, or classified from its JSON)."""
     ses = ses_registry(ses_name, res)
@@ -440,22 +441,24 @@ def test_chern_reads_near_unitary_elements(name):
 
 
 def _unit_non_orthogonal():
-    """2p - 1 for p = c1 c1* + c2 c2*: pivoted Cholesky of p gives back c1
-    and c2, unit columns at angle arccos(0.548), with nothing left over."""
+    """2p - 1 for p = c1 c1* + c2 c2*, unit columns at angle arccos(0.548):
+    every diagonal entry of p is at most 1 and its trace is 2, but its
+    eigenvalues are 1 +- 0.548 and 0."""
     c1 = np.sqrt([0.7, 0.15, 0.15])
     c2 = np.sqrt([0.0, 0.5, 0.5])
     return 2.0 * (np.outer(c1, c1) + np.outer(c2, c2)) - np.eye(3)
 
 
-# after diag(0.6, -0.6), one case for each part of the projection residual:
-# the diagonal left after r steps (p = diag(1, 0.3)), a column norm
-# (p = diag(1.25, 0)) and the overlap of two columns
+# p = (u+1)/2 an eigenvalue away from its target of 1 or 0: 0.2 for
+# diag(0.6, -0.6), 0.3 above target 0 (p = diag(1, 0.3)), 0.25 above
+# target 1 (p = diag(1.25, 0)), and 0.548 for two non-orthogonal columns
 @pytest.mark.parametrize("value", [np.diag([0.6, -0.6]), np.diag([1.0, -0.4]),
                                    np.diag([1.5, -1.0]), _unit_non_orthogonal()])
 def test_chern_refuses_gapped_non_unitary(value):
     base = sample_space("torus2", (8, 8))
     u = constant_element(base, value.astype(complex))
-    with pytest.raises(InvariantError, match="from a projection"):
+    with pytest.raises(InvariantError, match=r"^\(u\+1\)/2 is 0\.[2-5]\d* from a projection "
+                                             r"\(bound 0\.05\)$"):
         chern_of_projection(u)
 
 
