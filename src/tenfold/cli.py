@@ -146,7 +146,7 @@ def cmd_boundary(args):
     rep = res.rep
     out = {"class": class_to_json(rep.class_id),
            "residuals": _residuals_clean(res.residuals),
-           "element": serialize.element_to_json(rep.element, rep.algebra)}
+           "element": serialize.element_doc(rep.element, rep.algebra)}
     if catalog_has(rep):
         out["signature"] = _signature(rep)
     _write_out(out, args.out)
@@ -169,8 +169,7 @@ def cmd_catalog(args):
         if ent.exact:
             _write_out(toeplitz.element_to_json(obj), args.out)
         else:
-            _write_out(serialize.element_to_json(obj.element, obj.algebra),
-                       args.out)
+            _write_out(serialize.element_doc(obj.element, obj.algebra), args.out)
         return EXIT_OK
     rows = []
     for name in catalog.names():

@@ -91,28 +91,39 @@ def _dets_on_circle(u: FnElement) -> np.ndarray:
     return np.linalg.det(u.values)
 
 
-def _phase_sum(dets: np.ndarray, closed: bool, npoints: int) -> float:
-    if closed:
-        nxt = np.roll(dets, -1)
-    else:
-        nxt = dets[1:]
-        dets = dets[:-1]
-    inc = np.angle(nxt / dets)
+@np.errstate(all="ignore")  # a zero or overflowing step is refused below
+def _phase_sum(dets: np.ndarray, path) -> float:
+    """Sum of det's phase steps along `path`, grid point indices in order,
+    each step the angle of a determinant over the one before it.  A
+    vanishing determinant, or a step that is not finite (a determinant of
+    5e-324 before one near 1), has no phase and is refused at its grid
+    point."""
+    seg = dets[path]
+    steps = seg[1:] / seg[:-1]
+    if not (seg.all() and np.isfinite(steps).all()):
+        zero = np.flatnonzero(seg == 0)
+        if zero.size:
+            raise InvariantError(f"determinant vanishes at grid point {path[zero[0]]}")
+        k = np.flatnonzero(~np.isfinite(steps))[0]
+        raise InvariantError("determinant phase step is not finite from grid point "
+                             f"{path[k]} to {path[k + 1]}")
+    inc = np.angle(steps)
     if np.max(np.abs(inc)) > PHASE_STEP_MAX:
         raise InvariantError("determinant phase step exceeds pi/2: resolution too coarse "
-                             f"(largest step {np.max(np.abs(inc)):.4f} on {npoints} grid points)")
+                             f"(largest step {np.max(np.abs(inc)):.4f} on {len(dets)} grid points)")
     return float(np.sum(inc))
 
 
 def _top_arc(u: FnElement):
     """det u, and its phase summed over the top arc from 1 to -1 through i."""
-    dets, n = _dets_on_circle(u), u.base.npoints
-    return dets, _phase_sum(dets[: n // 2 + 1], closed=False, npoints=n)
+    dets = _dets_on_circle(u)
+    return dets, _phase_sum(dets, np.arange(u.base.npoints // 2 + 1))
 
 
 def winding_det(u: FnElement) -> int:
     """Winding number of det(u) around the circle."""
-    total = _phase_sum(_dets_on_circle(u), closed=True, npoints=u.base.npoints)
+    n = u.base.npoints
+    total = _phase_sum(_dets_on_circle(u), np.arange(n + 1) % n)
     return _round_int(total / (2.0 * np.pi), "winding")
 
 
@@ -131,9 +142,8 @@ def winding_half(u: FnElement, arc: str = "top") -> int:
     for v in (u.values[0], u.values[n // 2]):
         if np.linalg.norm(v - np.trace(v) / v.shape[0] * np.eye(v.shape[0])) > ROUND_GUARD:
             raise InvariantError("arc endpoint value is not scalar")
-    seg = dets[idx]
-    raw = _phase_sum(seg, closed=False, npoints=n)
-    defect = float(np.angle(seg[-1] * np.conj(seg[0])))
+    raw = _phase_sum(dets, idx)
+    defect = float(np.angle(dets[idx[-1]] * np.conj(dets[idx[0]])))
     return -_round_int((raw - defect) / (2.0 * np.pi), "half winding")
 
 

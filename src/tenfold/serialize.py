@@ -6,7 +6,8 @@
 
 Optional "alg" block carries the algebra's scalar block size, structure
 matrix, and label for non-scalar algebras.  Shift-algebra elements use the
-exact format from tenfold.toeplitz.
+exact format from tenfold.toeplitz.  element_doc holds the pairs as float
+arrays, which dumps writes as the text of element_to_json's nested lists.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import chain
 import json
 from json.encoder import encode_basestring_ascii
 import math
-import sys
 
 import numpy as np
 
@@ -73,9 +73,10 @@ def base_from_json(obj: dict) -> BaseSpace:
     return replace(base, pinned=pinned)
 
 
-def _cpx_to_json(m: np.ndarray):
-    """[re, im] pairs in place of the complex entries of an array."""
-    return np.stack([m.real, m.imag], -1).tolist()
+def _pairs(m: np.ndarray) -> np.ndarray:
+    """[re, im] pairs in place of the complex entries of an array: a float
+    array with one more axis, of length 2."""
+    return np.stack([m.real, m.imag], -1)
 
 
 def _number(x):
@@ -134,19 +135,32 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
+def _element(u: FnElement, algebra: Algebra, pairs) -> dict:
+    """The element's JSON document, each complex array written by pairs."""
     out = {
         "base": base_to_json(u.base),
         "dim": u.dim,
-        "values": _cpx_to_json(u.values),
+        "values": pairs(u.values),
     }
     if algebra is not None and algebra.label != "scalar":
         out["alg"] = {
             "dim_alg": algebra.dim_alg,
-            "struct": _cpx_to_json(algebra.struct),
+            "struct": pairs(algebra.struct),
             "label": algebra.label,
         }
     return out
+
+
+def element_doc(u: FnElement, algebra: Algebra = None) -> dict:
+    """The element's JSON document with values and alg.struct as (..., 2)
+    float arrays, which dumps writes as the text of element_to_json's lists."""
+    return _element(u, algebra, _pairs)
+
+
+def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
+    """The element's JSON document with values and alg.struct as nested
+    lists of [re, im] pairs."""
+    return _element(u, algebra, lambda m: _pairs(m).tolist())
 
 
 def element_from_json(obj: dict):
@@ -184,9 +198,9 @@ _LEAF = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
 def dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=1, allow_nan=False), byte for
     byte and with the same errors, written without json's generator per
-    node: a regular nested list whose leaves share one type (the element
-    arrays) becomes one join.  A container that holds itself raises
-    RecursionError, where json raises ValueError."""
+    node; an ndarray is written as its tolist() would be, a non-empty finite
+    float64 one (the element arrays) by one join of its leaves.  A container
+    that holds itself raises RecursionError, where json raises ValueError."""
     return _dump(obj, 0)
 
 
@@ -194,6 +208,10 @@ def _dump(obj, level: int) -> str:
     leaf = _LEAF.get(type(obj))
     if leaf is not None and (leaf is not float.__repr__ or math.isfinite(obj)):
         return leaf(obj)
+    if type(obj) is np.ndarray:
+        if obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            return _array(obj, level)
+        return _dump(obj.tolist(), level)
     pad = "\n" + " " * level
     if isinstance(obj, dict):
         if not obj:
@@ -205,9 +223,8 @@ def _dump(obj, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return (type(obj) is list and _block(obj, level)) or (
-            "[" + pad + " " + ("," + pad + " ").join(
-                _dump(v, level + 1) for v in obj) + pad + "]")
+        return "[" + pad + " " + ("," + pad + " ").join(
+            _dump(v, level + 1) for v in obj) + pad + "]"
     return "".join(_SCALAR.iterencode(obj))
 
 
@@ -219,30 +236,15 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _block(obj: list, level: int):
-    """Text of a regular nested list whose leaves share one _LEAF type (and
-    are finite floats); None for any other list.  The separator after a
-    leaf is set by how many trailing axes roll over there."""
-    shape, flat = [], [obj]
-    # bounded, for a list that holds itself never reaches its leaves
-    for _ in range(sys.getrecursionlimit()):
-        sizes = set(map(len, flat))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        shape.append(sizes.pop())
-        flat = list(chain.from_iterable(flat))
-        kinds = set(map(type, flat))
-        if len(kinds) != 1:
-            return None
-        kind = kinds.pop()
-        if kind is not list:
-            break
-    else:
-        return None
-    leaf = _LEAF.get(kind)
-    if leaf is None or kind is float and not all(map(math.isfinite, flat)):
-        return None
-    depth = len(shape)
+def _array(a: np.ndarray, level: int) -> str:
+    """The text of a.tolist() for a non-empty finite float64 array.  Each
+    distinct 64-bit pattern gets one float repr (so 0.0 and -0.0 stay
+    apart), gathered to the leaves; the separator after a leaf is set by
+    how many trailing axes roll over there."""
+    distinct, where = np.unique(a.reshape(-1).view(np.int64), return_inverse=True)
+    reprs = np.array([*map(float.__repr__, distinct.view(np.float64).tolist())],
+                     dtype=object)
+    depth = a.ndim
     pads = ["\n" + " " * (level + d) for d in range(depth + 1)]
     # closes[j] ends the j innermost lists, opens[j] starts them again
     closes = ["".join(pads[depth - 1 - m] + "]" for m in range(j))
@@ -250,9 +252,9 @@ def _block(obj: list, level: int):
     opens = ["".join("[" + pads[d + 1] for d in range(depth - j, depth))
              for j in range(depth + 1)]
     seps = []
-    for j, n in enumerate(reversed(shape)):
+    for j, n in enumerate(reversed(a.shape)):
         seps += ([closes[j] + "," + pads[depth - j] + opens[j]] + seps) * (n - 1)
-    parts = [None] * (2 * len(flat) - 1)
-    parts[::2] = map(leaf, flat)
+    parts = [None] * (2 * a.size - 1)
+    parts[::2] = reprs[where].tolist()
     parts[1::2] = seps
     return opens[depth] + "".join(parts) + closes[depth]

@@ -180,6 +180,9 @@ def classify(u: FnElement, algebra: Algebra = None, tol: float = matcore.DEFAULT
     return out
 
 
+# a finite entry past 1e154 overflows a product: its residual is inf or nan,
+# which refuses the class, and no warning is printed
+@np.errstate(over="ignore", invalid="ignore")
 def _membership(u: FnElement, i, algebra: Algebra, tol: float,
                 shared: dict) -> KOClassRep:
     """Membership of u in class i.  `shared` keeps the pieces every class

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tenfold import basespace, cli, serialize, toeplitz
 from tenfold.basespace import FnElement, sample_space
@@ -731,12 +731,10 @@ def _emitted(name):
             return fh.read()
 
 
-@st.composite
-def _mutated_emit(draw):
-    """A catalog emit with one mutation: an entry or all values changed, a
-    base field or the dim replaced, the pinned list redrawn, a key dropped,
-    or a top-level field of the wrong type."""
-    doc = json.loads(_emitted(draw(st.sampled_from(_CONTRACT_EMITS))))
+def _mutate(draw, doc):
+    """doc with one mutation: an entry or all values changed, a base field
+    or the dim replaced, the pinned list redrawn, a key dropped, or a
+    top-level field of the wrong type."""
     values, base = doc["values"], doc["base"]
     # most draws keep the document readable, so that membership and the
     # invariant readers see them
@@ -765,18 +763,114 @@ def _mutated_emit(draw):
     return doc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(doc=_mutated_emit(), tol=st.sampled_from([[], ["--tol", "1e-2"], ["--tol", "1"]]))
-def test_classify_keeps_the_cli_contract_on_mutated_emits(doc, tol):
-    """Whatever a mutated emit holds, classify exits 0, 2, 3 or 4, no
-    exception escapes cli.main, and stdout is empty or one JSON document."""
+@st.composite
+def _mutated_emit(draw):
+    return _mutate(draw, json.loads(_emitted(draw(st.sampled_from(_CONTRACT_EMITS)))))
+
+
+def _assert_contract(argv, doc):
+    """cli.main(argv) on doc's file exits 0, 2, 3 or 4, lets no exception
+    out, and prints nothing or one JSON document."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         path = f"{d}/doc.json"
         with open(path, "w") as fh:
             fh.write(json.dumps(doc))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["classify", path, *tol])
+            code = cli.main([argv[0], path, *argv[1:]])
     assert code in (0, 2, 3, 4), err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue())
+
+
+def _spoiled_emit(name, entry):
+    """The emit of name with the real part of its first value entry replaced."""
+    doc = json.loads(_emitted(name))
+    doc["values"][0][0][0][0] = entry
+    return doc
+
+
+_TOLS = st.sampled_from([[], ["--tol", "1e-2"], ["--tol", "1"]])
+
+
+# the two inputs whose overflow and zero division once printed a RuntimeWarning
+@example(doc=_spoiled_emit("sphere_ko6", -9.9e168), tol=[])
+@example(doc=_spoiled_emit("circle_zeta_k1", 0.0), tol=["--tol", "1"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_mutated_emit(), tol=_TOLS)
+def test_classify_keeps_the_cli_contract_on_mutated_emits(doc, tol):
+    """Whatever a mutated emit holds, classify exits 0, 2, 3 or 4, no
+    exception escapes cli.main, and stdout is empty or one JSON document."""
+    _assert_contract(["classify", *tol], doc)
+
+
+def _disk_id_loop_z():
+    quotient = basespace.ses_registry("disk-id", 16).quotient
+    z = quotient.points[:, 0] + 1j * quotient.points[:, 1]
+    return serialize.element_to_json(FnElement(quotient, z[:, None, None] * np.eye(1)))
+
+
+def _two_point(ses, a, b):
+    quotient = basespace.ses_registry(ses).quotient
+    return serialize.element_to_json(FnElement(quotient, np.stack([a, b]).astype(complex)))
+
+
+# boundary sources the contract is checked on, each with the arguments that
+# map it: the class -1 loop z on the disk, the class-1 circle generator on
+# the disk-zeta quotient, and the two-point even-class anchors
+_BOUNDARY_SOURCES = {
+    "disk-id z": (["--ses", "disk-id", "--class", "-1", "--resolution", "16"],
+                  _disk_id_loop_z),
+    "disk-zeta k1": (["--ses", "disk-zeta", "--class", "1", "--resolution", "16"],
+                     lambda: json.loads(_emitted("circle_zeta_k1"))),
+    "circle-zeta 0": (["--ses", "circle-zeta", "--class", "0"],
+                      lambda: _two_point("circle-zeta", np.eye(2), neutral(0, 1))),
+    "circle-zeta 4": (["--ses", "circle-zeta", "--class", "4"],
+                      lambda: _two_point("circle-zeta", np.eye(4), neutral(4, 1))),
+    "circle-sigma 2": (["--ses", "circle-sigma", "--class", "2"],
+                       lambda: _two_point("circle-sigma", np.eye(2), -np.eye(2))),
+    "circle-sigma 6": (["--ses", "circle-sigma", "--class", "6"],
+                       lambda: _two_point("circle-sigma", np.eye(2), -np.eye(2))),
+}
+
+
+@st.composite
+def _mutated_source(draw):
+    args, make = _BOUNDARY_SOURCES[draw(st.sampled_from(sorted(_BOUNDARY_SOURCES)))]
+    return args, _mutate(draw, make())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(source=_mutated_source(), lift=st.sampled_from(["natural", "taper0"]), tol=_TOLS)
+def test_boundary_keeps_the_cli_contract_on_mutated_sources(source, lift, tol):
+    """The same contract for boundary, through either lift."""
+    args, doc = source
+    _assert_contract(["boundary", *args, "--lift", lift, *tol], doc)
+
+
+@pytest.mark.parametrize("name, entry, tol, code, err", [
+    ("sphere_ko6", -9.9e168, [], 2, ""),
+    ("sphere_ko6", -9.9e168, ["--tol", "0.3"], 2, ""),
+    ("circle_zeta_k1", 0.0, ["--tol", "1"], 3,
+     "error: cannot read the invariants: determinant vanishes at grid point 0\n"),
+    ("circle_zeta_k1", 5e-324, ["--tol", "1"], 3,
+     "error: cannot read the invariants: determinant phase step is not finite "
+     "from grid point 0 to 1\n"),
+    ("circle_zeta_k1", 5e-324, [], 2, ""),
+])
+def test_classify_refuses_extreme_entries_without_warnings(
+        name, entry, tol, code, err, tmp_path, capsys):
+    """An entry that overflows the membership products, a zero determinant
+    and a 5e-324 one are refused by exit code and message, and no
+    RuntimeWarning (an error in this suite) gets out."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(_spoiled_emit(name, entry)))
+    capsys.readouterr()
+    assert run(["classify", str(p), *tol]) == code
+    out = capsys.readouterr()
+    assert out.err == err
+    if code == 2:  # the overflowing residuals are written as null
+        rows = json.loads(out.out)["classes"]
+        assert not any(r["ok"] for r in rows)
+        if entry != 5e-324:
+            assert all(r["residuals"]["unitary"] is None for r in rows)

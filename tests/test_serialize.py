@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tenfold import catalog, cli, serialize, toeplitz
 
@@ -18,11 +19,16 @@ def reference(obj):
 
 @pytest.mark.parametrize("resolution", [16, 64, 256])
 def test_catalog_elements_match_json(resolution):
+    """The document `catalog --emit` writes, its element arrays as float
+    arrays, against json's text of element_to_json's nested lists."""
     for name in catalog.names():
         obj = catalog.generator(name, resolution)
-        doc = (toeplitz.element_to_json(obj) if catalog.entry(name).exact
-               else serialize.element_to_json(obj.element, obj.algebra))
-        assert serialize.dumps(doc) == reference(doc), name
+        if catalog.entry(name).exact:
+            doc = lists = toeplitz.element_to_json(obj)
+        else:
+            doc = serialize.element_doc(obj.element, obj.algebra)
+            lists = serialize.element_to_json(obj.element, obj.algebra)
+        assert serialize.dumps(doc) == reference(lists), name
 
 
 def _cli_text(capsys, argv):
@@ -38,12 +44,11 @@ def test_cli_reports_match_json(tmp_path, capsys):
     huge = json.loads(grid.read_text())
     huge["values"][3][0][0][0] = 1e200  # an overflowing residual, written as null
     (tmp_path / "huge.json").write_text(json.dumps(huge))
-    with np.errstate(all="ignore"):
-        texts = [_cli_text(capsys, argv) for argv in (
-            ["catalog"], ["classify", str(grid)],
-            ["classify", str(tmp_path / "huge.json")],
-            ["boundary", str(point), "--ses", "circle-id", "--class", "0"],
-            ["boundary", str(shift), "--ses", "toeplitz", "--class", "2"])]
+    texts = [_cli_text(capsys, argv) for argv in (
+        ["catalog"], ["classify", str(grid)],
+        ["classify", str(tmp_path / "huge.json")],
+        ["boundary", str(point), "--ses", "circle-id", "--class", "0"],
+        ["boundary", str(shift), "--ses", "toeplitz", "--class", "2"])]
     assert "null" in texts[2]
     for text in texts + [p.read_text() for p in (grid, point, shift)]:
         assert text == reference(json.loads(text)) + "\n"
@@ -68,6 +73,47 @@ def test_refusals_match_json(obj):
         reference(obj)
     with pytest.raises(want.type) as got:
         serialize.dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+# -- float64 arrays: one repr per distinct bit pattern, joined by shape ----------------
+
+_ARRAY_FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, -1.0,
+                                  1.7976931348623157e308, -1.7976931348623157e308])
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _holding(x):
+    """A document holding x at three depths."""
+    return {"a": x, "b": [x, {"c": x}]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                                max_side=3), elements=_ARRAY_FLOATS))
+def test_float_arrays_match_json_of_tolist(a):
+    assert serialize.dumps(_holding(a)) == reference(_holding(a.tolist()))
+
+
+@pytest.mark.parametrize("a", [
+    np.array(1.5), np.array(-0.0), np.zeros(0), np.zeros((2, 0, 3)),
+    np.arange(6).reshape(2, 3), np.array([0.1, -0.0], dtype=np.float32),
+    np.array([[0.25, 1e300]]).T, np.array([True, False]), np.array(["a", "é"]),
+    np.array([1.0, -2.0]).astype(">f8"),
+])
+def test_other_arrays_match_json_of_tolist(a):
+    assert serialize.dumps(_holding(a)) == reference(_holding(a.tolist()))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([np.nan]), np.array([[0.0, 1.0], [np.inf, 2.0]]),
+    np.array([[[-np.inf]]]), np.array(np.nan), np.array([1j]),
+])
+def test_array_refusals_match_json_of_tolist(a):
+    with pytest.raises((TypeError, ValueError)) as want:
+        reference(_holding(a.tolist()))
+    with pytest.raises(want.type) as got:
+        serialize.dumps(_holding(a))
     assert str(got.value) == str(want.value)
 
 
