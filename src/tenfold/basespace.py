@@ -292,23 +292,31 @@ def apply_full_involution(u: FnElement, minv) -> FnElement:
         s = np.asarray(minv, dtype=complex)
     if s.shape[0] != u.dim:
         raise ValueError("structure matrix does not match element dimension")
-    signed = _signed_permutation(s)
-    if signed is None:
+    gather = _signed_permutation(s)
+    if gather is None:
         pulled = u.values[u.base.inv_perm]
         return FnElement(u.base, s @ np.swapaxes(pulled, 1, 2) @ s.conj().T)
-    # S = diag(sign) P: entry (a, b) is sign_a sign_b u[perm_b, perm_a], one
-    # take from the flat stack, at (inv(p), perm_b, perm_a) in C order
-    perm, sign = signed
+    # one take from the flat stack, at inv(p) * d*d plus the structure's offsets
+    offsets, signs = gather
     d = u.dim
-    out = np.take(u.values, (u.base.inv_perm * (d * d))[:, None, None] + (perm * d + perm[:, None]))
-    out *= sign[:, None] * sign
+    out = np.take(u.values, (u.base.inv_perm * (d * d))[:, None, None] + offsets)
+    out *= signs
     out += 0.0  # -0.0 to +0.0, which the product gives where u vanishes
     return FnElement(u.base, out)
 
 
 def _signed_permutation(s: np.ndarray):
-    """(perm, sign) with s[a, perm[a]] = sign[a] in {1, -1} its only nonzero
-    entries, if s is a real signed permutation matrix; else None."""
+    """(offsets, signs) if s is a real signed permutation matrix, else None:
+    S = diag(sign) P gives (S m^T S^-1)[a, b] = sign_a sign_b m[perm_b, perm_a],
+    so offsets[a, b] = perm_b d + perm_a indexes a C-ordered d x d matrix m and
+    signs[a, b] = sign_a sign_b.  Both are d x d, built once per structure
+    and returned read-only."""
+    return _signed_gather(s.dtype.str, s.shape, s.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_gather(dtype: str, shape: tuple, data: bytes):
+    s = np.frombuffer(data, dtype).reshape(shape)
     n = len(s)
     if s.shape != (n, n) or s.imag.any():
         return None
@@ -317,7 +325,9 @@ def _signed_permutation(s: np.ndarray):
     if (np.count_nonzero(s) != n or (np.abs(sign) != 1.0).any()
             or np.bincount(perm, minlength=n).max() > 1):
         return None
-    return perm, sign
+    offsets, signs = perm * n + perm[:, None], sign[:, None] * sign
+    offsets.flags.writeable = signs.flags.writeable = False
+    return offsets, signs
 
 
 def block_compress(v: np.ndarray, d: int) -> np.ndarray:

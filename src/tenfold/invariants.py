@@ -13,7 +13,7 @@ import numpy as np
 
 from . import matcore
 from .basespace import Algebra, FnElement, block_compress
-from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral
+from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral_pfaffian
 
 
 class InvariantError(ValueError):
@@ -81,7 +81,7 @@ def pf_sign(u: FnElement, p: int, algebra: Algebra = None) -> int:
     m = _outer_value(u, algebra, p)
     if np.linalg.norm(m + m.T) > ROUND_GUARD * max(1.0, np.linalg.norm(m)):
         raise InvariantError("value is not skew under transpose")
-    ratio = matcore.pfaffian(m) / matcore.pfaffian(neutral(2, m.shape[0] // 2))
+    ratio = matcore.pfaffian(m) / neutral_pfaffian(2, m.shape[0] // 2)
     return _sign_of_unit_real(ratio, "pfaffian ratio")
 
 

@@ -92,12 +92,21 @@ def class_to_json(i):
     return i if isinstance(i, str) else int(i)
 
 
+@functools.lru_cache(maxsize=64)
 def neutral(i, copies: int) -> np.ndarray:
-    """Block-diagonal stack of `copies` neutral blocks of class i."""
+    """Block-diagonal stack of `copies` neutral blocks of class i; built
+    once per (class, copies) and returned read-only."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    blk = class_spec(i)["neutral"]
-    return np.kron(np.eye(copies, dtype=complex), blk)
+    m = np.kron(np.eye(copies, dtype=complex), class_spec(i)["neutral"])
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=64)
+def neutral_pfaffian(i, copies: int) -> complex:
+    """matcore.pfaffian of neutral(i, copies), computed once per (class, copies)."""
+    return matcore.pfaffian(neutral(i, copies))
 
 
 _SCALAR_STRUCT = np.eye(1, dtype=complex)
@@ -188,17 +197,15 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
     """Membership of u in class i.  `shared` keeps the pieces every class
     of u may reuse: the adjoint, the unitary and self-adjoint residuals, the
     involuted element per structure, the symmetry residual per (structure,
-    star, sign), the pinned residual and the basepoint value."""
+    star, sign), the pinned residual and the basepoint value.  The residual
+    stacks that `shared` lacks are written into one buffer and read with one
+    frobenius_norms call."""
     def get(key, make):
         if key not in shared:
             shared[key] = make()
         return shared[key]
 
-    def worst(m):
-        return float(matcore.frobenius_norms(m).max())
-
     spec = class_spec(i)
-    res = {}
     d = algebra.dim_alg
     k, rem = divmod(u.dim, d)
     if rem or k % spec["mult"]:
@@ -208,17 +215,29 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
         raise MembershipError("dimension incompatible with the algebra structure")
 
     ua = get("adjoint", u.adjoint)
-    res["unitary"] = get("unitary", lambda: worst(matcore.sub_identity(ua.values @ u.values)))
+    # residual name -> its key in `shared` and the writer of its stack
+    stacks = {"unitary": ("unitary", lambda out: matcore.sub_identity(
+        np.matmul(ua.values, u.values, out=out)))}
     if spec["sa"]:
-        res["self_adjoint"] = get("self_adjoint", lambda: worst(u.values - ua.values))
+        stacks["self_adjoint"] = ("self_adjoint",
+                                  lambda out: np.subtract(u.values, ua.values, out=out))
     s = class_structure(i, u.dim, algebra)
     if s is not None:
         sharp, star, sign = spec["sharp"], spec["star"], spec["sign"]
         lhs = get(("involute", sharp), lambda: apply_full_involution(u, s))
         rhs = ua if star else u
-        res["symmetry"] = get(("symmetry", sharp, star, sign),
-                              lambda: worst(lhs.values - rhs.values if sign > 0
-                                            else lhs.values + rhs.values))
+        combine = np.subtract if sign > 0 else np.add
+        stacks["symmetry"] = (("symmetry", sharp, star, sign),
+                              lambda out: combine(lhs.values, rhs.values, out=out))
+    missing = [(key, write) for key, write in stacks.values() if key not in shared]
+    if missing:
+        buf = np.empty((len(missing),) + u.values.shape, dtype=complex)
+        for (_, write), out in zip(missing, buf):
+            write(out)
+        norms = matcore.frobenius_norms(buf.reshape(-1, u.dim, u.dim))
+        for (key, _), row in zip(missing, norms.reshape(len(missing), -1)):
+            shared[key] = float(row.max())
+    res = {name: shared[key] for name, (key, _) in stacks.items()}
 
     ok = all(v <= tol for v in res.values())
     if u.base.pinned:
@@ -252,7 +271,7 @@ def _lambda_trivial(lam: np.ndarray, i):
             pf = matcore.pfaffian(lam)
         except ValueError as exc:  # a value that is not skew has no Pfaffian
             return False, f"pf_ratio undefined: {exc}"
-        ratio = pf / matcore.pfaffian(neutral(i, lam.shape[0] // 2))
+        ratio = pf / neutral_pfaffian(i, lam.shape[0] // 2)
         return np.real(ratio) > 0, f"pf_ratio={_rounded(ratio):.3f}"
     t = np.real(np.trace(lam)) / spec["mult"]
     return abs(t) < BASEPOINT_TRACE_GUARD, f"{kind}={_rounded(t):.3f}"

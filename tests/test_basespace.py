@@ -117,6 +117,24 @@ def test_signed_permutation_structures_match_the_product_bit_for_bit():
             assert got.tobytes() == want.tobytes(), name
 
 
+def test_signed_permutation_gather_is_built_once_read_only():
+    """Each structure's decomposition is its d x d flat offsets and d x d
+    signs, read-only, the same objects on a repeat call (a fresh copy of the
+    structure included), and the entries of one involuted matrix."""
+    m = RNG.standard_normal((8, 8)) + 1j * RNG.standard_normal((8, 8))
+    for name, s in _structures():
+        d = len(s)
+        offsets, signs = _signed_permutation(s)
+        assert offsets.shape == signs.shape == (d, d), name
+        assert not offsets.flags.writeable and not signs.flags.writeable, name
+        again = _signed_permutation(s.copy())
+        assert again[0] is offsets and again[1] is signs, name
+        with pytest.raises(ValueError, match="read-only"):
+            signs[0, 0] = 0.0
+        md = m[:d, :d]
+        assert np.array_equal(signs * md.ravel()[offsets], s @ md.T @ s.conj().T), name
+
+
 def test_other_structures_take_the_general_path():
     base = sample_space("circle", 16, "zeta")
     c, t = np.cos(0.3), np.sin(0.3)

@@ -14,7 +14,7 @@ from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, catalog_has, signature
-from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec,
+from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec, classify,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
@@ -679,3 +679,79 @@ def test_boundary_map_matches_reference_bytes(ses_name):
                 assert repr(got.residuals) == repr(want)
                 seen += 1
     assert seen >= 20
+
+
+def _tenfold_caches():
+    """Every functools cache at the top level of a tenfold module."""
+    import importlib
+    import pkgutil
+    import tenfold
+    caches = {}
+    for info in pkgutil.iter_modules(tenfold.__path__):
+        mod = importlib.import_module(f"tenfold.{info.name}")
+        caches.update((id(f), f) for f in vars(mod).values() if hasattr(f, "cache_clear"))
+    return list(caches.values())
+
+
+def _cached_array_shapes(caches):
+    """The shapes of the arrays the caches hold in their keys and results,
+    searched through containers and object attributes (not through
+    functions, types or modules)."""
+    import gc
+    import types
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+            types.MethodType, str, bytes)
+    shapes, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen or isinstance(obj, skip):
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            shapes.append(obj.shape)
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            for x in obj:
+                walk(x)
+        elif isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(k)
+                walk(v)
+        elif hasattr(obj, "__dict__"):
+            walk(vars(obj))
+
+    for cache in caches:
+        for ref in gc.get_referents(cache):
+            walk(ref)
+    return sorted(shapes)
+
+
+def test_no_cache_holds_an_array_sized_by_the_grid():
+    """After boundary maps and classify on disk-id and circle-zeta, the
+    caches hold the same arrays at two resolutions: nothing cached has a
+    grid-point axis, so peak memory does not grow with the grid or with
+    the number of bases seen."""
+    caches = _tenfold_caches()
+    assert caches
+
+    def run(disk_res, circle_res):
+        for cache in caches:
+            cache.cache_clear()
+        rng = np.random.default_rng(3101)
+        for name, res, i in (("disk-id", disk_res, 1), ("disk-id", disk_res, -1),
+                             ("circle-zeta", circle_res, 0), ("circle-zeta", circle_res, 1)):
+            ses = ses_registry(name, res)
+            for _ in range(10):
+                try:
+                    u = random_class_element(ses.quotient, i, 2, rng, fourier=2)
+                    break
+                except RuntimeError:  # no gapped even-class draw: redraw
+                    continue
+            out = boundary_map(u, i, ses)
+            classify(u)
+            classify(out.element, out.rep.algebra)
+        return _cached_array_shapes(caches)
+
+    small = run((5, 8), 16)
+    assert small == run((9, 16), 32)
+    # the search reaches the cached arrays: neutral stacks, signed gathers
+    assert (2, 2) in small and (4, 4) in small

@@ -11,7 +11,8 @@ from tenfold.symclass import (CLASS_IDS, KOClassRep, MembershipError,
                               check_membership, check_qc_relations,
                               class_spec, class_structure, classify, complex_class,
                               forget_to_ku, gamma_double,
-                              inverse, neutral, normalize_lambda, stabilize,
+                              inverse, neutral, neutral_pfaffian,
+                              normalize_lambda, stabilize,
                               to_projection)
 
 from helpers import block_diag, iota_interleaved, random_special_orthogonal
@@ -30,6 +31,27 @@ def test_neutral_values():
     assert np.allclose(neutral(2, 1), [[0, 1j], [-1j, 0]])
     assert np.array_equal(neutral(4, 1), np.diag([1.0 + 0j, 1, -1, -1]))
     assert np.array_equal(neutral(1, 3), np.eye(3))
+
+
+@pytest.mark.parametrize("i", CLASS_IDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_neutral_is_built_once_read_only(i, n):
+    want = np.kron(np.eye(n), class_spec(i)["neutral"])
+    got = neutral(i, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert neutral(i, n) is got
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 7.0
+    if class_spec(i)["point"] == ("pf_parity", "Z2"):
+        assert neutral_pfaffian(i, n) == matcore.pfaffian(want)
+
+
+def test_neutral_refuses_no_copies():
+    with pytest.raises(ValueError, match="copies"):
+        neutral(0, 0)
+    with pytest.raises(KeyError):
+        neutral(7, 1)
 
 
 @pytest.mark.parametrize("i", CLASS_IDS)
@@ -574,6 +596,73 @@ def test_classify_matches_reference_on_disk_rank4_images(ses_name):
         rep = boundary_map(random_class_element(ses.quotient, i, 4, rng, fourier=2), i, ses).rep
         assert rep.element.values.shape == (544, 8, 8)
         _assert_classify_matches_reference(rep.element, rep.algebra)
+
+
+def _circle_image_draws(rng):
+    """Boundary images on circle-zeta and circle-sigma of one draw per class
+    at dims 2 and 4 (where the class size divides the dim)."""
+    from tenfold.basespace import ses_registry
+    from tenfold.boundary import boundary_map
+    from tenfold.verify import random_class_element
+    for ses_name in ("circle-zeta", "circle-sigma"):
+        ses = ses_registry(ses_name)
+        for i in CLASS_IDS:
+            for dim in (2, 4):
+                if dim % class_spec(i)["mult"]:
+                    continue
+                for _ in range(10):
+                    try:
+                        u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
+                        break
+                    except RuntimeError:  # no gapped even-class draw: redraw
+                        continue
+                yield ses_name, i, dim, boundary_map(u, i, ses).rep
+
+
+def test_classify_matches_reference_on_circle_images():
+    """The images of every class on the circle sequences, odd (index map)
+    and even (exponential), over pinned 64-point circles."""
+    seen = set()
+    for ses_name, i, dim, rep in _circle_image_draws(np.random.default_rng(3001)):
+        seen.add((ses_name, i))
+        _assert_classify_matches_reference(rep.element, rep.algebra)
+    assert len(seen) == 2 * len(CLASS_IDS)
+
+
+def test_residual_norms_read_in_one_call_match_one_call_per_residual():
+    """_membership reads the unitary, self-adjoint and symmetry residual
+    stacks with one frobenius_norms call on their (k, n, d, d) buffer: each
+    matrix's norm is the one a frobenius_norms call on its own stack gives,
+    bit for bit, and each residual is that stack's largest."""
+    from tenfold.basespace import ses_registry
+    from tenfold.boundary import boundary_map
+    from tenfold.verify import random_class_element
+    rng = np.random.default_rng(3002)
+    elements = [rep.element for _, _, _, rep in _circle_image_draws(rng)]
+    ses = ses_registry("disk-zeta", (17, 32))
+    elements += [boundary_map(random_class_element(ses.quotient, i, 4, rng, fourier=2),
+                              i, ses).element for i in (1, 5)]
+    for u in elements:
+        u = FnElement(u.base, u.values + 1e-6 * rng.standard_normal(u.values.shape))
+        ua = u.adjoint().values
+        for i in CLASS_IDS:
+            spec = class_spec(i)
+            if u.dim % spec["mult"]:
+                continue
+            stacks = {"unitary": ua @ u.values - np.eye(u.dim)}
+            if spec["sa"]:
+                stacks["self_adjoint"] = u.values - ua
+            s = class_structure(i, u.dim)
+            if s is not None:
+                lhs = apply_full_involution(u, s).values
+                rhs = ua if spec["star"] else u.values
+                stacks["symmetry"] = lhs - rhs if spec["sign"] > 0 else lhs + rhs
+            one = matcore.frobenius_norms(np.concatenate(list(stacks.values())))
+            each = [matcore.frobenius_norms(m) for m in stacks.values()]
+            assert one.tobytes() == np.concatenate(each).tobytes()
+            res = check_membership(u, i).residuals
+            assert {k: res[k] for k in stacks} == {k: float(n.max())
+                                                   for k, n in zip(stacks, each)}
 
 
 def test_membership_residuals_do_not_depend_on_memory_layout():
