@@ -20,7 +20,8 @@ from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
                        neutral, require_membership, symmetrize)
 
 # symmetrize_lift leaves an even lift Hermitian up to roundoff; a Frobenius
-# residual above this means the lift was not symmetrized
+# residual above this means the lift was not symmetrized.  Guards
+# retract_contraction(y, "even") and the even branch of boundary_map
 EVEN_HERM_TOL = 1e-6
 # keeps 1/sqrt(t) finite on a zero eigenvalue of y*y, where f is 1 anyway
 ODD_EIG_FLOOR = 1e-300
@@ -34,7 +35,8 @@ INDEX_SQRT_TOL = 1e-7
 # the closed set) the off-diagonal blocks vanish instead of carrying
 # sqrt(roundoff), up to 1e-6, into the neutral-value check
 INDEX_ZERO_SNAP = 1e-12
-# a clamped even lift is Hermitian up to roundoff; exp_unitary refuses more
+# a clamped even lift is Hermitian up to roundoff; a Frobenius residual
+# above this is refused.  Guards exp_unitary(a)
 EXP_HERM_TOL = 1e-7
 # the lift rules fix a class-i unitary, so the lift restricts to it up to roundoff
 LIFT_RESTRICTION_TOL = 1e-7
@@ -203,9 +205,15 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
         if mode == "odd":
             a, c = _odd_isometry(sym.values, retract=True)
             lift = FnElement(sym.base, a)
+            back = restrict(lift, ses).values
         else:
-            lift = retract_contraction(sym, mode)
-        back = restrict(lift, ses).values
+            # the clamped lift has the frames of sym, so it and its
+            # exponential are functions of one spectrum
+            w, v = matcore.herm_eig(sym.values, tol=EVEN_HERM_TOL)
+            w = np.clip(w, -1.0, 1.0)
+            closed = list(ses.closed_flat)
+            back = matcore._hermitian_of_spectrum(w[closed], v[closed])
+            lift = lambda: FnElement(ses.total, matcore._hermitian_of_spectrum(w, v))
     lift_residual = float(np.max(np.abs(back - u.values)))
     if lift_residual > LIFT_RESTRICTION_TOL:
         raise MembershipError(
@@ -219,7 +227,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
         vals = _reflection(frames)
     else:
         frames = None
-        vals = exp_unitary(lift).values
+        vals = -matcore._of_spectrum(np.exp(1j * np.pi * w), v)
 
     j = class_spec(i)["target"]
     ibase = ideal_base(ses)

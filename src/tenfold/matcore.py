@@ -171,7 +171,19 @@ def psd_sqrt(m: np.ndarray, tol: float = PSD_CLIP_TOL, zero_snap: float = 0.0) -
     w = np.clip(w, 0.0, None)
     if zero_snap > 0.0:
         w[w <= zero_snap] = 0.0
-    r = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _hermitian_of_spectrum(np.sqrt(w), v)
+
+
+def _of_spectrum(fw: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f(m) = v diag(f(w)) v* for a Hermitian stack m = v diag(w) v*, from
+    the values fw = f(w) on its spectrum and its frames v."""
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _hermitian_of_spectrum(fw: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_of_spectrum of a real fw, averaged with its adjoint so it is
+    Hermitian to the last bit."""
+    r = _of_spectrum(fw, v)
     return (r + r.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -179,16 +191,14 @@ def neg_exp_pi_i(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """-exp(i pi m) for a Hermitian matrix or (..., d, d) stack, via
     eigendecomposition."""
     w, v = herm_eig(m, tol=tol)
-    return -((v * np.exp(1j * np.pi * w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return -_of_spectrum(np.exp(1j * np.pi * w), v)
 
 
 def clamp_spectrum(m: np.ndarray, lo: float = -1.0, hi: float = 1.0,
                    tol: float = DEFAULT_TOL) -> np.ndarray:
     """Clip the spectrum of a Hermitian matrix or (..., d, d) stack to [lo, hi]."""
     w, v = herm_eig(m, tol=tol)
-    w = np.clip(w, lo, hi)
-    r = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (r + r.conj().swapaxes(-1, -2)) / 2.0
+    return _hermitian_of_spectrum(np.clip(w, lo, hi), v)
 
 
 def pfaffian(m: np.ndarray, tol: float = DEFAULT_TOL) -> complex:

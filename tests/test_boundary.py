@@ -9,7 +9,7 @@ from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
                                collar_profile, constant_element,
                                extend_contraction, ideal_base, restrict,
                                sample_space, scalar_algebra, ses_registry)
-from tenfold.boundary import (INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
+from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               _conjugator_perm, _odd_isometry, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
@@ -62,6 +62,39 @@ def test_retract_examples():
                        np.diag([1.0, -0.5]))
     with pytest.raises(ValueError):
         retract_contraction(pt([[0.0, 1.0], [0.0, 0.0]]), "even")
+
+
+# the documented values of EVEN_HERM_TOL and EXP_HERM_TOL, written out so
+# that a moved constant fails here
+@pytest.mark.parametrize("call, tol", [(lambda y: retract_contraction(y, "even"), 1e-6),
+                                       (exp_unitary, 1e-7)],
+                         ids=["retract_contraction-even", "exp_unitary"])
+def test_even_hermitian_guards_sit_at_their_tolerance(call, tol):
+    """An even lift whose Hermitian residual is twice the call's tolerance is
+    refused, and one at half of it is taken."""
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew - skew* = 2 skew, of norm 2 sqrt(2)
+    at = lambda factor: pt(np.diag([0.3, -0.5]) + factor * tol / (2.0 * np.sqrt(2.0)) * skew)
+    m = at(2.0).values[0]
+    assert np.linalg.norm(m - m.conj().T) == pytest.approx(2.0 * tol)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        call(at(2.0))
+    call(at(0.5))
+
+
+@pytest.mark.parametrize("name, i", [("circle-zeta", 0), ("disk-id", -1)])
+def test_lift_restriction_guard(name, i):
+    """A class member moved off its class by 1e-5 noise (and scaled inside
+    the unit ball) passes membership at tol 1e-3, but its symmetrized lift
+    misses it by about that noise: refused.  At 1e-9 noise it is taken."""
+    ses = ses_registry(name, (9, 16) if name.startswith("disk") else None)
+    rng = np.random.default_rng(7)
+    u = random_class_element(ses.quotient, i, 2, rng, fourier=2)
+    noise = rng.standard_normal(u.values.shape) + 1j * rng.standard_normal(u.values.shape)
+    spoilt = lambda eps: FnElement(u.base, (1.0 - 10.0 * eps) * u.values + eps * noise)
+    with pytest.raises(MembershipError, match="no longer restricts to the input"):
+        boundary_map(spoilt(1e-5), i, ses, tol=1e-3)
+    out = boundary_map(spoilt(1e-9), i, ses, tol=1e-3)
+    assert out.residuals["lift_restriction"] < 1e-8
 
 
 EVEN_CLASSES = (0, 2, 4, 6, "KU0")
@@ -619,12 +652,25 @@ def test_lift_strategies_share_signatures():
     assert s1 == s2 and abs(s1[0]) == 1
 
 
+def _even_per_point(sym):
+    """The clamped even lift and -exp(i*pi*lift) one grid point at a time,
+    both from that point's one eigh of the symmetrized lift."""
+    lift, image = [], []
+    for h in sym.values:
+        w, v = matcore.herm_eig(h, tol=EVEN_HERM_TOL)
+        w = np.clip(w, -1.0, 1.0)
+        a = (v * w) @ v.conj().T
+        lift.append((a + a.conj().T) / 2.0)
+        image.append(-((v * np.exp(1j * np.pi * w)) @ v.conj().T))
+    return FnElement(sym.base, np.array(lift)), np.array(image)
+
+
 def _boundary_map_reference(u, i, ses, lift_strategy):
     """boundary_map as written with a 2-norm SVD in extend_contraction, a
     norm per pinned point for the unitization and neutral-value residuals,
-    and one odd lift and isometry per grid point with the frame rotation as
-    a product (on the disks, of the factored construction): (element
-    values, lift values, residuals)."""
+    one odd lift and isometry per grid point with the frame rotation as a
+    product (on the disks, of the factored construction), and one even
+    eigh per grid point: (element values, lift values, residuals)."""
     require_membership(u, i, scalar_algebra(ses.quotient))
     ext = extend_contraction(u, ses, lift_strategy)
     sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
@@ -641,8 +687,11 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
             lift = FnElement(sym.base, np.concatenate([a for a, _ in one]))
             vals = np.concatenate([_reflection(y @ c) for _, c in one])
     else:
-        lift = retract_contraction(sym, mode)
-        vals = exp_unitary(lift).values
+        lift, vals = _even_per_point(sym)
+        # the lift's own eigh, as retract_contraction then exp_unitary
+        # formed the image, agrees to roundoff
+        two_eigh = exp_unitary(retract_contraction(sym, mode)).values
+        assert np.max(np.abs(vals - two_eigh)) <= 1e-12
     lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
     j = class_spec(i)["target"]
     result = FnElement(ideal_base(ses), vals)
