@@ -39,10 +39,7 @@ from .symclass import (
     add,
     inverse,
     stabilize,
-    normalize_lambda,
-    to_projection,
     forget_to_ku,
-    gamma_double,
     build_u,
     check_qc_relations,
     KOClassRep,

@@ -18,7 +18,7 @@ import numpy as np
 from . import matcore, toeplitz
 from .basespace import Algebra, BaseSpace, FnElement, sample_space, with_pinned
 from .invariants import ALGEBRA_FRAMES, signature
-from .symclass import KOClassRep, check_membership
+from .symclass import check_membership
 
 DEFAULT_RES = 64
 # an integer resolution on the 3-sphere means this many steps per angle: the
@@ -220,11 +220,6 @@ def _torus_bott(base):
     vals[:, 1, 0] = np.conj(gamma)
     vals[:, 1, 1] = -alpha
     return vals, Algebra(base)
-
-
-def torus_bott(resolution=DEFAULT_RES) -> KOClassRep:
-    """Two-torus Bott-type generator (class 6)."""
-    return generator("torus_bott", resolution)
 
 
 # -- exact Calkin-picture and shift-class generators --------------------------------

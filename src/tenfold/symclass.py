@@ -1,5 +1,5 @@
 """The ten symmetry classes: membership, neutral elements, group operations,
-basepoint normalization, conversions to the complex classes.
+the forgetful map to the complex classes.
 
 Class conventions (structure matrices act on the outer legs; an algebra
 with inner block dimension d contributes its own structure on the last
@@ -30,14 +30,12 @@ import numpy as np
 from . import matcore
 from .basespace import (Algebra, BaseSpace, FnElement, apply_full_involution,
                         block_diag_elements, constant_element, lambda_eval,
-                        pinned_residual, sample_space, scalar_algebra)
+                        pinned_residual, scalar_algebra)
 
 CLASS_IDS = (-1, 0, 1, 2, 3, 4, 5, 6, "KU0", "KU1")
 
 # a member's basepoint trace per class block is an integer, 0 when trivial
 BASEPOINT_TRACE_GUARD = 0.25
-# eigenvalues of a Hermitian part this close are one degenerate cluster
-EIG_CLUSTER_TOL = 1e-8
 
 _I2 = np.array([[0.0, 1j], [-1j, 0.0]])
 _V, _W, _Q, _X = (matcore.conjugator_v, matcore.conjugator_w, matcore.conjugator_q,
@@ -313,15 +311,6 @@ def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
     return u.scaled(-1.0)
 
 
-def to_projection(u: FnElement, tol: float = matcore.DEFAULT_TOL) -> FnElement:
-    """p = (u + 1)/2 for a self-adjoint unitary u."""
-    res = float(matcore.frobenius_norms(u.values - np.conj(np.swapaxes(u.values, 1, 2))).max())
-    if res > tol:
-        raise ValueError(f"not self-adjoint (residual {res:.3e})")
-    eye = np.eye(u.dim)
-    return FnElement(u.base, (u.values + eye) / 2.0)
-
-
 def complex_class(i):
     """The complex class a class-i element forgets to: KU0 for the
     self-adjoint classes, KU1 for the others."""
@@ -352,160 +341,6 @@ def symmetrize(x, i, s):
     elif spec["star"]:
         t = t.adjoint()
     return (x + t) / 2
-
-
-# ---------------------------------------------------------------------------
-# lambda normalization
-
-def normalize_lambda(u: FnElement, i, algebra: Algebra = None,
-                     tol: float = matcore.DEFAULT_TOL) -> FnElement:
-    """Move a representative so its basepoint value is the neutral stack.
-
-    Uses constant conjugations (or one-sided multiplications for the
-    unitary-only classes) that stay inside the class's connected symmetry
-    group, so the invariant signature is unchanged.  Raises when the
-    basepoint value represents a nontrivial class.
-    """
-    algebra = _default_algebra(u, algebra)
-    d = algebra.dim_alg
-    if not np.array_equal(algebra.struct, np.eye(algebra.struct.shape[0])):
-        raise ValueError("lambda normalization supports plain-involution algebras only")
-    lam = lambda_eval(u, algebra)
-    k = lam.shape[0]
-    spec = class_spec(i)
-    if k % spec["mult"]:
-        raise ValueError("outer dimension is not a multiple of the class size")
-    target = neutral(i, k // spec["mult"])
-    if np.linalg.norm(lam - target) <= tol:
-        return u.copy()
-
-    s = class_structure(i, k)
-    if spec["sa"]:
-        # both frames are mapped alike by Theta v = S conj(v), so x commutes with it
-        x = _frame(target, spec, s, tol) @ _frame(lam, spec, s, tol).conj().T
-        if spec["sign"] == -1 and not spec["sharp"] and np.real(np.linalg.det(x)) < 0:
-            raise ValueError("basepoint value has nontrivial Pfaffian sign")
-        return u.conjugated(np.kron(x, np.eye(d)))
-    if spec["star"] is False:
-        y = _sqrt_unitary(lam)
-        a = np.kron(s @ y.conj() @ s.conj().T, np.eye(d))  # sigma(y*)
-        b = np.kron(y.conj().T, np.eye(d))
-        return FnElement(u.base, a @ u.values @ b)
-    if spec["point"] == ("det_parity", "Z2") and np.real(np.linalg.det(lam)) < 0:
-        raise ValueError("basepoint value has determinant -1: nontrivial class")
-    c = np.kron(lam.conj().T, np.eye(d))
-    return FnElement(u.base, u.values @ c)
-
-
-def _frame(h, spec, s, tol):
-    """Unitary f with f* h f = diag(1, ..., -1, ...) for a self-adjoint class
-    value h, whose columns Theta v = S conj(v) maps the same way for every
-    such h: -1 columns S conj(+1 columns) when Theta anticommutes with h,
-    Kramers pairs per eigenspace when Theta^2 = -1, a real frame of det 1
-    when Theta is complex conjugation, any frame when there is no Theta."""
-    if np.linalg.norm(h - h.conj().T) > tol:
-        raise ValueError("basepoint value is not self-adjoint")
-    sign = spec["sign"]
-    if s is not None and np.linalg.norm(s @ h.conj() @ s.conj().T - sign * h) > tol:
-        raise ValueError(f"basepoint value breaks S conj(v) S* = {sign:+d} v")
-    real = sign == 1 and not spec["sharp"]
-    w, f = np.linalg.eigh(np.real(h) if real else h)
-    plus, minus = f[:, w > 0], f[:, w <= 0]
-    if plus.shape[1] != minus.shape[1]:
-        raise ValueError("basepoint value has unequal +1 and -1 eigenspaces: "
-                         "nontrivial class")
-    if sign == -1:
-        return np.hstack([plus, s @ plus.conj()])
-    if spec["sharp"]:
-        return np.column_stack(_kramers_pairs(plus, s) + _kramers_pairs(minus, s))
-    f = np.hstack([plus, minus]).astype(complex)
-    if real and np.linalg.det(f).real < 0:
-        f[:, 0] = -f[:, 0]
-    return f
-
-
-def _kramers_pairs(space, s):
-    """Orthonormal columns (v, S conj(v), ...) spanning `space`."""
-    cols = []
-    rem = space.copy()
-    while rem.shape[1] > 0:
-        v = rem[:, 0]
-        v = v / np.linalg.norm(v)
-        w = s @ v.conj()
-        cols.extend([v, w])
-        basis = np.column_stack([v, w])
-        q, sv, _ = np.linalg.svd(rem - basis @ (basis.conj().T @ rem),
-                                 full_matrices=False)
-        rem = q[:, sv > matcore.DEFAULT_TOL]  # not yet in the span
-    return cols
-
-
-def _normal_eig(m):
-    """Spectral decomposition of a normal matrix via its commuting
-    Hermitian parts; returns (eigenvalues, orthonormal frame)."""
-    h1 = (m + m.conj().T) / 2.0
-    h2 = (m - m.conj().T) / 2.0j
-    w1, v = np.linalg.eigh(h1)
-    mu = np.zeros(m.shape[0], dtype=complex)
-    j = 0
-    while j < len(w1):
-        jj = j
-        while jj < len(w1) and abs(w1[jj] - w1[j]) < EIG_CLUSTER_TOL:
-            jj += 1
-        block = v[:, j:jj]
-        w2, q = np.linalg.eigh(block.conj().T @ h2 @ block)
-        v[:, j:jj] = block @ q
-        mu[j:jj] = w1[j:jj] + 1j * w2
-        j = jj
-    return mu, v
-
-
-def _sqrt_unitary(m):
-    """Principal square root of a unitary matrix (functions of m, so any
-    structural symmetry of m is inherited)."""
-    mu, v = _normal_eig(m)
-    half = np.exp(0.5j * np.angle(mu))
-    return (v * half) @ v.conj().T
-
-
-# ---------------------------------------------------------------------------
-# complex-to-real doubling
-
-def gamma_double(u: FnElement, i, algebra: Algebra = None,
-                 tol: float = matcore.DEFAULT_TOL) -> KOClassRep:
-    """Send a complex-class element to the class-i element (x, partner(x))
-    over the doubled algebra; over a point the result lives on the
-    two-point space with the swap involution."""
-    algebra = _default_algebra(u, algebra)
-    spec = class_spec(i)
-    wrap = class_structure(i, u.dim, algebra)
-    if wrap is None:
-        raise ValueError("gamma_double targets a real class")
-    partner = apply_full_involution(u, wrap)
-    if spec["star"]:
-        partner = partner.adjoint()
-    if spec["sign"] < 0:
-        partner = partner.scaled(-1.0)
-
-    if u.base.kind == "point":
-        base2 = sample_space("twopoints", involution="swap")
-        vals = np.stack([u.values[0], partner.values[0]])
-        elem = FnElement(base2, vals)
-        return check_membership(elem, i, Algebra(base2, algebra.dim_alg,
-                                                 algebra.struct, algebra.label), tol)
-
-    d = algebra.struct.shape[0]
-    k = u.dim // d
-    dbl = Algebra(u.base, 2 * algebra.dim_alg,
-                  np.kron(matcore.SWAP2, algebra.struct), "double:" + algebra.label)
-    vals = np.zeros((u.base.npoints, 2 * u.dim, 2 * u.dim), dtype=complex)
-    v0 = u.values.reshape(-1, k, d, k, d)
-    v1 = partner.values.reshape(-1, k, d, k, d)
-    out = vals.reshape(-1, k, 2, d, k, 2, d)
-    out[:, :, 0, :, :, 0, :] = v0
-    out[:, :, 1, :, :, 1, :] = v1
-    elem = FnElement(u.base, vals)
-    return check_membership(elem, i, dbl, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,19 @@ def test_x2_is_frame_rotation_of_x0():
     assert np.allclose(x2.values, w @ x0.values @ w.conj().T)
 
 
+def test_sphere_ko0_is_the_band_flattening():
+    """u = [[z, x - iy], [x + iy, -z]] at the point (x, y, z) of the 2-sphere."""
+    rep = catalog.generator("sphere_ko0", (8, 8))
+    x, y, z = rep.element.base.points.T
+    vals = rep.element.values
+    assert np.allclose(vals[:, 0, 0], z)
+    assert np.allclose(vals[:, 0, 1], x - 1j * y)
+    assert np.allclose(vals[:, 1, 0], x + 1j * y)
+    assert np.allclose(vals[:, 1, 1], -z)
+
+
 def test_torus_bott_membership_is_exact():
-    rep = catalog.torus_bott((16, 16))
+    rep = catalog.generator("torus_bott", (16, 16))
     assert rep.ok
     assert rep.residuals["symmetry"] < 1e-14
     assert signature(rep).values() == (1,)

@@ -221,7 +221,7 @@ def test_chern_link_guard():
 
 @pytest.mark.parametrize("res", [16, (24, 16), 32])
 def test_chern_torus_rows_wrap(res):
-    assert chern_of_projection(catalog.torus_bott(res).element) == 1
+    assert chern_of_projection(catalog.generator("torus_bott", res).element) == 1
 
 
 def _frames_reference(u):

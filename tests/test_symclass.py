@@ -10,10 +10,8 @@ from tenfold.symclass import (CLASS_IDS, KOClassRep, MembershipError,
                               _lambda_trivial, add, build_u,
                               check_membership, check_qc_relations,
                               class_spec, class_structure, classify, complex_class,
-                              forget_to_ku, gamma_double,
-                              inverse, neutral, neutral_pfaffian,
-                              normalize_lambda, stabilize,
-                              to_projection)
+                              forget_to_ku, inverse, neutral, neutral_pfaffian,
+                              stabilize)
 
 from helpers import block_diag, iota_interleaved, random_special_orthogonal
 
@@ -137,42 +135,6 @@ def test_iota_interleaved_preserves_tilde_relation():
         assert y[n, n] == 1.0 and y[-1, -1] == -1.0
 
 
-def test_to_projection():
-    p = to_projection(constant_element(POINT, neutral(0, 1)))
-    assert np.allclose(p.values[0], np.diag([1.0, 0.0]))
-    p = to_projection(constant_element(POINT, -np.eye(3)))
-    assert np.allclose(p.values[0], 0)
-    rep = catalog.generator("sphere_ko0", (8, 8))
-    p = to_projection(rep.element)
-    x, y, z = rep.element.base.points.T
-    want00 = (1 + z) / 2
-    assert np.allclose(p.values[:, 0, 0], want00)
-    assert np.allclose(p.values[:, 0, 1], (x - 1j * y) / 2)
-    vals = p.values
-    assert np.max(np.abs(vals @ vals - vals)) < 1e-12
-    with pytest.raises(ValueError):
-        to_projection(constant_element(POINT, np.array([[0, 1], [0, 0]], complex)))
-
-
-def test_to_projection_residual_does_not_depend_on_memory_layout():
-    """Equal value bytes in C order, in Fortran order and as a strided view
-    have one self-adjoint residual: each layout passes at that residual as
-    the tolerance and fails one step below it."""
-    rng = np.random.default_rng(0)
-    base = sample_space("circle", 16, "zeta")
-    vals = rng.standard_normal((16, 8, 8)) + 1j * rng.standard_normal((16, 8, 8))
-    wide = np.zeros((16, 16, 16), dtype=complex)
-    wide[:, ::2, ::2] = vals
-    layouts = (np.ascontiguousarray(vals), np.asfortranarray(vals), wide[:, ::2, ::2])
-    assert all(v.tobytes() == vals.tobytes() for v in layouts)
-    res = float(matcore.frobenius_norms(vals - np.conj(np.swapaxes(vals, 1, 2))).max())
-    for v in layouts:
-        u = FnElement(base, v)
-        assert to_projection(u, tol=res).values.tobytes() == ((vals + np.eye(8)) / 2).tobytes()
-        with pytest.raises(ValueError, match="not self-adjoint"):
-            to_projection(u, tol=np.nextafter(res, 0.0))
-
-
 @pytest.mark.parametrize("name,ku", [
     ("const_k2", "KU0"), ("x-1", "KU1"), ("const_k4", "KU0")])
 def test_forget_to_ku(name, ku):
@@ -186,8 +148,8 @@ def test_complex_class_by_self_adjointness():
         "KU1", "KU0", "KU1", "KU0", "KU1", "KU0", "KU1", "KU0", "KU0", "KU1"]
 
 
-# one pinned basepoint value per kind of point invariant, and one class
-# whose group over a point is zero
+# one pinned basepoint value per kind of point invariant, each parity with
+# both signs, and one class whose group over a point is zero
 @pytest.mark.parametrize("i,value,ok,detail", [
     (0, np.eye(2), False, "half_trace=1.000"),
     ("KU0", neutral(0, 1), True, "half_trace=0.000"),
@@ -195,6 +157,7 @@ def test_complex_class_by_self_adjointness():
     (1, -np.eye(1), False, "det=-1.000+0.000j"),
     (2, neutral(2, 1), True, "pf_ratio=1.000+0.000j"),
     (6, neutral(6, 1), True, "free"),
+    (2, -neutral(2, 1), False, "pf_ratio=-1.000+0.000j"),
 ])
 def test_lambda_detail_per_point_invariant(i, value, ok, detail):
     base = with_pinned(POINT, "basepoint")
@@ -203,6 +166,20 @@ def test_lambda_detail_per_point_invariant(i, value, ok, detail):
     assert rep.residuals["lambda_detail"] == detail
     assert rep.residuals["lambda_class"] == (0.0 if ok else 1.0)
     assert (class_spec(i)["point"] is None) == (detail == "free")
+
+
+def test_basepoint_half_trace_guard():
+    """A pinned class-0 value is trivial while its half trace is below
+    BASEPOINT_TRACE_GUARD (0.25): 0.2 passes and 0.3 is refused, with every
+    other residual inside tol."""
+    base = with_pinned(POINT, "basepoint")
+    for second, ok, detail in ((-0.6, True, "half_trace=0.200"),
+                               (-0.4, False, "half_trace=0.300")):
+        u = constant_element(base, np.diag([1.0 + 0j, second]))
+        rep = check_membership(u, 0, tol=1.0)
+        assert rep.ok == ok
+        assert rep.residuals["lambda_class"] == (0.0 if ok else 1.0)
+        assert rep.residuals["lambda_detail"] == detail
 
 
 @pytest.mark.parametrize("e", [1e-17, -1e-17])
@@ -228,26 +205,14 @@ def test_forget_half_trace_matches():
     assert signature(out).values() == (2,)  # c_4 is multiplication by 2
 
 
-def test_gamma_double_examples():
-    one = constant_element(POINT, np.eye(2, dtype=complex))
-    rep = gamma_double(one, 0)
-    assert rep.ok and rep.base.kind == "twopoints"
-    assert np.allclose(rep.element.values[0], np.eye(2))
-    assert np.allclose(rep.element.values[1], np.eye(2))
-    assert signature(rep).values() == (1,)
-
-    diag = constant_element(POINT, np.diag([1.0 + 0j, -1.0]))
-    rep = gamma_double(diag, 0)
-    assert rep.ok
-    assert np.allclose(rep.element.values[1], np.diag([1.0, -1.0]))
-
-    base = sample_space("circle", 16, "id")
-    z = base.points[:, 0] + 1j * base.points[:, 1]
-    u = FnElement(base, z[:, None, None] * np.eye(1))
-    rep = gamma_double(u, 1)
-    assert rep.ok and rep.element.dim == 2
-    assert np.allclose(rep.element.values[:, 0, 0], z)
-    assert np.allclose(rep.element.values[:, 1, 1], np.conj(z))
+def test_two_point_swap_class_0_reads_its_first_point():
+    """Over two points swapped by the involution, a class-0 element is a
+    value and its partner; its half trace is read at the first point."""
+    two = sample_space("twopoints", involution="swap")
+    for value, half_trace in ((np.eye(2), 1), (np.diag([1.0, -1.0]), 0)):
+        rep = check_membership(FnElement(two, np.stack([value, value]).astype(complex)), 0)
+        assert rep.ok
+        assert signature(rep).values() == (half_trace,)
 
 
 def test_build_u_and_qc_relations():
@@ -260,123 +225,10 @@ def test_build_u_and_qc_relations():
     assert not check_qc_relations(one, zero, one)
 
 
-# -- lambda normalization -------------------------------------------------------
-
-def _pinned_point():
-    return with_pinned(sample_space("point"), "basepoint")
-
-
-def test_normalize_lambda_class0_swap():
-    base = _pinned_point()
-    u = FnElement(base, np.diag([-1.0 + 0j, 1.0])[None])
-    out = normalize_lambda(u, 0)
-    assert np.allclose(out.values[0], neutral(0, 1))
-
-
-def test_normalize_lambda_noop_when_neutral():
-    base = _pinned_point()
-    u = FnElement(base, neutral(2, 2)[None])
-    out = normalize_lambda(u, 2)
-    assert np.array_equal(out.values, u.values)
-
-
-def test_normalize_lambda_rejects_nontrivial():
-    base = _pinned_point()
-    with pytest.raises(ValueError):
-        normalize_lambda(FnElement(base, np.eye(2, dtype=complex)[None]), 0)
-    with pytest.raises(ValueError):
-        normalize_lambda(FnElement(base, (-neutral(2, 1))[None]), 2)
-    with pytest.raises(ValueError):
-        normalize_lambda(FnElement(base, np.array([[-1.0 + 0j]])[None]), 1)
-
-
-@pytest.mark.parametrize("i,lam,message", [
-    (4, np.eye(4), "nontrivial class"),
-    ("KU0", np.eye(2), "nontrivial class"),
-    (6, np.eye(2), "breaks S conj(v) S* = -1 v"),  # not a class-6 value
-])
-def test_normalize_lambda_refusal_names_the_reason(i, lam, message):
-    """The refusal says why: +1 and -1 eigenspaces of different sizes mean a
-    nontrivial class, and 1_2 breaks the class-6 relation."""
-    u = FnElement(_pinned_point(), np.asarray(lam, dtype=complex)[None])
-    with pytest.raises(ValueError) as exc:
-        normalize_lambda(u, i)
-    assert message in str(exc.value)
-
-
-def _sigma_involute(m, i):
-    s = class_structure(i, m.shape[0])
-    return matcore.involute(m, s)
-
-
-@pytest.mark.parametrize("i,n", [(-1, 2), (0, 2), (1, 2), (2, 2),
-                                 (3, 2), (4, 1), (4, 2), (5, 2), (6, 2),
-                                 ("KU0", 2), ("KU1", 3)])
-def test_normalize_lambda_all_classes(i, n):
-    """Normalize a random pinned member: lambda returns to the neutral stack
-    and the element stays in class."""
-    spec = class_spec(i)
-    dim = spec["mult"] * n
-    base = with_pinned(sample_space("circle", 16,
-                                    "zeta" if not spec["sharp"] else "id"),
-                       "basepoint")
-    # draw a random member with the right class and pinned-trivial lambda
-    from tenfold.verify import random_class_element
-    u = random_class_element(base, i, dim, RNG, fourier=2)
-    rep = check_membership(u, i)
-    if u.base.pinned and not rep.ok:
-        # redraw until the weak lambda condition holds (half traces etc.)
-        for _ in range(50):
-            u = random_class_element(base, i, dim, RNG, fourier=2)
-            rep = check_membership(u, i)
-            if rep.ok or rep.residuals.get("lambda_class", 0.0) == 0.0:
-                break
-    out = normalize_lambda(u, i)
-    lam = lambda_eval(out)
-    assert np.linalg.norm(lam - neutral(i, n)) < 1e-9
-    # still a unitary satisfying the symmetry
-    rep2 = check_membership(out, i)
-    assert rep2.residuals["unitary"] < 1e-9
-    if "symmetry" in rep2.residuals:
-        assert rep2.residuals["symmetry"] < 1e-8
-
-
-@pytest.mark.parametrize("name", ["sphere_ko0", "sphere_ko6"])
-def test_normalize_lambda_undoes_a_symmetry_conjugation(name):
-    """Conjugate a 2-sphere generator by a seeded constant element of the
-    class's connected symmetry group (SO(2) for class 0, SU(2) = Sp(1) for
-    class 6) and normalize: lambda is the neutral stack, the signature stays."""
-    rep = catalog.generator(name)
-    rng = np.random.default_rng(19)
-    if rep.class_id == 0:
-        g = random_special_orthogonal(2, rng)
-    else:
-        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        g = np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
-    moved = rep.element.conjugated(g)
-    assert check_membership(moved, rep.class_id).ok
-    out = normalize_lambda(moved, rep.class_id)
-    assert np.linalg.norm(lambda_eval(out) - neutral(rep.class_id, 1)) < 1e-9
-    rep2 = check_membership(out, rep.class_id)
-    assert rep2.ok
-    assert signature(rep2).values() == signature(rep).values()
-
-
-def test_normalize_lambda_preserves_signature():
-    rep = catalog.generator("circle_zeta_k1", 32)
-    g = np.array([[np.exp(0.7j)]])
-    moved = FnElement(rep.element.base, rep.element.values * g[None, 0, 0])
-    base = with_pinned(moved.base, "basepoint")
-    moved = FnElement(base, moved.values)
-    out = normalize_lambda(moved, 1)
-    rep2 = check_membership(out, 1)
-    assert rep2.ok
-    assert signature(rep2).values()[0] == 1
-
-
 def test_so_conjugation_invariance_low_classes():
     for name, i in (("circle_zeta_k1", 1), ("circle_zeta_k2", 2),
-                    ("circle_sigma_km1", -1), ("circle_zeta_k0", 0)):
+                    ("circle_sigma_km1", -1), ("circle_zeta_k0", 0),
+                    ("sphere_ko0", 0)):
         rep = catalog.generator(name, 32)
         x = random_special_orthogonal(rep.element.dim, RNG)
         conj = rep.element.conjugated(x)
@@ -385,13 +237,21 @@ def test_so_conjugation_invariance_low_classes():
         assert signature(rep2).values() == signature(rep).values()
 
 
+def _special_unitary_2(rng):
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
+
+
 def test_doubled_so_conjugation_invariance_sharp_classes():
+    """Conjugation by kron(SO(dim/2), SU(2)), a constant that fixes the
+    quaternionic structure kron(1, J2); on the 2-sphere's class-6
+    generator (dim 2) that is SU(2) = Sp(1) alone."""
     for name, i in (("circle_sigma_k3", 3), ("circle_zeta_k5", 5),
-                    ("circle_sigma_k4", 4)):
+                    ("circle_sigma_k4", 4), ("sphere_ko6", 6)):
         rep = catalog.generator(name, 32)
         half = rep.element.dim // 2
         x = random_special_orthogonal(half, RNG)
-        doubled = np.kron(x, np.eye(2))
+        doubled = np.kron(x, _special_unitary_2(RNG))
         rep2 = check_membership(rep.element.conjugated(doubled), i, rep.algebra)
         assert rep2.ok
         assert signature(rep2).values() == signature(rep).values()
