@@ -261,35 +261,42 @@ def block_diag_elements(u: FnElement, v: FnElement) -> FnElement:
 
 @dataclass(frozen=True)
 class Algebra:
-    """A function algebra over a base space.
+    """The algebra on the value legs of a function element.
 
     dim_alg is the block size of the algebra's values: unitization scalars
     are multiples of the dim_alg identity, and basepoint compression works
     per block.  struct is the structure matrix of the algebra's involution
     on the value legs; its size may exceed dim_alg when the algebra carries
-    extra tensor factors (quaternionic legs) of its own.
+    extra tensor factors (quaternionic legs) of its own.  The algebra does
+    not depend on the base space, which the element carries.
     """
-    base: BaseSpace
-    dim_alg: int = 1
-    struct: np.ndarray = field(default_factory=lambda: np.eye(1, dtype=complex),
-                               compare=False)
-    label: str = "scalar"
-
-    def key(self):
-        return (self.base.kind, self.base.involution, self.base.pinned_label,
-                self.label)
+    dim_alg: int
+    struct: np.ndarray = field(compare=False)
+    label: str
 
 
-def scalar_algebra(base: BaseSpace) -> Algebra:
-    return Algebra(base)
+def _named(dim_alg: int, struct, label: str) -> Algebra:
+    s = np.array(struct, dtype=complex)
+    s.flags.writeable = False
+    return Algebra(dim_alg, s, label)
+
+
+# the algebras the invariant catalog keys on, by label; structs are read-only
+ALGEBRAS = {a.label: a for a in (
+    _named(1, np.eye(1), "scalar"),
+    _named(2, matcore.J2, "m2"),
+    _named(2, np.eye(2), "qc2-tr"),
+    _named(2, matcore.J2, "qc2-sharp"),
+    _named(2, matcore.SWAP2, "qc2-trt"),
+    _named(2, np.kron(matcore.J2, np.eye(2)), "m2qc2"),
+)}
+SCALAR = ALGEBRAS["scalar"]
 
 
 def apply_full_involution(u: FnElement, minv) -> FnElement:
-    """(u^tau)(p) = S u(inv(p))^T S^{-1}: point permutation plus structure."""
-    if isinstance(minv, str):
-        s = matcore.involution_matrix(minv, u.dim)
-    else:
-        s = np.asarray(minv, dtype=complex)
+    """(u^tau)(p) = S u(inv(p))^T S^{-1} for the structure matrix S: point
+    permutation plus structure."""
+    s = np.asarray(minv, dtype=complex)
     if s.shape[0] != u.dim:
         raise ValueError("structure matrix does not match element dimension")
     gather = _signed_permutation(s)
@@ -337,11 +344,11 @@ def block_compress(v: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("...aibi->...ab", v.reshape(v.shape[:-2] + (k, d, k, d))) / d
 
 
-def lambda_eval(u: FnElement, algebra: Algebra = None):
+def lambda_eval(u: FnElement, algebra: Algebra = SCALAR):
     """Value at the basepoint, compressed over the algebra's inner block
     structure when dim_alg > 1: returns the outer matrix of scalars."""
     v = u.values[u.base.basepoint]
-    d = 1 if algebra is None else algebra.dim_alg
+    d = algebra.dim_alg
     return v.copy() if d == 1 else block_compress(v, d)
 
 
@@ -353,7 +360,7 @@ def scalar_block_residuals(vals: np.ndarray, d: int) -> np.ndarray:
     return matcore.frobenius_norms(vals - kron.reshape(vals.shape))
 
 
-def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
+def pinned_residual(u: FnElement, algebra: Algebra = SCALAR) -> float:
     """Residual of the unitization condition: all pinned values equal one
     common scalar block; NaN if any pinned value is not finite."""
     if not u.base.pinned:
@@ -363,9 +370,8 @@ def pinned_residual(u: FnElement, algebra: Algebra = None) -> float:
         return math.nan
     # one pinned point leaves an empty stack of differences
     res = matcore.frobenius_norms(vals[1:] - vals[0]).max(initial=0.0)
-    d = 1 if algebra is None else algebra.dim_alg
-    if d > 1:  # every matrix is a scalar block of size 1
-        res = max(res, scalar_block_residuals(vals, d).max())
+    if algebra.dim_alg > 1:  # every matrix is a scalar block of size 1
+        res = max(res, scalar_block_residuals(vals, algebra.dim_alg).max())
     return float(res)
 
 

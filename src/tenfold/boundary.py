@@ -13,9 +13,9 @@ import functools
 import numpy as np
 
 from . import matcore
-from .basespace import (EXTEND_NORM_TOL, Algebra, FnElement, SESDescriptor,
+from .basespace import (EXTEND_NORM_TOL, SCALAR, Algebra, FnElement, SESDescriptor,
                         collar_extension, collar_profile, ideal_base,
-                        require_contraction, restrict, scalar_algebra)
+                        require_contraction, restrict)
 from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
                        neutral, require_membership, symmetrize)
 
@@ -42,7 +42,7 @@ EXP_HERM_TOL = 1e-7
 LIFT_RESTRICTION_TOL = 1e-7
 
 
-def symmetrize_lift(a: FnElement, i, algebra: Algebra = None) -> FnElement:
+def symmetrize_lift(a: FnElement, i, algebra: Algebra = SCALAR) -> FnElement:
     """symclass.symmetrize with the algebra's structure; always a new element."""
     out = symmetrize(a, i, class_structure(i, a.dim, algebra))
     return a.copy() if out is a else out
@@ -182,8 +182,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     """
     if u.base != ses.quotient:
         raise MembershipError("input does not live over the SES quotient")
-    quot_alg = scalar_algebra(ses.quotient)
-    unitary = require_membership(u, i, quot_alg, tol).residuals["unitary"]
+    unitary = require_membership(u, i, tol=tol).residuals["unitary"]
     # ||u||^2 = ||u*u|| <= 1 + the unitary residual r, so ||u|| <= 1 + r/2:
     # within EXTEND_NORM_TOL the input is a contraction without an SVD
     if 0.5 * unitary > EXTEND_NORM_TOL:
@@ -195,13 +194,13 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
         # the extension is rho[p] u[k[p]]: the involutions permute the closed
         # set as they permute k and leave rho fixed, so symmetrizing u on the
         # quotient symmetrizes the extension, whose spectra are the closed set's
-        (top, v), c = _odd_isometry(symmetrize_lift(u, i, quot_alg).values, True, profile)
+        (top, v), c = _odd_isometry(symmetrize_lift(u, i).values, True, profile)
         closed = list(ses.closed_flat)
         back = top[closed] @ v[closed].conj().swapaxes(1, 2)
         lift = lambda: FnElement(ses.total, top @ v.conj().swapaxes(1, 2))
     else:
         ext = collar_extension(u, ses, lift_strategy)
-        sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
+        sym = symmetrize_lift(ext, i)
         if mode == "odd":
             a, c = _odd_isometry(sym.values, retract=True)
             lift = FnElement(sym.base, a)
@@ -232,8 +231,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     j = class_spec(i)["target"]
     ibase = ideal_base(ses)
     result = FnElement(ibase, vals)
-    out_alg = Algebra(ibase)
-    rep = require_membership(result, j, out_alg, tol)
+    rep = require_membership(result, j, tol=tol)
     rep.frames = frames
 
     target = neutral(j, result.dim // class_spec(j)["mult"])

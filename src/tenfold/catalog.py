@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import matcore, toeplitz
-from .basespace import Algebra, BaseSpace, FnElement, sample_space, with_pinned
+from .basespace import ALGEBRAS, SCALAR, BaseSpace, FnElement, sample_space, with_pinned
 from .invariants import ALGEBRA_FRAMES, signature
 from .symclass import check_membership
 
@@ -39,7 +39,7 @@ class CatalogEntry:
     name: str
     class_id: object
     space: str
-    build: Callable  # grid rows: base -> (values, Algebra); exact: () -> element
+    build: Callable  # grid rows: base -> (values, ALGEBRAS entry); exact: () -> element
     description: str
     expected: tuple
     torsion: bool = False
@@ -66,8 +66,7 @@ def _zvals(base):
 
 def _constant(m):
     m = np.asarray(m, dtype=complex)
-    return lambda base: (np.broadcast_to(m, (base.npoints,) + m.shape).copy(),
-                         Algebra(base))
+    return lambda base: (np.broadcast_to(m, (base.npoints,) + m.shape).copy(), SCALAR)
 
 
 # -- interval (cone-algebra) generators ---------------------------------------
@@ -99,17 +98,16 @@ def qc_generators(resolution: int = DEFAULT_RES):
 
 
 def _x0(base):
-    return _x0_values(base), Algebra(base, 2, np.eye(2, dtype=complex), "qc2-tr")
+    return _x0_values(base), ALGEBRAS["qc2-tr"]
 
 
 def _x2(base):
     w = ALGEBRA_FRAMES["qc2-sharp"]
-    return (w @ _x0_values(base) @ w.conj().T,
-            Algebra(base, 2, matcore.J2, "qc2-sharp"))
+    return w @ _x0_values(base) @ w.conj().T, ALGEBRAS["qc2-sharp"]
 
 
 def _x6(base):
-    return _x0_values(base), Algebra(base, 2, matcore.SWAP2, "qc2-trt")
+    return _x0_values(base), ALGEBRAS["qc2-trt"]
 
 
 def _x4(base):
@@ -120,14 +118,13 @@ def _x4(base):
     vals[:, 4:, 4:] = pad
     qhat = ALGEBRA_FRAMES["m2qc2"]
     vals = qhat @ vals @ qhat.conj().T
-    return vals, Algebra(base, 2, np.kron(matcore.J2, np.eye(2, dtype=complex)),
-                         "m2qc2")
+    return vals, ALGEBRAS["m2qc2"]
 
 
 # -- circle generators ------------------------------------------------------------
 
 def _identity_loop(base):
-    return _zvals(base)[:, None, None] * np.eye(1)[None], Algebra(base)
+    return _zvals(base)[:, None, None] * np.eye(1)[None], SCALAR
 
 
 def _quaternionic_loop(base):
@@ -135,11 +132,11 @@ def _quaternionic_loop(base):
     vals = np.zeros((base.npoints, 4, 4), dtype=complex)
     vals[:] = np.eye(4)
     vals[:, 0, 0] = _zvals(base)
-    return q @ vals @ q.conj().T, Algebra(base, 2, matcore.J2, "m2")
+    return q @ vals @ q.conj().T, ALGEBRAS["m2"]
 
 
 def _double_loop(base):
-    return (_zvals(base) ** 2)[:, None, None] * np.eye(1)[None], Algebra(base)
+    return (_zvals(base) ** 2)[:, None, None] * np.eye(1)[None], SCALAR
 
 
 def _diag_z(low):
@@ -148,7 +145,7 @@ def _diag_z(low):
         vals = np.zeros((base.npoints, 2, 2), dtype=complex)
         vals[:, 0, 0] = z
         vals[:, 1, 1] = low(z)
-        return vals, Algebra(base)
+        return vals, SCALAR
     return build
 
 
@@ -161,7 +158,7 @@ def _reflection_block(base):
     vals[:, 2, 3] = y
     vals[:, 3, 2] = y
     vals[:, 3, 3] = -x
-    return vals, Algebra(base)
+    return vals, SCALAR
 
 
 def _imaginary_reflection(s):
@@ -174,7 +171,7 @@ def _imaginary_reflection(s):
         vals[:, 0, 1] = s * 1j * x
         vals[:, 1, 0] = -s * 1j * x
         vals[:, 1, 1] = -y
-        return vals, Algebra(base)
+        return vals, SCALAR
     return build
 
 
@@ -186,7 +183,7 @@ def _half_arc(low):
         vals = np.zeros((n, 2, 2), dtype=complex)
         vals[:, 0, 0] = np.where(top, zz, 1.0)
         vals[:, 1, 1] = np.where(top, 1.0, low(zz))
-        return vals, Algebra(base)
+        return vals, SCALAR
     return build
 
 
@@ -195,13 +192,13 @@ def _half_arc(low):
 def _band_flattening(base):
     x, y, z = base.points.T
     vals = np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
-    return vals.transpose(2, 0, 1).copy(), Algebra(base)
+    return vals.transpose(2, 0, 1).copy(), SCALAR
 
 
 def _sphere3_loop(base):
     x, y, z, w = base.points.T
     vals = np.array([[1j * z - w, 1j * x + y], [1j * x - y, -1j * z - w]])
-    return vals.transpose(2, 0, 1).copy(), Algebra(base)
+    return vals.transpose(2, 0, 1).copy(), SCALAR
 
 
 def _torus_bott(base):
@@ -219,7 +216,7 @@ def _torus_bott(base):
     vals[:, 0, 1] = gamma
     vals[:, 1, 0] = np.conj(gamma)
     vals[:, 1, 1] = -alpha
-    return vals, Algebra(base)
+    return vals, SCALAR
 
 
 # -- exact Calkin-picture and shift-class generators --------------------------------

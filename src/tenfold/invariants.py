@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .basespace import Algebra, FnElement, block_compress
+from .basespace import SCALAR, Algebra, FnElement, block_compress
 from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral_pfaffian
 
 
@@ -54,7 +54,7 @@ def _sign_of_unit_real(z: complex, what: str) -> int:
 
 def _outer_value(u: FnElement, algebra: Algebra, p: int) -> np.ndarray:
     v = u.values[p]
-    d = 1 if algebra is None else algebra.dim_alg
+    d = algebra.dim_alg
     return v if d == 1 else block_compress(v, d)
 
 
@@ -62,21 +62,21 @@ def _trace_part(m: np.ndarray, part: float, what: str) -> int:
     return _round_int(part * float(np.real(np.trace(m))), what)
 
 
-def half_trace(u: FnElement, p: int, algebra: Algebra = None) -> int:
+def half_trace(u: FnElement, p: int, algebra: Algebra = SCALAR) -> int:
     return _trace_part(_outer_value(u, algebra, p), 0.5, "half trace")
 
 
-def quarter_trace(u: FnElement, p: int, algebra: Algebra = None) -> int:
+def quarter_trace(u: FnElement, p: int, algebra: Algebra = SCALAR) -> int:
     return _trace_part(_outer_value(u, algebra, p), 0.25, "quarter trace")
 
 
-def det_sign(u: FnElement, p: int, algebra: Algebra = None) -> int:
+def det_sign(u: FnElement, p: int, algebra: Algebra = SCALAR) -> int:
     """+1 or -1; the determinant must be within tolerance of a unit real."""
     m = _outer_value(u, algebra, p)
     return _sign_of_unit_real(complex(np.linalg.det(m)), "determinant")
 
 
-def pf_sign(u: FnElement, p: int, algebra: Algebra = None) -> int:
+def pf_sign(u: FnElement, p: int, algebra: Algebra = SCALAR) -> int:
     """Pfaffian sign relative to the same-size neutral block stack."""
     m = _outer_value(u, algebra, p)
     if np.linalg.norm(m + m.T) > ROUND_GUARD * max(1.0, np.linalg.norm(m)):

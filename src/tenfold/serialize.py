@@ -5,7 +5,11 @@
   "values": [[...[re, im]...]] }   # per grid point, dim x dim of pairs
 
 Optional "alg" block carries the algebra's scalar block size, structure
-matrix, and label for non-scalar algebras.  Shift-algebra elements use the
+matrix, and label: {"dim_alg", "struct", "label"}, written for every algebra
+but the scalar one, which a document without the block has.  A label that
+names an algebra of basespace.ALGEBRAS reads as that algebra, and its dim_alg
+and struct must be that algebra's; any other label reads as a new algebra,
+which the invariant catalog has no rows for.  Shift-algebra elements use the
 exact format from tenfold.toeplitz.  element_doc holds the pairs as float
 arrays, which dumps writes as the text of element_to_json's nested lists.
 """
@@ -20,8 +24,8 @@ import math
 
 import numpy as np
 
-from .basespace import (SPACES, Algebra, BaseSpace, FnElement, grid_shape,
-                        sample_space)
+from .basespace import (ALGEBRAS, SCALAR, SPACES, Algebra, BaseSpace, FnElement,
+                        grid_shape, sample_space)
 
 
 def _resolution_of(base: BaseSpace):
@@ -142,7 +146,7 @@ def _element(u: FnElement, algebra: Algebra, pairs) -> dict:
         "dim": u.dim,
         "values": pairs(u.values),
     }
-    if algebra is not None and algebra.label != "scalar":
+    if algebra.label != "scalar":
         out["alg"] = {
             "dim_alg": algebra.dim_alg,
             "struct": pairs(algebra.struct),
@@ -151,13 +155,13 @@ def _element(u: FnElement, algebra: Algebra, pairs) -> dict:
     return out
 
 
-def element_doc(u: FnElement, algebra: Algebra = None) -> dict:
+def element_doc(u: FnElement, algebra: Algebra = SCALAR) -> dict:
     """The element's JSON document with values and alg.struct as (..., 2)
     float arrays, which dumps writes as the text of element_to_json's lists."""
     return _element(u, algebra, _pairs)
 
 
-def element_to_json(u: FnElement, algebra: Algebra = None) -> dict:
+def element_to_json(u: FnElement, algebra: Algebra = SCALAR) -> dict:
     """The element's JSON document with values and alg.struct as nested
     lists of [re, im] pairs."""
     return _element(u, algebra, lambda m: _pairs(m).tolist())
@@ -172,7 +176,7 @@ def element_from_json(obj: dict):
     # bool is an int subclass
     if "dim" in obj and (type(obj["dim"]) is not int or obj["dim"] != u.dim):
         raise ValueError(f"dim must be {u.dim}, the size of the value matrices")
-    alg = Algebra(base)
+    alg = SCALAR
     if "alg" in obj:
         dim_alg = _finite_int(obj["alg"]["dim_alg"], "alg.dim_alg")
         struct = _finite(_cpx_array(obj["alg"]["struct"], 2, _cpx_matrix_from_json))
@@ -181,7 +185,12 @@ def element_from_json(obj: dict):
         if dim_alg < 1 or not square or not isinstance(label, str):
             raise ValueError("alg needs a positive dim_alg, a square struct "
                              "and a string label")
-        alg = Algebra(base, dim_alg, struct, label)
+        alg = ALGEBRAS.get(label)
+        if alg is None:
+            alg = Algebra(dim_alg, struct, label)
+        elif alg.dim_alg != dim_alg or not np.array_equal(alg.struct, struct):
+            raise ValueError(f"alg {label!r} differs from the named algebra's "
+                             f"dim_alg {alg.dim_alg} or struct")
     return u, alg
 
 

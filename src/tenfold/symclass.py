@@ -28,9 +28,9 @@ import functools
 import numpy as np
 
 from . import matcore
-from .basespace import (Algebra, BaseSpace, FnElement, apply_full_involution,
+from .basespace import (SCALAR, Algebra, BaseSpace, FnElement, apply_full_involution,
                         block_diag_elements, constant_element, lambda_eval,
-                        pinned_residual, scalar_algebra)
+                        pinned_residual)
 
 CLASS_IDS = (-1, 0, 1, 2, 3, 4, 5, 6, "KU0", "KU1")
 
@@ -107,16 +107,13 @@ def neutral_pfaffian(i, copies: int) -> complex:
     return matcore.pfaffian(neutral(i, copies))
 
 
-_SCALAR_STRUCT = np.eye(1, dtype=complex)
-
-
-def class_structure(i, dim: int, algebra: Algebra = None) -> np.ndarray:
+def class_structure(i, dim: int, algebra: Algebra = SCALAR) -> np.ndarray:
     """Structure matrix of the class-i symmetry on dim x dim values; built
     once per structure and returned read-only."""
     spec = class_spec(i)
     if spec["sign"] is None:
         return None
-    s_alg = _SCALAR_STRUCT if algebra is None else np.asarray(algebra.struct)
+    s_alg = np.asarray(algebra.struct)
     k, rem = divmod(dim, s_alg.shape[0])
     if rem:
         raise ValueError("element dimension is not a multiple of the structure size")
@@ -159,25 +156,22 @@ class KOClassRep:
         return self.element.base
 
     def catalog_key(self):
-        return self.algebra.key() + (self.class_id,)
+        base = self.base
+        return (base.kind, base.involution, base.pinned_label, self.algebra.label,
+                self.class_id)
 
 
-def _default_algebra(u: FnElement, algebra):
-    return scalar_algebra(u.base) if algebra is None else algebra
-
-
-def check_membership(u: FnElement, i, algebra: Algebra = None,
+def check_membership(u: FnElement, i, algebra: Algebra = SCALAR,
                      tol: float = matcore.DEFAULT_TOL) -> KOClassRep:
     """Test the class-i symmetry relations; residuals are always reported."""
-    return _membership(u, i, _default_algebra(u, algebra), tol, {})
+    return _membership(u, i, algebra, tol, {})
 
 
-def classify(u: FnElement, algebra: Algebra = None, tol: float = matcore.DEFAULT_TOL,
+def classify(u: FnElement, algebra: Algebra = SCALAR, tol: float = matcore.DEFAULT_TOL,
              classes=CLASS_IDS) -> dict:
     """check_membership of u in each of `classes` from one pass: class id ->
     its KOClassRep, or the ValueError (a MembershipError among them) that
     refuses the class.  What the classes share is computed once."""
-    algebra = _default_algebra(u, algebra)
     shared, out = {}, {}
     for i in classes:
         try:
@@ -248,7 +242,7 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
     return KOClassRep(u, i, algebra, ok=ok, residuals=res)
 
 
-def require_membership(u, i, algebra=None, tol=matcore.DEFAULT_TOL) -> KOClassRep:
+def require_membership(u, i, algebra=SCALAR, tol=matcore.DEFAULT_TOL) -> KOClassRep:
     rep = check_membership(u, i, algebra, tol)
     if not rep.ok:
         raise MembershipError(f"element fails class-{i} membership", rep.residuals)
@@ -284,22 +278,20 @@ def _rounded(x):
     return round(float(x), 3) + 0.0
 
 
-def add(u: FnElement, v: FnElement, i, algebra: Algebra = None) -> FnElement:
+def add(u: FnElement, v: FnElement, i, algebra: Algebra = SCALAR) -> FnElement:
     """[u] + [v] as diag(u, v); outer blocks concatenate so the class's
     2x2 sharp blocks stay intact."""
     return block_diag_elements(u, v)
 
 
-def stabilize(u: FnElement, i, algebra: Algebra = None, copies: int = 1) -> FnElement:
-    algebra = _default_algebra(u, algebra)
+def stabilize(u: FnElement, i, algebra: Algebra = SCALAR, copies: int = 1) -> FnElement:
     pad = np.kron(neutral(i, copies), np.eye(algebra.dim_alg, dtype=complex))
     return block_diag_elements(u, constant_element(u.base, pad))
 
 
-def inverse(u: FnElement, i, algebra: Algebra = None) -> FnElement:
+def inverse(u: FnElement, i, algebra: Algebra = SCALAR) -> FnElement:
     """u* for odd classes, -u for even ones; the classes of sign -1 (2 and 6)
     need an even number of neutral blocks for -u to invert."""
-    algebra = _default_algebra(u, algebra)
     spec = class_spec(i)
     if not spec["sa"]:
         return u.adjoint()

@@ -8,12 +8,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import catalog, matcore, toeplitz
-from .basespace import Algebra, FnElement, sample_space, ses_registry
+from .basespace import ALGEBRAS, FnElement, sample_space, ses_registry
 from .boundary import boundary_map, index_unitary, retract_contraction, symmetrize_lift
 from .invariants import pf_sign, signature
-from .symclass import (CLASS_IDS, add, build_u, check_membership,
-                       check_qc_relations, class_spec, class_structure,
-                       complex_class, forget_to_ku, inverse, neutral, stabilize)
+from .symclass import (CLASS_IDS, add, build_u, check_membership, check_qc_relations,
+                       class_spec, complex_class, forget_to_ku, inverse, neutral,
+                       stabilize)
 
 RES = 64
 DISK = (17, 32)
@@ -29,10 +29,6 @@ def _random_matrix(rng, dim):
 
 # -- randomized class elements over SES quotients -------------------------------
 
-def _project_lie(h: FnElement, i, algebra, sign):
-    return (h + h.involute(class_structure(i, h.dim, algebra)).scaled(sign)) / 2
-
-
 def random_class_element(base, i, dim, rng, fourier: int = 0) -> FnElement:
     """A random unitary in the class-i symmetry set over `base`.
 
@@ -40,7 +36,6 @@ def random_class_element(base, i, dim, rng, fourier: int = 0) -> FnElement:
     the sign of a projected Hermitian field with a spectral-gap guard.
     fourier > 0 smooths circle fields with a low-order profile.
     """
-    algebra = Algebra(base)
     spec = class_spec(i)
 
     def herm_field():
@@ -60,18 +55,13 @@ def random_class_element(base, i, dim, rng, fourier: int = 0) -> FnElement:
 
     if not spec["sa"]:
         h = herm_field()
-        y = FnElement(base, 1j * h.values)
-        if spec["sign"] is not None:
-            sign = +1.0 if not spec["star"] else -1.0
-            y = _project_lie(y, i, algebra, sign)
+        y = symmetrize_lift(FnElement(base, 1j * h.values), i)
         w, v = np.linalg.eigh(-1j * y.values)
         vh = np.conj(np.swapaxes(v, 1, 2))
         return FnElement(base, (v * np.exp(1j * w)[:, None]) @ vh)
 
     for _ in range(20):
-        k = herm_field()
-        if spec["sign"] is not None:
-            k = _project_lie(k, i, algebra, float(spec["sign"]))
+        k = symmetrize_lift(herm_field(), i)
         w, v = np.linalg.eigh(k.values)
         if np.min(np.abs(w)) > DRAW_GAP:
             vh = np.conj(np.swapaxes(v, 1, 2))
@@ -360,8 +350,7 @@ def check_qc_oracle():
     h, x, k = catalog.qc_generators(RES)
     rel = check_qc_relations(h, x, k)
     u = build_u(h, x, k)
-    alg = Algebra(h.base, 2, np.eye(2, dtype=complex), "qc2-tr")
-    rep = check_membership(u, 0, alg)
+    rep = check_membership(u, 0, ALGEBRAS["qc2-tr"])
     sig = signature(rep).values()
     ok = rel and rep.ok and sig == (-1,)
     return ok, f"relations:{rel}, membership:{rep.ok}, signature:{sig}"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tenfold import matcore, serialize
-from tenfold.basespace import (SES_NAMES, Algebra, FnElement, SESDescriptor,
-                               _signed_permutation, apply_full_involution,
+from tenfold.basespace import (ALGEBRAS, SCALAR, SES_NAMES, Algebra, FnElement,
+                               SESDescriptor, _signed_permutation, apply_full_involution,
                                block_compress, block_diag_elements,
                                collar_extension, constant_element,
                                extend_contraction, lambda_eval,
@@ -47,15 +47,15 @@ def test_full_involution_examples():
     base = sample_space("circle", 16, "zeta")
     z = circle_z(base)
     u = FnElement(base, z[:, None, None] * np.eye(1))
-    tau = apply_full_involution(u, "transpose")
+    t1, t3 = (matcore.involution_matrix("transpose", d) for d in (1, 3))
+    tau = apply_full_involution(u, t1)
     # u(z) = z satisfies u^tau = u* when the point map is conjugation
     assert np.allclose(tau.values, u.adjoint().values)
     const = constant_element(base, np.eye(3))
-    assert np.allclose(apply_full_involution(const, "transpose").values,
-                       const.values)
+    assert np.allclose(apply_full_involution(const, t3).values, const.values)
     base_id = sample_space("circle", 16, "id")
     u = FnElement(base_id, circle_z(base_id)[:, None, None] * np.eye(1))
-    assert np.allclose(apply_full_involution(u, "transpose").values, u.values)
+    assert np.allclose(apply_full_involution(u, t1).values, u.values)
 
 
 def test_full_involution_order_two_exact():
@@ -63,7 +63,8 @@ def test_full_involution_order_two_exact():
     vals = RNG.standard_normal((16, 4, 4)) + 1j * RNG.standard_normal((16, 4, 4))
     u = FnElement(base, vals)
     for kind in ("transpose", "transpose_tilde", "sharp_tilde", "sharp_transpose"):
-        twice = apply_full_involution(apply_full_involution(u, kind), kind)
+        s = matcore.involution_matrix(kind, 4)
+        twice = apply_full_involution(apply_full_involution(u, s), s)
         assert np.max(np.abs(twice.values - u.values)) == 0.0
 
 
@@ -81,10 +82,10 @@ def _values_with_zeros(base, dim):
 
 
 def _structures():
-    quaternionic = Algebra(sample_space("point"), 1, matcore.J2, "quaternionic")
+    quaternionic = Algebra(1, matcore.J2, "quaternionic")
     for dim in (2, 4, 8):
         for i in CLASS_IDS:
-            for alg in (None, quaternionic):
+            for alg in (SCALAR, quaternionic):
                 try:
                     s = class_structure(i, dim, alg)
                 except ValueError:
@@ -148,9 +149,9 @@ def test_other_structures_take_the_general_path():
         assert apply_full_involution(u, s).values.tobytes() == want.tobytes()
 
 
-def _pinned_residual_reference(u, algebra=None):
+def _pinned_residual_reference(u, algebra=SCALAR):
     """The unitization residual as a fold over every pinned point."""
-    d = 1 if algebra is None else algebra.dim_alg
+    d = algebra.dim_alg
 
     def block(v):
         return float(np.linalg.norm(v - np.kron(block_compress(v, d), np.eye(d))))
@@ -166,7 +167,7 @@ def _pinned_residual_reference(u, algebra=None):
 @pytest.mark.parametrize("dim_alg", [1, 2])
 def test_pinned_residual_matches_reference(dim_alg):
     base = with_pinned(sample_space("disk", (5, 16), "id"), "boundary")
-    alg = Algebra(base, dim_alg, np.eye(dim_alg, dtype=complex), "test")
+    alg = Algebra(dim_alg, np.eye(dim_alg, dtype=complex), "test")
     scalar = np.kron(RNG.standard_normal((2, 2)), np.eye(dim_alg)).astype(complex)
     vals = np.broadcast_to(scalar, (base.npoints,) + scalar.shape).copy()
     for noise in (0.0, 1e-12, 1e-3):
@@ -207,7 +208,7 @@ def test_pinned_residual_on_one_pinned_point(dim_alg):
     residual still counts."""
     base = with_pinned(sample_space("circle", 16, "id"), "basepoint")
     assert len(base.pinned) == 1
-    alg = Algebra(base, dim_alg, np.eye(dim_alg, dtype=complex), "test")
+    alg = Algebra(dim_alg, np.eye(dim_alg, dtype=complex), "test")
     for vals in (np.ones((16, 2 * dim_alg, 2 * dim_alg), dtype=complex),
                  RNG.standard_normal((16, 2 * dim_alg, 2 * dim_alg)) + 0j):
         u = FnElement(base, vals)
@@ -408,11 +409,18 @@ def test_pinned_labels():
     assert sample_space("torus2", (8, 8)).pinned_label == ""
 
 
+def test_named_algebra_structs_are_read_only():
+    assert SCALAR is ALGEBRAS["scalar"]
+    for alg in ALGEBRAS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            alg.struct[0, 0] = 7.0
+
+
 def test_element_json_roundtrip():
     base = with_pinned(sample_space("circle", 16, "zeta"), "pm1")
     vals = RNG.standard_normal((16, 2, 2)) + 1j * RNG.standard_normal((16, 2, 2))
     u = FnElement(base, vals)
-    alg = Algebra(base, 2, np.array([[0, 1], [1, 0]], dtype=complex), "qc2-trt")
+    alg = Algebra(2, np.array([[0, 1], [1, 0]], dtype=complex), "qc2-trt")
     obj = serialize.element_to_json(u, alg)
     v, alg2 = serialize.element_from_json(obj)
     assert v.base == u.base

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tenfold import matcore
-from tenfold.basespace import (LIFT_STRATEGIES, SES_NAMES, Algebra, FnElement,
+from tenfold.basespace import (LIFT_STRATEGIES, SCALAR, SES_NAMES, FnElement,
                                apply_full_involution, collar_extension,
                                collar_profile, constant_element,
                                extend_contraction, ideal_base, restrict,
-                               sample_space, scalar_algebra, ses_registry)
+                               sample_space, ses_registry)
 from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               _conjugator_perm, _odd_isometry, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
@@ -122,7 +122,7 @@ def test_stacked_even_retraction_matches_per_point_bytes(ses_name):
     for i, u in _even_draws(ses, rng, 2):
         for lift in LIFT_STRATEGIES:
             sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
-                                  scalar_algebra(ses.total))
+                                  SCALAR)
             for y in (sym, FnElement(sym.base, 1.5 * sym.values)):
                 got = retract_contraction(y, "even").values
                 assert got.tobytes() == even_retraction_per_point(y).tobytes()
@@ -143,7 +143,7 @@ def test_stacked_even_exponential_matches_per_point_bytes(ses_name):
     for i, u in [*_even_draws(ses, rng, 2), *anchors]:
         for lift in LIFT_STRATEGIES:
             sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
-                                  scalar_algebra(ses.total))
+                                  SCALAR)
             a = retract_contraction(sym, "even")
             assert exp_unitary(a).values.tobytes() == exp_unitary_per_point(a).tobytes()
             seen += 1
@@ -411,7 +411,7 @@ def _factored_per_point(u, i, ses, lift_strategy):
     each point's rim value of the quotient-symmetrized input with its own
     profile value; (lift values, isometries)."""
     rho, k = collar_profile(ses, lift_strategy)
-    w = symmetrize_lift(u, i, scalar_algebra(ses.quotient)).values
+    w = symmetrize_lift(u, i, SCALAR).values
     one = [_odd_isometry(w[k[p]:k[p] + 1], True, (rho[p:p + 1], np.zeros(1, int)))
            for p in range(len(k))]
     lift = np.concatenate([top @ v.conj().swapaxes(1, 2) for (top, v), _ in one])
@@ -441,7 +441,7 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
                 a, c = _factored_per_point(u, i, ses, lift)
             else:
                 sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
-                                      scalar_algebra(ses.total))
+                                      SCALAR)
                 a, c = _odd_isometry(sym.values, retract=True)
             assert a.tobytes() == got.lift.values.tobytes()
             # equal values; the bytes differ in the sign of some zeros, both
@@ -550,18 +550,18 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
             if dim % class_spec(i)["mult"]:
                 continue
             u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
-            w = symmetrize_lift(u, i, scalar_algebra(ses.quotient)).values
+            w = symmetrize_lift(u, i, SCALAR).values
             for lift in LIFT_STRATEGIES:
                 rho, k = collar_profile(ses, lift)
                 sym = symmetrize_lift(collar_extension(u, ses, lift), i,
-                                      scalar_algebra(ses.total)).values
+                                      SCALAR).values
                 assert np.max(np.abs(sym - rho[:, None, None] * w[k])) < 1e-14
                 a, c = _odd_isometry(sym, True)
                 image = _reflection(boundary_conjugator(i, 2 * dim) @ c)
                 got = boundary_map(u, i, ses, lift)
                 assert np.max(np.abs(got.element.values - image)) < 1e-13
                 assert np.max(np.abs(got.lift.values - a)) < 1e-13
-                want = require_membership(FnElement(ibase, image), j, Algebra(ibase))
+                want = require_membership(FnElement(ibase, image), j, SCALAR)
                 if catalog_has(want):
                     assert signature(got.rep).values() == signature(want).values()
                     signed += 1
@@ -576,7 +576,7 @@ def test_factored_lift_is_formed_on_first_read():
     u = random_class_element(ses.quotient, 1, 2, RNG, fourier=2)
     res = boundary_map(u, 1, ses, "taper0")
     assert callable(res._lift)
-    w = symmetrize_lift(u, 1, scalar_algebra(ses.quotient)).values
+    w = symmetrize_lift(u, 1, SCALAR).values
     (top, v), _ = _odd_isometry(w, True, collar_profile(ses, "taper0"))
     lift = res.lift
     assert lift.base == ses.total
@@ -671,9 +671,9 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     one odd lift and isometry per grid point with the frame rotation as a
     product (on the disks, of the factored construction), and one even
     eigh per grid point: (element values, lift values, residuals)."""
-    require_membership(u, i, scalar_algebra(ses.quotient))
+    require_membership(u, i, SCALAR)
     ext = extend_contraction(u, ses, lift_strategy)
-    sym = symmetrize_lift(ext, i, scalar_algebra(ses.total))
+    sym = symmetrize_lift(ext, i, SCALAR)
     mode = "even" if class_spec(i)["sa"] else "odd"
     if mode == "odd":
         y = boundary_conjugator(i, 2 * u.dim)
@@ -695,7 +695,7 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     lift_residual = float(np.max(np.abs(restrict(lift, ses).values - u.values)))
     j = class_spec(i)["target"]
     result = FnElement(ideal_base(ses), vals)
-    res = dict(require_membership(result, j, Algebra(result.base)).residuals)
+    res = dict(require_membership(result, j, SCALAR).residuals)
     pinned = [result.values[p] for p in result.base.pinned]
     res["scalar_pinning"] = max([0.0] + [float(np.linalg.norm(v - pinned[0]))
                                          for v in pinned[1:]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tenfold import catalog, toeplitz
+from tenfold.basespace import ALGEBRAS
 from tenfold.invariants import signature
 from tenfold.symclass import add, check_membership
 
@@ -197,4 +198,4 @@ def test_grid_generator_lives_on_its_rows_space(name):
         base = rep.base
         assert (base.kind, base.involution, base.pinned_label, base.shape) == (
             kind, involution or "id", "@" + pin if pin else "", shape)
-        assert rep.algebra.label == label
+        assert rep.algebra is ALGEBRAS[label]

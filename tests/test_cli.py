@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tenfold import basespace, cli, serialize, toeplitz
+from tenfold import basespace, catalog, cli, serialize, toeplitz
 from tenfold.basespace import FnElement, sample_space
 from tenfold.symclass import neutral
 
@@ -404,6 +404,22 @@ def _dim_float(doc):
     doc["dim"] = 1.0
 
 
+# a label that names a known algebra keys the catalog rows: these exited 0,
+# reading class 0 half_trace 1 from the scalar rows and KU0
+# endpoint_half_trace -1 from the qc2-tr rows
+def _scalar_label_on_blocks(doc):
+    rep = catalog.generator("circle_zeta_k4", 16)
+    doc.update(serialize.element_to_json(rep.element, rep.algebra))
+    doc["alg"] = {"dim_alg": 2, "label": "scalar",
+                  "struct": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
+
+def _qc2_tr_label_on_x2(doc):
+    rep = catalog.generator("x2", 16)
+    doc.update(serialize.element_to_json(rep.element, rep.algebra))
+    doc["alg"]["label"] = "qc2-tr"
+
+
 @pytest.mark.parametrize("spoil", [_nan_value, _pinned_past_end, _pinned_negative,
                                    _base_not_object, _pinned_bool, _alg_dim_zero,
                                    _alg_struct_empty, _alg_label_not_string,
@@ -414,7 +430,8 @@ def _dim_float(doc):
                                    _dim_not_int, _dim_bool, _dim_float,
                                    _resolution_fraction, _resolution_list_fraction,
                                    _resolution_string, _alg_dim_fraction, _alg_dim_bool,
-                                   _alg_dim_string])
+                                   _alg_dim_string, _scalar_label_on_blocks,
+                                   _qc2_tr_label_on_x2])
 def test_malformed_element_exits_io(spoil, tmp_path, capsys):
     doc = _circle_doc()
     spoil(doc)

@@ -528,6 +528,12 @@ def test_signature_neutral_zero_across_scalar_catalog():
     assert done > 30
 
 
+def test_catalog_keys_name_the_table_algebras():
+    from tenfold.basespace import ALGEBRAS
+    from tenfold.invariants import CATALOG
+    assert {key[3] for key in CATALOG} == set(ALGEBRAS)
+
+
 def test_point_invariant_groups_agree_with_the_class_table():
     from tenfold.invariants import CATALOG, _D
     from tenfold.symclass import CLASS_IDS, class_spec

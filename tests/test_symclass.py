@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tenfold import catalog, matcore
-from tenfold.basespace import (Algebra, FnElement, apply_full_involution,
+from tenfold.basespace import (SCALAR, Algebra, FnElement, apply_full_involution,
                                constant_element, lambda_eval, pinned_residual,
                                sample_space, with_pinned)
 from tenfold.invariants import InvariantError, catalog_has, signature
@@ -276,12 +278,12 @@ def test_basepoint_that_is_not_skew_fails_class_2():
 
 # -- structures built once, membership shared across classes ---------------------
 
-def _class_structure_reference(i, dim, algebra=None):
+def _class_structure_reference(i, dim, algebra=SCALAR):
     """class_structure as two np.kron calls per call, without a cache."""
     spec = class_spec(i)
     if spec["sign"] is None:
         return None
-    s_alg = np.eye(1, dtype=complex) if algebra is None else algebra.struct
+    s_alg = algebra.struct
     k, rem = divmod(dim, s_alg.shape[0])
     if rem:
         raise ValueError("element dimension is not a multiple of the structure size")
@@ -308,8 +310,8 @@ _STRUCTS = {"scalar": np.eye(1, dtype=complex), "J2": matcore.J2,
 @pytest.mark.parametrize("dim", [2, 4, 8])
 @pytest.mark.parametrize("i", CLASS_IDS)
 def test_class_structure_built_once_matches_kron(i, dim, label):
-    alg = Algebra(POINT, 2 if len(_STRUCTS[label]) > 1 else 1, _STRUCTS[label], label)
-    for algebra in (alg, None) if label == "scalar" else (alg,):
+    alg = Algebra(2 if len(_STRUCTS[label]) > 1 else 1, _STRUCTS[label], label)
+    for algebra in (alg, SCALAR) if label == "scalar" else (alg,):
         want, want_err = _outcome(_class_structure_reference, i, dim, algebra)
         got, got_err = _outcome(class_structure, i, dim, algebra)
         assert got_err == want_err
@@ -322,22 +324,33 @@ def test_class_structure_built_once_matches_kron(i, dim, label):
             got[0, 0] = 7.0
 
 
+def test_catalog_key_reads_the_elements_base():
+    """The algebra carries no base: one algebra object over a pinned base
+    and over the same base unpinned keys different catalog rows."""
+    rep = catalog.generator("x3", 16)
+    unpinned = replace(rep.base, pinned=())
+    free = check_membership(FnElement(unpinned, rep.element.values), 3, rep.algebra)
+    assert free.ok and free.algebra is rep.algebra
+    assert rep.catalog_key() == ("circle", "id", "@1", "m2", 3)
+    assert free.catalog_key() == ("circle", "id", "", "m2", 3)
+    assert catalog_has(rep) and not catalog_has(free)
+
+
 def test_class_structure_cache_reads_the_struct():
     # Algebra's eq and hash ignore struct: these two compare equal
-    a, b = (Algebra(POINT, 2, s, "same") for s in (matcore.J2, matcore.SWAP2))
+    a, b = (Algebra(2, s, "same") for s in (matcore.J2, matcore.SWAP2))
     assert a == b
     assert np.array_equal(class_structure(1, 4, a), np.kron(np.eye(2), matcore.J2))
     assert np.array_equal(class_structure(1, 4, b), np.kron(np.eye(2), matcore.SWAP2))
 
 
-def _check_membership_reference(u, i, algebra=None, tol=1e-9):
+def _check_membership_reference(u, i, algebra=SCALAR, tol=1e-9):
     """check_membership as it was before classes shared their work: every
     piece recomputed for the one class, each residual the largest
     np.linalg.norm of one matrix."""
     def worst(m):
         return max(float(np.linalg.norm(x)) for x in m)
 
-    algebra = Algebra(u.base) if algebra is None else algebra
     spec = class_spec(i)
     res = {}
     d = algebra.dim_alg
@@ -379,7 +392,7 @@ def _signature_outcome(rep):
         return type(exc), str(exc)
 
 
-def _assert_classify_matches_reference(u, algebra=None, tol=1e-9):
+def _assert_classify_matches_reference(u, algebra=SCALAR, tol=1e-9):
     """classify and check_membership of u against the reference, class by
     class: the same refusal, or the same ok, residual bits and signature."""
     every = classify(u, algebra, tol)
