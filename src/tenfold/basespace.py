@@ -293,20 +293,26 @@ ALGEBRAS = {a.label: a for a in (
 SCALAR = ALGEBRAS["scalar"]
 
 
-def apply_full_involution(u: FnElement, minv) -> FnElement:
+def apply_full_involution(u: FnElement, minv, out: np.ndarray = None) -> FnElement:
     """(u^tau)(p) = S u(inv(p))^T S^{-1} for the structure matrix S: point
-    permutation plus structure."""
+    permutation plus structure.  With `out`, a C-contiguous complex array
+    of u's values shape, the values are written there (the same bits) and
+    the returned element holds `out`."""
     s = np.asarray(minv, dtype=complex)
     if s.shape[0] != u.dim:
         raise ValueError("structure matrix does not match element dimension")
     gather = _signed_permutation(s)
     if gather is None:
         pulled = u.values[u.base.inv_perm]
-        return FnElement(u.base, s @ np.swapaxes(pulled, 1, 2) @ s.conj().T)
-    # one take from the flat stack, at inv(p) * d*d plus the structure's offsets
+        return FnElement(u.base, np.matmul(s @ np.swapaxes(pulled, 1, 2), s.conj().T,
+                                           out=out))
+    # one take from the flat stack, at inv(p) * d*d plus the structure's offsets;
+    # "clip" because take buffers its out= under the default "raise", and
+    # these indices are in range by construction
     offsets, signs = gather
     d = u.dim
-    out = np.take(u.values, (u.base.inv_perm * (d * d))[:, None, None] + offsets)
+    out = np.take(u.values, (u.base.inv_perm * (d * d))[:, None, None] + offsets,
+                  out=out, mode="clip")
     out *= signs
     out += 0.0  # -0.0 to +0.0, which the product gives where u vanishes
     return FnElement(u.base, out)

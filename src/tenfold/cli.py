@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import catalog, matcore, serialize, toeplitz, verify
-from .basespace import LIFT_STRATEGIES, SES_NAMES, ses_registry
+from .basespace import LIFT_STRATEGIES, SCALAR, SES_NAMES, ses_registry
 from .boundary import boundary_map
 from .invariants import InvariantError, catalog_has, signature
 from .symclass import CLASS_IDS, class_to_json, classify, parse_class
@@ -137,7 +137,11 @@ def cmd_boundary(args):
         return _refuse(exc, EXIT_UNSUPPORTED)
     except ValueError as exc:  # a resolution the space's grid cannot take
         raise SystemExit_(EXIT_IO, str(exc))
-    u, _ = _parse_element(_read_json(args.input))
+    u, alg = _parse_element(_read_json(args.input))
+    # an element over another base is refused first, by boundary_map (exit 2)
+    if alg != SCALAR and u.base == ses.quotient:
+        return _refuse(f"boundary maps take elements over the scalar algebra, "
+                       f"not {alg.label!r}", EXIT_UNSUPPORTED)
     try:
         res = boundary_map(u, i, ses, args.lift, tol=args.tol)
     # MembershipError, or e.g. input values that are not contractions

@@ -164,7 +164,7 @@ class KOClassRep:
 def check_membership(u: FnElement, i, algebra: Algebra = SCALAR,
                      tol: float = matcore.DEFAULT_TOL) -> KOClassRep:
     """Test the class-i symmetry relations; residuals are always reported."""
-    return _membership(u, i, algebra, tol, {})
+    return _membership(u, i, algebra, tol, None)
 
 
 def classify(u: FnElement, algebra: Algebra = SCALAR, tol: float = matcore.DEFAULT_TOL,
@@ -185,13 +185,22 @@ def classify(u: FnElement, algebra: Algebra = SCALAR, tol: float = matcore.DEFAU
 # which refuses the class, and no warning is printed
 @np.errstate(over="ignore", invalid="ignore")
 def _membership(u: FnElement, i, algebra: Algebra, tol: float,
-                shared: dict) -> KOClassRep:
+                shared: dict | None) -> KOClassRep:
     """Membership of u in class i.  `shared` keeps the pieces every class
     of u may reuse: the adjoint, the unitary and self-adjoint residuals, the
-    involuted element per structure, the symmetry residual per (structure,
-    star, sign), the pinned residual and the basepoint value.  The residual
-    stacks that `shared` lacks are written into one buffer and read with one
-    frobenius_norms call."""
+    involuted values per structure, the symmetry residual per (structure,
+    star, sign), the pinned residual and the basepoint value.  It is None
+    in a call on one class, which keeps nothing.
+
+    The grid-sized stacks that `shared` lacks are formed in one
+    (k, npoints, dim, dim) buffer: the adjoint, the involuted values and
+    the residual stacks, which are read with one frobenius_norms call.  A
+    call on one class writes its symmetry residual over the involuted
+    values it reads; classify keeps them for the classes that share them."""
+    one = shared is None
+    if one:
+        shared = {}
+
     def get(key, make):
         if key not in shared:
             shared[key] = make()
@@ -206,30 +215,48 @@ def _membership(u: FnElement, i, algebra: Algebra, tol: float,
     if u.dim % algebra.struct.shape[0]:
         raise MembershipError("dimension incompatible with the algebra structure")
 
-    ua = get("adjoint", u.adjoint)
-    # residual name -> its key in `shared` and the writer of its stack
-    stacks = {"unitary": ("unitary", lambda out: matcore.sub_identity(
-        np.matmul(ua.values, u.values, out=out)))}
+    # residual name -> its key in `shared`
+    keys = {"unitary": "unitary"}
     if spec["sa"]:
-        stacks["self_adjoint"] = ("self_adjoint",
-                                  lambda out: np.subtract(u.values, ua.values, out=out))
+        keys["self_adjoint"] = "self_adjoint"
     s = class_structure(i, u.dim, algebra)
     if s is not None:
-        sharp, star, sign = spec["sharp"], spec["star"], spec["sign"]
-        lhs = get(("involute", sharp), lambda: apply_full_involution(u, s))
-        rhs = ua if star else u
-        combine = np.subtract if sign > 0 else np.add
-        stacks["symmetry"] = (("symmetry", sharp, star, sign),
-                              lambda out: combine(lhs.values, rhs.values, out=out))
-    missing = [(key, write) for key, write in stacks.values() if key not in shared]
+        keys["symmetry"] = ("symmetry", spec["sharp"], spec["star"], spec["sign"])
+    missing = [key for key in keys.values() if key not in shared]
     if missing:
-        buf = np.empty((len(missing),) + u.values.shape, dtype=complex)
-        for (_, write), out in zip(missing, buf):
-            write(out)
-        norms = matcore.frobenius_norms(buf.reshape(-1, u.dim, u.dim))
-        for (key, _), row in zip(missing, norms.reshape(len(missing), -1)):
+        # One buffer, not one array per stack: glibc serves a block past its
+        # mmap threshold by mmap and, when such a block is freed, raises the
+        # threshold to its size and the heap-top trim threshold to twice
+        # that.  At dim 8 on the 544-point disk the buffer holds 4 stacks
+        # (2.2 MB), so the trim threshold rises past what a disk operation
+        # holds at its peak (3.9 MB), and the heap top is no longer given
+        # back to the kernel after each operation and faulted in again.
+        v = u.values
+        involute = ("involute", spec["sharp"])
+        adjoint = "adjoint" not in shared
+        keep = not one and keys.get("symmetry") in missing and involute not in shared
+        lead = adjoint + keep
+        buf = np.empty((lead + len(missing),) + v.shape, dtype=complex)
+        if adjoint:
+            # u's conjugate read transposed: for C-ordered values, the
+            # memory order np.conj(np.swapaxes(v, 1, 2)) gives
+            shared["adjoint"] = np.swapaxes(np.conj(v, out=buf[0]), 1, 2)
+        if keep:
+            shared[involute] = apply_full_involution(u, s, buf[int(adjoint)]).values
+        ua, stacks = shared["adjoint"], buf[lead:]
+        for key, out in zip(missing, stacks):
+            if key == "unitary":
+                matcore.sub_identity(np.matmul(ua, v, out=out))
+            elif key == "self_adjoint":
+                np.subtract(v, ua, out=out)
+            else:
+                lhs = apply_full_involution(u, s, out).values if one else shared[involute]
+                combine = np.subtract if spec["sign"] > 0 else np.add
+                combine(lhs, ua if spec["star"] else v, out=out)
+        norms = matcore.frobenius_norms(stacks.reshape(-1, u.dim, u.dim))
+        for key, row in zip(missing, norms.reshape(len(missing), -1)):
             shared[key] = float(row.max())
-    res = {name: shared[key] for name, (key, _) in stacks.items()}
+    res = {name: shared[key] for name, key in keys.items()}
 
     ok = all(v <= tol for v in res.values())
     if u.base.pinned:

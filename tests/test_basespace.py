@@ -118,6 +118,30 @@ def test_signed_permutation_structures_match_the_product_bit_for_bit():
             assert got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("general", [False, True])
+def test_full_involution_writes_into_out(general):
+    """With out=, on a 544-point disk stack, the involuted values land in
+    out, the returned element holds out itself, and they are the bits of
+    the allocating call; u's values are left as they were."""
+    base = sample_space("disk", (17, 32), "zeta")
+    assert base.npoints == 544
+    vals = _values_with_zeros(base, 4)
+    before = vals.tobytes()
+    u = FnElement(base, vals)
+    if general:
+        s = np.linalg.qr(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))[0]
+        assert _signed_permutation(s) is None
+    else:
+        s = class_structure(3, 4)
+        assert _signed_permutation(s) is not None
+    want = apply_full_involution(u, s).values
+    out = np.full_like(vals, np.nan)
+    got = apply_full_involution(u, s, out)
+    assert got.values is out
+    assert out.tobytes() == want.tobytes()
+    assert vals.tobytes() == before
+
+
 def test_signed_permutation_gather_is_built_once_read_only():
     """Each structure's decomposition is its d x d flat offsets and d x d
     signs, read-only, the same objects on a repeat call (a fresh copy of the

@@ -156,6 +156,20 @@ def test_boundary_refuses_non_contraction(ses, tmp_path, capsys):
     assert capsys.readouterr().err == "error: input values must be contractions\n"
 
 
+def test_boundary_refuses_a_non_scalar_algebra(tmp_path, capsys):
+    """Boundary maps take elements over the scalar algebra: the two-point
+    circle-zeta anchor (1_2, neutral(0, 1)) declared over m2 is an
+    unsupported pair, not mapped as a scalar element."""
+    q = sample_space("twopoints", involution="id")
+    u = FnElement(q, np.stack([np.eye(2, dtype=complex), neutral(0, 1)]))
+    p = tmp_path / "m2.json"
+    p.write_text(json.dumps(serialize.element_to_json(u, basespace.ALGEBRAS["m2"])))
+    assert run(["boundary", str(p), "--ses", "circle-zeta", "--class", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: boundary maps take elements over the scalar algebra, not 'm2'\n"
+
+
 def test_classify_reports_basepoint_not_skew(tmp_path, capsys):
     # the class-2 row is reported as a failed membership, not dropped
     for name in ("x0", "x3", "x5", "x6", "sphere_ko0", "sphere_ko6",

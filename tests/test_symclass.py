@@ -394,12 +394,17 @@ def _signature_outcome(rep):
 
 def _assert_classify_matches_reference(u, algebra=SCALAR, tol=1e-9):
     """classify and check_membership of u against the reference, class by
-    class: the same refusal, or the same ok, residual bits and signature."""
+    class: the same refusal, or the same ok, residual bits and signature.
+    No membership call changes the bytes of u's values: a one-class call
+    writes its symmetry residual in place, and only into its own buffer."""
+    before = u.values.tobytes()
     every = classify(u, algebra, tol)
+    assert u.values.tobytes() == before
     assert list(every) == list(CLASS_IDS)
     for i in CLASS_IDS:
         want, want_err = _outcome(_check_membership_reference, u, i, algebra, tol)
         one, one_err = _outcome(check_membership, u, i, algebra, tol)
+        assert u.values.tobytes() == before
         got = every[i]
         assert one_err == want_err
         if want_err is not None:
@@ -452,6 +457,13 @@ def test_classify_matches_reference_on_random_draws():
         # a constant neutral passes on a pinned base, so lambda details are compared
         _assert_classify_matches_reference(constant_element(base, neutral(0, 2)))
     assert drawn == set(CLASS_IDS)
+    # a rank-4 disk-id image of a dim-4 class -1 draw: 544 points, dim 8
+    from tenfold.basespace import ses_registry
+    from tenfold.boundary import boundary_map
+    ses = ses_registry("disk-id", (17, 32))
+    u = boundary_map(random_class_element(ses.quotient, -1, 4, rng, fourier=2), -1, ses).element
+    assert u.values.shape == (544, 8, 8)
+    _assert_classify_matches_reference(u)
 
 
 @pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
