@@ -62,35 +62,15 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
     return FnElement(y.base, _odd_isometry(y.values, retract=True)[0])
 
 
-def _odd_isometry(y: np.ndarray, retract: bool, profile=None):
-    """The odd lift a of a value stack y and the 2d x d isometry c with
-    cc* = [[aa*, a sqrt(1-a*a)], [sqrt(1-a*a) a*, 1-a*a]], from one
-    w, V = eigh(y*y).  retract: a = y f(y*y) with f(w) = min(1/sqrt(w), 1);
-    otherwise f = 1 and a = y must be a contraction.  a*a has the spectrum
-    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)].
-
-    profile (rho, k): y holds the distinct values of the stack with value
-    rho[p] y[k[p]] at point p, for real rho.  Its y*y is rho^2 y[k]*y[k],
-    so the eigh runs on the distinct values alone and t = rho^2 w[k],
-    aV = (yV)[k] rho f; a comes back as the factors (aV, V[k]) of a = aV V*,
-    for the caller to form where it reads it."""
-    t, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
-    d = y.shape[2]
-    scale = None  # of the columns of aV
-    if profile is not None:
-        rho, k = profile
-        yv, v, t = (y @ v)[k], v[k], (rho * rho)[:, None] * t[k]
-        scale = rho[:, None]
-    c = np.empty((len(v), 2 * d, d), dtype=complex)
-    top = c[:, :d]  # c is written in place: aV here, V sqrt(1 - t) below
-    if profile is None:
-        yv = np.matmul(y, v, out=top)
+def _odd_spectrum(t: np.ndarray, retract: bool):
+    """From the spectra t of y*y, one row per stack index: f = min(1/sqrt(t), 1)
+    where retract (None otherwise, for f = 1) and sqrt(1 - f^2 t), the roots
+    that scale the lower block of the isometry c.  The guards read f^2 t, the
+    spectrum of a*a, and a refusal names the stack index."""
+    f = None
     if retract:
         f = np.minimum(1.0 / np.sqrt(np.maximum(t, ODD_EIG_FLOOR)), 1.0)
-        scale = f if scale is None else scale * f
         t = f * f * t
-    if scale is not None:
-        np.multiply(yv, scale[:, None, :], out=top)
     # the largest singular value of a is the root of the top of t
     norm = np.sqrt(max(t.max(), 0.0))
     if not norm <= 1.0 + CONTRACTION_TOL:
@@ -101,10 +81,53 @@ def _odd_isometry(y: np.ndarray, retract: bool, profile=None):
         raise ValueError(f"matrix has eigenvalue {low.min():.3e} below -{INDEX_SQRT_TOL:.1e}"
                          f" at stack index {low.argmin()}")
     s[s <= INDEX_ZERO_SNAP] = 0.0
-    np.multiply(v, np.sqrt(s)[:, None, :], out=c[:, d:])
-    if profile is not None:
-        return (top, v), c
+    return f, np.sqrt(s)
+
+
+def _odd_isometry(y: np.ndarray, retract: bool):
+    """The odd lift a of a value stack y and the 2d x d isometry c with
+    cc* = [[aa*, a sqrt(1-a*a)], [sqrt(1-a*a) a*, 1-a*a]], from one
+    w, V = eigh(y*y).  retract: a = y f(y*y) with f(w) = min(1/sqrt(w), 1);
+    otherwise f = 1 and a = y must be a contraction.  a*a has the spectrum
+    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)]."""
+    w, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
+    d = y.shape[2]
+    c = np.empty((len(v), 2 * d, d), dtype=complex)
+    top = np.matmul(y, v, out=c[:, :d])  # c is written in place: aV here
+    f, root = _odd_spectrum(w, retract)
+    if f is not None:
+        np.multiply(top, f[:, None, :], out=top)
+    np.multiply(v, root[:, None, :], out=c[:, d:])
     return top @ v.conj().swapaxes(1, 2), c
+
+
+def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
+    """The retracted odd lift on a one-term collar and the rotated isometry
+    Y c of boundary_map's image, from the rim values alone.
+
+    profile (rho, k): the lift y at total point p is rho[p] w[k[p]] for real
+    rho, so its y*y is rho^2 w[k]*w[k]: one tau, V = eigh(w*w) on the rim
+    gives t = rho^2 tau[k] and aV = (wV)[k] rho f.  For the class's
+    rotation Y = [Y0 Y1] the rotated isometry Y c = Y0 aV + Y1 V sqrt(1 - t)
+    is A[k] diag(rho f) + B[k] diag(sqrt(1 - t)) with the rim factors
+    A = Y0 wV and B = Y1 V, so neither c nor a product per total point is
+    formed.  Returns (lift_at, frames): lift_at(p) forms the lift
+    a = (aV) V[k]* at the total points p."""
+    tau, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
+    d = w.shape[2]
+    rho, k = profile
+    wv = w @ v
+    f, root = _odd_spectrum((rho * rho)[:, None] * tau[k], retract=True)
+    scale = rho[:, None] * f  # of the columns of aV
+    frames = (rotation[:, :d] @ wv)[k]
+    frames *= scale[:, None, :]
+    lower = (rotation[:, d:] @ v)[k]
+    lower *= root[:, None, :]
+    frames += lower
+
+    def lift_at(p):
+        return (wv[k[p]] * scale[p, None, :]) @ v[k[p]].conj().swapaxes(1, 2)
+    return lift_at, frames
 
 
 def _reflection(c: np.ndarray) -> np.ndarray:
@@ -194,10 +217,10 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
         # the extension is rho[p] u[k[p]]: the involutions permute the closed
         # set as they permute k and leave rho fixed, so symmetrizing u on the
         # quotient symmetrizes the extension, whose spectra are the closed set's
-        (top, v), c = _odd_isometry(symmetrize_lift(u, i).values, True, profile)
-        closed = list(ses.closed_flat)
-        back = top[closed] @ v[closed].conj().swapaxes(1, 2)
-        lift = lambda: FnElement(ses.total, top @ v.conj().swapaxes(1, 2))
+        lift_at, frames = _collar_frames(symmetrize_lift(u, i).values, profile,
+                                         boundary_conjugator(i, 2 * u.dim))
+        back = lift_at(list(ses.closed_flat))
+        lift = lambda: FnElement(ses.total, lift_at(slice(None)))
     else:
         ext = collar_extension(u, ses, lift_strategy)
         sym = symmetrize_lift(ext, i)
@@ -205,6 +228,11 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             a, c = _odd_isometry(sym.values, retract=True)
             lift = FnElement(sym.base, a)
             back = restrict(lift, ses).values
+            # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c,
+            # and the columns of yc are orthonormal frames of the image's +1
+            # eigenspace
+            perm = _conjugator_perm(i, c.shape[1])
+            frames = boundary_conjugator(i, c.shape[1]) @ c if perm is None else c[:, perm]
         else:
             # the clamped lift has the frames of sym, so it and its
             # exponential are functions of one spectrum
@@ -219,10 +247,6 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
 
     if mode == "odd":
-        # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c, and
-        # the columns of yc are orthonormal frames of the image's +1 eigenspace
-        perm = _conjugator_perm(i, c.shape[1])
-        frames = boundary_conjugator(i, c.shape[1]) @ c if perm is None else c[:, perm]
         vals = _reflection(frames)
     else:
         frames = None

@@ -10,7 +10,8 @@ from tenfold.basespace import (LIFT_STRATEGIES, SCALAR, SES_NAMES, FnElement,
                                extend_contraction, ideal_base, restrict,
                                sample_space, ses_registry)
 from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
-                              _conjugator_perm, _odd_isometry, _reflection,
+                              ODD_EIG_FLOOR, _collar_frames, _conjugator_perm,
+                              _odd_isometry, _odd_spectrum, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, catalog_has, signature
@@ -325,17 +326,24 @@ def test_odd_isometry_columns_are_orthonormal(dim):
 
 
 def test_factored_isometry_guards_name_the_total_point():
-    """With a profile the guards read the per-point spectra rho^2 tau[k]:
-    a rim value just above norm 1 is refused where rho is 1, at its
-    total-space stack index, and passes where rho shrinks it."""
+    """On a collar the guards read the per-point spectra rho^2 tau[k]: a rim
+    value just above norm 1 is refused where rho is 1, at its total-space
+    stack index, and passes where rho shrinks it; retracted, it is a
+    unitary there, so its lower roots are exact zeros and its frames are
+    the rim factor A[k] alone."""
     w = np.stack([0.5 * random_unitary(2, RNG) for _ in range(3)])
     w[2] = (1 + 0.8e-7) * random_unitary(2, RNG)
     rho, k = np.repeat([0.5, 1.0], 3), np.tile(np.arange(3), 2)
+    tau = np.linalg.eigvalsh(w.conj().swapaxes(1, 2) @ w)
     with pytest.raises(ValueError, match=r"below -1\.0e-07 at stack index 5$"):
-        _odd_isometry(w, False, (rho, k))
-    _odd_isometry(w, False, (rho[:3], k[:3]))
-    (top, v), c = _odd_isometry(w, True, (rho, k))
-    assert np.all(c[5, 2:] == 0)  # retracted to a unitary there: the zero snap
+        _odd_spectrum((rho * rho)[:, None] * tau[k], retract=False)
+    _odd_spectrum((rho[:3] * rho[:3])[:, None] * tau[k[:3]], retract=False)
+    f, root = _odd_spectrum((rho * rho)[:, None] * tau[k], retract=True)
+    assert np.all(root[5] == 0) and np.all(root[:3] > 0)
+    y = boundary_conjugator(-1, 4)
+    _, frames = _collar_frames(w, (rho, k), y)
+    _, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
+    assert np.array_equal(frames[5], (y[:, :2] @ (w @ v))[2] * (rho[5] * f[5]))
 
 
 def test_index_unitary_refusal_order():
@@ -406,16 +414,33 @@ def test_exp_unitary_respects_direct_sums_exactly():
     assert np.array_equal(ab, block_diag(ea, eb))
 
 
-def _factored_per_point(u, i, ses, lift_strategy):
-    """boundary_map's factored odd construction one total point at a time:
-    each point's rim value of the quotient-symmetrized input with its own
-    profile value; (lift values, isometries)."""
+def _collar_per_point(u, i, ses, lift_strategy):
+    """boundary_map's rim construction one total point at a time: each
+    point's rim value of the quotient-symmetrized input with its own
+    profile value; (lift values, frames)."""
     rho, k = collar_profile(ses, lift_strategy)
     w = symmetrize_lift(u, i, SCALAR).values
-    one = [_odd_isometry(w[k[p]:k[p] + 1], True, (rho[p:p + 1], np.zeros(1, int)))
+    y = boundary_conjugator(i, 2 * u.dim)
+    one = [_collar_frames(w[k[p]:k[p] + 1], (rho[p:p + 1], np.zeros(1, int)), y)
            for p in range(len(k))]
-    lift = np.concatenate([top @ v.conj().swapaxes(1, 2) for (top, v), _ in one])
-    return lift, np.concatenate([c for _, c in one])
+    lift = np.concatenate([lift_at([0]) for lift_at, _ in one])
+    return lift, np.concatenate([frames for _, frames in one])
+
+
+def _collar_isometry_oracle(w, profile):
+    """The collar's lift and isometry c = [aV; V sqrt(1 - t)] written out on
+    every total point, before any frame rotation: t = rho^2 tau[k] and
+    aV = (wV)[k] rho f from one eigh of the rim's w*w; (lift, c)."""
+    rho, k = profile
+    tau, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
+    t = (rho * rho)[:, None] * tau[k]
+    f = np.minimum(1.0 / np.sqrt(np.maximum(t, ODD_EIG_FLOOR)), 1.0)
+    s = 1.0 - f * f * t
+    assert s.min() >= -INDEX_SQRT_TOL
+    s[s <= INDEX_ZERO_SNAP] = 0.0
+    av = (w @ v)[k] * (rho[:, None] * f)[:, None, :]
+    v = v[k]
+    return av @ v.conj().swapaxes(1, 2), np.concatenate([av, v * np.sqrt(s)[:, None, :]], axis=1)
 
 
 @pytest.mark.parametrize("ses_name,i", [("disk-zeta", 1), ("disk-zeta", "KU1"),
@@ -425,8 +450,9 @@ def _factored_per_point(u, i, ses, lift_strategy):
 def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
     """Where the frame rotation y is a permutation matrix, the row gather
     c[:, perm] equals the product y c, and boundary_map's image equals
-    2(yc)(yc)* - 1 by matmul byte for byte.  On the disks a and c come from
-    the factored construction run one grid point at a time."""
+    2(yc)(yc)* - 1 by matmul byte for byte.  On the disks, which form no c,
+    a and c come from the oracle of the collar construction, and the
+    image's frames equal y c."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
@@ -437,8 +463,11 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
         u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
         for lift in LIFT_STRATEGIES:
             got = boundary_map(u, i, ses, lift)
-            if collar_profile(ses, lift) is not None:
-                a, c = _factored_per_point(u, i, ses, lift)
+            profile = collar_profile(ses, lift)
+            if profile is not None:
+                a, c = _collar_isometry_oracle(symmetrize_lift(u, i, SCALAR).values,
+                                               profile)
+                assert np.array_equal(got.rep.frames, y @ c)
             else:
                 sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
                                       SCALAR)
@@ -539,7 +568,8 @@ ODD_CLASSES = (-1, 1, 3, 5, "KU1")
 def test_factored_disk_path_matches_full_stack(ses_name, resolution):
     """On the radial collar the lift is rho[p] times the quotient's
     symmetrized value at k[p], and boundary_map's image, lift and signature
-    agree with the isometry of the whole symmetrized extension."""
+    agree with the isometry of the whole symmetrized extension; the image's
+    frames are orthonormal and 2 frames frames* - 1 is the image."""
     ses = ses_registry(ses_name, resolution)
     rng = np.random.default_rng([sum(map(ord, ses_name)), ses.total.npoints])
     ibase = ideal_base(ses)
@@ -561,6 +591,16 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
                 got = boundary_map(u, i, ses, lift)
                 assert np.max(np.abs(got.element.values - image)) < 1e-13
                 assert np.max(np.abs(got.lift.values - a)) < 1e-13
+                # the frames the image carries: y c of the collar oracle, with
+                # d orthonormal columns whose projection gives the image
+                frames = got.rep.frames
+                assert frames.shape == (ses.total.npoints, 2 * dim, dim)
+                y = boundary_conjugator(i, 2 * dim)
+                oracle = _collar_isometry_oracle(w, (rho, k))[1]
+                assert np.max(np.abs(frames - y @ oracle)) < 1e-13
+                gram = frames.conj().swapaxes(1, 2) @ frames
+                assert np.max(np.abs(gram - np.eye(dim))) < 1e-13
+                assert np.max(np.abs(_reflection(frames) - got.element.values)) < 1e-13
                 want = require_membership(FnElement(ibase, image), j, SCALAR)
                 if catalog_has(want):
                     assert signature(got.rep).values() == signature(want).values()
@@ -570,17 +610,20 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
 
 
 def test_factored_lift_is_formed_on_first_read():
-    """The disk's lift is the eager product of _odd_isometry's factors, byte
-    for byte, formed once on first read; a circle's lift is formed at once."""
+    """The disk's lift is the collar construction's lift on every point, and
+    the oracle's byte for byte, formed once on first read; a circle's lift
+    is formed at once."""
     ses = ses_registry("disk-zeta", (17, 32))
     u = random_class_element(ses.quotient, 1, 2, RNG, fourier=2)
     res = boundary_map(u, 1, ses, "taper0")
     assert callable(res._lift)
     w = symmetrize_lift(u, 1, SCALAR).values
-    (top, v), _ = _odd_isometry(w, True, collar_profile(ses, "taper0"))
+    profile = collar_profile(ses, "taper0")
+    lift_at, _ = _collar_frames(w, profile, boundary_conjugator(1, 4))
     lift = res.lift
     assert lift.base == ses.total
-    assert lift.values.tobytes() == (top @ v.conj().swapaxes(1, 2)).tobytes()
+    assert lift.values.tobytes() == lift_at(slice(None)).tobytes()
+    assert lift.values.tobytes() == _collar_isometry_oracle(w, profile)[0].tobytes()
     assert res.lift is lift
     circle = ses_registry("circle-zeta", 32)
     u = random_class_element(circle.quotient, 1, 2, RNG, fourier=2)
@@ -669,8 +712,8 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     """boundary_map as written with a 2-norm SVD in extend_contraction, a
     norm per pinned point for the unitization and neutral-value residuals,
     one odd lift and isometry per grid point with the frame rotation as a
-    product (on the disks, of the factored construction), and one even
-    eigh per grid point: (element values, lift values, residuals)."""
+    product (on the disks, the rim construction's lift and frames), and one
+    even eigh per grid point: (element values, lift values, residuals)."""
     require_membership(u, i, SCALAR)
     ext = extend_contraction(u, ses, lift_strategy)
     sym = symmetrize_lift(ext, i, SCALAR)
@@ -678,9 +721,9 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     if mode == "odd":
         y = boundary_conjugator(i, 2 * u.dim)
         if collar_profile(ses, lift_strategy) is not None:
-            a, c = _factored_per_point(u, i, ses, lift_strategy)
+            a, frames = _collar_per_point(u, i, ses, lift_strategy)
             lift = FnElement(sym.base, a)
-            vals = np.concatenate([_reflection(y @ c[p:p + 1]) for p in range(len(c))])
+            vals = np.concatenate([_reflection(frames[p:p + 1]) for p in range(len(frames))])
         else:
             one = [_odd_isometry(sym.values[p:p + 1], retract=True)
                    for p in range(len(sym.values))]

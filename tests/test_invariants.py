@@ -219,6 +219,44 @@ def test_chern_link_guard():
         chern_of_projection(u)
 
 
+def _tilted_plaquette(theta):
+    """(u, frames) on a (17, 32) disk: every frame is the north spinor but
+    the four corners of one plaquette, tilted to polar angle theta at
+    azimuths 0, pi/2, pi and 3pi/2 in the plaquette's order; u = 2ff* - 1."""
+    base = sample_space("disk", (17, 32))
+    f = np.zeros((base.npoints, 2, 1), dtype=complex)
+    f[:, 0, 0] = 1.0
+    corners = ((8, 10), (8, 11), (9, 11), (9, 10))
+    for (row, col), phi in zip(corners, np.arange(4) * np.pi / 2):
+        f[row * base.shape[1] + col, :, 0] = (np.cos(theta / 2),
+                                             np.exp(1j * phi) * np.sin(theta / 2))
+    return FnElement(base, 2.0 * f @ f.conj().swapaxes(1, 2) - np.eye(2)), f
+
+
+def test_chern_flux_margin_sits_below_pi():
+    """A plaquette flux of 2.47 is read (the fluxes cancel to 0), and a
+    flux of exactly pi, the equator's half turn, is refused."""
+    u, f = _tilted_plaquette(1.4)
+    assert 2.4 < np.abs(_plaquette_fluxes(u.base, f)).max() < 2.5
+    assert chern_of_projection(u, f) == 0
+    u, f = _tilted_plaquette(np.pi / 2)
+    with pytest.raises(InvariantError, match="plaquette flux at pi"):
+        chern_of_projection(u, f)
+
+
+def test_winding3_guard_refuses_a_coarse_degree():
+    """The squared 3-sphere generator reads -1.707 at (10, 10, 10), outside
+    the guard, and -1.881 at (16, 16, 16), which rounds to -2."""
+    for res, want in (((10, 10, 10), None), ((16, 16, 16), -2)):
+        u = catalog.generator("sphere3_ko5", res).element
+        square = FnElement(u.base, u.values @ u.values)
+        if want is None:
+            with pytest.raises(InvariantError, match=r"winding = -1\.707\d* is not within"):
+                invariants.winding3(square)
+        else:
+            assert invariants.winding3(square) == want
+
+
 @pytest.mark.parametrize("res", [16, (24, 16), 32])
 def test_chern_torus_rows_wrap(res):
     assert chern_of_projection(catalog.generator("torus_bott", res).element) == 1
