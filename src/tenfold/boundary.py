@@ -15,7 +15,7 @@ import numpy as np
 from . import matcore
 from .basespace import (EXTEND_NORM_TOL, SCALAR, Algebra, FnElement, SESDescriptor,
                         collar_extension, collar_profile, ideal_base,
-                        require_contraction, restrict)
+                        require_contraction)
 from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
                        neutral, require_membership, symmetrize)
 
@@ -59,7 +59,8 @@ def retract_contraction(y: FnElement, mode: str) -> FnElement:
         return FnElement(y.base, matcore.clamp_spectrum(y.values, -1.0, 1.0, tol=EVEN_HERM_TOL))
     if mode != "odd":
         raise ValueError("mode must be 'odd' or 'even'")
-    return FnElement(y.base, _odd_isometry(y.values, retract=True)[0])
+    lift_at, _ = _odd_isometry(y.values, retract=True)
+    return FnElement(y.base, lift_at(slice(None)))
 
 
 def _odd_spectrum(t: np.ndarray, retract: bool):
@@ -89,7 +90,9 @@ def _odd_isometry(y: np.ndarray, retract: bool):
     cc* = [[aa*, a sqrt(1-a*a)], [sqrt(1-a*a) a*, 1-a*a]], from one
     w, V = eigh(y*y).  retract: a = y f(y*y) with f(w) = min(1/sqrt(w), 1);
     otherwise f = 1 and a = y must be a contraction.  a*a has the spectrum
-    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)]."""
+    t = f^2 w in the frames V, so aV = yV f and c = [yV f; V sqrt(1 - t)].
+    Returns (lift_at, c): lift_at(p) forms the lift a = (aV) V* at the
+    stack indices p."""
     w, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
     d = y.shape[2]
     c = np.empty((len(v), 2 * d, d), dtype=complex)
@@ -98,7 +101,10 @@ def _odd_isometry(y: np.ndarray, retract: bool):
     if f is not None:
         np.multiply(top, f[:, None, :], out=top)
     np.multiply(v, root[:, None, :], out=c[:, d:])
-    return top @ v.conj().swapaxes(1, 2), c
+
+    def lift_at(p):
+        return top[p] @ v[p].conj().swapaxes(1, 2)
+    return lift_at, c
 
 
 def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
@@ -166,33 +172,21 @@ def boundary_conjugator(i, dim: int) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=64)
-def _conjugator_perm(i, dim: int):
-    """perm with y[a, perm[a]] = 1 where the conjugator y is a permutation
-    matrix, so y c is c[perm]; None where it is not."""
-    y = boundary_conjugator(i, dim)
-    perm = np.abs(y).argmax(axis=1)
-    if not np.array_equal(y, np.eye(dim)[perm]):
-        return None
-    perm.flags.writeable = False
-    return perm
-
-
 @dataclass
 class BoundaryResult:
+    """The checked image of a boundary map, and its lift over the total
+    space, formed by _lift_of on first read and kept."""
     rep: KOClassRep
-    _lift: object  # the lift, or a function that forms it on first read
+    _lift_of: object
     residuals: dict = field(default_factory=dict)
 
     @property
     def element(self) -> FnElement:
         return self.rep.element
 
-    @property
+    @functools.cached_property
     def lift(self) -> FnElement:
-        if callable(self._lift):
-            self._lift = self._lift()
-        return self._lift
+        return self._lift_of()
 
 
 def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natural",
@@ -211,46 +205,35 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     if 0.5 * unitary > EXTEND_NORM_TOL:
         require_contraction(u)
 
-    mode = "even" if class_spec(i)["sa"] else "odd"
-    profile = collar_profile(ses, lift_strategy) if mode == "odd" else None
-    if profile is not None:
-        # the extension is rho[p] u[k[p]]: the involutions permute the closed
-        # set as they permute k and leave rho fixed, so symmetrizing u on the
-        # quotient symmetrizes the extension, whose spectra are the closed set's
-        lift_at, frames = _collar_frames(symmetrize_lift(u, i).values, profile,
-                                         boundary_conjugator(i, 2 * u.dim))
-        back = lift_at(list(ses.closed_flat))
-        lift = lambda: FnElement(ses.total, lift_at(slice(None)))
+    if class_spec(i)["sa"]:
+        # the clamped lift has the frames of the symmetrized extension, so it
+        # and its exponential are functions of one spectrum
+        sym = symmetrize_lift(collar_extension(u, ses, lift_strategy), i)
+        w, v = matcore.herm_eig(sym.values, tol=EVEN_HERM_TOL)
+        w = np.clip(w, -1.0, 1.0)
+        lift_at = lambda p: matcore._hermitian_of_spectrum(w[p], v[p])
+        frames = None
+        vals = -matcore._of_spectrum(np.exp(1j * np.pi * w), v)
     else:
-        ext = collar_extension(u, ses, lift_strategy)
-        sym = symmetrize_lift(ext, i)
-        if mode == "odd":
-            a, c = _odd_isometry(sym.values, retract=True)
-            lift = FnElement(sym.base, a)
-            back = restrict(lift, ses).values
+        profile = collar_profile(ses, lift_strategy)
+        if profile is not None:
+            # the extension is rho[p] u[k[p]]: the involutions permute the closed
+            # set as they permute k and leave rho fixed, so symmetrizing u on the
+            # quotient symmetrizes the extension, whose spectra are the closed set's
+            lift_at, frames = _collar_frames(symmetrize_lift(u, i).values, profile,
+                                             boundary_conjugator(i, 2 * u.dim))
+        else:
+            sym = symmetrize_lift(collar_extension(u, ses, lift_strategy), i)
+            lift_at, c = _odd_isometry(sym.values, retract=True)
             # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c,
             # and the columns of yc are orthonormal frames of the image's +1
             # eigenspace
-            perm = _conjugator_perm(i, c.shape[1])
-            frames = boundary_conjugator(i, c.shape[1]) @ c if perm is None else c[:, perm]
-        else:
-            # the clamped lift has the frames of sym, so it and its
-            # exponential are functions of one spectrum
-            w, v = matcore.herm_eig(sym.values, tol=EVEN_HERM_TOL)
-            w = np.clip(w, -1.0, 1.0)
-            closed = list(ses.closed_flat)
-            back = matcore._hermitian_of_spectrum(w[closed], v[closed])
-            lift = lambda: FnElement(ses.total, matcore._hermitian_of_spectrum(w, v))
-    lift_residual = float(np.max(np.abs(back - u.values)))
+            frames = boundary_conjugator(i, 2 * u.dim) @ c
+        vals = _reflection(frames)
+    lift_residual = float(np.max(np.abs(lift_at(list(ses.closed_flat)) - u.values)))
     if lift_residual > LIFT_RESTRICTION_TOL:
         raise MembershipError(
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
-
-    if mode == "odd":
-        vals = _reflection(frames)
-    else:
-        frames = None
-        vals = -matcore._of_spectrum(np.exp(1j * np.pi * w), v)
 
     j = class_spec(i)["target"]
     ibase = ideal_base(ses)
@@ -267,4 +250,4 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     res = dict(rep.residuals)
     res["lift_restriction"] = lift_residual
     res["lambda_neutral"] = lam_res
-    return BoundaryResult(rep, lift, res)
+    return BoundaryResult(rep, lambda: FnElement(ses.total, lift_at(slice(None))), res)

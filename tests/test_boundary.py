@@ -10,7 +10,7 @@ from tenfold.basespace import (LIFT_STRATEGIES, SCALAR, SES_NAMES, FnElement,
                                extend_contraction, ideal_base, restrict,
                                sample_space, ses_registry)
 from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
-                              ODD_EIG_FLOOR, _collar_frames, _conjugator_perm,
+                              ODD_EIG_FLOOR, _collar_frames,
                               _odd_isometry, _odd_spectrum, _reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
@@ -291,9 +291,10 @@ def test_index_values_match_reference_bit_for_bit(dim):
     a[9] = random_unitary(dim, RNG)                # unitary without the retraction
     want = np.stack([index_unitary(pt(v)).values[0] for v in a])
     assert index_unitary(FnElement(base, a)).values.tobytes() == want.tobytes()
-    lift, c = _odd_isometry(vals, retract=True)
+    lift_at, c = _odd_isometry(vals, retract=True)
     one = [_odd_isometry(vals[p:p + 1], retract=True) for p in range(len(vals))]
-    assert lift.tobytes() == np.concatenate([o[0] for o in one]).tobytes()
+    assert lift_at(slice(None)).tobytes() == \
+        np.concatenate([o[0](slice(None)) for o in one]).tobytes()
     assert c.tobytes() == np.concatenate([o[1] for o in one]).tobytes()
     assert _reflection(c).tobytes() == np.concatenate([_reflection(o[1]) for o in one]).tobytes()
 
@@ -305,7 +306,8 @@ def test_index_values_agree_with_two_root_formula(dim):
     equals the upper-right block's conjugate transpose, and where a is
     unitary both are exact zeros."""
     base, vals = _odd_lift_values(dim)
-    a, c = _odd_isometry(vals, retract=True)
+    lift_at, c = _odd_isometry(vals, retract=True)
+    a = lift_at(slice(None))
     want = _index_values_reference(a)
     assert np.all(want[[7, 11, 12], :dim, dim:] == 0)  # a unitary there: the zero snap
     for b in (_reflection(c), index_unitary(FnElement(base, a)).values):
@@ -319,8 +321,8 @@ def test_index_values_agree_with_two_root_formula(dim):
 def test_odd_isometry_columns_are_orthonormal(dim):
     """c*c = 1 to within 1e-13, with and without the retraction."""
     base, vals = _odd_lift_values(dim)
-    a, c = _odd_isometry(vals, retract=True)
-    for iso in (c, _odd_isometry(a, retract=False)[1]):
+    lift_at, c = _odd_isometry(vals, retract=True)
+    for iso in (c, _odd_isometry(lift_at(slice(None)), retract=False)[1]):
         assert iso.shape == (len(vals), 2 * dim, dim)
         assert np.max(np.abs(iso.conj().swapaxes(1, 2) @ iso - np.eye(dim))) < 1e-13
 
@@ -448,17 +450,17 @@ def _collar_isometry_oracle(w, profile):
                                        ("circle-zeta", 5), ("circle-sigma", 5),
                                        ("circle-id", 5)])
 def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
-    """Where the frame rotation y is a permutation matrix, the row gather
-    c[:, perm] equals the product y c, and boundary_map's image equals
-    2(yc)(yc)* - 1 by matmul byte for byte.  On the disks, which form no c,
-    a and c come from the oracle of the collar construction, and the
-    image's frames equal y c."""
+    """Where the frame rotation y is a permutation matrix, it still rotates
+    the frames by the product y c, as for every other class, with no row
+    gather: boundary_map's lift equals a byte for byte, its frames equal y c and
+    its image is 2(yc)(yc)* - 1 by matmul byte for byte.  On the disks,
+    which form no c, a and c come from the oracle of the collar
+    construction."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
     y = boundary_conjugator(i, 2 * dim)
-    perm = _conjugator_perm(i, 2 * dim)
-    assert perm is not None
+    assert np.array_equal(y, np.eye(2 * dim)[np.abs(y).argmax(axis=1)])  # a permutation
     for _ in range(3):
         u = random_class_element(ses.quotient, i, dim, rng, fourier=2)
         for lift in LIFT_STRATEGIES:
@@ -471,14 +473,11 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
             else:
                 sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
                                       SCALAR)
-                a, c = _odd_isometry(sym.values, retract=True)
+                lift_at, c = _odd_isometry(sym.values, retract=True)
+                a = lift_at(slice(None))
+                assert got.rep.frames.tobytes() == (y @ c).tobytes()
             assert a.tobytes() == got.lift.values.tobytes()
-            # equal values; the bytes differ in the sign of some zeros, both
-            # ways, and the image keeps none of them
-            assert np.array_equal(c[:, perm], y @ c)
             assert got.element.values.tobytes() == _reflection(y @ c).tobytes()
-    for j, d in ((-1, 4), (3, 8)):  # entries 1/sqrt(2) and 1/2: no gather
-        assert _conjugator_perm(j, d) is None
 
 
 def test_boundary_conjugators():
@@ -586,7 +585,8 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
                 sym = symmetrize_lift(collar_extension(u, ses, lift), i,
                                       SCALAR).values
                 assert np.max(np.abs(sym - rho[:, None, None] * w[k])) < 1e-14
-                a, c = _odd_isometry(sym, True)
+                lift_at, c = _odd_isometry(sym, True)
+                a = lift_at(slice(None))
                 image = _reflection(boundary_conjugator(i, 2 * dim) @ c)
                 got = boundary_map(u, i, ses, lift)
                 assert np.max(np.abs(got.element.values - image)) < 1e-13
@@ -610,24 +610,36 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
 
 
 def test_factored_lift_is_formed_on_first_read():
-    """The disk's lift is the collar construction's lift on every point, and
-    the oracle's byte for byte, formed once on first read; a circle's lift
-    is formed at once."""
-    ses = ses_registry("disk-zeta", (17, 32))
-    u = random_class_element(ses.quotient, 1, 2, RNG, fourier=2)
-    res = boundary_map(u, 1, ses, "taper0")
-    assert callable(res._lift)
+    """Every map keeps a function that forms its lift, called on first read
+    and then kept.  The lift is byte for byte the eager formula: on the disk
+    the collar construction's and its oracle's, on a circle y f(y*y) of the
+    symmetrized extension y for an odd class and the clamp of its spectrum
+    to [-1, 1] for an even one."""
+    disk = ses_registry("disk-zeta", (17, 32))
+    u = random_class_element(disk.quotient, 1, 2, RNG, fourier=2)
     w = symmetrize_lift(u, 1, SCALAR).values
-    profile = collar_profile(ses, "taper0")
+    profile = collar_profile(disk, "taper0")
     lift_at, _ = _collar_frames(w, profile, boundary_conjugator(1, 4))
-    lift = res.lift
-    assert lift.base == ses.total
-    assert lift.values.tobytes() == lift_at(slice(None)).tobytes()
-    assert lift.values.tobytes() == _collar_isometry_oracle(w, profile)[0].tobytes()
-    assert res.lift is lift
+    eager = _collar_isometry_oracle(w, profile)[0]
+    assert lift_at(slice(None)).tobytes() == eager.tobytes()
+    cases = [(boundary_map(u, 1, disk, "taper0"), disk, eager)]
     circle = ses_registry("circle-zeta", 32)
-    u = random_class_element(circle.quotient, 1, 2, RNG, fourier=2)
-    assert isinstance(boundary_map(u, 1, circle)._lift, FnElement)
+    for i in (1, 0):
+        u = random_class_element(circle.quotient, i, 2, RNG, fourier=2)
+        y = symmetrize_lift(extend_contraction(u, circle), i, SCALAR).values
+        if i == 0:
+            eager = matcore.clamp_spectrum(y, -1.0, 1.0, tol=EVEN_HERM_TOL)
+        else:
+            tau, v = np.linalg.eigh(y.conj().swapaxes(1, 2) @ y)
+            f = np.minimum(1.0 / np.sqrt(np.maximum(tau, ODD_EIG_FLOOR)), 1.0)
+            eager = (y @ v * f[:, None, :]) @ v.conj().swapaxes(1, 2)
+        cases.append((boundary_map(u, i, circle), circle, eager))
+    for res, ses, eager in cases:
+        assert "lift" not in vars(res) and callable(res._lift_of)
+        lift = res.lift
+        assert lift.base == ses.total
+        assert lift.values.tobytes() == eager.tobytes()
+        assert res.lift is lift
 
 
 def test_boundary_requires_quotient_membership():
@@ -727,7 +739,8 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
         else:
             one = [_odd_isometry(sym.values[p:p + 1], retract=True)
                    for p in range(len(sym.values))]
-            lift = FnElement(sym.base, np.concatenate([a for a, _ in one]))
+            lift = FnElement(sym.base, np.concatenate([lift_at(slice(None))
+                                                       for lift_at, _ in one]))
             vals = np.concatenate([_reflection(y @ c) for _, c in one])
     else:
         lift, vals = _even_per_point(sym)

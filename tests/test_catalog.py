@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,25 @@ def test_entry_membership_and_signature(name):
         assert rep.ok
         assert all(v <= 1e-10 for v in rep.residuals.values()
                    if isinstance(v, float))
+
+
+@pytest.mark.parametrize("eps,passes", [(2e-11, True), (5e-11, False)])
+def test_generator_refuses_values_off_the_class_by_more_than_its_tol(monkeypatch, eps,
+                                                                   passes):
+    """A row whose values are scaled by 1 + eps is unitary only up to about
+    2.8 eps: inside MEMBERSHIP_TOL at eps = 2e-11 and outside it at 5e-11,
+    where the generator refuses the row."""
+    ent = catalog.entry("circle_zeta_k0")
+
+    def scaled(base):
+        vals, alg = ent.build(base)
+        return vals * (1 + eps), alg
+    monkeypatch.setitem(catalog.ENTRIES, ent.name, replace(ent, build=scaled))
+    if passes:
+        assert catalog.generator(ent.name).residuals["unitary"] < catalog.MEMBERSHIP_TOL
+    else:
+        with pytest.raises(AssertionError, match="circle_zeta_k0 failed membership"):
+            catalog.generator(ent.name)
 
 
 @pytest.mark.parametrize("name", [n for n in ALL

@@ -435,6 +435,30 @@ def test_classify_matches_reference_on_nonscalar_algebras(name):
     _assert_classify_matches_reference(rep.element)
 
 
+class _FieldDraws:
+    """An rng stub whose standard_normal returns the given real Hermitian
+    fields in turn, as the real part of the draw."""
+
+    def __init__(self, *fields):
+        self.fields = list(fields)
+
+    def standard_normal(self, shape):
+        g = np.zeros(shape)
+        g[:, 0] = self.fields.pop(0)
+        return g
+
+
+def test_even_draw_skips_fields_inside_the_gap():
+    """An even-class draw whose field has an eigenvalue within DRAW_GAP of 0
+    is redrawn: with the spectrum +-0.1 refused, the sign is the second
+    field's diag(-1, 1), not the first's diag(1, -1)."""
+    from tenfold.verify import random_class_element
+    rng = _FieldDraws(np.diag([0.1, -0.1]), np.diag([-1.0, 1.0]))
+    u = random_class_element(POINT, 0, 2, rng)
+    assert np.array_equal(u.values[0], np.diag([-1.0, 1.0]))
+    assert not rng.fields
+
+
 def test_classify_matches_reference_on_random_draws():
     from tenfold.verify import random_class_element
     rng = np.random.default_rng(1201)
