@@ -16,8 +16,8 @@ from . import matcore
 from .basespace import (EXTEND_NORM_TOL, SCALAR, Algebra, FnElement, SESDescriptor,
                         collar_extension, collar_profile, ideal_base,
                         require_contraction)
-from .symclass import (KOClassRep, MembershipError, class_spec, class_structure,
-                       neutral, require_membership, symmetrize)
+from .symclass import (KOClassRep, MembershipError, RimFrames, class_spec,
+                       class_structure, neutral, require_membership, symmetrize)
 
 # symmetrize_lift leaves an even lift Hermitian up to roundoff; a Frobenius
 # residual above this means the lift was not symmetrized.  Guards
@@ -108,32 +108,54 @@ def _odd_isometry(y: np.ndarray, retract: bool):
 
 
 def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
-    """The retracted odd lift on a one-term collar and the rotated isometry
-    Y c of boundary_map's image, from the rim values alone.
+    """The retracted odd lift on a one-term collar and the frames Y c of
+    boundary_map's image, from the rim values alone.
 
     profile (rho, k): the lift y at total point p is rho[p] w[k[p]] for real
-    rho, so its y*y is rho^2 w[k]*w[k]: one tau, V = eigh(w*w) on the rim
-    gives t = rho^2 tau[k] and aV = (wV)[k] rho f.  For the class's
-    rotation Y = [Y0 Y1] the rotated isometry Y c = Y0 aV + Y1 V sqrt(1 - t)
-    is A[k] diag(rho f) + B[k] diag(sqrt(1 - t)) with the rim factors
-    A = Y0 wV and B = Y1 V, so neither c nor a product per total point is
-    formed.  Returns (lift_at, frames): lift_at(p) forms the lift
-    a = (aV) V[k]* at the total points p."""
+    rho, with k[p] = p mod len(w), so its y*y is rho^2 w[k]*w[k]: one tau,
+    V = eigh(w*w) on the rim gives t = rho^2 tau[k] and aV = (wV)[k] rho f.
+    For the class's rotation Y = [Y0 Y1] the frames Y c = Y0 aV +
+    Y1 V sqrt(1 - t) are A[k] diag(rho f) + B[k] diag(sqrt(1 - t)) with the
+    rim factors A = Y0 wV and B = Y1 V, kept as a RimFrames, so neither c
+    nor a product per total point is formed.  Returns (lift_at, frames):
+    lift_at(p) forms the lift a = (aV) V[k]* at the total points p."""
     tau, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
-    d = w.shape[2]
+    nt, _, d = w.shape
     rho, k = profile
     wv = w @ v
     f, root = _odd_spectrum((rho * rho)[:, None] * tau[k], retract=True)
     scale = rho[:, None] * f  # of the columns of aV
-    frames = (rotation[:, :d] @ wv)[k]
-    frames *= scale[:, None, :]
-    lower = (rotation[:, d:] @ v)[k]
-    lower *= root[:, None, :]
-    frames += lower
+    # the columns of A[k] and B[k] as rows, each from one product over all k
+    factors = np.stack([(m.swapaxes(1, 2).reshape(-1, d) @ y.T).reshape(nt, d, 2 * d)
+                        for m, y in ((wv, rotation[:, :d]), (v, rotation[:, d:]))])
+    # ray-major: scales[:, k, j, i] belongs to the total point i * nt + k
+    scales = np.stack([scale, root]).reshape(2, -1, nt, d).transpose(0, 2, 3, 1).copy()
 
     def lift_at(p):
         return (wv[k[p]] * scale[p, None, :]) @ v[k[p]].conj().swapaxes(1, 2)
-    return lift_at, frames
+    return lift_at, RimFrames(factors, scales)
+
+
+def _rim_reflection(frames: RimFrames) -> np.ndarray:
+    """2FF* - 1 for the frames of a RimFrames.  With x_0j, x_1j the rows of
+    its factors at rim value k and q_0j, q_1j their scales at a point of
+    the ray, FF* = sum_j sum_ab q_aj q_bj x_aj x_bj*, so the image on the
+    ray of k is one real product of the (nr, 4d) coefficients q_aj q_bj
+    with the 4d doubled basis matrices 2 x_aj x_bj*, written straight into
+    the image stack."""
+    x, q = frames.factors, frames.scales
+    _, nt, d, n = x.shape
+    nr = q.shape[3]
+    basis = np.empty((nt, 2, 2, d, n, n), dtype=complex)
+    np.multiply((2.0 * x)[:, None, :, :, :, None], x.conj()[None, :, :, :, None, :],
+                out=basis.transpose(1, 2, 0, 3, 4, 5))
+    coef = np.empty((nt, 2, 2, d, nr))
+    np.multiply(q[:, None], q[None, :], out=coef.transpose(1, 2, 0, 3, 4))
+    out = np.empty((nr * nt, n, n), dtype=complex)
+    np.matmul(coef.reshape(nt, 4 * d, nr).swapaxes(1, 2),
+              basis.view(float).reshape(nt, 4 * d, 2 * n * n),
+              out=out.view(float).reshape(nr, nt, 2 * n * n).swapaxes(0, 1))
+    return matcore.sub_identity(out)
 
 
 def _reflection(c: np.ndarray) -> np.ndarray:
@@ -222,6 +244,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             # quotient symmetrizes the extension, whose spectra are the closed set's
             lift_at, frames = _collar_frames(symmetrize_lift(u, i).values, profile,
                                              boundary_conjugator(i, 2 * u.dim))
+            vals = _rim_reflection(frames)
         else:
             sym = symmetrize_lift(collar_extension(u, ses, lift_strategy), i)
             lift_at, c = _odd_isometry(sym.values, retract=True)
@@ -229,7 +252,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             # and the columns of yc are orthonormal frames of the image's +1
             # eigenspace
             frames = boundary_conjugator(i, 2 * u.dim) @ c
-        vals = _reflection(frames)
+            vals = _reflection(frames)
     lift_residual = float(np.max(np.abs(lift_at(list(ses.closed_flat)) - u.values)))
     if lift_residual > LIFT_RESTRICTION_TOL:
         raise MembershipError(

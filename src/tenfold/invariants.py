@@ -13,7 +13,7 @@ import numpy as np
 
 from . import matcore
 from .basespace import SCALAR, Algebra, FnElement, block_compress
-from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral_pfaffian
+from .symclass import CLASS_IDS, KOClassRep, RimFrames, class_spec, neutral_pfaffian
 
 
 class InvariantError(ValueError):
@@ -243,7 +243,7 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
 def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Phases of det(a^H b) over stacks of (..., dim, rank) frames, with a
     conjugated once; at rank 1 and 2 the determinant is formed from the
-    column overlaps, at rank 4 from the 2x2 minors of the overlap matrix."""
+    column overlaps, at other ranks from the overlap matrix."""
     ah = np.conj(np.swapaxes(a, -1, -2))
 
     def overlap(i, j):
@@ -254,13 +254,30 @@ def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         z = overlap(0, 0)
     elif rank == 2:
         z = overlap(0, 0) * overlap(1, 1) - overlap(0, 1) * overlap(1, 0)
-    elif rank == 4:
-        z = _det4(ah @ b)
     else:
-        z = np.linalg.det(ah @ b)
-    if np.min(np.abs(z)) < LINK_FLOOR:
+        z = _dets(ah @ b)
+    return _unit(z)
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Link determinants over their moduli, each modulus at least LINK_FLOOR."""
+    modulus = np.abs(z)
+    if np.min(modulus) < LINK_FLOOR:
         raise InvariantError("frame overlap nearly singular: resolution too coarse")
-    return z / np.abs(z)
+    return z / modulus
+
+
+def _dets(m: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., rank, rank) stack: at rank 1 and 2 from the
+    entries, at rank 4 from the 2x2 minors (_det4), otherwise by LAPACK."""
+    rank = m.shape[-1]
+    if rank == 1:
+        return m[..., 0, 0]
+    if rank == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if rank == 4:
+        return _det4(m)
+    return np.linalg.det(m)
 
 
 # Laplace expansion of a 4x4 determinant along its first two rows: the 2x2
@@ -279,7 +296,7 @@ def _det4(m: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", top, low)
 
 
-def chern_of_projection(u: FnElement, frames: np.ndarray = None) -> int:
+def chern_of_projection(u: FnElement, frames: np.ndarray | RimFrames = None) -> int:
     """First Chern number of p = (u+1)/2 by plaquette flux summation.
 
     Links are determinants of frame overlaps, so the total is an exact
@@ -289,6 +306,11 @@ def chern_of_projection(u: FnElement, frames: np.ndarray = None) -> int:
     neighbours.  The flux sum is the same for any orthonormal frames of the
     range of p: `frames`, (npoints, dim, rank) ones that built u, are read
     as given, and only without them is p factored (`_occupied_frames`).
+    The RimFrames an odd disk boundary image carries give their links from
+    the rim factors (`_rim_links`) without forming a frame per point.  Both
+    link sources meet the same guards: every link determinant passes
+    `_unit` (LINK_FLOOR on its modulus) and every plaquette flux
+    `_link_fluxes` (FLUX_MARGIN).
     """
     if u.base.kind not in ("disk", "sphere2", "torus2"):
         raise InvariantError(f"no plaquette decomposition for {u.base.kind!r}")
@@ -299,7 +321,10 @@ def chern_of_projection(u: FnElement, frames: np.ndarray = None) -> int:
         if frames.shape != (len(u.values), u.dim, rank):
             raise InvariantError(f"frames of shape {frames.shape} do not span the rank-{rank} "
                                  f"ranges of a {u.values.shape} stack")
-    flux = _plaquette_fluxes(u.base, frames)
+    if isinstance(frames, RimFrames):
+        flux = _link_fluxes(*_rim_links(frames))
+    else:
+        flux = _plaquette_fluxes(u.base, frames)
     return _round_int(float(np.sum(flux)) / (2.0 * np.pi), "chern number")
 
 
@@ -309,8 +334,37 @@ def _plaquette_fluxes(base, frames: np.ndarray) -> np.ndarray:
     f = frames.reshape(base.shape + frames.shape[1:])
     if base.kind == "torus2":
         f = np.concatenate([f, f[:1]])
-    across = _unit_links(f, np.roll(f, -1, axis=1))
-    along = _unit_links(f[:-1], f[1:])
+    return _link_fluxes(_unit_links(f, np.roll(f, -1, axis=1)), _unit_links(f[:-1], f[1:]))
+
+
+def _rim_links(frames: RimFrames):
+    """The unit links of a RimFrames' frames on its (nr, nt) grid, across
+    (i, k) -> (i, k+1) and along (i, k) -> (i+1, k), with no frame formed
+    per point.  With A_k, B_k the rows of factors[0, k], factors[1, k] as
+    columns and s, r their scales, A*B = 0 and B_k*B_k = 1, so
+    F*F' = diag(s) A_k*A_k' diag(s') + diag(r) B_k*B_k' diag(r'): across,
+    det(diag(s) G_k diag(s') + diag(r) H_k diag(r')) with the rim products
+    G_k = A_k* A_{k+1} and H_k = B_k* B_{k+1}; along, the real positive
+    prod_j (s s' tau_j + r r') with tau_j the squared norm of column j of
+    A_k."""
+    x, q = frames.factors, frames.scales
+    nt = x.shape[1]
+    nxt = np.arange(1, nt + 1) % nt
+    xc = np.conj(x)
+    g = np.einsum("akjm,aklm->akjl", xc, x[:, nxt])
+    m = q[:, :, :, None, :] * q[:, nxt, None, :, :] * g[..., None]
+    across = _dets((m[0] + m[1]).transpose(0, 3, 1, 2))
+    tau = np.einsum("kjm,kjm->kj", xc[0], x[0]).real
+    w = q[:, :, :, :-1] * q[:, :, :, 1:]
+    w[0] *= tau[..., None]
+    along = np.prod(w[0] + w[1], axis=1)
+    return _unit(across.T), _unit(along.T)
+
+
+def _link_fluxes(across: np.ndarray, along: np.ndarray) -> np.ndarray:
+    """Flux through each plaquette from its unit links: across[i, k] joins
+    (i, k) to (i, k+1), columns wrapping, and along[i, k] joins (i, k) to
+    (i+1, k).  A flux this close to pi may have wrapped, and is refused."""
     flux = np.angle(across[:-1] * np.roll(along, -1, axis=1)
                     * np.conj(across[1:]) * np.conj(along))
     if np.max(np.abs(flux)) > np.pi - FLUX_MARGIN:

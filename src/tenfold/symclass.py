@@ -140,6 +140,35 @@ class MembershipError(ValueError):
         self.residuals = residuals or {}
 
 
+@dataclass(eq=False)
+class RimFrames:
+    """Orthonormal frames over a disk's (nr, nt) grid kept as rim factors.
+    With the rows a_j = factors[0, k, j] and b_j = factors[1, k, j] of rim
+    value k and the real scales s_j = scales[0, k, j, i] and
+    r_j = scales[1, k, j, i] of its ray at radius i, column j of the frame
+    at grid point (i, k) is s_j a_j + r_j b_j.  The a_j of one rim value are
+    orthogonal, its b_j orthonormal, and every a of any rim value is
+    orthogonal to every b of any other, so a product F*F' of two frames
+    needs only the rim products of the rows and the scales.  The
+    (npoints, dim, rank) stack, at total points i * nt + k, is formed on
+    first read of `stack`."""
+    factors: np.ndarray  # (2, nt, rank, dim)
+    scales: np.ndarray  # (2, nt, rank, nr), real
+
+    @property
+    def shape(self) -> tuple:
+        _, nt, rank, nr = self.scales.shape
+        return (nr * nt, self.factors.shape[3], rank)
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        f = self.factors.swapaxes(2, 3)  # (2, nt, dim, rank)
+        q = self.scales.transpose(0, 3, 1, 2)[:, :, :, None, :]  # (2, nr, nt, 1, rank)
+        out = f[0] * q[0]
+        out += f[1] * q[1]
+        return out.reshape(self.shape)
+
+
 @dataclass
 class KOClassRep:
     element: FnElement
@@ -148,8 +177,9 @@ class KOClassRep:
     ok: bool = True
     residuals: dict = field(default_factory=dict)
     # orthonormal (npoints, dim, rank) frames of the ranges of (element+1)/2,
-    # set only by a producer that built the element from them
-    frames: np.ndarray = field(default=None, compare=False, repr=False)
+    # or the RimFrames that form them, set only by a producer that built the
+    # element from them
+    frames: np.ndarray | RimFrames = field(default=None, compare=False, repr=False)
 
     @property
     def base(self) -> BaseSpace:

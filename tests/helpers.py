@@ -5,6 +5,7 @@ import numpy as np
 from tenfold import matcore
 from tenfold.basespace import FnElement
 from tenfold.boundary import EVEN_HERM_TOL, EXP_HERM_TOL
+from tenfold.invariants import InvariantError, chern_of_projection
 
 
 def block_diag(*mats) -> np.ndarray:
@@ -63,3 +64,16 @@ def exp_unitary_per_point(a: FnElement) -> np.ndarray:
     """The even exponential one grid point at a time: -exp(i*pi*a) of each
     value by its own neg_exp_pi_i call."""
     return np.array([matcore.neg_exp_pi_i(v, tol=EXP_HERM_TOL) for v in a.values])
+
+
+def chern_readings(rep):
+    """The Chern number of a rep's element read from the frames the rep
+    carries and from the reader's own frames (_occupied_frames): each an
+    integer, or the message of the refusal."""
+    out = []
+    for frames in (rep.frames, None):
+        try:
+            out.append(chern_of_projection(rep.element, frames))
+        except InvariantError as exc:
+            out.append(str(exc))
+    return out

@@ -12,6 +12,7 @@ from tenfold.basespace import (LIFT_STRATEGIES, SCALAR, SES_NAMES, FnElement,
 from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               ODD_EIG_FLOOR, _collar_frames,
                               _odd_isometry, _odd_spectrum, _reflection,
+                              _rim_reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, catalog_has, signature
@@ -19,8 +20,8 @@ from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec, class
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
-from helpers import (block_diag, even_retraction_per_point, exp_unitary_per_point,
-                     random_unitary)
+from helpers import (block_diag, chern_readings, even_retraction_per_point,
+                     exp_unitary_per_point, random_unitary)
 
 RNG = np.random.default_rng(41)
 POINT = sample_space("point")
@@ -345,7 +346,7 @@ def test_factored_isometry_guards_name_the_total_point():
     y = boundary_conjugator(-1, 4)
     _, frames = _collar_frames(w, (rho, k), y)
     _, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
-    assert np.array_equal(frames[5], (y[:, :2] @ (w @ v))[2] * (rho[5] * f[5]))
+    assert np.array_equal(frames.stack[5], (y[:, :2] @ (w @ v))[2] * (rho[5] * f[5]))
 
 
 def test_index_unitary_refusal_order():
@@ -416,17 +417,21 @@ def test_exp_unitary_respects_direct_sums_exactly():
     assert np.array_equal(ab, block_diag(ea, eb))
 
 
-def _collar_per_point(u, i, ses, lift_strategy):
-    """boundary_map's rim construction one total point at a time: each
-    point's rim value of the quotient-symmetrized input with its own
-    profile value; (lift values, frames)."""
+def _collar_per_ray(u, i, ses, lift_strategy):
+    """boundary_map's rim construction one rim ray at a time: each rim
+    value of the quotient-symmetrized input with the profile values of its
+    ray, the total points p with k[p] = k; (lift values, image values)."""
     rho, k = collar_profile(ses, lift_strategy)
     w = symmetrize_lift(u, i, SCALAR).values
     y = boundary_conjugator(i, 2 * u.dim)
-    one = [_collar_frames(w[k[p]:k[p] + 1], (rho[p:p + 1], np.zeros(1, int)), y)
-           for p in range(len(k))]
-    lift = np.concatenate([lift_at([0]) for lift_at, _ in one])
-    return lift, np.concatenate([frames for _, frames in one])
+    n, nt = 2 * u.dim, len(w)
+    lift = np.empty((len(k), u.dim, u.dim), dtype=complex)
+    vals = np.empty((len(k), n, n), dtype=complex)
+    for ray in range(nt):
+        lift_at, frames = _collar_frames(w[ray:ray + 1], (rho[ray::nt], k[ray::nt] - ray), y)
+        lift[ray::nt] = lift_at(slice(None))
+        vals[ray::nt] = _rim_reflection(frames)
+    return lift, vals
 
 
 def _collar_isometry_oracle(w, profile):
@@ -455,7 +460,8 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
     gather: boundary_map's lift equals a byte for byte, its frames equal y c and
     its image is 2(yc)(yc)* - 1 by matmul byte for byte.  On the disks,
     which form no c, a and c come from the oracle of the collar
-    construction."""
+    construction, the frames on first read equal y c and the image, formed
+    from the rim factors, is 2(yc)(yc)* - 1 within 1e-14."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
@@ -469,15 +475,16 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
             if profile is not None:
                 a, c = _collar_isometry_oracle(symmetrize_lift(u, i, SCALAR).values,
                                                profile)
-                assert np.array_equal(got.rep.frames, y @ c)
+                assert np.array_equal(got.rep.frames.stack, y @ c)
+                assert np.max(np.abs(got.element.values - _reflection(y @ c))) < 1e-14
             else:
                 sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
                                       SCALAR)
                 lift_at, c = _odd_isometry(sym.values, retract=True)
                 a = lift_at(slice(None))
                 assert got.rep.frames.tobytes() == (y @ c).tobytes()
+                assert got.element.values.tobytes() == _reflection(y @ c).tobytes()
             assert a.tobytes() == got.lift.values.tobytes()
-            assert got.element.values.tobytes() == _reflection(y @ c).tobytes()
 
 
 def test_boundary_conjugators():
@@ -568,7 +575,9 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
     """On the radial collar the lift is rho[p] times the quotient's
     symmetrized value at k[p], and boundary_map's image, lift and signature
     agree with the isometry of the whole symmetrized extension; the image's
-    frames are orthonormal and 2 frames frames* - 1 is the image."""
+    frames are orthonormal and 2 frames frames* - 1 is the image, and the
+    Chern reader gives the same integer or refusal from its rim factors as
+    from its own frames."""
     ses = ses_registry(ses_name, resolution)
     rng = np.random.default_rng([sum(map(ord, ses_name)), ses.total.npoints])
     ibase = ideal_base(ses)
@@ -591,9 +600,12 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
                 got = boundary_map(u, i, ses, lift)
                 assert np.max(np.abs(got.element.values - image)) < 1e-13
                 assert np.max(np.abs(got.lift.values - a)) < 1e-13
-                # the frames the image carries: y c of the collar oracle, with
-                # d orthonormal columns whose projection gives the image
-                frames = got.rep.frames
+                # the frames the image carries, formed on first read and
+                # kept: y c of the collar oracle, with d orthonormal columns
+                # whose projection gives the image
+                assert "stack" not in vars(got.rep.frames)
+                frames = got.rep.frames.stack
+                assert got.rep.frames.stack is frames
                 assert frames.shape == (ses.total.npoints, 2 * dim, dim)
                 y = boundary_conjugator(i, 2 * dim)
                 oracle = _collar_isometry_oracle(w, (rho, k))[1]
@@ -601,6 +613,8 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
                 gram = frames.conj().swapaxes(1, 2) @ frames
                 assert np.max(np.abs(gram - np.eye(dim))) < 1e-13
                 assert np.max(np.abs(_reflection(frames) - got.element.values)) < 1e-13
+                rim, own = chern_readings(got.rep)
+                assert rim == own
                 want = require_membership(FnElement(ibase, image), j, SCALAR)
                 if catalog_has(want):
                     assert signature(got.rep).values() == signature(want).values()
@@ -724,8 +738,8 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     """boundary_map as written with a 2-norm SVD in extend_contraction, a
     norm per pinned point for the unitization and neutral-value residuals,
     one odd lift and isometry per grid point with the frame rotation as a
-    product (on the disks, the rim construction's lift and frames), and one
-    even eigh per grid point: (element values, lift values, residuals)."""
+    product (on the disks, the rim construction one rim ray at a time), and
+    one even eigh per grid point: (element values, lift values, residuals)."""
     require_membership(u, i, SCALAR)
     ext = extend_contraction(u, ses, lift_strategy)
     sym = symmetrize_lift(ext, i, SCALAR)
@@ -733,9 +747,8 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
     if mode == "odd":
         y = boundary_conjugator(i, 2 * u.dim)
         if collar_profile(ses, lift_strategy) is not None:
-            a, frames = _collar_per_point(u, i, ses, lift_strategy)
+            a, vals = _collar_per_ray(u, i, ses, lift_strategy)
             lift = FnElement(sym.base, a)
-            vals = np.concatenate([_reflection(frames[p:p + 1]) for p in range(len(frames))])
         else:
             one = [_odd_isometry(sym.values[p:p + 1], retract=True)
                    for p in range(len(sym.values))]
@@ -764,7 +777,10 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
 @pytest.mark.parametrize("ses_name", [n for n in SES_NAMES if n != "toeplitz"])
 def test_boundary_map_matches_reference_bytes(ses_name):
     """Element, lift and residual reprs equal those of the per-point
-    reference over every class, dims 2 and 4 and both lift strategies."""
+    reference (on the disks, the rim construction one rim ray at a time)
+    over every class, dims 2 and 4 and both lift strategies; on an odd disk
+    image the Chern reader gives the same integer or refusal from its rim
+    factors as from its own frames."""
     ses = ses_registry(ses_name, (9, 16) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     seen = 0
@@ -782,6 +798,9 @@ def test_boundary_map_matches_reference_bytes(ses_name):
                 assert got.element.values.tobytes() == vals.tobytes()
                 assert got.lift.values.tobytes() == lift_vals.tobytes()
                 assert repr(got.residuals) == repr(want)
+                if ses.total.kind == "disk" and got.rep.frames is not None:
+                    rim, own = chern_readings(got.rep)
+                    assert rim == own
                 seen += 1
     assert seen >= 20
 

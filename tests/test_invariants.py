@@ -8,8 +8,9 @@ from tenfold import catalog, invariants, serialize
 from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
 from tenfold.boundary import boundary_map
-from tenfold.invariants import (InvariantError, _occupied_frames,
-                                _plaquette_fluxes, _unit_links, arc_winding_det1,
+from tenfold.invariants import (InvariantError, _link_fluxes, _occupied_frames,
+                                _plaquette_fluxes, _rim_links, _unit_links,
+                                arc_winding_det1,
                                 chern_of_projection, det_sign, half_trace,
                                 half_turn_parity, pf_sign, qc_half_trace,
                                 quarter_trace, signature, sp_half_turn_parity,
@@ -17,7 +18,7 @@ from tenfold.invariants import (InvariantError, _occupied_frames,
 from tenfold.symclass import add, check_membership, forget_to_ku, neutral
 from tenfold.verify import random_class_element
 
-from helpers import block_diag
+from helpers import block_diag, chern_readings
 
 RNG = np.random.default_rng(31)
 POINT = sample_space("point")
@@ -305,7 +306,8 @@ def test_chern_frames_match_eigh_on_generators(name, res):
 def _boundary_images(ses, i, lift, seed):
     """Images of seeded class-i inputs of dims 2 and 4; where the class
     allows, the input is twisted by z so its image has a nonzero Chern
-    number."""
+    number.  Each image reads the same Chern number from the rim factors
+    its rep carries as from the reader's own frames."""
     rng = np.random.default_rng(seed)
     z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
     out = []
@@ -314,7 +316,10 @@ def _boundary_images(ses, i, lift, seed):
         twisted = FnElement(ses.quotient, z[:, None, None] * u.values)
         if check_membership(twisted, i).ok:
             u = twisted
-        out.append(boundary_map(u, i, ses, lift).rep.element)
+        rep = boundary_map(u, i, ses, lift).rep
+        rim, own = chern_readings(rep)
+        assert rim == own
+        out.append(rep.element)
     return out
 
 
@@ -352,10 +357,11 @@ def _classified_from_json(rep):
 @pytest.mark.parametrize("res", [(17, 32), None])
 @pytest.mark.parametrize("ses_name", ["disk-id", "disk-zeta"])
 def test_chern_reads_boundary_frames(ses_name, res, lift):
-    """An odd boundary image's rep carries the columns of its isometry as
-    frames; the signature read from them equals the reader's own, with
-    flux sums equal within 1e-12, and so does a rep of the same element
-    without frames (forgotten to KU0, or classified from its JSON)."""
+    """An odd boundary image's rep carries the rim factors of its isometry
+    as frames; the signature read from them equals the reader's own, with
+    flux sums equal within 1e-12 (and so do the frames they form on first
+    read), and so does a rep of the same element without frames (forgotten
+    to KU0, or classified from its JSON)."""
     ses = ses_registry(ses_name, res)
     for name, i, u, want in _boundary_frames_inputs(ses):
         rep = boundary_map(u, i, ses, lift).rep
@@ -363,9 +369,10 @@ def test_chern_reads_boundary_frames(ses_name, res, lift):
         assert rep.frames.shape == (elem.base.npoints, elem.dim, elem.dim // 2), name
         assert signature(rep).as_dict() == {"chern": want}, name
         assert chern_of_projection(elem) == want, name
-        flux = float(np.sum(_plaquette_fluxes(elem.base, rep.frames)))
         ref = float(np.sum(_plaquette_fluxes(elem.base, _occupied_frames(elem))))
-        assert abs(flux - ref) < 1e-12, name
+        for flux in (_link_fluxes(*_rim_links(rep.frames)),
+                     _plaquette_fluxes(elem.base, rep.frames.stack)):
+            assert abs(float(np.sum(flux)) - ref) < 1e-12, name
         plain = [_classified_from_json(rep)]
         if rep.class_id != "KU0":
             plain.append(forget_to_ku(rep))
@@ -374,11 +381,57 @@ def test_chern_reads_boundary_frames(ses_name, res, lift):
             assert signature(other).as_dict() == {"chern": want}, name
 
 
+def _degree_loops(ses):
+    """(name, values, Chern number of the image) over a disk SES's quotient:
+    z^k at rank 1, whose image reads -k, and diag(z, z^2), which reads -3."""
+    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
+    loops = [(f"z^{k}", z[:, None, None] ** k, -k) for k in (1, -2, 3, 15)]
+    pair = np.zeros((len(z), 2, 2), dtype=complex)
+    pair[:, 0, 0], pair[:, 1, 1] = z, z * z
+    return loops + [("diag(z, z^2)", pair, -3)]
+
+
+@pytest.mark.parametrize("lift", ["natural", "taper0"])
+@pytest.mark.parametrize("res", [(17, 32), (33, 64)])
+@pytest.mark.parametrize("ses_name,i", [("disk-id", -1), ("disk-id", "KU1"),
+                                        ("disk-zeta", 1)])
+def test_chern_rim_links_read_known_degrees(ses_name, i, res, lift):
+    """The images of loops of known degree read it from the rim factors as
+    from the reader's own frames, with flux sums equal within 1e-12."""
+    ses = ses_registry(ses_name, res)
+    for name, values, want in _degree_loops(ses):
+        rep = boundary_map(FnElement(ses.quotient, values), i, ses, lift).rep
+        assert chern_readings(rep) == [want, want], name
+        assert signature(rep).as_dict() == {"chern": want}, name
+        rim = float(np.sum(_link_fluxes(*_rim_links(rep.frames))))
+        own = float(np.sum(_plaquette_fluxes(rep.base, _occupied_frames(rep.element))))
+        assert abs(rim - own) < 1e-12, name
+
+
+@pytest.mark.parametrize("ses_name,i", [("disk-id", -1), ("disk-id", "KU1"),
+                                        ("disk-zeta", 1)])
+def test_chern_rim_links_keep_the_guards(ses_name, i):
+    """At (17, 32) the image of z^16 is too coarse to read: LINK_FLOOR
+    refuses it under the natural lift and FLUX_MARGIN under taper0, with
+    the same message from the rim factors as from the reader's own frames."""
+    ses = ses_registry(ses_name, (17, 32))
+    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
+    u = FnElement(ses.quotient, z[:, None, None] ** 16)
+    for lift, message in (("natural", "frame overlap nearly singular"),
+                          ("taper0", "plaquette flux at pi")):
+        rep = boundary_map(u, i, ses, lift).rep
+        want = f"{message}: resolution too coarse"
+        assert chern_readings(rep) == [want, want], lift
+        with pytest.raises(InvariantError, match=want):
+            signature(rep)
+
+
 def test_chern_refuses_mismatched_frames():
     ses = ses_registry("disk-id", (9, 16))
     z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
     rep = boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(2)), -1, ses).rep
-    f = rep.frames
+    assert chern_of_projection(rep.element, rep.frames) == -2
+    f = rep.frames.stack
     assert chern_of_projection(rep.element, f) == -2
     for bad in (f[..., :1], np.concatenate([f, f[..., :1]], axis=2), f[1:], f[:, 1:]):
         with pytest.raises(InvariantError, match=re.escape(
@@ -397,7 +450,7 @@ def test_reps_with_frames_compare_by_value():
     ses = ses_registry("disk-id", (9, 16))
     z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
     rep = boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(1)), -1, ses).rep
-    copy = replace(rep, frames=rep.frames.copy())
+    copy = replace(rep, frames=rep.frames.stack.copy())
     bare = replace(rep, frames=None)
     assert rep == copy == bare
     assert repr(rep) == repr(copy) == repr(bare)
