@@ -229,12 +229,6 @@ class FnElement:
     def involute(self, struct) -> "FnElement":
         return apply_full_involution(self, struct)
 
-    def conjugated(self, x: np.ndarray) -> "FnElement":
-        """x u x* pointwise for a constant matrix x."""
-        x = np.asarray(x, dtype=complex)
-        return FnElement(self.base, np.einsum("ab,pbc,dc->pad",
-                                              x, self.values, x.conj()))
-
 
 def _same_base(u: FnElement, v: FnElement):
     if u.base != v.base:

@@ -115,9 +115,9 @@ def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
     rho, with k[p] = p mod len(w), so its y*y is rho^2 w[k]*w[k]: one tau,
     V = eigh(w*w) on the rim gives t = rho^2 tau[k] and aV = (wV)[k] rho f.
     For the class's rotation Y = [Y0 Y1] the frames Y c = Y0 aV +
-    Y1 V sqrt(1 - t) are A[k] diag(rho f) + B[k] diag(sqrt(1 - t)) with the
-    rim factors A = Y0 wV and B = Y1 V, kept as a RimFrames, so neither c
-    nor a product per total point is formed.  Returns (lift_at, frames):
+    Y1 V sqrt(1 - t) are the RimFrames of the rim factors A = Y0 wV and
+    B = Y1 V with the scales rho f and sqrt(1 - t), so neither c nor a
+    product per total point is formed.  Returns (lift_at, frames):
     lift_at(p) forms the lift a = (aV) V[k]* at the total points p."""
     tau, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
     nt, _, d = w.shape
@@ -125,37 +125,13 @@ def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
     wv = w @ v
     f, root = _odd_spectrum((rho * rho)[:, None] * tau[k], retract=True)
     scale = rho[:, None] * f  # of the columns of aV
-    # the columns of A[k] and B[k] as rows, each from one product over all k
-    factors = np.stack([(m.swapaxes(1, 2).reshape(-1, d) @ y.T).reshape(nt, d, 2 * d)
-                        for m, y in ((wv, rotation[:, :d]), (v, rotation[:, d:]))])
-    # ray-major: scales[:, k, j, i] belongs to the total point i * nt + k
-    scales = np.stack([scale, root]).reshape(2, -1, nt, d).transpose(0, 2, 3, 1).copy()
+    # A and B, each the transpose of one product over all k
+    a, b = ((m.swapaxes(1, 2).reshape(-1, d) @ y.T).reshape(nt, d, 2 * d).swapaxes(1, 2)
+            for m, y in ((wv, rotation[:, :d]), (v, rotation[:, d:])))
 
     def lift_at(p):
         return (wv[k[p]] * scale[p, None, :]) @ v[k[p]].conj().swapaxes(1, 2)
-    return lift_at, RimFrames(factors, scales)
-
-
-def _rim_reflection(frames: RimFrames) -> np.ndarray:
-    """2FF* - 1 for the frames of a RimFrames.  With x_0j, x_1j the rows of
-    its factors at rim value k and q_0j, q_1j their scales at a point of
-    the ray, FF* = sum_j sum_ab q_aj q_bj x_aj x_bj*, so the image on the
-    ray of k is one real product of the (nr, 4d) coefficients q_aj q_bj
-    with the 4d doubled basis matrices 2 x_aj x_bj*, written straight into
-    the image stack."""
-    x, q = frames.factors, frames.scales
-    _, nt, d, n = x.shape
-    nr = q.shape[3]
-    basis = np.empty((nt, 2, 2, d, n, n), dtype=complex)
-    np.multiply((2.0 * x)[:, None, :, :, :, None], x.conj()[None, :, :, :, None, :],
-                out=basis.transpose(1, 2, 0, 3, 4, 5))
-    coef = np.empty((nt, 2, 2, d, nr))
-    np.multiply(q[:, None], q[None, :], out=coef.transpose(1, 2, 0, 3, 4))
-    out = np.empty((nr * nt, n, n), dtype=complex)
-    np.matmul(coef.reshape(nt, 4 * d, nr).swapaxes(1, 2),
-              basis.view(float).reshape(nt, 4 * d, 2 * n * n),
-              out=out.view(float).reshape(nr, nt, 2 * n * n).swapaxes(0, 1))
-    return matcore.sub_identity(out)
+    return lift_at, RimFrames(a, b, scale, root)
 
 
 def _reflection(c: np.ndarray) -> np.ndarray:
@@ -227,6 +203,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     if 0.5 * unitary > EXTEND_NORM_TOL:
         require_contraction(u)
 
+    frames = None
     if class_spec(i)["sa"]:
         # the clamped lift has the frames of the symmetrized extension, so it
         # and its exponential are functions of one spectrum
@@ -234,7 +211,6 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
         w, v = matcore.herm_eig(sym.values, tol=EVEN_HERM_TOL)
         w = np.clip(w, -1.0, 1.0)
         lift_at = lambda p: matcore._hermitian_of_spectrum(w[p], v[p])
-        frames = None
         vals = -matcore._of_spectrum(np.exp(1j * np.pi * w), v)
     else:
         profile = collar_profile(ses, lift_strategy)
@@ -244,15 +220,12 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             # quotient symmetrizes the extension, whose spectra are the closed set's
             lift_at, frames = _collar_frames(symmetrize_lift(u, i).values, profile,
                                              boundary_conjugator(i, 2 * u.dim))
-            vals = _rim_reflection(frames)
+            vals = frames.reflection()
         else:
             sym = symmetrize_lift(collar_extension(u, ses, lift_strategy), i)
             lift_at, c = _odd_isometry(sym.values, retract=True)
-            # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c,
-            # and the columns of yc are orthonormal frames of the image's +1
-            # eigenspace
-            frames = boundary_conjugator(i, 2 * u.dim) @ c
-            vals = _reflection(frames)
+            # y (2cc* - 1) y* = 2(yc)(yc)* - 1: the frame rotation acts on c
+            vals = _reflection(boundary_conjugator(i, 2 * u.dim) @ c)
     lift_residual = float(np.max(np.abs(lift_at(list(ses.closed_flat)) - u.values)))
     if lift_residual > LIFT_RESTRICTION_TOL:
         raise MembershipError(

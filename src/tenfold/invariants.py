@@ -217,10 +217,10 @@ def winding_pairs(u: FnElement) -> int:
 FRAME_PROJECTION_TOL = 0.05
 
 
-def _occupied_rank(diag: np.ndarray) -> int:
-    """rint(trace p) from the (npoints, dim) diagonals of p = (u+1)/2; the
+def _occupied_rank(u: FnElement) -> int:
+    """rint(trace p) of p = (u+1)/2, from one trace of u per grid point; the
     occupied rank must be the same at every grid point."""
-    ranks = np.rint(diag.sum(axis=1).real).astype(int)
+    ranks = np.rint(0.5 * (np.einsum("pii->p", u.values).real + u.dim)).astype(int)
     if np.any(ranks != ranks[0]):
         raise InvariantError("occupied rank is not constant over the grid")
     return max(int(ranks[0]), 0)
@@ -230,9 +230,8 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
     """(npoints, dim, rank) orthonormal frames of the ranges of p = (u+1)/2:
     the eigenvectors of its rank = rint(trace p) largest eigenvalues."""
     n = u.dim
-    p = 0.5 * (u.values + np.eye(n))
-    rank = _occupied_rank(np.diagonal(p, axis1=1, axis2=2))
-    w, v = np.linalg.eigh(p)
+    rank = _occupied_rank(u)
+    w, v = np.linalg.eigh(0.5 * (u.values + np.eye(n)))
     distance = np.abs(w - (np.arange(n) >= n - rank)).max()
     if distance > FRAME_PROJECTION_TOL:
         raise InvariantError(f"(u+1)/2 is {distance:.3g} from a projection "
@@ -241,22 +240,8 @@ def _occupied_frames(u: FnElement) -> np.ndarray:
 
 
 def _unit_links(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Phases of det(a^H b) over stacks of (..., dim, rank) frames, with a
-    conjugated once; at rank 1 and 2 the determinant is formed from the
-    column overlaps, at other ranks from the overlap matrix."""
-    ah = np.conj(np.swapaxes(a, -1, -2))
-
-    def overlap(i, j):
-        return np.einsum("...k,...k->...", ah[..., i, :], b[..., j])
-
-    rank = a.shape[-1]
-    if rank == 1:
-        z = overlap(0, 0)
-    elif rank == 2:
-        z = overlap(0, 0) * overlap(1, 1) - overlap(0, 1) * overlap(1, 0)
-    else:
-        z = _dets(ah @ b)
-    return _unit(z)
+    """Phases of det(a^H b) over stacks of (..., dim, rank) frames."""
+    return _unit(matcore._dets(np.conj(np.swapaxes(a, -1, -2)) @ b))
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
@@ -267,36 +252,7 @@ def _unit(z: np.ndarray) -> np.ndarray:
     return z / modulus
 
 
-def _dets(m: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., rank, rank) stack: at rank 1 and 2 from the
-    entries, at rank 4 from the 2x2 minors (_det4), otherwise by LAPACK."""
-    rank = m.shape[-1]
-    if rank == 1:
-        return m[..., 0, 0]
-    if rank == 2:
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if rank == 4:
-        return _det4(m)
-    return np.linalg.det(m)
-
-
-# Laplace expansion of a 4x4 determinant along its first two rows: the 2x2
-# minor of rows 0, 1 on columns (j, k) times the minor of rows 2, 3 on the
-# complementary columns (p, q), each pair ordered to carry the term's sign
-_LAPLACE_COLS = np.array([[[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]],
-                          [[2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]]])
-
-
-def _det4(m: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., 4, 4) stack by Laplace expansion in 2x2 minors."""
-    r = [m[..., i, :] for i in range(4)]
-    (j, k), (p, q) = _LAPLACE_COLS
-    top = r[0][..., j] * r[1][..., k] - r[0][..., k] * r[1][..., j]
-    low = r[2][..., p] * r[3][..., q] - r[2][..., q] * r[3][..., p]
-    return np.einsum("...i,...i->...", top, low)
-
-
-def chern_of_projection(u: FnElement, frames: np.ndarray | RimFrames = None) -> int:
+def chern_of_projection(u: FnElement, frames: RimFrames | None = None) -> int:
     """First Chern number of p = (u+1)/2 by plaquette flux summation.
 
     Links are determinants of frame overlaps, so the total is an exact
@@ -304,27 +260,22 @@ def chern_of_projection(u: FnElement, frames: np.ndarray | RimFrames = None) -> 
     (Fukui-Hatsugai-Suzuki).  Columns always wrap; rows wrap on the torus
     only, since the first and last rows of a disk or sphere are not
     neighbours.  The flux sum is the same for any orthonormal frames of the
-    range of p: `frames`, (npoints, dim, rank) ones that built u, are read
-    as given, and only without them is p factored (`_occupied_frames`).
-    The RimFrames an odd disk boundary image carries give their links from
-    the rim factors (`_rim_links`) without forming a frame per point.  Both
-    link sources meet the same guards: every link determinant passes
-    `_unit` (LINK_FLOOR on its modulus) and every plaquette flux
-    `_link_fluxes` (FLUX_MARGIN).
+    range of p: the RimFrames an odd disk boundary image was built from give
+    their link determinants from the rim factors (`RimFrames.link_dets`), and
+    without them p is factored (`_occupied_frames`).  Both link sources meet
+    the same guards: every link determinant passes `_unit` (LINK_FLOOR on
+    its modulus) and every plaquette flux `_link_fluxes` (FLUX_MARGIN).
     """
     if u.base.kind not in ("disk", "sphere2", "torus2"):
         raise InvariantError(f"no plaquette decomposition for {u.base.kind!r}")
     if frames is None:
-        frames = _occupied_frames(u)
+        flux = _plaquette_fluxes(u.base, _occupied_frames(u))
     else:
-        rank = _occupied_rank(0.5 * (np.diagonal(u.values, axis1=1, axis2=2) + 1.0))
+        rank = _occupied_rank(u)
         if frames.shape != (len(u.values), u.dim, rank):
             raise InvariantError(f"frames of shape {frames.shape} do not span the rank-{rank} "
                                  f"ranges of a {u.values.shape} stack")
-    if isinstance(frames, RimFrames):
-        flux = _link_fluxes(*_rim_links(frames))
-    else:
-        flux = _plaquette_fluxes(u.base, frames)
+        flux = _link_fluxes(*map(_unit, frames.link_dets()))
     return _round_int(float(np.sum(flux)) / (2.0 * np.pi), "chern number")
 
 
@@ -334,38 +285,17 @@ def _plaquette_fluxes(base, frames: np.ndarray) -> np.ndarray:
     f = frames.reshape(base.shape + frames.shape[1:])
     if base.kind == "torus2":
         f = np.concatenate([f, f[:1]])
-    return _link_fluxes(_unit_links(f, np.roll(f, -1, axis=1)), _unit_links(f[:-1], f[1:]))
-
-
-def _rim_links(frames: RimFrames):
-    """The unit links of a RimFrames' frames on its (nr, nt) grid, across
-    (i, k) -> (i, k+1) and along (i, k) -> (i+1, k), with no frame formed
-    per point.  With A_k, B_k the rows of factors[0, k], factors[1, k] as
-    columns and s, r their scales, A*B = 0 and B_k*B_k = 1, so
-    F*F' = diag(s) A_k*A_k' diag(s') + diag(r) B_k*B_k' diag(r'): across,
-    det(diag(s) G_k diag(s') + diag(r) H_k diag(r')) with the rim products
-    G_k = A_k* A_{k+1} and H_k = B_k* B_{k+1}; along, the real positive
-    prod_j (s s' tau_j + r r') with tau_j the squared norm of column j of
-    A_k."""
-    x, q = frames.factors, frames.scales
-    nt = x.shape[1]
-    nxt = np.arange(1, nt + 1) % nt
-    xc = np.conj(x)
-    g = np.einsum("akjm,aklm->akjl", xc, x[:, nxt])
-    m = q[:, :, :, None, :] * q[:, nxt, None, :, :] * g[..., None]
-    across = _dets((m[0] + m[1]).transpose(0, 3, 1, 2))
-    tau = np.einsum("kjm,kjm->kj", xc[0], x[0]).real
-    w = q[:, :, :, :-1] * q[:, :, :, 1:]
-    w[0] *= tau[..., None]
-    along = np.prod(w[0] + w[1], axis=1)
-    return _unit(across.T), _unit(along.T)
+    nt = f.shape[1]
+    return _link_fluxes(_unit_links(f, f[:, np.arange(1, nt + 1) % nt]),
+                        _unit_links(f[:-1], f[1:]))
 
 
 def _link_fluxes(across: np.ndarray, along: np.ndarray) -> np.ndarray:
     """Flux through each plaquette from its unit links: across[i, k] joins
     (i, k) to (i, k+1), columns wrapping, and along[i, k] joins (i, k) to
     (i+1, k).  A flux this close to pi may have wrapped, and is refused."""
-    flux = np.angle(across[:-1] * np.roll(along, -1, axis=1)
+    nt = along.shape[1]
+    flux = np.angle(across[:-1] * along[:, np.arange(1, nt + 1) % nt]
                     * np.conj(across[1:]) * np.conj(along))
     if np.max(np.abs(flux)) > np.pi - FLUX_MARGIN:
         raise InvariantError("plaquette flux at pi: resolution too coarse")

@@ -155,6 +155,35 @@ def sub_identity(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _dets(m: np.ndarray) -> np.ndarray:
+    """Determinants of a small (..., rank, rank) stack: at rank 1 and 2 from
+    the entries, at rank 4 from the 2x2 minors (_det4), otherwise by LAPACK."""
+    rank = m.shape[-1]
+    if rank == 1:
+        return m[..., 0, 0]
+    if rank == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if rank == 4:
+        return _det4(m)
+    return np.linalg.det(m)
+
+
+# Laplace expansion of a 4x4 determinant along its first two rows: the 2x2
+# minor of rows 0, 1 on columns (j, k) times the minor of rows 2, 3 on the
+# complementary columns (p, q), each pair ordered to carry the term's sign
+_LAPLACE_COLS = np.array([[[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]],
+                          [[2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]]])
+
+
+def _det4(m: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., 4, 4) stack by Laplace expansion in 2x2 minors."""
+    r = [m[..., i, :] for i in range(4)]
+    (j, k), (p, q) = _LAPLACE_COLS
+    top = r[0][..., j] * r[1][..., k] - r[0][..., k] * r[1][..., j]
+    low = r[2][..., p] * r[3][..., q] - r[2][..., q] * r[3][..., p]
+    return np.einsum("...i,...i->...", top, low)
+
+
 def psd_sqrt(m: np.ndarray, tol: float = PSD_CLIP_TOL, zero_snap: float = 0.0) -> np.ndarray:
     """Hermitian PSD square root of a matrix or a (..., d, d) stack;
     eigenvalues in [-tol, 0) are clipped to 0.

@@ -140,20 +140,26 @@ class MembershipError(ValueError):
         self.residuals = residuals or {}
 
 
-@dataclass(eq=False)
 class RimFrames:
     """Orthonormal frames over a disk's (nr, nt) grid kept as rim factors.
-    With the rows a_j = factors[0, k, j] and b_j = factors[1, k, j] of rim
-    value k and the real scales s_j = scales[0, k, j, i] and
-    r_j = scales[1, k, j, i] of its ray at radius i, column j of the frame
-    at grid point (i, k) is s_j a_j + r_j b_j.  The a_j of one rim value are
-    orthogonal, its b_j orthonormal, and every a of any rim value is
-    orthogonal to every b of any other, so a product F*F' of two frames
-    needs only the rim products of the rows and the scales.  The
-    (npoints, dim, rank) stack, at total points i * nt + k, is formed on
-    first read of `stack`."""
-    factors: np.ndarray  # (2, nt, rank, dim)
-    scales: np.ndarray  # (2, nt, rank, nr), real
+
+    Built from the rim factors a, b, (nt, dim, rank) stacks with one matrix
+    per rim value k, and the real column scales s, r, (npoints, rank) at
+    total points i * nt + k: column j of the frame at grid point (i, k) is
+    s_j a_j + r_j b_j, with a_j, b_j column j of a[k], b[k].  The factors
+    must satisfy b*b = 1 and a*a diagonal at each rim value, and a*b' = 0
+    for the factors a, b' of any two rim values, so the image 2FF* - 1
+    (`reflection`) and the link determinants det F*F' (`link_dets`) need
+    only rim products of the factors and the scales, with no frame formed
+    per point.  The (npoints, dim, rank) stack is formed on first read of
+    `stack`."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, s: np.ndarray, r: np.ndarray):
+        nt = len(a)
+        # the columns of a[k] and b[k] as rows: factors[0, k, j] is a_j
+        self.factors = np.stack([a.swapaxes(1, 2), b.swapaxes(1, 2)])  # (2, nt, rank, dim)
+        # ray-major: scales[:, k, j, i] belongs to the total point i * nt + k
+        self.scales = np.stack([s, r]).reshape(2, -1, nt, s.shape[1]).transpose(0, 2, 3, 1).copy()
 
     @property
     def shape(self) -> tuple:
@@ -168,6 +174,48 @@ class RimFrames:
         out += f[1] * q[1]
         return out.reshape(self.shape)
 
+    def reflection(self) -> np.ndarray:
+        """2FF* - 1 over the grid.  With x_0j = a_j, x_1j = b_j at rim value k
+        and q_0j = s_j, q_1j = r_j at a point of its ray, FF* =
+        sum_j sum_ab q_aj q_bj x_aj x_bj*, so the image on the ray of k is one
+        real product of the (nr, 4 rank) coefficients q_aj q_bj with the
+        4 rank doubled basis matrices 2 x_aj x_bj*, written straight into
+        the image stack."""
+        x, q = self.factors, self.scales
+        _, nt, d, n = x.shape
+        nr = q.shape[3]
+        basis = np.empty((nt, 2, 2, d, n, n), dtype=complex)
+        np.multiply((2.0 * x)[:, None, :, :, :, None], x.conj()[None, :, :, :, None, :],
+                    out=basis.transpose(1, 2, 0, 3, 4, 5))
+        coef = np.empty((nt, 2, 2, d, nr))
+        np.multiply(q[:, None], q[None, :], out=coef.transpose(1, 2, 0, 3, 4))
+        out = np.empty((nr * nt, n, n), dtype=complex)
+        np.matmul(coef.reshape(nt, 4 * d, nr).swapaxes(1, 2),
+                  basis.view(float).reshape(nt, 4 * d, 2 * n * n),
+                  out=out.view(float).reshape(nr, nt, 2 * n * n).swapaxes(0, 1))
+        return matcore.sub_identity(out)
+
+    def link_dets(self):
+        """det F*F' over the (nr, nt) grid: across, (nr, nt), from (i, k) to
+        (i, k+1), columns wrapping; along, (nr - 1, nt), from (i, k) to
+        (i+1, k).  As a*b = 0, F*F' = diag(s) a_k*a_k' diag(s') +
+        diag(r) b_k*b_k' diag(r'): across, det(diag(s) G_k diag(s') +
+        diag(r) H_k diag(r')) with the rim products G_k = a_k* a_{k+1} and
+        H_k = b_k* b_{k+1}; along, the real positive prod_j (s s' tau_j + r r')
+        with tau_j = |a_j|^2 at rim value k."""
+        x, q = self.factors, self.scales
+        nt = x.shape[1]
+        nxt = np.arange(1, nt + 1) % nt
+        xc = np.conj(x)
+        g = np.einsum("akjm,aklm->akjl", xc, x[:, nxt])
+        m = q[:, :, :, None, :] * q[:, nxt, None, :, :] * g[..., None]
+        across = matcore._dets((m[0] + m[1]).transpose(0, 3, 1, 2))
+        tau = np.einsum("kjm,kjm->kj", xc[0], x[0]).real
+        w = q[:, :, :, :-1] * q[:, :, :, 1:]
+        w[0] *= tau[..., None]
+        along = np.prod(w[0] + w[1], axis=1)
+        return across.T, along.T
+
 
 @dataclass
 class KOClassRep:
@@ -176,10 +224,10 @@ class KOClassRep:
     algebra: Algebra
     ok: bool = True
     residuals: dict = field(default_factory=dict)
-    # orthonormal (npoints, dim, rank) frames of the ranges of (element+1)/2,
-    # or the RimFrames that form them, set only by a producer that built the
-    # element from them
-    frames: np.ndarray | RimFrames = field(default=None, compare=False, repr=False)
+    # the RimFrames an odd boundary image over a disk was built from, set only
+    # by boundary_map; None on every other rep, whose Chern number the reader
+    # takes from frames of its own
+    frames: RimFrames | None = field(default=None, compare=False, repr=False)
 
     @property
     def base(self) -> BaseSpace:

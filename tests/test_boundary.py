@@ -12,11 +12,10 @@ from tenfold.basespace import (LIFT_STRATEGIES, SCALAR, SES_NAMES, FnElement,
 from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
                               ODD_EIG_FLOOR, _collar_frames,
                               _odd_isometry, _odd_spectrum, _reflection,
-                              _rim_reflection,
                               boundary_conjugator, boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, catalog_has, signature
-from tenfold.symclass import (CLASS_IDS, MembershipError, add, class_spec, classify,
+from tenfold.symclass import (CLASS_IDS, MembershipError, RimFrames, add, class_spec, classify,
                               class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
@@ -430,7 +429,7 @@ def _collar_per_ray(u, i, ses, lift_strategy):
     for ray in range(nt):
         lift_at, frames = _collar_frames(w[ray:ray + 1], (rho[ray::nt], k[ray::nt] - ray), y)
         lift[ray::nt] = lift_at(slice(None))
-        vals[ray::nt] = _rim_reflection(frames)
+        vals[ray::nt] = frames.reflection()
     return lift, vals
 
 
@@ -456,12 +455,12 @@ def _collar_isometry_oracle(w, profile):
                                        ("circle-id", 5)])
 def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
     """Where the frame rotation y is a permutation matrix, it still rotates
-    the frames by the product y c, as for every other class, with no row
-    gather: boundary_map's lift equals a byte for byte, its frames equal y c and
-    its image is 2(yc)(yc)* - 1 by matmul byte for byte.  On the disks,
-    which form no c, a and c come from the oracle of the collar
-    construction, the frames on first read equal y c and the image, formed
-    from the rim factors, is 2(yc)(yc)* - 1 within 1e-14."""
+    the isometry by the product y c, as for every other class, with no row
+    gather: boundary_map's lift equals a byte for byte and, on a circle, its
+    image is 2(yc)(yc)* - 1 by matmul byte for byte, and its rep carries no
+    frames.  On the disks, which form no c, a and c come from the oracle of
+    the collar construction, the frames on first read equal y c and the
+    image, formed from the rim factors, is 2(yc)(yc)* - 1 within 1e-14."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
@@ -482,7 +481,7 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
                                       SCALAR)
                 lift_at, c = _odd_isometry(sym.values, retract=True)
                 a = lift_at(slice(None))
-                assert got.rep.frames.tobytes() == (y @ c).tobytes()
+                assert got.rep.frames is None
                 assert got.element.values.tobytes() == _reflection(y @ c).tobytes()
             assert a.tobytes() == got.lift.values.tobytes()
 
@@ -778,9 +777,10 @@ def _boundary_map_reference(u, i, ses, lift_strategy):
 def test_boundary_map_matches_reference_bytes(ses_name):
     """Element, lift and residual reprs equal those of the per-point
     reference (on the disks, the rim construction one rim ray at a time)
-    over every class, dims 2 and 4 and both lift strategies; on an odd disk
-    image the Chern reader gives the same integer or refusal from its rim
-    factors as from its own frames."""
+    over every class, dims 2 and 4 and both lift strategies.  The rep
+    carries a RimFrames exactly on an odd disk image, and there the Chern
+    reader gives the same integer or refusal from its rim factors as from
+    its own frames; every other rep carries none."""
     ses = ses_registry(ses_name, (9, 16) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     seen = 0
@@ -798,9 +798,12 @@ def test_boundary_map_matches_reference_bytes(ses_name):
                 assert got.element.values.tobytes() == vals.tobytes()
                 assert got.lift.values.tobytes() == lift_vals.tobytes()
                 assert repr(got.residuals) == repr(want)
-                if ses.total.kind == "disk" and got.rep.frames is not None:
+                if ses.total.kind == "disk" and not class_spec(i)["sa"]:
+                    assert type(got.rep.frames) is RimFrames
                     rim, own = chern_readings(got.rep)
                     assert rim == own
+                else:
+                    assert got.rep.frames is None
                 seen += 1
     assert seen >= 20
 

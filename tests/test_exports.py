@@ -1,15 +1,19 @@
-"""Every public function in `src/tenfold` has a caller, and no module imports
-a name it never uses.
+"""Every public function and method in `src/tenfold` has a caller, and no
+module imports a name it never uses.
 
 A public module-level function must be referenced from `src/` outside
 `__init__.py`: called or named in its own module, imported by name into
 another, or read as `module.name`.  Two callers live outside the code: `cli`
 dispatches each `cmd_*` through `globals()`, and the benchmark traces each
-function that a per-layer row of `BENCHMARK.json` names.  These tests only
-read files.
+function that a per-layer row of `BENCHMARK.json` names.  A public method or
+property of a public class must have its name read as an attribute
+somewhere in `src/` outside its own body; dunder methods, which Python
+calls, and the methods of private classes, which a library such as argparse
+calls, are exempt.  These tests only read files.
 """
 
 import ast
+from collections import Counter
 import json
 from pathlib import Path
 
@@ -60,6 +64,29 @@ def _uncalled(sources, traced=frozenset()):
     return sorted(f"{m}.{f}" for m, f in defined - seen - set(traced))
 
 
+def _unread_methods(sources):
+    """Sorted `module.Class.method` of the public methods of the public
+    top-level classes in `sources` whose name no code reads as an attribute,
+    reads inside the method's own body aside."""
+    trees = {m: ast.parse(code) for m, code in sources.items()}
+
+    def reads(node):
+        return Counter(n.attr for n in ast.walk(node)
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+    total = sum((reads(t) for t in trees.values()), Counter())
+    out = []
+    for m, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not fn.name.startswith("_") and total[fn.name] == reads(fn)[fn.name]:
+                    out.append(f"{m}.{cls.name}.{fn.name}")
+    return sorted(out)
+
+
 def _unused_imports(tree):
     """Sorted local names that `tree` imports and never reads."""
     imported = set()
@@ -97,6 +124,24 @@ def test_the_checks_find_uncalled_functions_and_unused_imports():
     assert _unused_imports(ast.parse(sources["b"])) == ["helper"]
     assert _unused_imports(ast.parse("from __future__ import annotations\n"
                                      "import os.path, sys as system\nos.sep\n")) == ["system"]
+
+
+def test_the_check_finds_unread_methods():
+    sources = {
+        "a": ("class Live:\n"
+              "    def read(self):\n        return self.helper()\n"
+              "    def helper(self):\n        return 1\n"
+              "    def dead(self):\n        return self.dead()\n"
+              "    def __len__(self):\n        return 0\n"
+              "class _Hook:\n    def error(self):\n        pass\n"),
+        "b": "from .a import Live\n\ndef run():\n    return Live().read()\n",
+    }
+    assert _unread_methods(sources) == ["a.Live.dead"]
+
+
+def test_every_public_method_is_read_in_src():
+    unread = _unread_methods(_sources())
+    assert not unread, unread
 
 
 def test_every_public_function_has_a_caller_in_src():

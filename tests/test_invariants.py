@@ -1,3 +1,4 @@
+from copy import deepcopy
 from dataclasses import replace
 import re
 
@@ -9,13 +10,13 @@ from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
 from tenfold.boundary import boundary_map
 from tenfold.invariants import (InvariantError, _link_fluxes, _occupied_frames,
-                                _plaquette_fluxes, _rim_links, _unit_links,
+                                _plaquette_fluxes, _unit, _unit_links,
                                 arc_winding_det1,
                                 chern_of_projection, det_sign, half_trace,
                                 half_turn_parity, pf_sign, qc_half_trace,
                                 quarter_trace, signature, sp_half_turn_parity,
                                 winding_det, winding_half, winding_pairs)
-from tenfold.symclass import add, check_membership, forget_to_ku, neutral
+from tenfold.symclass import RimFrames, add, check_membership, forget_to_ku, neutral
 from tenfold.verify import random_class_element
 
 from helpers import block_diag, chern_readings
@@ -236,13 +237,19 @@ def _tilted_plaquette(theta):
 
 def test_chern_flux_margin_sits_below_pi():
     """A plaquette flux of 2.47 is read (the fluxes cancel to 0), and a
-    flux of exactly pi, the equator's half turn, is refused."""
+    flux of exactly pi, the equator's half turn, is refused; the reader's
+    own frames give the fluxes of the frames that built u."""
     u, f = _tilted_plaquette(1.4)
-    assert 2.4 < np.abs(_plaquette_fluxes(u.base, f)).max() < 2.5
-    assert chern_of_projection(u, f) == 0
+    flux = _plaquette_fluxes(u.base, _occupied_frames(u))
+    assert 2.4 < np.abs(flux).max() < 2.5
+    assert np.abs(flux - _plaquette_fluxes(u.base, f)).max() < 1e-12
+    assert chern_of_projection(u) == 0
     u, f = _tilted_plaquette(np.pi / 2)
+    for frames in (f, _occupied_frames(u)):
+        with pytest.raises(InvariantError, match="plaquette flux at pi"):
+            _plaquette_fluxes(u.base, frames)
     with pytest.raises(InvariantError, match="plaquette flux at pi"):
-        chern_of_projection(u, f)
+        chern_of_projection(u)
 
 
 def test_winding3_guard_refuses_a_coarse_degree():
@@ -370,7 +377,7 @@ def test_chern_reads_boundary_frames(ses_name, res, lift):
         assert signature(rep).as_dict() == {"chern": want}, name
         assert chern_of_projection(elem) == want, name
         ref = float(np.sum(_plaquette_fluxes(elem.base, _occupied_frames(elem))))
-        for flux in (_link_fluxes(*_rim_links(rep.frames)),
+        for flux in (_rim_fluxes(rep.frames),
                      _plaquette_fluxes(elem.base, rep.frames.stack)):
             assert abs(float(np.sum(flux)) - ref) < 1e-12, name
         plain = [_classified_from_json(rep)]
@@ -379,6 +386,11 @@ def test_chern_reads_boundary_frames(ses_name, res, lift):
         for other in plain:
             assert other.ok and other.frames is None, name
             assert signature(other).as_dict() == {"chern": want}, name
+
+
+def _rim_fluxes(frames):
+    """The plaquette fluxes chern_of_projection reads from a RimFrames."""
+    return _link_fluxes(*map(_unit, frames.link_dets()))
 
 
 def _degree_loops(ses):
@@ -403,7 +415,7 @@ def test_chern_rim_links_read_known_degrees(ses_name, i, res, lift):
         rep = boundary_map(FnElement(ses.quotient, values), i, ses, lift).rep
         assert chern_readings(rep) == [want, want], name
         assert signature(rep).as_dict() == {"chern": want}, name
-        rim = float(np.sum(_link_fluxes(*_rim_links(rep.frames))))
+        rim = float(np.sum(_rim_fluxes(rep.frames)))
         own = float(np.sum(_plaquette_fluxes(rep.base, _occupied_frames(rep.element))))
         assert abs(rim - own) < 1e-12, name
 
@@ -426,31 +438,36 @@ def test_chern_rim_links_keep_the_guards(ses_name, i):
             signature(rep)
 
 
-def test_chern_refuses_mismatched_frames():
-    ses = ses_registry("disk-id", (9, 16))
+def _disk_z_image(res, k):
+    """The rep of the disk-id class -1 image of diag(z, ..., z) at rank k."""
+    ses = ses_registry("disk-id", res)
     z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
-    rep = boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(2)), -1, ses).rep
+    return boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(k)), -1, ses).rep
+
+
+def test_chern_refuses_mismatched_frames():
+    """RimFrames of another rank or grid than the element's are refused by
+    shape, and the trace of the element sets the rank: it must be the same
+    at every point, with or without frames."""
+    rep = _disk_z_image((9, 16), 2)
     assert chern_of_projection(rep.element, rep.frames) == -2
-    f = rep.frames.stack
-    assert chern_of_projection(rep.element, f) == -2
-    for bad in (f[..., :1], np.concatenate([f, f[..., :1]], axis=2), f[1:], f[:, 1:]):
+    npoints, nt = rep.element.values.shape[0], rep.base.shape[1]
+    wrong_rank = [RimFrames(np.zeros((nt, 4, k)), np.zeros((nt, 4, k)),
+                            np.zeros((npoints, k)), np.zeros((npoints, k))) for k in (1, 3)]
+    for bad in wrong_rank + [_disk_z_image((17, 32), 2).frames, _disk_z_image((9, 16), 1).frames]:
         with pytest.raises(InvariantError, match=re.escape(
                 f"frames of shape {bad.shape} do not span the rank-2 ranges of a "
                 f"{rep.element.values.shape} stack")):
             chern_of_projection(rep.element, bad)
-    # the trace still sets the rank, and must be the same at every point
     u = _disk_diag(lambda k: [1.0, 1.0 if k == 3 else -1.0])
-    frames = np.zeros((u.base.npoints, 2, 1), dtype=complex)
-    frames[:, 0, 0] = 1.0
-    with pytest.raises(InvariantError, match="occupied rank is not constant"):
-        chern_of_projection(u, frames)
+    for frames in (None, _disk_z_image((5, 16), 1).frames):
+        with pytest.raises(InvariantError, match="occupied rank is not constant"):
+            chern_of_projection(u, frames)
 
 
 def test_reps_with_frames_compare_by_value():
-    ses = ses_registry("disk-id", (9, 16))
-    z = ses.quotient.points[:, 0] + 1j * ses.quotient.points[:, 1]
-    rep = boundary_map(FnElement(ses.quotient, z[:, None, None] * np.eye(1)), -1, ses).rep
-    copy = replace(rep, frames=rep.frames.stack.copy())
+    rep = _disk_z_image((9, 16), 1)
+    copy = replace(rep, frames=deepcopy(rep.frames))
     bare = replace(rep, frames=None)
     assert rep == copy == bare
     assert repr(rep) == repr(copy) == repr(bare)
@@ -469,9 +486,10 @@ def _orthonormal(m):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_unit_links_match_det(rank):
-    """The rank-1 and rank-2 overlap forms, the rank-4 Laplace expansion and
-    the general path (rank 3) give det(a^H b) to roundoff, on contiguous and
-    on column-strided frames."""
+    """matcore._dets of the overlap matrix, by its rank-1 and rank-2 entry
+    forms, the rank-4 Laplace expansion and the general path (rank 3),
+    gives det(a^H b) to roundoff, on contiguous and on column-strided
+    frames."""
     rng = np.random.default_rng(70 + rank)
     for dim in sorted({rank, rank + 1, 2 * rank}):
         shape = (5, 7, dim, rank)
@@ -493,8 +511,8 @@ def test_unit_links_of_rank_zero_frames_are_one():
 
 @pytest.mark.parametrize("res", [16, 32])
 def test_chern_links_keep_the_integers(res, monkeypatch):
-    """The overlap-form links read the same Chern numbers and, to
-    roundoff, the same flux sums as matmul-and-det links, on the disk
+    """The links from matcore._dets read the same Chern numbers and, to
+    roundoff, the same flux sums as links from a general determinant, on the disk
     boundary images and the sphere and torus generators."""
     elements = [catalog.generator(name, res).element for name in _CHERN_GENERATORS]
     for seed, (ses_name, i) in enumerate((("disk-id", -1), ("disk-id", 3),
