@@ -44,10 +44,11 @@ from .symclass import (
     check_qc_relations,
     KOClassRep,
     MembershipError,
+    boundary_conjugator,
 )
 from .basespace import constant_element, with_pinned
 from .invariants import signature, InvariantSignature
-from .boundary import boundary_map, index_unitary, exp_unitary, boundary_conjugator
+from .boundary import boundary_map, index_unitary, exp_unitary
 from . import toeplitz, catalog, verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,6 +4,12 @@ Odd-class inputs produce the self-adjoint unitary built from a symmetric
 contraction lift, conjugated into the standard basepoint frame; even-class
 inputs produce -exp(i*pi*lift).  The result vanishes on the closed set in
 the unitized sense: its values there equal the neutral stack exactly.
+
+On a disk, whose one-term collar lift is a real profile times the rim
+values, an odd image is formed from factors at the rim values alone
+(RimFrames, built by _collar_frames), which its rep keeps as its frames
+over the image's base: the Chern reader takes its link determinants from
+them.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ import functools
 import numpy as np
 
 from . import matcore
-from .basespace import (EXTEND_NORM_TOL, SCALAR, Algebra, FnElement, SESDescriptor,
-                        collar_extension, collar_profile, ideal_base,
+from .basespace import (EXTEND_NORM_TOL, SCALAR, Algebra, BaseSpace, FnElement,
+                        SESDescriptor, collar_extension, collar_profile, ideal_base,
                         require_contraction)
-from .symclass import (KOClassRep, MembershipError, RimFrames, class_spec,
+from .symclass import (KOClassRep, MembershipError, boundary_conjugator, class_spec,
                        class_structure, neutral, require_membership, symmetrize)
 
 # symmetrize_lift leaves an even lift Hermitian up to roundoff; a Frobenius
@@ -107,9 +113,72 @@ def _odd_isometry(y: np.ndarray, retract: bool):
     return lift_at, c
 
 
-def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
+class RimFrames:
+    """The frames an odd boundary image over the disk `base` was built from,
+    kept as rim factors; _collar_frames builds them.
+
+    Column j of the frame at grid point (i, k), the total point i * nt + k,
+    is s_j a_j + r_j b_j, with a_j, b_j column j of the rim factors a[k],
+    b[k] and real scales s_j, r_j.  `factors` keeps the columns as rows,
+    factors[0, k, j] = a_j and factors[1, k, j] = b_j, in a (2, nt, rank,
+    dim) array, and `scales` keeps s and r ray-major, scales[:, k, j, i],
+    in a (2, nt, rank, nr) array.  The factors satisfy b*b = 1 and a*a
+    diagonal at each rim value, and a*b' = 0 for the factors a, b' of any
+    two rim values, so the image 2FF* - 1 (`reflection`) and the link
+    determinants det F*F' (`link_dets`) need only rim products of the
+    factors and the scales, with no frame formed per point.  A reader
+    checks `base`, `dim` and `rank` against the element it reads."""
+
+    def __init__(self, base: BaseSpace, factors: np.ndarray, scales: np.ndarray):
+        self.base, self.factors, self.scales = base, factors, scales
+        _, _, self.rank, self.dim = factors.shape
+
+    def reflection(self) -> np.ndarray:
+        """2FF* - 1 over the grid.  With x_0j = a_j, x_1j = b_j at rim value k
+        and q_0j = s_j, q_1j = r_j at a point of its ray, FF* =
+        sum_j sum_ab q_aj q_bj x_aj x_bj*, so the image on the ray of k is one
+        real product of the (nr, 4 rank) coefficients q_aj q_bj with the
+        4 rank doubled basis matrices 2 x_aj x_bj*, written straight into
+        the image stack."""
+        x, q = self.factors, self.scales
+        _, nt, d, n = x.shape
+        nr = q.shape[3]
+        basis = np.empty((nt, 2, 2, d, n, n), dtype=complex)
+        np.multiply((2.0 * x)[:, None, :, :, :, None], x.conj()[None, :, :, :, None, :],
+                    out=basis.transpose(1, 2, 0, 3, 4, 5))
+        coef = np.empty((nt, 2, 2, d, nr))
+        np.multiply(q[:, None], q[None, :], out=coef.transpose(1, 2, 0, 3, 4))
+        out = np.empty((nr * nt, n, n), dtype=complex)
+        np.matmul(coef.reshape(nt, 4 * d, nr).swapaxes(1, 2),
+                  basis.view(float).reshape(nt, 4 * d, 2 * n * n),
+                  out=out.view(float).reshape(nr, nt, 2 * n * n).swapaxes(0, 1))
+        return matcore.sub_identity(out)
+
+    def link_dets(self):
+        """det F*F' over the (nr, nt) grid: across, (nr, nt), from (i, k) to
+        (i, k+1), columns wrapping; along, (nr - 1, nt), from (i, k) to
+        (i+1, k).  As a*b = 0, F*F' = diag(s) a_k*a_k' diag(s') +
+        diag(r) b_k*b_k' diag(r'): across, det(diag(s) G_k diag(s') +
+        diag(r) H_k diag(r')) with the rim products G_k = a_k* a_{k+1} and
+        H_k = b_k* b_{k+1}; along, the real positive prod_j (s s' tau_j + r r')
+        with tau_j = |a_j|^2 at rim value k."""
+        x, q = self.factors, self.scales
+        nt = x.shape[1]
+        nxt = np.arange(1, nt + 1) % nt
+        xc = np.conj(x)
+        g = np.einsum("akjm,aklm->akjl", xc, x[:, nxt])
+        m = q[:, :, :, None, :] * q[:, nxt, None, :, :] * g[..., None]
+        across = matcore._dets((m[0] + m[1]).transpose(0, 3, 1, 2))
+        tau = np.einsum("kjm,kjm->kj", xc[0], x[0]).real
+        w = q[:, :, :, :-1] * q[:, :, :, 1:]
+        w[0] *= tau[..., None]
+        along = np.prod(w[0] + w[1], axis=1)
+        return across.T, along.T
+
+
+def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray, base: BaseSpace):
     """The retracted odd lift on a one-term collar and the frames Y c of
-    boundary_map's image, from the rim values alone.
+    boundary_map's image over `base`, from the rim values alone.
 
     profile (rho, k): the lift y at total point p is rho[p] w[k[p]] for real
     rho, with k[p] = p mod len(w), so its y*y is rho^2 w[k]*w[k]: one tau,
@@ -125,13 +194,16 @@ def _collar_frames(w: np.ndarray, profile, rotation: np.ndarray):
     wv = w @ v
     f, root = _odd_spectrum((rho * rho)[:, None] * tau[k], retract=True)
     scale = rho[:, None] * f  # of the columns of aV
-    # A and B, each the transpose of one product over all k
-    a, b = ((m.swapaxes(1, 2).reshape(-1, d) @ y.T).reshape(nt, d, 2 * d).swapaxes(1, 2)
-            for m, y in ((wv, rotation[:, :d]), (v, rotation[:, d:])))
+    # the columns of A[k] and B[k] as rows, each factor written by one
+    # product over all k
+    factors = np.empty((2, nt, d, 2 * d), dtype=complex)
+    for out, m, y in zip(factors, (wv, v), (rotation[:, :d], rotation[:, d:])):
+        np.matmul(m.swapaxes(1, 2).reshape(-1, d), y.T, out=out.reshape(-1, 2 * d))
+    scales = np.stack([scale, root]).reshape(2, -1, nt, d).transpose(0, 2, 3, 1).copy()
 
     def lift_at(p):
         return (wv[k[p]] * scale[p, None, :]) @ v[k[p]].conj().swapaxes(1, 2)
-    return lift_at, RimFrames(a, b, scale, root)
+    return lift_at, RimFrames(base, factors, scales)
 
 
 def _reflection(c: np.ndarray) -> np.ndarray:
@@ -152,22 +224,6 @@ def index_unitary(a: FnElement) -> FnElement:
 def exp_unitary(a: FnElement) -> FnElement:
     """-exp(i*pi*a) pointwise; respects direct sums exactly."""
     return FnElement(a.base, matcore.neg_exp_pi_i(a.values, tol=EXP_HERM_TOL))
-
-
-@functools.lru_cache(maxsize=64)
-def boundary_conjugator(i, dim: int) -> np.ndarray:
-    """Constant frame rotation moving the odd-case result onto the neutral
-    basepoint stack of the target class: the product of the class row's
-    rotation, built once per (class, dim) and returned read-only."""
-    rotation = class_spec(i)["rotation"]
-    if rotation is None:
-        raise ValueError(f"no odd-case conjugator for class {i!r}")
-    if dim < 1 or any(dim % k for _, k in rotation):
-        raise ValueError(f"no odd-case conjugator for class {i!r} at dim {dim}: its "
-                         f"rotation acts on dim/{max(k for _, k in rotation)} blocks")
-    y = functools.reduce(np.matmul, [make(dim // k) for make, k in rotation])
-    y.flags.writeable = False
-    return y
 
 
 @dataclass
@@ -203,6 +259,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
     if 0.5 * unitary > EXTEND_NORM_TOL:
         require_contraction(u)
 
+    ibase = ideal_base(ses)
     frames = None
     if class_spec(i)["sa"]:
         # the clamped lift has the frames of the symmetrized extension, so it
@@ -219,7 +276,7 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             # set as they permute k and leave rho fixed, so symmetrizing u on the
             # quotient symmetrizes the extension, whose spectra are the closed set's
             lift_at, frames = _collar_frames(symmetrize_lift(u, i).values, profile,
-                                             boundary_conjugator(i, 2 * u.dim))
+                                             boundary_conjugator(i, 2 * u.dim), ibase)
             vals = frames.reflection()
         else:
             sym = symmetrize_lift(collar_extension(u, ses, lift_strategy), i)
@@ -232,7 +289,6 @@ def boundary_map(u: FnElement, i, ses: SESDescriptor, lift_strategy: str = "natu
             f"symmetrized lift no longer restricts to the input ({lift_residual:.2e})")
 
     j = class_spec(i)["target"]
-    ibase = ideal_base(ses)
     result = FnElement(ibase, vals)
     rep = require_membership(result, j, tol=tol)
     rep.frames = frames

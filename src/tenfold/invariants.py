@@ -13,7 +13,7 @@ import numpy as np
 
 from . import matcore
 from .basespace import SCALAR, Algebra, FnElement, block_compress
-from .symclass import CLASS_IDS, KOClassRep, RimFrames, class_spec, neutral_pfaffian
+from .symclass import CLASS_IDS, KOClassRep, class_spec, neutral_pfaffian
 
 
 class InvariantError(ValueError):
@@ -252,7 +252,7 @@ def _unit(z: np.ndarray) -> np.ndarray:
     return z / modulus
 
 
-def chern_of_projection(u: FnElement, frames: RimFrames | None = None) -> int:
+def chern_of_projection(u: FnElement, frames=None) -> int:
     """First Chern number of p = (u+1)/2 by plaquette flux summation.
 
     Links are determinants of frame overlaps, so the total is an exact
@@ -260,11 +260,12 @@ def chern_of_projection(u: FnElement, frames: RimFrames | None = None) -> int:
     (Fukui-Hatsugai-Suzuki).  Columns always wrap; rows wrap on the torus
     only, since the first and last rows of a disk or sphere are not
     neighbours.  The flux sum is the same for any orthonormal frames of the
-    range of p: the RimFrames an odd disk boundary image was built from give
-    their link determinants from the rim factors (`RimFrames.link_dets`), and
-    without them p is factored (`_occupied_frames`).  Both link sources meet
-    the same guards: every link determinant passes `_unit` (LINK_FLOOR on
-    its modulus) and every plaquette flux `_link_fluxes` (FLUX_MARGIN).
+    range of p: the frames an odd disk boundary image was built from
+    (boundary.RimFrames) give their link determinants (`frames.link_dets()`)
+    and are read only over u's base, at u's dim and occupied rank; without
+    them p is factored (`_occupied_frames`).  Both link sources meet the same
+    guards: every link determinant passes `_unit` (LINK_FLOOR on its modulus)
+    and every plaquette flux `_link_fluxes` (FLUX_MARGIN).
     """
     if u.base.kind not in ("disk", "sphere2", "torus2"):
         raise InvariantError(f"no plaquette decomposition for {u.base.kind!r}")
@@ -272,9 +273,11 @@ def chern_of_projection(u: FnElement, frames: RimFrames | None = None) -> int:
         flux = _plaquette_fluxes(u.base, _occupied_frames(u))
     else:
         rank = _occupied_rank(u)
-        if frames.shape != (len(u.values), u.dim, rank):
-            raise InvariantError(f"frames of shape {frames.shape} do not span the rank-{rank} "
-                                 f"ranges of a {u.values.shape} stack")
+        if frames.base != u.base:
+            raise InvariantError("frames built over another base than the element's")
+        if (frames.dim, frames.rank) != (u.dim, rank):
+            raise InvariantError(f"rank-{frames.rank} frames of dim {frames.dim} do not span "
+                                 f"the rank-{rank} ranges of a dim-{u.dim} element")
         flux = _link_fluxes(*map(_unit, frames.link_dets()))
     return _round_int(float(np.sum(flux)) / (2.0 * np.pi), "chern number")
 
@@ -359,10 +362,6 @@ class InvariantSignature:
         for (n, g, a), (_, _, b) in zip(self.entries, other.entries):
             out.append((n, g, (a + b) % 2 if g == "Z2" else a + b))
         return InvariantSignature(tuple(out))
-
-    def __neg__(self) -> "InvariantSignature":
-        return InvariantSignature(tuple(
-            (n, g, v % 2 if g == "Z2" else -v) for n, g, v in self.entries))
 
     @property
     def is_zero(self) -> bool:

@@ -1,12 +1,13 @@
-"""The ten symmetry classes: membership, neutral elements, group operations,
-the forgetful map to the complex classes.
+"""The ten symmetry classes: membership, neutral elements, boundary
+conjugators, group operations, the forgetful map to the complex classes.
 
 Class conventions (structure matrices act on the outer legs; an algebra
 with inner block dimension d contributes its own structure on the last
 leg).  The point column names the invariant over a point, KO_i(R) or KU_i,
 and -- where that group is zero.  The index map sends class i to its target; an
 odd row's rotation, matcore conjugators on d/2 or d/4 blocks multiplied left to
-right, moves a 2d x 2d index unitary onto the target's neutral stack:
+right (boundary_conjugator), moves a 2d x 2d index unitary onto the target's
+neutral stack:
 
   id   size  relation                  neutral block    point              target  rotation
   -1    1    u^t = u                   [1]              --                   6     V W
@@ -107,6 +108,22 @@ def neutral_pfaffian(i, copies: int) -> complex:
     return matcore.pfaffian(neutral(i, copies))
 
 
+@functools.lru_cache(maxsize=64)
+def boundary_conjugator(i, dim: int) -> np.ndarray:
+    """Constant frame rotation moving an odd index map's result onto the
+    neutral basepoint stack of the target class: the product of the class
+    row's rotation, built once per (class, dim) and returned read-only."""
+    rotation = class_spec(i)["rotation"]
+    if rotation is None:
+        raise ValueError(f"no odd-case conjugator for class {i!r}")
+    if dim < 1 or any(dim % k for _, k in rotation):
+        raise ValueError(f"no odd-case conjugator for class {i!r} at dim {dim}: its "
+                         f"rotation acts on dim/{max(k for _, k in rotation)} blocks")
+    y = functools.reduce(np.matmul, [make(dim // k) for make, k in rotation])
+    y.flags.writeable = False
+    return y
+
+
 def class_structure(i, dim: int, algebra: Algebra = SCALAR) -> np.ndarray:
     """Structure matrix of the class-i symmetry on dim x dim values; built
     once per structure and returned read-only."""
@@ -140,83 +157,6 @@ class MembershipError(ValueError):
         self.residuals = residuals or {}
 
 
-class RimFrames:
-    """Orthonormal frames over a disk's (nr, nt) grid kept as rim factors.
-
-    Built from the rim factors a, b, (nt, dim, rank) stacks with one matrix
-    per rim value k, and the real column scales s, r, (npoints, rank) at
-    total points i * nt + k: column j of the frame at grid point (i, k) is
-    s_j a_j + r_j b_j, with a_j, b_j column j of a[k], b[k].  The factors
-    must satisfy b*b = 1 and a*a diagonal at each rim value, and a*b' = 0
-    for the factors a, b' of any two rim values, so the image 2FF* - 1
-    (`reflection`) and the link determinants det F*F' (`link_dets`) need
-    only rim products of the factors and the scales, with no frame formed
-    per point.  The (npoints, dim, rank) stack is formed on first read of
-    `stack`."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, s: np.ndarray, r: np.ndarray):
-        nt = len(a)
-        # the columns of a[k] and b[k] as rows: factors[0, k, j] is a_j
-        self.factors = np.stack([a.swapaxes(1, 2), b.swapaxes(1, 2)])  # (2, nt, rank, dim)
-        # ray-major: scales[:, k, j, i] belongs to the total point i * nt + k
-        self.scales = np.stack([s, r]).reshape(2, -1, nt, s.shape[1]).transpose(0, 2, 3, 1).copy()
-
-    @property
-    def shape(self) -> tuple:
-        _, nt, rank, nr = self.scales.shape
-        return (nr * nt, self.factors.shape[3], rank)
-
-    @functools.cached_property
-    def stack(self) -> np.ndarray:
-        f = self.factors.swapaxes(2, 3)  # (2, nt, dim, rank)
-        q = self.scales.transpose(0, 3, 1, 2)[:, :, :, None, :]  # (2, nr, nt, 1, rank)
-        out = f[0] * q[0]
-        out += f[1] * q[1]
-        return out.reshape(self.shape)
-
-    def reflection(self) -> np.ndarray:
-        """2FF* - 1 over the grid.  With x_0j = a_j, x_1j = b_j at rim value k
-        and q_0j = s_j, q_1j = r_j at a point of its ray, FF* =
-        sum_j sum_ab q_aj q_bj x_aj x_bj*, so the image on the ray of k is one
-        real product of the (nr, 4 rank) coefficients q_aj q_bj with the
-        4 rank doubled basis matrices 2 x_aj x_bj*, written straight into
-        the image stack."""
-        x, q = self.factors, self.scales
-        _, nt, d, n = x.shape
-        nr = q.shape[3]
-        basis = np.empty((nt, 2, 2, d, n, n), dtype=complex)
-        np.multiply((2.0 * x)[:, None, :, :, :, None], x.conj()[None, :, :, :, None, :],
-                    out=basis.transpose(1, 2, 0, 3, 4, 5))
-        coef = np.empty((nt, 2, 2, d, nr))
-        np.multiply(q[:, None], q[None, :], out=coef.transpose(1, 2, 0, 3, 4))
-        out = np.empty((nr * nt, n, n), dtype=complex)
-        np.matmul(coef.reshape(nt, 4 * d, nr).swapaxes(1, 2),
-                  basis.view(float).reshape(nt, 4 * d, 2 * n * n),
-                  out=out.view(float).reshape(nr, nt, 2 * n * n).swapaxes(0, 1))
-        return matcore.sub_identity(out)
-
-    def link_dets(self):
-        """det F*F' over the (nr, nt) grid: across, (nr, nt), from (i, k) to
-        (i, k+1), columns wrapping; along, (nr - 1, nt), from (i, k) to
-        (i+1, k).  As a*b = 0, F*F' = diag(s) a_k*a_k' diag(s') +
-        diag(r) b_k*b_k' diag(r'): across, det(diag(s) G_k diag(s') +
-        diag(r) H_k diag(r')) with the rim products G_k = a_k* a_{k+1} and
-        H_k = b_k* b_{k+1}; along, the real positive prod_j (s s' tau_j + r r')
-        with tau_j = |a_j|^2 at rim value k."""
-        x, q = self.factors, self.scales
-        nt = x.shape[1]
-        nxt = np.arange(1, nt + 1) % nt
-        xc = np.conj(x)
-        g = np.einsum("akjm,aklm->akjl", xc, x[:, nxt])
-        m = q[:, :, :, None, :] * q[:, nxt, None, :, :] * g[..., None]
-        across = matcore._dets((m[0] + m[1]).transpose(0, 3, 1, 2))
-        tau = np.einsum("kjm,kjm->kj", xc[0], x[0]).real
-        w = q[:, :, :, :-1] * q[:, :, :, 1:]
-        w[0] *= tau[..., None]
-        along = np.prod(w[0] + w[1], axis=1)
-        return across.T, along.T
-
-
 @dataclass
 class KOClassRep:
     element: FnElement
@@ -224,10 +164,10 @@ class KOClassRep:
     algebra: Algebra
     ok: bool = True
     residuals: dict = field(default_factory=dict)
-    # the RimFrames an odd boundary image over a disk was built from, set only
-    # by boundary_map; None on every other rep, whose Chern number the reader
-    # takes from frames of its own
-    frames: RimFrames | None = field(default=None, compare=False, repr=False)
+    # the rim frames an odd boundary image over a disk was built from, set
+    # only by boundary_map, whose module owns their type; None on every other
+    # rep, whose Chern number the reader takes from frames of its own
+    frames: object = field(default=None, compare=False, repr=False)
 
     @property
     def base(self) -> BaseSpace:
@@ -389,8 +329,8 @@ def add(u: FnElement, v: FnElement, i, algebra: Algebra = SCALAR) -> FnElement:
     return block_diag_elements(u, v)
 
 
-def stabilize(u: FnElement, i, algebra: Algebra = SCALAR, copies: int = 1) -> FnElement:
-    pad = np.kron(neutral(i, copies), np.eye(algebra.dim_alg, dtype=complex))
+def stabilize(u: FnElement, i, algebra: Algebra = SCALAR) -> FnElement:
+    pad = np.kron(neutral(i, 1), np.eye(algebra.dim_alg, dtype=complex))
     return block_diag_elements(u, constant_element(u.base, pad))
 
 

@@ -7,8 +7,8 @@ basis slots.  All arithmetic is exact over rational complex numbers, so
 the index computations of the Calkin picture verify with zero residual.
 
 Class facts are not restated here: the class table (with its target
-column), structure matrices and neutral blocks come from `symclass`, the
-boundary conjugators from `boundary`, read off exactly as Gaussian-integer
+column), structure matrices, neutral blocks and boundary conjugators come
+from `symclass`, the conjugators read off exactly as Gaussian-integer
 matrices over a power of sqrt(2).
 """
 
@@ -22,10 +22,9 @@ import operator
 import numpy as np
 
 from .basespace import FnElement, sample_space
-from .boundary import boundary_conjugator
 from .matcore import CONSTRUCTION_TOL
 from .serialize import _finite_int, _number
-from .symclass import class_spec, class_structure, neutral, symmetrize
+from .symclass import boundary_conjugator, class_spec, class_structure, neutral, symmetrize
 
 
 class FC:

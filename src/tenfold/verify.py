@@ -216,21 +216,17 @@ def check_circle_zeta_linearity():
 def check_toeplitz_exact():
     tp = toeplitz
     s, e, one, z0 = tp.shift(), tp.rank_one_e(), tp.one(1), tp.zero(1)
-    i = tp.FC_I
     two = tp.FC(2)
     rows = []
     b = tp.index_unitary_exact(s)
     rows.append(("B(s)", b == tp.from_blocks(
         [[one - e.scaled(two), z0], [z0, one.scaled(tp.FC(-1))]])))
-    v2 = tp.from_blocks([[z0, s.scaled(i)],
-                         [s.adjoint().scaled(tp.FC(0, -1)), z0]])
+    v2, v3, v5 = map(catalog.generator, ("shift_u_k2", "shift_u_k3", "shift_u_k5"))
     r2 = tp.calkin_boundary(v2, 2)
     rows.append(("d2(v2)", r2.element == tp.from_blocks(
         [[one - e.scaled(two), z0], [z0, one]])))
-    v3 = tp.from_blocks([[s, z0], [z0, s.adjoint()]])
     r3 = tp.calkin_boundary(v3, 3)
     rows.append(("d3(v3) pf", r3.invariant == 1))
-    v5 = tp.from_blocks([[s, z0], [z0, s]])
     r5 = tp.calkin_boundary(v5, 5)
     e5 = tp.from_blocks([
         [one - e.scaled(two), z0, z0, z0],

@@ -77,3 +77,14 @@ def chern_readings(rep):
         except InvariantError as exc:
             out.append(str(exc))
     return out
+
+
+def rim_frames_stack(frames) -> np.ndarray:
+    """The (npoints, dim, rank) frames a boundary.RimFrames keeps as rim
+    factors, written out: column j at the total point i * nt + k is
+    s_j a_j + r_j b_j."""
+    f = frames.factors.swapaxes(2, 3)  # (2, nt, dim, rank)
+    q = frames.scales.transpose(0, 3, 1, 2)[:, :, :, None, :]  # (2, nr, nt, 1, rank)
+    out = f[0] * q[0]
+    out += f[1] * q[1]
+    return out.reshape(-1, frames.dim, frames.rank)

@@ -10,17 +10,17 @@ from tenfold.basespace import (LIFT_STRATEGIES, SCALAR, SES_NAMES, FnElement,
                                extend_contraction, ideal_base, restrict,
                                sample_space, ses_registry)
 from tenfold.boundary import (EVEN_HERM_TOL, INDEX_SQRT_TOL, INDEX_ZERO_SNAP,
-                              ODD_EIG_FLOOR, _collar_frames,
+                              ODD_EIG_FLOOR, RimFrames, _collar_frames,
                               _odd_isometry, _odd_spectrum, _reflection,
-                              boundary_conjugator, boundary_map, exp_unitary,
+                              boundary_map, exp_unitary,
                               index_unitary, retract_contraction, symmetrize_lift)
 from tenfold.invariants import InvariantError, catalog_has, signature
-from tenfold.symclass import (CLASS_IDS, MembershipError, RimFrames, add, class_spec, classify,
-                              class_structure, neutral, require_membership)
+from tenfold.symclass import (CLASS_IDS, MembershipError, add, boundary_conjugator, class_spec,
+                              classify, class_structure, neutral, require_membership)
 from tenfold.verify import random_class_element
 
 from helpers import (block_diag, chern_readings, even_retraction_per_point,
-                     exp_unitary_per_point, random_unitary)
+                     exp_unitary_per_point, random_unitary, rim_frames_stack)
 
 RNG = np.random.default_rng(41)
 POINT = sample_space("point")
@@ -343,9 +343,9 @@ def test_factored_isometry_guards_name_the_total_point():
     f, root = _odd_spectrum((rho * rho)[:, None] * tau[k], retract=True)
     assert np.all(root[5] == 0) and np.all(root[:3] > 0)
     y = boundary_conjugator(-1, 4)
-    _, frames = _collar_frames(w, (rho, k), y)
+    _, frames = _collar_frames(w, (rho, k), y, None)  # no grid: only the factors are read
     _, v = np.linalg.eigh(w.conj().swapaxes(1, 2) @ w)
-    assert np.array_equal(frames.stack[5], (y[:, :2] @ (w @ v))[2] * (rho[5] * f[5]))
+    assert np.array_equal(rim_frames_stack(frames)[5], (y[:, :2] @ (w @ v))[2] * (rho[5] * f[5]))
 
 
 def test_index_unitary_refusal_order():
@@ -427,7 +427,8 @@ def _collar_per_ray(u, i, ses, lift_strategy):
     lift = np.empty((len(k), u.dim, u.dim), dtype=complex)
     vals = np.empty((len(k), n, n), dtype=complex)
     for ray in range(nt):
-        lift_at, frames = _collar_frames(w[ray:ray + 1], (rho[ray::nt], k[ray::nt] - ray), y)
+        lift_at, frames = _collar_frames(w[ray:ray + 1], (rho[ray::nt], k[ray::nt] - ray), y,
+                                         None)
         lift[ray::nt] = lift_at(slice(None))
         vals[ray::nt] = frames.reflection()
     return lift, vals
@@ -459,8 +460,8 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
     gather: boundary_map's lift equals a byte for byte and, on a circle, its
     image is 2(yc)(yc)* - 1 by matmul byte for byte, and its rep carries no
     frames.  On the disks, which form no c, a and c come from the oracle of
-    the collar construction, the frames on first read equal y c and the
-    image, formed from the rim factors, is 2(yc)(yc)* - 1 within 1e-14."""
+    the collar construction, the frames the rim factors give equal y c and
+    the image, formed from the rim factors, is 2(yc)(yc)* - 1 within 1e-14."""
     ses = ses_registry(ses_name, (17, 32) if ses_name.startswith("disk") else None)
     rng = np.random.default_rng(sum(map(ord, ses_name)))
     dim = 2 * class_spec(i)["mult"]
@@ -474,7 +475,7 @@ def test_permutation_conjugation_gather_matches_product_bytes(ses_name, i):
             if profile is not None:
                 a, c = _collar_isometry_oracle(symmetrize_lift(u, i, SCALAR).values,
                                                profile)
-                assert np.array_equal(got.rep.frames.stack, y @ c)
+                assert np.array_equal(rim_frames_stack(got.rep.frames), y @ c)
                 assert np.max(np.abs(got.element.values - _reflection(y @ c))) < 1e-14
             else:
                 sym = symmetrize_lift(extend_contraction(u, ses, lift), i,
@@ -599,12 +600,11 @@ def test_factored_disk_path_matches_full_stack(ses_name, resolution):
                 got = boundary_map(u, i, ses, lift)
                 assert np.max(np.abs(got.element.values - image)) < 1e-13
                 assert np.max(np.abs(got.lift.values - a)) < 1e-13
-                # the frames the image carries, formed on first read and
-                # kept: y c of the collar oracle, with d orthonormal columns
-                # whose projection gives the image
-                assert "stack" not in vars(got.rep.frames)
-                frames = got.rep.frames.stack
-                assert got.rep.frames.stack is frames
+                # the frames the image carries, over its base: y c of the
+                # collar oracle, with d orthonormal columns whose projection
+                # gives the image
+                assert got.rep.frames.base == ibase
+                frames = rim_frames_stack(got.rep.frames)
                 assert frames.shape == (ses.total.npoints, 2 * dim, dim)
                 y = boundary_conjugator(i, 2 * dim)
                 oracle = _collar_isometry_oracle(w, (rho, k))[1]
@@ -632,7 +632,7 @@ def test_factored_lift_is_formed_on_first_read():
     u = random_class_element(disk.quotient, 1, 2, RNG, fourier=2)
     w = symmetrize_lift(u, 1, SCALAR).values
     profile = collar_profile(disk, "taper0")
-    lift_at, _ = _collar_frames(w, profile, boundary_conjugator(1, 4))
+    lift_at, _ = _collar_frames(w, profile, boundary_conjugator(1, 4), ideal_base(disk))
     eager = _collar_isometry_oracle(w, profile)[0]
     assert lift_at(slice(None)).tobytes() == eager.tobytes()
     cases = [(boundary_map(u, 1, disk, "taper0"), disk, eager)]
@@ -800,6 +800,7 @@ def test_boundary_map_matches_reference_bytes(ses_name):
                 assert repr(got.residuals) == repr(want)
                 if ses.total.kind == "disk" and not class_spec(i)["sa"]:
                     assert type(got.rep.frames) is RimFrames
+                    assert got.rep.frames.base == got.element.base == ideal_base(ses)
                     rim, own = chern_readings(got.rep)
                     assert rim == own
                 else:

@@ -7,9 +7,10 @@ another, or read as `module.name`.  Two callers live outside the code: `cli`
 dispatches each `cmd_*` through `globals()`, and the benchmark traces each
 function that a per-layer row of `BENCHMARK.json` names.  A public method or
 property of a public class must have its name read as an attribute
-somewhere in `src/` outside its own body; dunder methods, which Python
-calls, and the methods of private classes, which a library such as argparse
-calls, are exempt.  These tests only read files.
+somewhere in `src/` outside its own body, and not of a module (`np.stack`
+reads no method named `stack`); dunder methods, which Python calls, and the
+methods of private classes, which a library such as argparse calls, are
+exempt.  These tests only read files.
 """
 
 import ast
@@ -64,17 +65,30 @@ def _uncalled(sources, traced=frozenset()):
     return sorted(f"{m}.{f}" for m, f in defined - seen - set(traced))
 
 
+def _module_aliases(tree):
+    """Local names `tree` binds to modules: `import m`, `import m as a` and
+    `from . import m`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or \
+                isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return out
+
+
 def _unread_methods(sources):
     """Sorted `module.Class.method` of the public methods of the public
-    top-level classes in `sources` whose name no code reads as an attribute,
-    reads inside the method's own body aside."""
+    top-level classes in `sources` whose name no code reads as an attribute
+    of anything but a module, reads inside the method's own body aside."""
     trees = {m: ast.parse(code) for m, code in sources.items()}
 
-    def reads(node):
+    def reads(node, modules):
         return Counter(n.attr for n in ast.walk(node)
-                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                       and not (isinstance(n.value, ast.Name) and n.value.id in modules))
 
-    total = sum((reads(t) for t in trees.values()), Counter())
+    aliases = {m: _module_aliases(t) for m, t in trees.items()}
+    total = sum((reads(t, aliases[m]) for m, t in trees.items()), Counter())
     out = []
     for m, tree in trees.items():
         for cls in tree.body:
@@ -82,7 +96,8 @@ def _unread_methods(sources):
                 continue
             for fn in cls.body:
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not fn.name.startswith("_") and total[fn.name] == reads(fn)[fn.name]:
+                        and not fn.name.startswith("_") \
+                        and total[fn.name] == reads(fn, aliases[m])[fn.name]:
                     out.append(f"{m}.{cls.name}.{fn.name}")
     return sorted(out)
 
@@ -132,11 +147,14 @@ def test_the_check_finds_unread_methods():
               "    def read(self):\n        return self.helper()\n"
               "    def helper(self):\n        return 1\n"
               "    def dead(self):\n        return self.dead()\n"
+              "    def stack(self):\n        return 1\n"
+              "    def prod(self):\n        return 1\n"
               "    def __len__(self):\n        return 0\n"
               "class _Hook:\n    def error(self):\n        pass\n"),
-        "b": "from .a import Live\n\ndef run():\n    return Live().read()\n",
+        "b": ("import math\nimport numpy as np\nfrom . import a\nfrom .a import Live\n\n"
+              "def run():\n    return np.stack([Live().read()]), math.prod([a.Live().prod()])\n"),
     }
-    assert _unread_methods(sources) == ["a.Live.dead"]
+    assert _unread_methods(sources) == ["a.Live.dead", "a.Live.stack"]
 
 
 def test_every_public_method_is_read_in_src():

@@ -8,7 +8,7 @@ import pytest
 from tenfold import catalog, invariants, serialize
 from tenfold.basespace import (FnElement, constant_element,
                                sample_space, ses_registry, with_pinned)
-from tenfold.boundary import boundary_map
+from tenfold.boundary import RimFrames, boundary_map
 from tenfold.invariants import (InvariantError, _link_fluxes, _occupied_frames,
                                 _plaquette_fluxes, _unit, _unit_links,
                                 arc_winding_det1,
@@ -16,10 +16,10 @@ from tenfold.invariants import (InvariantError, _link_fluxes, _occupied_frames,
                                 half_turn_parity, pf_sign, qc_half_trace,
                                 quarter_trace, signature, sp_half_turn_parity,
                                 winding_det, winding_half, winding_pairs)
-from tenfold.symclass import RimFrames, add, check_membership, forget_to_ku, neutral
+from tenfold.symclass import add, check_membership, forget_to_ku, neutral
 from tenfold.verify import random_class_element
 
-from helpers import block_diag, chern_readings
+from helpers import block_diag, chern_readings, rim_frames_stack
 
 RNG = np.random.default_rng(31)
 POINT = sample_space("point")
@@ -373,12 +373,13 @@ def test_chern_reads_boundary_frames(ses_name, res, lift):
     for name, i, u, want in _boundary_frames_inputs(ses):
         rep = boundary_map(u, i, ses, lift).rep
         elem = rep.element
-        assert rep.frames.shape == (elem.base.npoints, elem.dim, elem.dim // 2), name
+        frames = rep.frames
+        assert (frames.base, frames.dim, frames.rank) == (elem.base, elem.dim, elem.dim // 2), name
         assert signature(rep).as_dict() == {"chern": want}, name
         assert chern_of_projection(elem) == want, name
         ref = float(np.sum(_plaquette_fluxes(elem.base, _occupied_frames(elem))))
-        for flux in (_rim_fluxes(rep.frames),
-                     _plaquette_fluxes(elem.base, rep.frames.stack)):
+        for flux in (_rim_fluxes(frames),
+                     _plaquette_fluxes(elem.base, rim_frames_stack(frames))):
             assert abs(float(np.sum(flux)) - ref) < 1e-12, name
         plain = [_classified_from_json(rep)]
         if rep.class_id != "KU0":
@@ -446,23 +447,40 @@ def _disk_z_image(res, k):
 
 
 def test_chern_refuses_mismatched_frames():
-    """RimFrames of another rank or grid than the element's are refused by
-    shape, and the trace of the element sets the rank: it must be the same
-    at every point, with or without frames."""
+    """RimFrames over another grid than the element's are refused by base,
+    and RimFrames of another rank or dim by those; the trace of the element
+    sets the rank: it must be the same at every point, with or without
+    frames."""
     rep = _disk_z_image((9, 16), 2)
     assert chern_of_projection(rep.element, rep.frames) == -2
-    npoints, nt = rep.element.values.shape[0], rep.base.shape[1]
-    wrong_rank = [RimFrames(np.zeros((nt, 4, k)), np.zeros((nt, 4, k)),
-                            np.zeros((npoints, k)), np.zeros((npoints, k))) for k in (1, 3)]
-    for bad in wrong_rank + [_disk_z_image((17, 32), 2).frames, _disk_z_image((9, 16), 1).frames]:
+    with pytest.raises(InvariantError, match="^frames built over another base than the element's$"):
+        chern_of_projection(rep.element, _disk_z_image((17, 32), 2).frames)
+    nr, nt = rep.base.shape
+    wrong = [RimFrames(rep.base, np.zeros((2, nt, k, n)), np.zeros((2, nt, k, nr)))
+             for k, n in ((1, 4), (3, 4), (2, 8))]
+    for bad in wrong + [_disk_z_image((9, 16), 1).frames]:
         with pytest.raises(InvariantError, match=re.escape(
-                f"frames of shape {bad.shape} do not span the rank-2 ranges of a "
-                f"{rep.element.values.shape} stack")):
+                f"rank-{bad.rank} frames of dim {bad.dim} do not span the rank-2 ranges "
+                f"of a dim-4 element")):
             chern_of_projection(rep.element, bad)
     u = _disk_diag(lambda k: [1.0, 1.0 if k == 3 else -1.0])
     for frames in (None, _disk_z_image((5, 16), 1).frames):
         with pytest.raises(InvariantError, match="occupied rank is not constant"):
             chern_of_projection(u, frames)
+
+
+def test_chern_reads_frames_only_over_their_base():
+    """The disk-id (9, 16) image of z reads -1 from its rim frames.  Its
+    values put on a torus2 (9, 16) base, whose wrapped row the rim frames
+    have no links for, are refused with those frames, by base, as the
+    reader's own frames refuse them."""
+    rep = _disk_z_image((9, 16), 1)
+    assert chern_readings(rep) == [-1, -1]
+    torus = FnElement(sample_space("torus2", (9, 16)), rep.element.values)
+    with pytest.raises(InvariantError, match="^frames built over another base than the element's$"):
+        chern_of_projection(torus, rep.frames)
+    with pytest.raises(InvariantError, match="frame overlap nearly singular"):
+        chern_of_projection(torus)
 
 
 def test_reps_with_frames_compare_by_value():

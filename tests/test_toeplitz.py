@@ -252,7 +252,7 @@ def test_membership_refuses_dimension_off_class_size():
 
 
 def test_gaussian_form_of_class_constants():
-    from tenfold.boundary import boundary_conjugator
+    from tenfold.symclass import boundary_conjugator
     c, pref = tp._gaussian(boundary_conjugator(3, 4), kmax=2)
     assert pref == tp.Fraction(1, 4)
     assert all(v.re.denominator == 1 and v.im.denominator == 1 for v in c.flat)
